@@ -163,12 +163,6 @@ def integer_det(m: np.ndarray) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(m: np.ndarray, tol: float = None) -> bool:
-    if tol is None:
-        tol = TOL
-    return abs(abs(float(np.linalg.det(np.asarray(m, dtype=float)))) - 1.0) <= tol
-
-
 def as_fraction_scalar(x) -> Fraction | None:
     """Exact Fraction for ints, Fractions, strings like '3/2' and integral
     floats; None for anything not exactly rational."""

@@ -60,10 +60,6 @@ class FareyIndex:
     def __len__(self) -> int:
         return self.sources.shape[0]
 
-    def up_to(self, alpha_max: float) -> slice:
-        """Prefix slice of points with alpha_d <= alpha_max."""
-        return slice(0, int(np.searchsorted(self.alpha_d, alpha_max, side="right")))
-
     def near(self, x, radius: float, alpha_max: float = None) -> np.ndarray:
         """Indices of points within sup-distance radius of x (binary search
         on the first coordinate, then a mask on the rest)."""
@@ -397,8 +393,14 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     the box width for boxes, and radii sums are checked by the caller).
 
     Offset-grid bucketing: cells of size 2*max_w on all 2^{dim} offset grids
-    catch every close pair; a union-find merges pairs into clusters.
+    catch every close pair; connected components of the close pairs are the
+    clusters.  Each cluster is sorted, and the clusters are ordered by their
+    smallest member.
     """
+    # imported on first use, which keeps csgraph out of `import horolab`
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = points.shape[0]
     if n < 2:
         return []
@@ -416,14 +418,12 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
             keys = keys * 2_000_003 + ids[:, j]
         order = np.argsort(keys, kind="stable")
         sk = keys[order]
-        starts = np.flatnonzero(np.diff(sk)) + 1
-        bounds = np.concatenate(([0], starts, [sk.size]))
-        counts = np.diff(bounds)
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(sk)) + 1))
+        counts = np.diff(np.append(starts, sk.size))
         for c in np.unique(counts[counts >= 2]):
-            rows = order[np.flatnonzero(counts == c)[:, None] * 0 + bounds[:-1][counts == c][:, None] + np.arange(c)]
-            for a in range(int(c)):
-                for b in range(a + 1, int(c)):
-                    pair_chunks.append(np.stack([rows[:, a], rows[:, b]], axis=1))
+            rows = order[starts[counts == c][:, None] + np.arange(c)]
+            a, b = np.triu_indices(int(c), 1)
+            pair_chunks.append(np.stack([rows[:, a].ravel(), rows[:, b].ravel()], axis=1))
     if not pair_chunks:
         return []
     pairs = np.concatenate(pair_chunks, axis=0)
@@ -435,24 +435,13 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     pi, pj = pi[hit], pj[hit]
     if pi.size == 0:
         return []
-    parent = {}
-
-    def find(i):
-        root = i
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(i, i) != i:
-            parent[i], i = root, parent[i]
-        return root
-
-    for i, j in zip(pi.tolist(), pj.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, set[int]] = {}
-    for i, j in zip(pi.tolist(), pj.tolist()):
-        groups.setdefault(find(i), set()).update((i, j))
-    return [np.array(sorted(members), dtype=np.int64) for members in groups.values() if len(members) >= 2]
+    # the graph spans only the points in some close pair
+    nodes, ends = np.unique(np.concatenate([pi, pj]), return_inverse=True)
+    graph = coo_matrix((np.ones(pi.size), (ends[: pi.size], ends[pi.size :])), shape=(nodes.size, nodes.size))
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(nodes[order], np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(groups, key=lambda g: int(g[0]))
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

@@ -121,10 +121,6 @@ class GrenierBoxStable:
         return float(np.prod([self.alphas[self.d - 1 - k] ** (2 * (self.d - k) / self.d) for k in range(1, self.d)]))
 
     @property
-    def T_plus(self) -> float:
-        return float(np.prod([self.gammas[self.d - 1 - k] ** (2 * (self.d - k) / self.d) for k in range(1, self.d)]))
-
-    @property
     def T0(self) -> float:
         return self.T_minus ** (self.d / (2.0 * (self.d - 1)))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from horolab import coords, experiments as ex, targets as tg
@@ -101,6 +102,85 @@ def test_cluster_union_volume():
     got = ex._cluster_union_volume(centers, w, np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     # hand inclusion-exclusion: 3 - (0.5 + 0.5625 + 0.5625) + 0.375
     assert abs(got - 1.75) <= 1e-12
+
+
+def _sweep_union(centers, w, lo, hi):
+    """Reference union of congruent clipped boxes: interval merge in one
+    dimension, a slab sweep over the first coordinate in two."""
+    los = np.maximum(centers - w / 2.0, lo)
+    his = np.minimum(centers + w / 2.0, hi)
+    keep = np.all(his > los, axis=1)
+    los, his = los[keep], his[keep]
+    if los.shape[0] == 0:
+        return 0.0
+    if los.shape[1] == 1:
+        return ex._merge_length(np.stack([los[:, 0], his[:, 0]], axis=1))
+    events = np.unique(np.concatenate([los[:, 0], his[:, 0]]))
+    total = 0.0
+    for x0, x1 in zip(events[:-1], events[1:]):
+        mid = 0.5 * (x0 + x1)
+        active = (los[:, 0] <= mid) & (his[:, 0] >= mid)
+        if np.any(active):
+            total += (x1 - x0) * ex._merge_length(np.stack([los[active, 1], his[active, 1]], axis=1))
+    return float(total)
+
+
+# grid values make shared and touching edges common (decimal ones touch only
+# up to rounding, 0.9 + 0.1 == 1.0); the range reaches past A = [0, 1]^dim,
+# so some boxes are clipped or empty
+grid = [-0.25, 0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 1.0, 1.25]
+coordinate = st.one_of(st.sampled_from(grid), st.floats(-0.3, 1.3))
+radius = st.one_of(st.sampled_from([0.0, 0.1, 0.125, 0.25, 0.3]), st.floats(1e-6, 0.7))
+
+
+@st.composite
+def box_clusters(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    centers = np.array(draw(st.lists(st.tuples(*[coordinate] * dim), min_size=sum(sizes), max_size=sum(sizes))))
+    return centers, w, sizes, np.zeros(dim), np.ones(dim)
+
+
+@settings(deadline=None)
+@given(box_clusters())
+def test_batched_union_matches_per_cluster_and_sweep(case):
+    centers, w, sizes, lo, hi = case
+    batched = ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes)
+    parts = np.split(centers, np.cumsum(sizes)[:-1])
+    unions = [ex._cluster_union_volume(p, w, lo, hi) for p in parts]
+    assert abs(batched - sum(unions)) <= 1e-12
+    assert abs(batched - sum(_sweep_union(p, w, lo, hi) for p in parts)) <= 1e-12
+    for part, union in zip(parts, unions):
+        volumes = ex._clipped_box_volumes(part, w, lo, hi)
+        assert volumes.max() - 1e-12 <= union <= volumes.sum() + 1e-12
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate, radius), min_size=1, max_size=40))
+def test_disk_areas_match_scalar_loop_bitwise(disks):
+    arr = np.array(disks)
+    centers, radii = arr[:, :2], arr[:, 2]
+    lo, hi = np.zeros(2), np.ones(2)
+    areas = ex._disk_box_areas(centers, radii, lo, hi)
+    total = 0.0
+    for k, (c, r) in enumerate(zip(centers, radii)):
+        want = ex._circle_box_area(c[0], c[1], r, lo, hi) if r > 0 else 0.0
+        assert areas[k] == want
+        total += want
+    assert np.cumsum(np.append(0.0, areas))[-1] == total
+
+
+@given(st.permutations(range(4)))
+def test_collision_clusters_ordered_by_smallest_member(perm):
+    from horolab import farey
+
+    base = np.array([[0.1, 0.1], [0.1001, 0.1], [0.8, 0.8], [0.8, 0.8001]])
+    points = np.empty_like(base)
+    points[perm] = base  # base row i becomes point perm[i]
+    clusters = farey.collision_clusters(points, 1e-3)
+    want = sorted([sorted(perm[:2]), sorted(perm[2:])])
+    assert [c.tolist() for c in clusters] == want
 
 
 def test_d3_window_overlap_below_nominal_budget():

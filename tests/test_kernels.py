@@ -95,13 +95,16 @@ def test_backends_agree():
 
 
 def test_backend_env_selection():
+    import os
     import subprocess
     import sys
 
+    # the import path is the parent's; only the backend variable is under test
+    env = {"PATH": "/usr/bin:/bin", "HOROLAB_BACKEND": "numpy", "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
     out = subprocess.run(
         [sys.executable, "-c", "import horolab._kernels as K; print(K.BACKEND)"],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "HOROLAB_BACKEND": "numpy"},
+        env=env,
     )
     assert out.stdout.strip() == "numpy"
