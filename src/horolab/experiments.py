@@ -473,11 +473,15 @@ def _build_index(target, L, lo, hi, t):
 
 
 def sampled_integral(target, L, lo, hi, t, points: np.ndarray) -> tuple[float, int]:
+    """vol(A) times the fraction of sample points the dual predicate accepts;
+    the candidates near all samples are tested in one batched call."""
     index = _build_index(target, L, lo, hi, t)
-    hits = 0
-    for x in points:
-        if tg.member_dual(target, L, x, t, index=index) is not None:
-            hits += 1
+    radius = tg._candidate_radius(target, t)
+    amax = tg._alpha_cutoff(target, t)
+    near = [index.near(x, radius, alpha_max=amax) for x in points]
+    si = np.repeat(np.arange(len(points)), [c.size for c in near])
+    pos, _found = tg.dual_hits(target, L, t, points, si, np.concatenate(near), index)
+    hits = np.unique(si[pos]).size
     vol = box_volume(lo, hi)
     return vol * hits / len(points), len(index)
 

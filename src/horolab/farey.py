@@ -388,9 +388,13 @@ def is_gamma_duplicate(L, s, tol: float = None) -> bool:
 
 
 def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
-    """Clusters of points closer than w in sup-norm (w may be per-point, in
-    which case the threshold for a pair is w_i + w_j over 2... callers pass
-    the box width for boxes, and radii sums are checked by the caller).
+    """Clusters of close points: a pair is close when its sup-norm gap is
+    below (w_i + w_j)/2, with w one width for all points or one per point.
+
+    For boxes of width w this is exactly "the boxes overlap", so box callers
+    pass the box width.  Disk callers must pass diameters: two disks meet
+    only if their centers are this close, and the caller checks the exact
+    disk test on the pairs of each cluster.
 
     Offset-grid bucketing: cells of size 2*max_w on all 2^{dim} offset grids
     catch every close pair; connected components of the close pairs are the

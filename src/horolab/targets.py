@@ -3,8 +3,10 @@ form measures, and disjointness constants.
 
 The dual predicate tests the transpose-inverse of the horosphere point by
 proximity to a translated-Farey point at scale e^{-dt}; the direct predicate
-enumerates a thin lattice slab and exists as an independent oracle for the
-stable-box case.
+enumerates a thin lattice slab and tests the horosphere point itself.  The
+two accept different parameters x, but for stable boxes both hit a fraction
+of A that tends to the target measure, so the direct one is an independent
+oracle for the hit rate.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .coords import (
     Chart,
     chart_matrix,
     chart_point_from_offset,
+    chart_points_from_offsets,
     grenier_reduce,
     hrd_coords,
-    section_coords,
 )
 from .errors import (
     DisjointnessError,
@@ -253,19 +255,67 @@ def complete_to_unimodular(p) -> np.ndarray:
     return gamma
 
 
+def _complete_stack(p: np.ndarray) -> np.ndarray:
+    """complete_to_unimodular for a stack of primitive vectors (n, d): the
+    same gcd steps in the same tie order, in int64, with vectors that are
+    done sitting out.
+
+    The determinant stays one throughout (row additions, and sign changes
+    two rows at a time), so the scalar version's sign fix never fires and
+    is left out here.
+    """
+    p = np.asarray(p, dtype=np.int64)
+    vec = p.copy()
+    n, d = vec.shape
+    if not np.all(vec.any(axis=1)):
+        raise HorolabError("zero vector cannot be completed")
+    v = np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()  # inverse transform
+    unset = np.iinfo(np.int64).max
+    while True:
+        live = np.flatnonzero(np.count_nonzero(vec, axis=1) > 1)
+        if live.size == 0:
+            break
+        lv = vec[live]
+        order = np.argsort(np.where(lv != 0, np.abs(lv), unset), axis=1, kind="stable")
+        j0, j1 = order[:, 0], order[:, 1]
+        a0 = lv[np.arange(live.size), j0]
+        qq = lv[np.arange(live.size), j1] // a0
+        vec[live, j1] -= qq * a0
+        v[live, j0] += qq[:, None] * v[live, j1]
+    rows = np.arange(n)
+    j = np.argmax(vec != 0, axis=1)
+    unit = vec[rows, j]
+    if np.any(np.abs(unit) != 1):
+        raise HorolabError("vector is not primitive")
+    # move the unit entry to slot d-1: swap rows j and d-1, negating the one moved up
+    sw = np.flatnonzero(j != d - 1)
+    moved = v[sw, j[sw]].copy()
+    v[sw, j[sw]] = -v[sw, d - 1]
+    v[sw, d - 1] = moved
+    neg = unit == -1
+    v[neg, d - 1] *= -1
+    v[neg, 0] *= -1
+    if not np.array_equal(v[:, d - 1], p):
+        raise HorolabError("completion failed to reproduce the bottom row")
+    return v
+
+
 def _h_part(source, L) -> np.ndarray:
     """Parabolic part of gamma @ transpose-inverse(L) for the coset attached
-    to a primitive source vector."""
-    gamma = complete_to_unimodular(source).astype(float)
-    g0 = gamma @ (_ltilde(L) if L is not None else np.eye(len(source)))
+    to a primitive source vector; a stack of sources (n, d) gives a stack."""
+    source = np.asarray(source)
+    gamma = (complete_to_unimodular(source) if source.ndim == 1 else _complete_stack(source)).astype(float)
+    g0 = gamma @ (_ltilde(L) if L is not None else np.eye(source.shape[-1]))
     return hrd_coords(g0).m_h
 
 
-def _kprime_angle(k: np.ndarray) -> float:
-    return math.atan2(float(k[1, 0]), float(k[0, 0]))
+def _kprime_angle(k: np.ndarray):
+    return np.arctan2(k[..., 1, 0], k[..., 0, 0])
 
 
-def _angle_in(interval, theta: float) -> bool:
+def _angle_in(interval, theta):
+    """Whether theta lies in the angle interval, mod 2 pi (None = all);
+    an array of angles gives a mask."""
     if interval is None:
         return True
     lo, hi = interval
@@ -273,15 +323,15 @@ def _angle_in(interval, theta: float) -> bool:
     return width <= (hi - lo) + BOUNDARY_ATOL
 
 
-def _recover_inner_rotation(kprime: np.ndarray, w: np.ndarray, c: float, zprime: np.ndarray, a_block: np.ndarray):
+def _recover_inner_rotation(kprime: np.ndarray, w: np.ndarray, c, zprime: np.ndarray, a_block: np.ndarray):
     """Invert the rotation-factor map: from the reduced K' block recover the
-    free SO(d-1) parameter and the triangular diagonal it generates."""
-    m0 = a_block - np.outer(w, zprime)
-    gram = np.eye(w.size) + np.outer(w, w) / (c * c)
-    s_mat = kprime @ np.linalg.inv(gram) @ kprime.T
-    s_inv = np.linalg.inv(s_mat)
-    low = np.linalg.cholesky(s_inv)
-    b = low.T
+    free SO(d-1) parameter and the triangular diagonal it generates.  Stacked
+    arguments (leading axis n) are inverted matrix by matrix."""
+    c = np.asarray(c)[..., None, None]
+    m0 = a_block - w[..., :, None] * zprime[..., None, :]
+    gram = np.eye(w.shape[-1]) + w[..., :, None] * w[..., None, :] / (c * c)
+    s_mat = kprime @ np.linalg.inv(gram) @ np.swapaxes(kprime, -1, -2)
+    b = np.swapaxes(np.linalg.cholesky(np.linalg.inv(s_mat)), -1, -2)
     ktilde = b @ kprime @ np.linalg.inv(m0)
     return ktilde, b
 
@@ -388,14 +438,98 @@ def _coords_in_box(coords, alphas, gammas, beta_lo, beta_hi, d: int) -> bool:
     return True
 
 
+def dual_hits(target, L, t: float, x: np.ndarray, si: np.ndarray, ci: np.ndarray,
+              index: fy.FareyIndex) -> tuple[np.ndarray, dict]:
+    """Batched dual membership over (sample, candidate) pairs.
+
+    Pair k tests sample x[si[k]] against index point ci[k] and decides as
+    _test_candidate does.  The section coordinates of the coordinate boxes
+    depend on the candidate alone, so they are computed once per distinct
+    candidate that passes the offset test, in one stacked reduction.
+
+    Returns the positions of the accepted pairs, in pair order, and their
+    witness data: "s" and "xt", and by target kind "z", "c" and "coords"
+    (GrenierCoords), each indexed like the positions.  For d = 2 stable
+    boxes one sample with two accepted pairs raises DisjointnessError.
+    """
+    if t < 0:
+        raise HorolabError("flow time t must be >= 0")
+    d = target.d
+    stable = isinstance(target, (StableSection, GrenierBoxStable))
+    grenier = isinstance(target, (GrenierBoxStable, GrenierBoxSpherical))
+    if not (stable or grenier or isinstance(target, SphericalSection)):
+        raise TypeError(f"unknown target {type(target)!r}")
+    if grenier and d not in (2, 3):
+        raise UnsupportedDimensionError("coordinate-box membership needs d in {2, 3}")
+    alpha_d = index.alpha_d[ci]
+    xt = math.exp(d * t) * (index.points[ci] - x[si])
+    level = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
+    if stable:
+        y = np.asarray(target.ytilde)
+        ok = np.all(xt >= y - target.eps / 2.0 - BOUNDARY_ATOL, axis=1) & np.all(xt < y + target.eps / 2.0, axis=1)
+        if isinstance(target, StableSection):
+            ok &= alpha_d <= level * (1 + 1e-12)
+    else:
+        z, ok = chart_points_from_offsets(target.chart, xt)
+        c = np.cos(np.linalg.norm(z, axis=1))
+        if isinstance(target, SphericalSection):
+            ok &= alpha_d <= level * c * (1 + 1e-12)
+    pos = np.flatnonzero(ok)
+    found = {}
+    if grenier and pos.size:
+        cand, row = np.unique(ci[pos], return_inverse=True)
+        s = t - np.log(index.alpha_d[cand]) / (d - 1)
+        if stable:
+            s = s - math.log(target.T / target.T0) / d
+        _gamma, coords = grenier_reduce(_h_part(index.sources[cand], L), s)
+        ys, xs, kprime = coords.ys[row], coords.x[row], coords.kprime[row]
+        if stable:
+            keep = _in_boxes(ys, target.alphas, target.gammas)
+            iu, ju = np.triu_indices(d, 1)
+            keep &= np.all((np.asarray(target.beta_lo) - BOUNDARY_ATOL <= xs[:, iu, ju])
+                           & (xs[:, iu, ju] <= np.asarray(target.beta_hi) + BOUNDARY_ATOL), axis=1)
+            if d == 3:
+                keep &= _angle_in(target.ktilde, _kprime_angle(kprime))
+        elif d == 2:
+            cp = c[pos]
+            keep = _in_boxes(ys, target.alphas, target.gammas, (target.T / (cp * cp * target.T_minus))[:, None])
+        else:
+            einv, cp, _v, zp = chart_matrix(target.chart, z[pos])
+            ktilde, b = _recover_inner_rotation(kprime, einv[:, : d - 1, d - 1], cp, zp, einv[:, : d - 1, : d - 1])
+            beta = np.diagonal(b, axis1=1, axis2=2)[:, ::-1]  # (beta_1, ..., beta_{d-1})
+            scales = np.stack([beta[:, 1] / beta[:, 0], beta[:, 0] * target.T / (cp * target.T0)], axis=1)
+            keep = _angle_in(target.ktilde, _kprime_angle(ktilde)) & _in_boxes(ys, target.alphas, target.gammas, scales)
+        pos = pos[keep]
+        found["coords"] = [coords.row(r) for r in row[keep]]
+    if stable and d == 2 and pos.size > 1:
+        # a Farey-neighbor gap argument makes this impossible below the
+        # d = 2 budget; seeing it means the predicate itself is broken
+        twice = np.bincount(si[pos]) > 1
+        if np.any(twice):
+            raise DisjointnessError(f"two stable witnesses found at x={x[int(np.argmax(twice))].tolist()}, t={t} for d=2")
+    found.update(s=t - np.log(alpha_d[pos]) / (d - 1), xt=xt[pos])
+    if not stable:
+        found["z"] = z[pos]
+    if isinstance(target, SphericalSection):
+        found["c"] = c[pos]
+    return pos, found
+
+
+def _in_boxes(ys: np.ndarray, alphas, gammas, scale=1.0) -> np.ndarray:
+    """Rows of ys (n, d-1) with alpha_k scale - tol <= y_k < gamma_k scale;
+    scale broadcasts against ys."""
+    return np.all((np.asarray(alphas) * scale - BOUNDARY_ATOL <= ys) & (ys < np.asarray(gammas) * scale), axis=1)
+
+
 def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional[MembershipWitness]:
     """Dual membership: does the transpose-inverse horosphere point at
     parameter x, flow time t, land in the target?
 
-    Witnesses are translated-Farey sources.  For d = 2 stable boxes below
-    the disjointness budget there is at most one, and finding two raises;
-    for d = 3 two cusp sources can both hit, and the witness then carries
-    their count as ``extra["multiplicity"]``.
+    Witnesses are translated-Farey sources; the one with the smallest
+    alpha_d is returned.  For d = 2 stable boxes below the disjointness
+    budget there is at most one, and finding two raises; for d = 3 two cusp
+    sources can both hit, and the witness then carries their count as
+    ``extra["multiplicity"]``.  This is dual_hits for one sample.
     """
     if t < 0:
         raise HorolabError("flow time t must be >= 0")
@@ -412,25 +546,17 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
         cand = np.arange(len(index))
     else:
         cand = index.near(x, radius, alpha_max=amax)
-    hits = []
-    for i in cand:
-        res = _test_candidate(target, L, x, t, index.points[i], float(index.alpha_d[i]), index.sources[i])
-        if res is not None:
-            hits.append((float(index.alpha_d[i]), i, res))
-    if not hits:
+    pos, found = dual_hits(target, L, t, x[None, :], np.zeros(cand.size, dtype=np.intp), cand, index)
+    if pos.size == 0:
         return None
-    if len(hits) > 1 and isinstance(target, (StableSection, GrenierBoxStable)) and d == 2:
-        # a Farey-neighbor gap argument makes this impossible below the
-        # d = 2 budget; seeing it means the predicate itself is broken
-        raise DisjointnessError(f"two stable witnesses found at x={x.tolist()}, t={t} for d=2")
-    hits.sort(key=lambda h: h[0])
-    alpha_d, i, res = hits[0]
-    extra = {k: v for k, v in res.items() if k not in ("s", "xt")}
-    if len(hits) > 1:
+    k = int(np.argmin(index.alpha_d[cand[pos]]))  # the first smallest alpha_d, in candidate order
+    extra = {key: found[key][k] for key in ("z", "c", "coords") if key in found}
+    if pos.size > 1:
         # for d >= 3 distinct section sheets closer than the nominal budget
         # can genuinely meet near the tip; report the multiplicity
-        extra["multiplicity"] = len(hits)
-    return MembershipWitness(farey=index.record(int(i)), s=res["s"], xt=tuple(np.atleast_1d(res["xt"]).tolist()), extra=extra)
+        extra["multiplicity"] = int(pos.size)
+    return MembershipWitness(farey=index.record(int(cand[pos[k]])), s=float(found["s"][k]),
+                             xt=tuple(found["xt"][k].tolist()), extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -646,27 +772,36 @@ def disjointness_property_sample(d: int, n_samples: int, seed: int = 0) -> Disjo
         raise UnsupportedDimensionError("sampler implemented for d in {2, 3}")
     rng = np.random.default_rng(seed)
     bound = (3.0 / 4.0) ** ((d - 1) / 2.0)
-    observed = math.inf
-    for _ in range(n_samples):
+    # the draws keep the order of a per-sample loop: element, then row
+    draws = np.empty((n_samples, 1 if d == 2 else 5))
+    n_vecs = np.empty((n_samples, d - 1), dtype=np.int64)
+    for i in range(n_samples):
         if d == 2:
-            m_h = np.array([[1.0, rng.uniform(-3, 3)], [0.0, 1.0]])
+            draws[i, 0] = rng.uniform(-3, 3)
         else:
-            y1 = rng.uniform(math.sqrt(3) / 2.0, 4.0 / 3.0)
-            xhat = rng.uniform(-2, 2)
-            ang = rng.uniform(0, 2 * math.pi)
-            rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
-            inner = np.array([[1.0, xhat], [0.0, 1.0]]) @ np.diag([math.sqrt(y1), 1.0 / math.sqrt(y1)]) @ rot
-            m_h = np.eye(3)
-            m_h[:2, :2] = inner
-            m_h[:2, 2] = rng.uniform(-2, 2, size=2)
-        gamma, _coords = grenier_reduce(m_h, 0.0)
-        m_hat = gamma.astype(float) @ m_h
-        b_hat = m_hat[: d - 1, d - 1]
+            draws[i, :3] = (rng.uniform(math.sqrt(3) / 2.0, 4.0 / 3.0), rng.uniform(-2, 2), rng.uniform(0, 2 * math.pi))
+            draws[i, 3:] = rng.uniform(-2, 2, size=2)
         n_vec = rng.integers(-5, 6, size=d - 1)
         while not np.any(n_vec):
             n_vec = rng.integers(-5, 6, size=d - 1)
-        row = np.append(n_vec.astype(float), -float(n_vec @ b_hat))
-        observed = min(observed, float(np.linalg.norm(row @ m_hat)))
+        n_vecs[i] = n_vec
+    m_h = np.broadcast_to(np.eye(d), (n_samples, d, d)).copy()
+    if d == 2:
+        m_h[:, 0, 1] = draws[:, 0]
+    else:
+        y1, xhat, ang = draws[:, 0], draws[:, 1], draws[:, 2]
+        shear = np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
+        shear[:, 0, 1] = xhat
+        scale = np.zeros((n_samples, 2, 2))
+        scale[:, 0, 0], scale[:, 1, 1] = np.sqrt(y1), 1.0 / np.sqrt(y1)
+        rot = np.stack([np.cos(ang), -np.sin(ang), np.sin(ang), np.cos(ang)], axis=1).reshape(-1, 2, 2)
+        m_h[:, :2, :2] = shear @ scale @ rot
+        m_h[:, :2, 2] = draws[:, 3:]
+    gamma, _coords = grenier_reduce(m_h, 0.0)
+    m_hat = gamma.astype(float) @ m_h
+    b_hat = m_hat[:, : d - 1, d - 1 :]
+    rows = np.concatenate([n_vecs.astype(float), -(n_vecs[:, None, :].astype(float) @ b_hat)[:, 0]], axis=1)
+    observed = float(np.linalg.norm((rows[:, None, :] @ m_hat)[:, 0], axis=1).min()) if n_samples else math.inf
     return DisjointnessReport(d=d, n_samples=n_samples, observed_min=observed, bound=bound,
                               ok=observed >= bound - 1e-9)
 

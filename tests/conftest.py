@@ -1,5 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+
+def pytest_configure(config):
+    # interpreters the tests start import the same checkout as the suite
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
 
 def random_unimodular(rng, d):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from horolab import coords, experiments as ex, targets as tg
+from horolab import coords, experiments as ex, farey, targets as tg
 from horolab.algebra import zeta
-from horolab.errors import ConfigError
+from horolab.errors import ConfigError, DisjointnessError
 
 
 def stable_cfg(**kw):
@@ -205,6 +205,29 @@ def test_d3_window_overlap_below_nominal_budget():
     # (0,1,36) and (0,1,35), another cross-product-e_1 pair 1/1260 apart
     hit = tg.member_dual(target, None, [0.0002, 0.02818], t)
     assert hit is not None and hit.extra.get("multiplicity", 1) >= 2
+
+
+def test_sampled_integral_counts_a_d3_cusp_pair_once():
+    # the cusp pair (0,1,36)/(0,1,35) above: member_dual reports both
+    # witnesses, the sampled estimator counts the sample once
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    x, miss = [0.0002, 0.02818], [0.123456, 0.654321]
+    assert tg.member_dual(target, None, x, 1.8).extra["multiplicity"] == 2
+    assert tg.member_dual(target, None, miss, 1.8) is None
+    estimate, _count = ex.sampled_integral(target, None, np.zeros(2), np.ones(2), 1.8, np.array([x, miss]))
+    assert estimate == 0.5
+
+
+def test_sampled_integral_raises_on_a_d2_double_witness(monkeypatch):
+    # an index holding 1/2 twice, as (1, 2) and (2, 4), gives x = 1/2 two
+    # stable witnesses at t = log 100; the batched path raises as member_dual does
+    index = farey.FareyIndex(2, np.array([[1, 2], [2, 4]]), np.array([[1.0, 2.0], [2.0, 4.0]]))
+    monkeypatch.setattr(ex, "_build_index", lambda *args: index)
+    target = tg.StableSection(d=2, T=1.0, eps=0.2)
+    with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
+        tg.member_dual(target, None, [0.5], math.log(100), index=index)
+    with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
+        ex.sampled_integral(target, None, np.zeros(1), np.ones(1), math.log(100), np.array([[0.25], [0.5]]))
 
 
 def test_d3_window_overlap_reports_a_touching_pair(monkeypatch):

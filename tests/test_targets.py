@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_special_orthogonal
-from horolab import coords, farey, targets
-from horolab.algebra import zeta
+from conftest import random_special_orthogonal, random_unimodular
+from horolab import coords, experiments, farey, targets
+from horolab.algebra import integer_det, zeta
 from horolab.errors import DisjointnessError, HorolabError, ResourceLimitError
 
 
@@ -263,8 +264,6 @@ def test_disjointness_sampler_small():
 
 
 def test_complete_to_unimodular(rng):
-    from horolab.algebra import integer_det
-
     for d in (2, 3, 4):
         for _ in range(50):
             p = rng.integers(-30, 31, size=d)
@@ -276,6 +275,18 @@ def test_complete_to_unimodular(rng):
             gamma = targets.complete_to_unimodular(p)
             assert integer_det(gamma) == 1
             assert np.array_equal(gamma[d - 1], p)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d), min_size=1, max_size=20)))
+def test_complete_stack_matches_scalar_completion(vectors):
+    # the stacked completion takes the scalar one's steps, so the matrices are equal
+    prim = [p for p in vectors if math.gcd(*p) == 1]
+    assume(prim)
+    stack = targets._complete_stack(np.array(prim))
+    for p, gamma in zip(prim, stack):
+        assert np.array_equal(gamma, targets.complete_to_unimodular(p))
 
 
 def test_recover_inner_rotation_round_trip(rng):
@@ -323,3 +334,124 @@ def test_grenier_kprime_interval_d3():
         d=3, alphas=(1.0, 1.0), gammas=(3.0, 3.0), T=1.0, eps=0.2, ktilde=(ang + 0.5, ang + 0.6)
     )
     assert targets.member_dual(away, None, x, 1.5) is None
+
+
+# ---------------------------------------------------------------------------
+# stacked reduction and batched dual membership
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((2, 3)), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_grenier_reduce_stack_matches_single_calls(d, n, seed):
+    rng = np.random.default_rng(seed)
+    m_h = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    if d == 3:
+        m_h[:, :2, :2] = [random_unimodular(rng, 2) for _ in range(n)]
+    m_h[:, : d - 1, d - 1] = rng.uniform(-4, 4, size=(n, d - 1))
+    s = rng.uniform(-0.5, 1.5, size=n)
+    gammas, stacked = coords.grenier_reduce(m_h, s)
+    iu = np.triu_indices(d, 1)
+    for i in range(n):
+        gamma, c = coords.grenier_reduce(m_h[i], s[i])
+        assert gamma.dtype == np.int64 and np.array_equal(gammas[i], gamma)
+        assert integer_det(gamma) in (1, -1) and np.array_equal(gamma[d - 1], np.eye(d)[d - 1])
+        row = stacked.row(i)
+        assert np.allclose(row.x, c.x, rtol=1e-12, atol=1e-12) and np.allclose(row.ys, c.ys, rtol=1e-12, atol=0)
+        assert np.allclose(row.kprime, c.kprime, rtol=0, atol=1e-12) and abs(row.height - c.height) <= 1e-12 * c.height
+        # the fundamental domain: |x_ij| <= 1/2 (x >= 0 for d = 2), inner y_1^2 >= 3/4
+        assert np.all(np.abs(c.x[iu]) <= 0.5 + 1e-9)
+        if d == 2:
+            assert c.x[0, 1] >= 0.0
+        else:
+            assert c.ys[0] ** 2 >= 0.75 - 1e-9
+
+
+def membership_target(kind, d, ktilde):
+    chart = coords.Chart(dim=d, radius=0.5 if d == 2 else 0.4)
+    if kind == "stable":
+        return targets.StableSection(d=d, T=1.0, eps=0.2)
+    if kind == "spherical":
+        return targets.SphericalSection(d=d, T=1.5 if d == 2 else 3.0, chart=chart)
+    if kind == "grenier-stable":
+        gammas = (4.0,) if d == 2 else (3.0, 3.0)
+        return targets.GrenierBoxStable(d=d, alphas=(1.0,) * (d - 1), gammas=gammas, T=1.0, eps=0.2, ktilde=ktilde)
+    if d == 2:
+        return targets.GrenierBoxSpherical(d=2, alphas=(1.5,), gammas=(6.0,), chart=chart, T=3.0)
+    return targets.GrenierBoxSpherical(d=3, alphas=(2.0, 2.0), gammas=(6.0, 6.0), chart=chart, ktilde=ktilde)
+
+
+KINDS = ("stable", "spherical", "grenier-stable", "grenier-spherical")
+
+
+def samples_and_pairs(target, L, t, n_near, n_uniform, seed):
+    """Samples in A = [1/4, 1/2]^{d-1}, n_near of them in the offset box of
+    a random index point, and their (sample, candidate) pairs."""
+    d = target.d
+    lo, hi = np.full(d - 1, 0.25), np.full(d - 1, 0.5)
+    index = experiments._build_index(target, L, lo, hi, t)
+    radius = targets._candidate_radius(target, t)
+    rng = np.random.default_rng(seed)
+    picks = index.points[rng.integers(len(index), size=n_near if len(index) else 0)]
+    xs = np.concatenate([picks - rng.uniform(-radius, radius, size=picks.shape), rng.uniform(lo, hi, size=(n_uniform, d - 1))])
+    near = [index.near(x, radius, alpha_max=targets._alpha_cutoff(target, t)) for x in xs]
+    return index, xs, np.repeat(np.arange(len(xs)), [c.size for c in near]), np.concatenate(near)
+
+
+def compare_batched_with_scalar(target, L, t, index, xs, si, ci) -> int:
+    """dual_hits and _test_candidate decide the same on every pair, and
+    agree on the witness data; returns the accepted count."""
+    pos, found = targets.dual_hits(target, L, t, xs, si, ci, index)
+    ref = [targets._test_candidate(target, L, xs[i], t, index.points[j], float(index.alpha_d[j]), index.sources[j])
+           for i, j in zip(si, ci)]
+    assert pos.tolist() == [k for k, r in enumerate(ref) if r is not None]
+    for k, p in enumerate(pos):
+        r = ref[p]
+        assert abs(found["s"][k] - r["s"]) <= 1e-12 * max(1.0, abs(r["s"]))
+        assert np.array_equal(found["xt"][k], r["xt"])
+        if "coords" in r:
+            assert np.allclose(found["coords"][k].ys, r["coords"].ys, rtol=1e-9, atol=0)
+        if "c" in r:
+            assert abs(found["c"][k] - r["c"]) <= 1e-12
+    return pos.size
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(KINDS), st.sampled_from((2, 3)), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       st.booleans(), st.none() | st.floats(-math.pi, math.pi))
+def test_dual_hits_match_scalar_candidate_test(kind, d, frac, seed, translated, ktilde_lo):
+    # d = 2 also under a translation L, d = 3 also with a K' angle window
+    t = (1.0 + 3.0 * frac) if d == 2 else (0.5 + frac)
+    L = np.diag([math.sqrt(2), 1 / math.sqrt(2)]) if (translated and d == 2) else None
+    target = membership_target(kind, d, None if ktilde_lo is None else (ktilde_lo, ktilde_lo + 2.0))
+    compare_batched_with_scalar(target, L, t, *samples_and_pairs(target, L, t, 4, 4, seed))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", (2, 3))
+def test_dual_hits_match_scalar_on_accepted_pairs(kind, d):
+    # the property above rarely sees an accepted coordinate-box pair (about
+    # 4 in 10^4 at d = 3); here the scalar test checks the samples the
+    # batched one accepts among 2000, plus 5 others
+    target, t = membership_target(kind, d, None), (3.0 if d == 2 else 1.5)
+    index, xs, si, ci = samples_and_pairs(target, None, t, 2000, 0, seed=1)
+    pos, _found = targets.dual_hits(target, None, t, xs, si, ci, index)
+    keep = np.isin(si, np.union1d(si[pos], np.arange(5)))
+    assert compare_batched_with_scalar(target, None, t, index, xs, si[keep], ci[keep]) == pos.size > 0
+
+
+@pytest.mark.parametrize("d, t, eps", [(2, 5.0, 0.5), (3, 2.5, 0.4)])
+def test_dual_and_direct_hit_rates_agree(d, t, eps):
+    # member_dual tests the transpose-inverse horosphere point, member_direct
+    # the point itself: pointwise they disagree (d = 2, t = 3, eps = 0.5:
+    # 16.7% and 14.3% of random x hit, 0.2% hit both).  What they share is
+    # the limit: both hit a fraction of A near the target measure.  Bound:
+    # four binomial standard deviations at n = 4000.
+    target = targets.StableSection(d=d, T=1.0, eps=eps)
+    xs = np.random.default_rng(7).uniform(0, 1, size=(4000, d - 1))
+    dual, _count = experiments.sampled_integral(target, None, np.zeros(d - 1), np.ones(d - 1), t, xs)
+    direct = np.mean([targets.member_direct(target, None, x, t) is not None for x in xs])
+    limit = targets.measure_formula(target).value
+    sd = math.sqrt(limit * (1 - limit) / xs.shape[0])
+    assert abs(dual - limit) <= 4 * sd and abs(direct - limit) <= 4 * sd
+
