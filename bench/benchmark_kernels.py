@@ -2,14 +2,19 @@
 """Time the numba kernels against the pure-numpy fallbacks.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
+
+Cases that are not kernels (the d = 2 interval count) run on the active
+backend and are printed in its column.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
 
 from horolab import _kernels as K
+from horolab import farey
 
 
 def timed(fn, *args, repeat=3):
@@ -29,6 +34,12 @@ CASES = [
     ("farey_d2(4000)", "farey_d2", (4000, 0.0, 1.0)),
     ("farey_d3(250)", "farey_d3", (250, 0.0, 1.0, 0.0, 1.0)),
     ("primitive_box(+-150)", "primitive_box", (np.array([-150.0, -150.0, -150.0]), np.array([150.0, 150.0, 150.0]))),
+    # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2)
+    (
+        "count_farey_in_interval(3811092)",
+        "count_farey_in_interval",
+        (3_811_092, 0.1 + 0.1 * math.exp(-31.0), 0.7 - 0.1 * math.exp(-31.0)),
+    ),
 ]
 
 
@@ -39,15 +50,20 @@ def main():
 
     if K.NUMBA_IMPLS is None:
         print("numba unavailable; timing the numpy path only")
-    print(f"{'kernel':28s} {'numpy':>10s} {'numba':>10s} {'speedup':>9s}")
+    print(f"{'kernel':32s} {'numpy':>10s} {'numba':>10s} {'speedup':>9s}")
     for label, name, fargs in CASES:
+        if name not in K.NUMPY_IMPLS:
+            t = timed(getattr(farey, name), *fargs, repeat=args.repeat)
+            cols = [f"{t:9.3f}s" if K.BACKEND == b else "-" for b in ("numpy", "numba")]
+            print(f"{label:32s} {cols[0]:>10s} {cols[1]:>10s} {'-':>9s}")
+            continue
         t_np = timed(K.NUMPY_IMPLS[name], *fargs, repeat=args.repeat)
         if K.NUMBA_IMPLS is not None:
             K.NUMBA_IMPLS[name](*fargs)  # compile outside the timer
             t_nb = timed(K.NUMBA_IMPLS[name], *fargs, repeat=args.repeat)
-            print(f"{label:28s} {t_np:9.3f}s {t_nb:9.3f}s {t_np / t_nb:8.1f}x")
+            print(f"{label:32s} {t_np:9.3f}s {t_nb:9.3f}s {t_np / t_nb:8.1f}x")
         else:
-            print(f"{label:28s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
+            print(f"{label:32s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
 
 
 if __name__ == "__main__":

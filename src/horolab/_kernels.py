@@ -5,6 +5,12 @@ numpy fallback.  The backend is chosen at import time from the environment
 variable ``HOROLAB_BACKEND`` (``auto``, ``numba`` or ``numpy``; default
 ``auto`` picks numba when it imports cleanly).  ``bench/benchmark_kernels.py``
 times both paths.
+
+The numpy sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a
+Python loop over the primes up to sqrt(n) only, each step one strided array
+operation, then one masked array step for the single prime factor above
+sqrt(n) that an integer up to n can have.  The Moebius values come back as
+int8.
 """
 
 from __future__ import annotations
@@ -47,12 +53,37 @@ BACKEND = "numba" if _HAVE_NUMBA else "numpy"
 # ---------------------------------------------------------------------------
 
 
+def _small_primes_and_rest(n: int):
+    """The primes p <= isqrt(n), in increasing order, and rest[q] for
+    0 <= q <= n: what is left of q once every power of those primes is
+    divided out.
+
+    Two primes above isqrt(n) multiply to more than n, so rest[q] is 1 or
+    the one prime factor of q above isqrt(n) (rest[0] is 1).  A sieve
+    therefore loops in Python over the small primes only (about 300 at
+    n = 4e6) and applies the last factor in one masked array step where
+    rest > 1.
+    """
+    r = math.isqrt(n)
+    is_prime = np.ones(r + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(r) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    primes = np.flatnonzero(is_prime).tolist()
+    # unsigned 32-bit division is about three times faster than int64 here
+    rest = np.arange(n + 1, dtype=np.uint32 if n < 2**32 else np.int64)
+    rest[0] = 1
+    for p in primes:
+        pk = p
+        while pk <= n:
+            rest[pk::pk] //= p
+            pk *= p
+    return primes, rest
+
+
 def _phi_sieve_np(n: int) -> np.ndarray:
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    return phi
+    return _jordan_sieve_np(n, 1)
 
 
 @njit(cache=True)
@@ -66,17 +97,14 @@ def _phi_sieve_nb(n):  # pragma: no cover - exercised via dispatch
 
 
 def _mobius_sieve_np(n: int) -> np.ndarray:
-    mu = np.ones(n + 1, dtype=np.int64)
+    # values are in {-1, 0, 1}, so int8 holds them
+    mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, n + 1):
-        if is_prime[p]:
-            is_prime[2 * p :: p] = False
-            mu[p::p] *= -1
-            p2 = p * p
-            if p2 <= n:
-                mu[p2::p2] = 0
+    primes, rest = _small_primes_and_rest(n)
+    for p in primes:
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    np.negative(mu, out=mu, where=rest > 1)
     return mu
 
 
@@ -99,16 +127,18 @@ def _mobius_sieve_nb(n):  # pragma: no cover
 
 
 def _jordan_sieve_np(n: int, k: int) -> np.ndarray:
-    # J_k(q) = q^k prod_{p|q} (1 - p^{-k}); exact in int64 for the ranges used
+    # J_k(q) = q^k prod_{p|q} (1 - p^{-k}); exact in int64 for the ranges used,
+    # since every division below is exact
     j = np.arange(n + 1, dtype=np.int64) ** k
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, n + 1):
-        if is_prime[p]:
-            is_prime[2 * p :: p] = False
-            pk = p**k
-            j[p::p] //= pk
-            j[p::p] *= pk - 1
+    primes, rest = _small_primes_and_rest(n)
+    for p in primes:
+        pk = p**k
+        j[p::p] //= pk
+        j[p::p] *= pk - 1
+    big = rest > 1
+    pk = rest.astype(np.int64) ** k
+    np.floor_divide(j, pk, out=j, where=big)
+    np.multiply(j, pk - 1, out=j, where=big)
     return j
 
 
@@ -139,9 +169,20 @@ def _jordan_sieve_nb(n, k):  # pragma: no cover
 
 
 def _floor_diff_prefix_np(u: float, v: float, m_max: int, scale: float) -> np.ndarray:
+    # floor(scale*m*v) - floor(scale*m*u), built in place in the same
+    # operation order, so the floors are those of the plain expression
     m = np.arange(m_max + 1, dtype=np.float64)
-    diff = np.floor(scale * m * v) - np.floor(scale * m * u)
-    return np.cumsum(diff.astype(np.int64))
+    diff = np.multiply(m, scale)
+    diff *= v
+    np.floor(diff, out=diff)
+    m *= scale
+    m *= u
+    np.floor(m, out=m)
+    diff -= m
+    del m
+    out = diff.astype(np.int64)  # the floats are exact integers
+    del diff
+    return np.cumsum(out, out=out)
 
 
 @njit(cache=True)

@@ -21,9 +21,7 @@ import numpy as np
 from . import _kernels as K
 from . import farey as fy
 from . import targets as tg
-from .errors import ConfigError, DisjointnessError, HorolabError, ResourceLimitError
-
-ENUM_BUDGET = 30_000_000
+from .errors import ConfigError, DisjointnessError, HorolabError
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +122,14 @@ def _is_unit_cell(lo, hi) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _count_prefix(d: int, qmax: int) -> int:
-    if qmax < 1:
-        return 0
-    if d == 2:
-        return int(K.phi_sieve(qmax)[1:].sum())
-    return int(K.jordan_sieve(qmax, d - 1)[1:].sum())
-
-
 def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t: float) -> tuple[float, int]:
     """Exact integral of the stable-target indicator over [lo, hi] for d = 2.
 
     Windows of width eps e^{-2t} sit at the translated-Farey points with
     denominators below Q T^{-1/2}; interior windows are counted by a Moebius
-    prefix scan, boundary-straddling ones are enumerated and clipped.
+    prefix scan, boundary-straddling ones are enumerated and clipped.  The
+    denominator bound is checked against ENUM_BUDGET before any array is
+    allocated.
     """
     kind, a = lattice_kind(L)
     if kind == "general":
@@ -145,30 +137,54 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     q_cap = math.exp(t) * target.T ** (-0.5)
     scale = 1.0 if kind == "lattice" else a * a
     m = int(math.floor(q_cap / (1.0 if kind == "lattice" else a) + 1e-9))
+    if m < 1:
+        return 0.0, 0
+    fy.check_budget(m, "denominator bound")
     w = target.eps * math.exp(-2.0 * t)
     c_off = float(target.ytilde[0]) * math.exp(-2.0 * t)
-    if hi - lo <= w or m < 1:
+    if hi - lo <= w:
         return _window_sum_stable_enumerated(target, L, np.array([lo]), np.array([hi]), t)
     u = lo + c_off + w / 2.0
     v = hi + c_off - w / 2.0
-    mu = K.mobius_sieve(m)
-    n_mid = fy.count_farey_in_interval(m, u, v, scale=scale, mu=mu)
-    total = w * n_mid
-    n_edge = 0
+    n_mid = fy.count_farey_in_interval(m, u, v, scale=scale)
+    # the edge strips (lo - w/2, u] and (v, hi + w/2], shifted by c_off, hold
+    # the windows that straddle an end of [lo, hi]; p/(scale*q) lies in (s_lo, s_hi]
+    # for floor(scale*q*s_lo) < p <= floor(scale*q*s_hi), floors exact as floats
+    q_edge, p_edge = [], []
     for s_lo, s_hi in ((lo + c_off - w / 2.0, u), (v, hi + c_off + w / 2.0)):
-        qs = np.arange(1, m + 1, dtype=np.int64)
-        p_lo = np.floor(scale * qs * s_lo).astype(np.int64) + 1
-        p_hi = np.floor(scale * qs * s_hi).astype(np.int64)
-        sel = p_hi >= p_lo
-        for q, plo_q, phi_q in zip(qs[sel], p_lo[sel], p_hi[sel]):
-            for p in range(plo_q, phi_q + 1):
-                if math.gcd(int(p), int(q)) != 1:
-                    continue
-                r = p / (scale * q)
-                wl, wh = r - c_off - w / 2.0, r - c_off + w / 2.0
-                total += max(0.0, min(wh, hi) - max(wl, lo))
-                n_edge += 1
-    return total, n_mid + n_edge
+        f_lo = np.arange(1, m + 1, dtype=np.float64)
+        f_lo *= scale
+        f_hi = f_lo * s_hi
+        np.floor(f_hi, out=f_hi)
+        f_lo *= s_lo
+        np.floor(f_lo, out=f_lo)
+        sel = np.flatnonzero(f_hi > f_lo)
+        n_p = (f_hi[sel] - f_lo[sel]).astype(np.int64)
+        # p runs over f_lo + 1, ..., f_hi for each selected q = sel + 1
+        first = np.cumsum(n_p) - n_p
+        q_edge.append(np.repeat(sel + 1, n_p))
+        p_edge.append(np.repeat(f_lo[sel].astype(np.int64) + 1 - first, n_p) + np.arange(int(n_p.sum())))
+        del f_lo, f_hi
+    q_edge, p_edge = np.concatenate(q_edge), np.concatenate(p_edge)
+    keep = np.gcd(p_edge, q_edge) == 1
+    r = p_edge[keep] / (scale * q_edge[keep])
+    parts = np.maximum(0.0, np.minimum(r - c_off + w / 2.0, hi) - np.maximum(r - c_off - w / 2.0, lo))
+    # cumsum adds strictly left to right, in (strip, q, p) order, from w * n_mid
+    total = np.cumsum(np.concatenate(([w * n_mid], parts)))[-1]
+    return float(total), n_mid + int(parts.size)
+
+
+def _enumerate_box(d: int, L, q_cap: float, box) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and images of the sequence attached to L with alpha_d <= q_cap
+    and projected point in box; empty for identity L and q_cap < 1."""
+    if L is None:
+        if q_cap < 1:
+            return np.empty((0, d), np.int64), np.empty((0, d))
+        sources, alpha = fy.farey_arrays(d, q_cap, box=box)
+    else:
+        sources, alpha = fy.translated_arrays(L, q_cap, box)
+    fy.check_budget(sources.shape[0], "window enumeration")
+    return sources, alpha
 
 
 def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
@@ -178,12 +194,7 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     q_cap = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
     margin = w / 2.0 + float(np.abs(c_off).max()) + 1e-15
     box = (lo - margin, hi + margin)
-    if L is None:
-        sources, alpha = fy.farey_arrays(d, q_cap, box=box)
-    else:
-        sources, alpha = fy.translated_arrays(L, q_cap, box)
-    if sources.shape[0] > ENUM_BUDGET:
-        raise ResourceLimitError("window enumeration over budget", ENUM_BUDGET)
+    sources, alpha = _enumerate_box(d, L, q_cap, box)
     if sources.shape[0] == 0:
         return sources, np.empty((0, d - 1)), w
     centers = alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off
@@ -318,13 +329,10 @@ def window_sum_stable(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarra
     q_cap = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
     if _is_unit_cell(lo, hi) and d == 2:
         if kind == "lattice":
-            n = _count_prefix(d, int(math.floor(q_cap + 1e-9)))
+            n, _ = fy.count_farey(d, math.floor(q_cap + 1e-9))
             return w ** (d - 1) * n, n
         if kind == "diag":
-            m = int(math.floor(q_cap / a + 1e-9))
-            if m < 1:
-                return 0.0, 0
-            n = fy.count_farey_in_interval(m, 0.0, 1.0, scale=a * a)
+            n = fy.count_farey_in_interval(math.floor(q_cap / a + 1e-9), 0.0, 1.0, scale=a * a)
             return w * n, n
     return _window_sum_stable_enumerated(target, L, lo, hi, t)
 
@@ -358,17 +366,13 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         qmax = int(math.floor(q_cap - 1e-12))
         if qmax < 1:
             return 0.0, 0
+        fy.check_budget(qmax, "denominator bound")
         counts = K.phi_sieve(qmax)[1:].astype(float)
         radii = _spherical_radii(np.arange(1, qmax + 1, dtype=float), q_cap, target.chart.radius, d, t)
         return float(np.dot(counts, 2.0 * radii)), int(counts.sum())
     margin = math.exp(-d * t) * math.tan(target.chart.radius)
     box = (lo - margin, hi + margin)
-    if L is None:
-        sources, alpha = fy.farey_arrays(d, q_cap, box=box)
-    else:
-        sources, alpha = fy.translated_arrays(L, q_cap, box)
-    if sources.shape[0] > ENUM_BUDGET:
-        raise ResourceLimitError("window enumeration over budget", ENUM_BUDGET)
+    sources, alpha = _enumerate_box(d, L, q_cap, box)
     if sources.shape[0] == 0:
         return 0.0, 0
     ad = alpha[:, d - 1]
@@ -621,11 +625,11 @@ def marklof_average(
     if sequence == "classical":
         if L is not None:
             raise ConfigError("classical sequence has no translation; pass sequence='translated'")
-        n_total = _count_prefix(d, int(math.floor(Q)))
+        n_total, _ = fy.count_farey(d, Q)
         if n_total == 0:
             raise HorolabError("no sequence points below Q")
         if A is None:
-            n_slab = _count_prefix(d, int(math.floor(min(hi_q, Q)))) - _count_prefix(d, int(math.floor(lo_q)))
+            n_slab = fy.count_farey(d, min(hi_q, Q))[0] - fy.count_farey(d, lo_q)[0]
             vol_a = 1.0
         else:
             lo, hi = (np.asarray(A[0], dtype=float), np.asarray(A[1], dtype=float))
@@ -641,8 +645,7 @@ def marklof_average(
             raise ConfigError("translated averages need an explicit position box A")
         lo, hi = (np.asarray(A[0], dtype=float), np.asarray(A[1], dtype=float))
         sources, alpha = fy.translated_alpha_box_arrays(L if L is not None else np.eye(d), Q)
-        if sources.shape[0] > ENUM_BUDGET:
-            raise ResourceLimitError("translated enumeration over budget", ENUM_BUDGET)
+        fy.check_budget(sources.shape[0], "translated enumeration")
         n_total = int(sources.shape[0])
         if n_total == 0:
             raise HorolabError("no sequence points below Q")

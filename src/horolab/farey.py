@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as K
 from .algebra import TOL, as_fraction_matrix, fraction_matrix_inverse, integer_det, swap_element, zeta
-from .errors import HorolabError, InvalidDimensionError
+from .errors import HorolabError, InvalidDimensionError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,16 @@ class FareyIndex:
             alpha_d=float(self.alpha_d[i]),
             point=tuple(float(v) for v in self.points[i]),
         )
+
+
+ENUM_BUDGET = 30_000_000
+
+
+def check_budget(n: int, what: str) -> None:
+    """Raise before a sieve or an enumeration of n items is allocated when
+    n exceeds ENUM_BUDGET."""
+    if n > ENUM_BUDGET:
+        raise ResourceLimitError(f"{what} {n} over budget", ENUM_BUDGET)
 
 
 def _check_q(Q: float) -> None:
@@ -164,9 +174,9 @@ def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.
     Enumerates integer sources in the preimage of the bounding box of the
     admissible cone (image box mapped back through the transpose of L,
     inflated by 1 in sup-norm), then filters; this makes the enumeration
-    provably exhaustive.
+    provably exhaustive.  Q below 1 is allowed: under a general L an
+    image alpha_d can lie in (0, 1).
     """
-    _check_q(Q)
     L = np.asarray(L)
     d = L.shape[0]
     lo = np.asarray(box[0], dtype=float)
@@ -230,8 +240,11 @@ def enumerate_translated_farey(L, Q: float, box, include_upper: bool = True) -> 
 
 
 def farey_index(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> FareyIndex:
-    """Array index of points; identity L uses the per-denominator kernels."""
+    """Array index of points; identity L uses the per-denominator kernels.
+    For identity L and Q < 1 no denominator is admissible: the index is empty."""
     if L is None:
+        if Q < 1:
+            return FareyIndex(d, np.empty((0, d), np.int64), np.empty((0, d)))
         sources, alpha = farey_arrays(d, Q, box=box)
         if not include_upper:
             hi = np.ones(d - 1) if box is None else np.asarray(box[1], dtype=float)
@@ -247,36 +260,42 @@ def farey_index(d: int, Q: float, L=None, box=None, include_upper: bool = True) 
 def count_farey(d: int, Q: float) -> tuple[int, float]:
     """Exact count of the classical sequence and its large-Q prediction.
 
-    The exact count is a Jordan-totient sieve sum (J_1 is Euler's phi), the
-    prediction Q^d / (d zeta(d)).
+    The exact count is a Jordan-totient sieve sum (J_1 is Euler's phi), and
+    0 when Q < 1; the prediction is Q^d / (d zeta(d)).
     """
-    _check_q(Q)
     if d < 2:
         raise InvalidDimensionError(f"d must be >= 2, got {d}")
     qmax = int(math.floor(Q))
-    if d == 2:
-        exact = int(K.phi_sieve(qmax)[1:].sum())
-    else:
+    exact = 0
+    if qmax >= 1:
+        check_budget(qmax, "sieve length")
         exact = int(K.jordan_sieve(qmax, d - 1)[1:].sum())
     return exact, Q**d / (d * zeta(d))
 
 
-def count_farey_in_interval(Q: float, u: float, v: float, scale: float = 1.0, mu: np.ndarray = None) -> int:
-    """d = 2 only: number of points p/(scale*q) in (u, v] with q <= Q.
+def count_farey_in_interval(Q: float, u: float, v: float, scale: float = 1.0) -> int:
+    """d = 2 only: number of points p/(scale*q) in (u, v] with q <= Q (0 when
+    Q < 1).
 
-    Moebius inversion turned inside out: the inner floor sums do not depend
-    on the divisor, so the whole count is a weighted prefix-sum scan.
+    Moebius inversion turned inside out: with P(k) the number of pairs
+    (p, q), q <= k, with p/(scale*q) in (u, v] (a floor-sum prefix), the
+    count is the sum over e <= m = floor(Q) of mu(e) P(m // e).  m // e takes
+    about 2 sqrt(m) distinct values, each on a block of consecutive e, so
+    the sum is one integer dot product of the blocks' Moebius sums with P at
+    the block values.
     """
-    _check_q(Q)
     m = int(math.floor(Q))
-    if mu is None:
-        mu = K.mobius_sieve(m)
+    if m < 1:
+        return 0
+    check_budget(m, "sieve length")
+    mu = K.mobius_sieve(m)
     prefix = K.floor_diff_prefix(u, v, m, scale)
-    total = 0
-    for e in range(1, m + 1):
-        if mu[e]:
-            total += int(mu[e]) * int(prefix[m // e])
-    return total
+    # the blocks end at every e <= isqrt(m) and at every m // e for those e
+    small = np.arange(1, math.isqrt(m) + 1, dtype=np.int64)
+    ends = np.unique(np.concatenate([small, m // small]))
+    starts = np.concatenate(([1], ends[:-1] + 1))
+    block_mu = np.add.reduceat(mu, starts, dtype=np.int64)
+    return int(np.dot(block_mu, prefix[m // ends]))
 
 
 def _block_period(M_frac: np.ndarray, d: int) -> Optional[np.ndarray]:

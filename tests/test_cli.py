@@ -143,6 +143,13 @@ def test_sthe_run_tolerance_failure(capsys, tmp_path):
     assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--check"]) == 1
 
 
+def test_sthe_run_over_budget_exits_2(capsys, tmp_path):
+    # e^25 / sqrt(2) denominators: refused before any sieve is allocated
+    cfg = sthe_config(tmp_path, t_schedule=[25])
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "over budget" in capsys.readouterr().err
+
+
 def test_sthe_run_rational_literals_and_diag(capsys, tmp_path):
     cfg = sthe_config(tmp_path, L={"diag_a2": "2"}, t_schedule=[6])
     assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "d"), "--check"]) == 0

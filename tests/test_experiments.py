@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from horolab import coords, experiments as ex, farey, targets as tg
 from horolab.algebra import zeta
-from horolab.errors import ConfigError, DisjointnessError
+from horolab.errors import ConfigError, DisjointnessError, ResourceLimitError
 
 
 def stable_cfg(**kw):
@@ -53,6 +54,125 @@ def test_exact_window_diag_matches_enumeration():
     val_closed, _ = ex.exact_window_stable_d2(target, L, 0.0, 1.0, t)
     val_enum, _ = ex._window_sum_stable_enumerated(target, L, np.array([0.0]), np.array([1.0]), t)
     assert abs(val_closed - val_enum) <= 5e-12 * max(val_closed, 1e-12)
+
+
+def loop_exact_window_d2(target, L, lo, hi, t):
+    """exact_window_stable_d2 with the per-(q, p) edge-strip loop it
+    replaced; the interior count is the library's."""
+    kind, a = ex.lattice_kind(L)
+    scale = 1.0 if kind == "lattice" else a * a
+    m = int(math.floor(math.exp(t) * target.T ** (-0.5) / (1.0 if kind == "lattice" else a) + 1e-9))
+    w = target.eps * math.exp(-2.0 * t)
+    if hi - lo <= w:
+        return ex._window_sum_stable_enumerated(target, L, np.array([lo]), np.array([hi]), t)
+    c_off = float(target.ytilde[0]) * math.exp(-2.0 * t)
+    u = lo + c_off + w / 2.0
+    v = hi + c_off - w / 2.0
+    n_mid = farey.count_farey_in_interval(m, u, v, scale=scale)
+    total = w * n_mid
+    n_edge = 0
+    for s_lo, s_hi in ((lo + c_off - w / 2.0, u), (v, hi + c_off + w / 2.0)):
+        qs = np.arange(1, m + 1, dtype=np.int64)
+        p_lo = np.floor(scale * qs * s_lo).astype(np.int64) + 1
+        p_hi = np.floor(scale * qs * s_hi).astype(np.int64)
+        sel = p_hi >= p_lo
+        for q, plo_q, phi_q in zip(qs[sel], p_lo[sel], p_hi[sel]):
+            for p in range(plo_q, phi_q + 1):
+                if math.gcd(int(p), int(q)) != 1:
+                    continue
+                r = p / (scale * q)
+                wl, wh = r - c_off - w / 2.0, r - c_off + w / 2.0
+                total += max(0.0, min(wh, hi) - max(wl, lo))
+                n_edge += 1
+    return total, n_mid + n_edge
+
+
+DIAG_L = [None, np.diag([math.sqrt(2.0), 1 / math.sqrt(2.0)]), np.diag([0.8, 1.25])]
+
+
+@st.composite
+def d2_windows(draw, t_max):
+    lo = draw(st.floats(0.0, 0.95))
+    hi = draw(st.floats(lo + 0.01, 1.0))
+    T = draw(st.floats(1.0, 3.0))
+    eps = draw(st.floats(0.05, 0.95)) * T
+    ytilde = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    L = draw(st.sampled_from(DIAG_L))
+    t = draw(st.floats(0.5, t_max))
+    return tg.StableSection(d=2, T=T, eps=eps, ytilde=(ytilde,)), L, lo, hi, t
+
+
+@settings(deadline=None, max_examples=60)
+@given(d2_windows(t_max=7.0))
+# cases where adding the edge lengths in another order changes the last bit
+@example((tg.StableSection(d=2, T=1.0, eps=0.2), None, 0.0, 0.5, 2.0))
+@example((tg.StableSection(d=2, T=2.0, eps=1.8, ytilde=(0.25,)), None, 0.01, 0.67, 2.0))
+def test_exact_window_edges_match_loop_bitwise(case):
+    target, L, lo, hi, t = case
+    assert ex.exact_window_stable_d2(target, L, lo, hi, t) == loop_exact_window_d2(target, L, lo, hi, t)
+
+
+def test_exact_window_edges_match_loop_on_rational_ends():
+    # 1/10 and 7/10 sit on the strip edges, so every multiple of 10 enters them
+    target = tg.StableSection(d=2, T=2.0, eps=0.2)
+    for t in (8.0, 10.0):
+        assert ex.exact_window_stable_d2(target, None, 0.1, 0.7, t) == loop_exact_window_d2(target, None, 0.1, 0.7, t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(d2_windows(t_max=4.0))
+def test_exact_window_matches_enumeration_property(case):
+    # the enumerated path counts every point within w/2 + |c_off| of A; the
+    # closed form those within w/2 of A shifted by c_off, a subset
+    target, L, lo, hi, t = case
+    val, n = ex.exact_window_stable_d2(target, L, lo, hi, t)
+    val_enum, n_enum = ex._window_sum_stable_enumerated(target, L, np.array([lo]), np.array([hi]), t)
+    # each enumerated window length is a difference of two rounded ends
+    # below 2 in size, off by up to 4 eps from w: with w ~ 1e-4 that alone can
+    # exceed 1e-12 relative (T = 1, eps = 0.25, A = [0.5, 1], t = 4: 1.0e-12)
+    assert abs(val - val_enum) <= 1e-12 * abs(val_enum) + 4 * n_enum * np.finfo(float).eps
+    if target.ytilde[0] == 0.0:
+        assert n == n_enum
+    else:
+        assert n <= n_enum
+
+
+def test_no_admissible_denominator_is_empty():
+    # e^t T^{-1/2} < 1: no Farey point lies below the cutoff
+    target = tg.StableSection(d=2, T=2.0, eps=0.2)
+    lo, hi = np.array([0.1]), np.array([0.7])
+    assert ex.exact_window_stable_d2(target, None, 0.1, 0.7, 0.2) == (0.0, 0)
+    assert ex.window_sum_stable(target, None, lo, hi, 0.2) == (0.0, 0)
+    assert ex.window_sum_stable(target, DIAG_L[1], lo, hi, 0.2) == (0.0, 0)
+    sph = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))
+    assert ex.window_sum_spherical(sph, None, lo, hi, 0.1) == (0.0, 0)
+    low = tg.StableSection(d=2, T=1.9, eps=0.2)
+    assert tg.member_dual(low, None, [0.3], 0.3) is None
+    for est in (("grid", 8), ("monte-carlo", 8)):
+        results = ex.sthe_run(stable_cfg(target=low, A_lo=(0.1,), A_hi=(0.7,), t_schedule=(0.3,), estimator=est))
+        assert results[0].estimate == 0.0 and results[0].farey_count_used == 0
+
+
+def test_d2_counts_check_the_budget_before_allocating():
+    stable = tg.StableSection(d=2, T=2.0, eps=0.2)
+    sph = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))
+    unit = (np.array([0.0]), np.array([1.0]))
+    calls = [
+        lambda: ex.exact_window_stable_d2(stable, None, 0.1, 0.7, 25.0),
+        lambda: ex.exact_window_stable_d2(stable, DIAG_L[1], 0.1, 0.7, 25.0),
+        lambda: ex.window_sum_stable(stable, None, *unit, 25.0),
+        lambda: ex.window_sum_stable(stable, DIAG_L[1], *unit, 25.0),
+        lambda: ex.window_sum_spherical(sph, None, *unit, 25.0),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_window_sum_unit_cell_matches_enumeration_d3():

@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from horolab import algebra, farey
-from horolab.errors import HorolabError
+from horolab import _kernels as K, algebra, farey
+from horolab.errors import HorolabError, ResourceLimitError
 
 
 def brute_farey(d, qmax):
@@ -121,6 +123,49 @@ def test_count_in_interval_vs_brute():
         if math.gcd(p, q) == 1 and 0.2 * 2 * q < p <= 0.8 * 2 * q
     )
     assert got == want
+
+
+def loop_count_in_interval(Q, u, v, scale=1.0):
+    """The per-divisor Moebius scan the divisor-block sum replaced."""
+    m = int(math.floor(Q))
+    mu = K.mobius_sieve(m)
+    prefix = K.floor_diff_prefix(u, v, m, scale)
+    total = 0
+    for e in range(1, m + 1):
+        if mu[e]:
+            total += int(mu[e]) * int(prefix[m // e])
+    return total
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(st.integers(1, 300), st.integers(1, 200_000)),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 1.5),
+    st.sampled_from([1.0, 2.0, 0.5, math.sqrt(2.0)]),
+)
+def test_count_in_interval_matches_per_divisor_scan(m, u, length, scale):
+    assert farey.count_farey_in_interval(m, u, u + length, scale=scale) == loop_count_in_interval(m, u, u + length, scale)
+
+
+def test_counts_below_one_are_empty():
+    assert farey.count_farey(2, 0.5)[0] == 0
+    assert farey.count_farey(3, 0.99)[0] == 0
+    assert farey.count_farey_in_interval(0.7, 0.0, 1.0) == 0
+    idx = farey.farey_index(2, 0.8, box=([0.0], [1.0]))
+    assert len(idx) == 0 and idx.near([0.5], 0.1).size == 0
+
+
+def test_counts_check_the_budget_before_allocating():
+    for call in (lambda: farey.count_farey(2, 1e12), lambda: farey.count_farey_in_interval(1e12, 0.1, 0.7)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_duplicate_region_hand_values():

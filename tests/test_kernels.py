@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horolab import _kernels as K
 
@@ -29,6 +30,79 @@ def brute_mobius(n):
             out[q] = -val if m > 1 else val
     out[1] = 1
     return out
+
+
+# the per-integer loops the numpy sieves replaced, kept as references
+def loop_phi_sieve(n):
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # p prime
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def loop_mobius_sieve(n):
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, n + 1):
+        if is_prime[p]:
+            is_prime[2 * p :: p] = False
+            mu[p::p] *= -1
+            p2 = p * p
+            if p2 <= n:
+                mu[p2::p2] = 0
+    return mu
+
+
+def loop_jordan_sieve(n, k):
+    j = np.arange(n + 1, dtype=np.int64) ** k
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, n + 1):
+        if is_prime[p]:
+            is_prime[2 * p :: p] = False
+            pk = p**k
+            j[p::p] //= pk
+            j[p::p] *= pk - 1
+    return j
+
+
+# the sieves treat primes up to isqrt(n) apart from the one larger factor,
+# so squares of primes and their neighbours sit on the split
+SIEVE_SIZES = [0, 1, 2, 3, 4] + [v for p in (2, 3, 5, 7, 31, 97, 443) for v in (p * p - 1, p * p, p * p + 1)]
+
+
+def assert_sieves_match_loops(n):
+    assert np.array_equal(K.NUMPY_IMPLS["mobius_sieve"](n), loop_mobius_sieve(n))
+    assert np.array_equal(K.NUMPY_IMPLS["phi_sieve"](n), loop_phi_sieve(n))
+    for k in (1, 2):
+        assert np.array_equal(K.NUMPY_IMPLS["jordan_sieve"](n, k), loop_jordan_sieve(n, k))
+
+
+@pytest.mark.parametrize("n", SIEVE_SIZES)
+def test_sieves_match_loops(n):
+    assert_sieves_match_loops(n)
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(0, 200_000))
+def test_sieves_match_loops_random_size(n):
+    assert_sieves_match_loops(n)
+
+
+def test_floor_diff_prefix_matches_plain_expression():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        u = rng.uniform(-1.0, 1.0)
+        v = u + rng.uniform(0.0, 1.0)
+        m_max = int(rng.integers(0, 3000))
+        scale = float(rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)]))
+        m = np.arange(m_max + 1, dtype=np.float64)
+        want = np.cumsum((np.floor(scale * m * v) - np.floor(scale * m * u)).astype(np.int64))
+        got = K.NUMPY_IMPLS["floor_diff_prefix"](u, v, m_max, scale)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_phi_sieve_values():
