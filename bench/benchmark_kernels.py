@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Time the numba kernels against the pure-numpy fallbacks.
+"""Time the hot kernels, and the d = 2 interval count built on them.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
-Cases that are not kernels (the d = 2 interval count) run on the active
-backend and are printed in its column.
+Each case prints the best of N wall-clock runs.
 """
 
 import argparse
@@ -48,22 +47,10 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    if K.NUMBA_IMPLS is None:
-        print("numba unavailable; timing the numpy path only")
-    print(f"{'kernel':32s} {'numpy':>10s} {'numba':>10s} {'speedup':>9s}")
+    print(f"{'case':32s} {'seconds':>10s}")
     for label, name, fargs in CASES:
-        if name not in K.NUMPY_IMPLS:
-            t = timed(getattr(farey, name), *fargs, repeat=args.repeat)
-            cols = [f"{t:9.3f}s" if K.BACKEND == b else "-" for b in ("numpy", "numba")]
-            print(f"{label:32s} {cols[0]:>10s} {cols[1]:>10s} {'-':>9s}")
-            continue
-        t_np = timed(K.NUMPY_IMPLS[name], *fargs, repeat=args.repeat)
-        if K.NUMBA_IMPLS is not None:
-            K.NUMBA_IMPLS[name](*fargs)  # compile outside the timer
-            t_nb = timed(K.NUMBA_IMPLS[name], *fargs, repeat=args.repeat)
-            print(f"{label:32s} {t_np:9.3f}s {t_nb:9.3f}s {t_np / t_nb:8.1f}x")
-        else:
-            print(f"{label:32s} {t_np:9.3f}s {'-':>10s} {'-':>9s}")
+        fn = getattr(K, name, None) or getattr(farey, name)
+        print(f"{label:32s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,9 @@
 """Hot inner-loop kernels: sieves, primitive-lattice enumeration, floor sums.
 
-Every kernel has two implementations: a numba ``@njit`` fast path and a pure
-numpy fallback.  The backend is chosen at import time from the environment
-variable ``HOROLAB_BACKEND`` (``auto``, ``numba`` or ``numpy``; default
-``auto`` picks numba when it imports cleanly).  ``bench/benchmark_kernels.py``
-times both paths.
+Every kernel is plain numpy; ``bench/benchmark_kernels.py`` times them.
 
-The numpy sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a
-Python loop over the primes up to sqrt(n) only, each step one strided array
+The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
+loop over the primes up to sqrt(n) only, each step one strided array
 operation, then one masked array step for the single prime factor above
 sqrt(n) that an integer up to n can have.  The Moebius values come back as
 int8.
@@ -16,36 +12,11 @@ int8.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV = os.environ.get("HOROLAB_BACKEND", "auto").strip().lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise ValueError(f"HOROLAB_BACKEND must be auto|numba|numpy, got {_ENV!r}")
-
-_HAVE_NUMBA = False
-if _ENV in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV == "numba":
-            raise
-if not _HAVE_NUMBA:
-
-    def njit(*args, **kwargs):  # no-op decorator, keeps one source of truth
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+# perfbench records this in each pass; every kernel here is numpy
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +53,11 @@ def _small_primes_and_rest(n: int):
     return primes, rest
 
 
-def _phi_sieve_np(n: int) -> np.ndarray:
-    return _jordan_sieve_np(n, 1)
+def phi_sieve(n: int) -> np.ndarray:
+    return jordan_sieve(n, 1)
 
 
-@njit(cache=True)
-def _phi_sieve_nb(n):  # pragma: no cover - exercised via dispatch
-    phi = np.arange(n + 1).astype(np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
-
-
-def _mobius_sieve_np(n: int) -> np.ndarray:
+def mobius_sieve(n: int) -> np.ndarray:
     # values are in {-1, 0, 1}, so int8 holds them
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
@@ -108,25 +69,7 @@ def _mobius_sieve_np(n: int) -> np.ndarray:
     return mu
 
 
-@njit(cache=True)
-def _mobius_sieve_nb(n):  # pragma: no cover
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    is_comp = np.zeros(n + 1, dtype=np.uint8)
-    for p in range(2, n + 1):
-        if is_comp[p] == 0:
-            for m in range(p, n + 1, p):
-                if m > p:
-                    is_comp[m] = 1
-                mu[m] = -mu[m]
-            p2 = p * p
-            if p2 <= n:
-                for m in range(p2, n + 1, p2):
-                    mu[m] = 0
-    return mu
-
-
-def _jordan_sieve_np(n: int, k: int) -> np.ndarray:
+def jordan_sieve(n: int, k: int) -> np.ndarray:
     # J_k(q) = q^k prod_{p|q} (1 - p^{-k}); exact in int64 for the ranges used,
     # since every division below is exact
     j = np.arange(n + 1, dtype=np.int64) ** k
@@ -142,33 +85,12 @@ def _jordan_sieve_np(n: int, k: int) -> np.ndarray:
     return j
 
 
-@njit(cache=True)
-def _jordan_sieve_nb(n, k):  # pragma: no cover
-    j = np.empty(n + 1, dtype=np.int64)
-    for q in range(n + 1):
-        v = 1
-        for _ in range(k):
-            v *= q
-        j[q] = v
-    is_comp = np.zeros(n + 1, dtype=np.uint8)
-    for p in range(2, n + 1):
-        if is_comp[p] == 0:
-            pk = 1
-            for _ in range(k):
-                pk *= p
-            for m in range(p, n + 1, p):
-                if m > p:
-                    is_comp[m] = 1
-                j[m] = j[m] // pk * (pk - 1)
-    return j
-
-
 # ---------------------------------------------------------------------------
 # floor prefix sums (interval counting of coprime residues)
 # ---------------------------------------------------------------------------
 
 
-def _floor_diff_prefix_np(u: float, v: float, m_max: int, scale: float) -> np.ndarray:
+def floor_diff_prefix(u: float, v: float, m_max: int, scale: float) -> np.ndarray:
     # floor(scale*m*v) - floor(scale*m*u), built in place in the same
     # operation order, so the floors are those of the plain expression
     m = np.arange(m_max + 1, dtype=np.float64)
@@ -185,29 +107,12 @@ def _floor_diff_prefix_np(u: float, v: float, m_max: int, scale: float) -> np.nd
     return np.cumsum(out, out=out)
 
 
-@njit(cache=True)
-def _floor_diff_prefix_nb(u, v, m_max, scale):  # pragma: no cover
-    out = np.empty(m_max + 1, dtype=np.int64)
-    acc = 0
-    for m in range(m_max + 1):
-        acc += int(math.floor(scale * m * v)) - int(math.floor(scale * m * u))
-        out[m] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # primitive point enumeration
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _gcd2(a, b):  # pragma: no cover
-    while b:
-        a, b = b, a % b
-    return a if a >= 0 else -a
-
-
-def _farey_d2_np(qmax: int, lo: float, hi: float):
+def farey_d2(qmax: int, lo: float, hi: float):
     qs_out = []
     ps_out = []
     for q in range(1, qmax + 1):
@@ -223,30 +128,7 @@ def _farey_d2_np(qmax: int, lo: float, hi: float):
     return np.concatenate(qs_out), np.concatenate(ps_out)
 
 
-@njit(cache=True)
-def _farey_d2_nb(qmax, lo, hi):  # pragma: no cover
-    count = 0
-    for q in range(1, qmax + 1):
-        p0 = int(math.ceil(lo * q))
-        p1 = int(math.floor(hi * q))
-        for p in range(p0, p1 + 1):
-            if _gcd2(p, q) == 1:
-                count += 1
-    qs = np.empty(count, dtype=np.int64)
-    ps = np.empty(count, dtype=np.int64)
-    i = 0
-    for q in range(1, qmax + 1):
-        p0 = int(math.ceil(lo * q))
-        p1 = int(math.floor(hi * q))
-        for p in range(p0, p1 + 1):
-            if _gcd2(p, q) == 1:
-                qs[i] = q
-                ps[i] = p
-                i += 1
-    return qs, ps
-
-
-def _farey_d3_np(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
+def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
     qs_out, p1_out, p2_out = [], [], []
     for q in range(1, qmax + 1):
         a = np.arange(math.ceil(lo1 * q), math.floor(hi1 * q) + 1, dtype=np.int64)
@@ -267,41 +149,9 @@ def _farey_d3_np(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
     return np.concatenate(qs_out), np.concatenate(p1_out), np.concatenate(p2_out)
 
 
-@njit(cache=True)
-def _farey_d3_nb(qmax, lo1, hi1, lo2, hi2):  # pragma: no cover
-    count = 0
-    for q in range(1, qmax + 1):
-        a0 = int(math.ceil(lo1 * q))
-        a1 = int(math.floor(hi1 * q))
-        b0 = int(math.ceil(lo2 * q))
-        b1 = int(math.floor(hi2 * q))
-        for a in range(a0, a1 + 1):
-            g = _gcd2(a, q)
-            for b in range(b0, b1 + 1):
-                if _gcd2(g, b) == 1:
-                    count += 1
-    qs = np.empty(count, dtype=np.int64)
-    p1 = np.empty(count, dtype=np.int64)
-    p2 = np.empty(count, dtype=np.int64)
-    i = 0
-    for q in range(1, qmax + 1):
-        a0 = int(math.ceil(lo1 * q))
-        a1 = int(math.floor(hi1 * q))
-        b0 = int(math.ceil(lo2 * q))
-        b1 = int(math.floor(hi2 * q))
-        for a in range(a0, a1 + 1):
-            g = _gcd2(a, q)
-            for b in range(b0, b1 + 1):
-                if _gcd2(g, b) == 1:
-                    qs[i] = q
-                    p1[i] = a
-                    p2[i] = b
-                    i += 1
-    return qs, p1, p2
-
-
-def _primitive_box_np(lo: np.ndarray, hi: np.ndarray):
-    """All primitive integer vectors in the closed box [lo, hi]^d, d in {2,3}."""
+def primitive_box(lo: np.ndarray, hi: np.ndarray):
+    """All primitive integer vectors in the closed box [lo, hi] of R^d, in
+    lexicographic order."""
     d = lo.size
     axes = [np.arange(math.ceil(lo[i]), math.floor(hi[i]) + 1, dtype=np.int64) for i in range(d)]
     if any(a.size == 0 for a in axes):
@@ -310,103 +160,3 @@ def _primitive_box_np(lo: np.ndarray, hi: np.ndarray):
     pts = np.stack([g.ravel() for g in grids], axis=1)
     g = np.gcd.reduce(np.abs(pts), axis=1)
     return pts[g == 1]
-
-
-@njit(cache=True)
-def _primitive_box_d2_nb(lo0, hi0, lo1, hi1):  # pragma: no cover
-    a0, a1 = int(math.ceil(lo0)), int(math.floor(hi0))
-    b0, b1 = int(math.ceil(lo1)), int(math.floor(hi1))
-    count = 0
-    for a in range(a0, a1 + 1):
-        for b in range(b0, b1 + 1):
-            if _gcd2(a, b) == 1:
-                count += 1
-    out = np.empty((count, 2), dtype=np.int64)
-    i = 0
-    for a in range(a0, a1 + 1):
-        for b in range(b0, b1 + 1):
-            if _gcd2(a, b) == 1:
-                out[i, 0] = a
-                out[i, 1] = b
-                i += 1
-    return out
-
-
-@njit(cache=True)
-def _primitive_box_d3_nb(lo0, hi0, lo1, hi1, lo2, hi2):  # pragma: no cover
-    a0, a1 = int(math.ceil(lo0)), int(math.floor(hi0))
-    b0, b1 = int(math.ceil(lo1)), int(math.floor(hi1))
-    c0, c1 = int(math.ceil(lo2)), int(math.floor(hi2))
-    count = 0
-    for a in range(a0, a1 + 1):
-        for b in range(b0, b1 + 1):
-            g = _gcd2(a, b)
-            for c in range(c0, c1 + 1):
-                if _gcd2(g, c) == 1:
-                    count += 1
-    out = np.empty((count, 3), dtype=np.int64)
-    i = 0
-    for a in range(a0, a1 + 1):
-        for b in range(b0, b1 + 1):
-            g = _gcd2(a, b)
-            for c in range(c0, c1 + 1):
-                if _gcd2(g, c) == 1:
-                    out[i, 0] = a
-                    out[i, 1] = b
-                    out[i, 2] = c
-                    i += 1
-    return out
-
-
-def _primitive_box_nb(lo, hi):  # dispatch helper, not jitted itself
-    if lo.size == 2:
-        return _primitive_box_d2_nb(lo[0], hi[0], lo[1], hi[1])
-    if lo.size == 3:
-        return _primitive_box_d3_nb(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
-    return _primitive_box_np(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# dispatch table
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-    phi_sieve = _phi_sieve_nb
-    mobius_sieve = _mobius_sieve_nb
-    jordan_sieve = _jordan_sieve_nb
-    floor_diff_prefix = _floor_diff_prefix_nb
-    farey_d2 = _farey_d2_nb
-    farey_d3 = _farey_d3_nb
-    primitive_box = _primitive_box_nb
-else:
-    phi_sieve = _phi_sieve_np
-    mobius_sieve = _mobius_sieve_np
-    jordan_sieve = _jordan_sieve_np
-    floor_diff_prefix = _floor_diff_prefix_np
-    farey_d2 = _farey_d2_np
-    farey_d3 = _farey_d3_np
-    primitive_box = _primitive_box_np
-
-NUMPY_IMPLS = {
-    "phi_sieve": _phi_sieve_np,
-    "mobius_sieve": _mobius_sieve_np,
-    "jordan_sieve": _jordan_sieve_np,
-    "floor_diff_prefix": _floor_diff_prefix_np,
-    "farey_d2": _farey_d2_np,
-    "farey_d3": _farey_d3_np,
-    "primitive_box": _primitive_box_np,
-}
-
-NUMBA_IMPLS = (
-    {
-        "phi_sieve": _phi_sieve_nb,
-        "mobius_sieve": _mobius_sieve_nb,
-        "jordan_sieve": _jordan_sieve_nb,
-        "floor_diff_prefix": _floor_diff_prefix_nb,
-        "farey_d2": _farey_d2_nb,
-        "farey_d3": _farey_d3_nb,
-        "primitive_box": _primitive_box_nb,
-    }
-    if _HAVE_NUMBA
-    else None
-)

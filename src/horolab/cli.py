@@ -369,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="horolab",
         description="Farey lattice enumeration, SL(d) decompositions, shrinking-target "
         "membership tests and equidistribution experiments.",
-        epilog="Set HOROLAB_TOL to override the global comparison tolerance and "
-        "HOROLAB_BACKEND=numpy to disable the numba kernels.",
+        epilog="Set HOROLAB_TOL to override the global comparison tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

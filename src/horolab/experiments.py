@@ -471,8 +471,6 @@ def _build_index(target, L, lo, hi, t):
     radius = tg._candidate_radius(target, t)
     amax = tg._alpha_cutoff(target, t)
     box = (lo - radius - 1e-12, hi + radius + 1e-12)
-    if L is None:
-        return fy.farey_index(d, amax, box=box)
     return fy.farey_index(d, amax, L=L, box=box)
 
 

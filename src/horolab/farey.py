@@ -168,6 +168,16 @@ def _transpose_inverse(L: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
+def preimage_bounds(alo, ahi, M) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bounds (plo, phi) of a box holding the image of the box
+    [alo, ahi] under v -> v @ M: the floor of the least corner image minus 1
+    and the ceiling of the largest plus 1, per coordinate."""
+    d = len(alo)
+    corners = np.array(np.meshgrid(*zip(alo, ahi), indexing="ij")).reshape(d, -1).T
+    pre = corners @ M
+    return np.floor(pre.min(axis=0)) - 1, np.ceil(pre.max(axis=0)) + 1
+
+
 def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Primitive lattice points through the transpose-inverse of L.
 
@@ -188,12 +198,8 @@ def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.
     # bounding box of {alpha : 0 < alpha_d <= Q, lo*alpha_d <= alpha' <= hi*alpha_d}
     alo = np.append(np.minimum(lo * Q, 0.0), 0.0)
     ahi = np.append(np.maximum(hi * Q, 0.0), Q)
-    corners = np.array(np.meshgrid(*zip(alo, ahi), indexing="ij")).reshape(d, -1).T
-    tL = np.asarray(L, dtype=float).T
-    pre = corners @ tL  # alpha = p @ tLinv  <=>  p = alpha @ tL
-    plo = np.floor(pre.min(axis=0)) - 1
-    phi = np.ceil(pre.max(axis=0)) + 1
-    sources = K.primitive_box(plo, phi)
+    # alpha = p @ tLinv  <=>  p = alpha @ tL
+    sources = K.primitive_box(*preimage_bounds(alo, ahi, np.asarray(L, dtype=float).T))
     if sources.shape[0] == 0:
         return np.empty((0, d), np.int64), np.empty((0, d), float)
     alpha = sources.astype(float) @ tLinv_f
@@ -216,14 +222,7 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     d = L.shape[0]
     tLinv = _transpose_inverse(L)
     tLinv_f = tLinv.astype(float) if tLinv.dtype == object else tLinv
-    alo = np.zeros(d)
-    ahi = np.full(d, float(Q))
-    corners = np.array(np.meshgrid(*zip(alo, ahi), indexing="ij")).reshape(d, -1).T
-    tL = np.asarray(L, dtype=float).T
-    pre = corners @ tL
-    plo = np.floor(pre.min(axis=0)) - 1
-    phi = np.ceil(pre.max(axis=0)) + 1
-    sources = K.primitive_box(plo, phi)
+    sources = K.primitive_box(*preimage_bounds(np.zeros(d), np.full(d, float(Q)), np.asarray(L, dtype=float).T))
     if sources.shape[0] == 0:
         return np.empty((0, d), np.int64), np.empty((0, d), float)
     alpha = sources.astype(float) @ tLinv_f

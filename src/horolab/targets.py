@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate
 
+from . import _kernels as K
 from . import farey as fy
 from .algebra import BOUNDARY_ATOL, cd_lower, h0, zeta
 from .coords import (
@@ -84,8 +85,20 @@ class SphericalSection:
             raise HorolabError("chart dimension mismatch")
 
 
+class _GrenierHeights:
+    """Heights set by a coordinate box's lower bounds alphas."""
+
+    @property
+    def T_minus(self) -> float:
+        return float(np.prod([self.alphas[self.d - 1 - k] ** (2 * (self.d - k) / self.d) for k in range(1, self.d)]))
+
+    @property
+    def T0(self) -> float:
+        return self.T_minus ** (self.d / (2.0 * (self.d - 1)))
+
+
 @dataclass(frozen=True)
-class GrenierBoxStable:
+class GrenierBoxStable(_GrenierHeights):
     """Flowed coordinate box in the fundamental domain, thickened by a stable
     box; K' constraint given as an angle interval for d = 3 (None = all)."""
 
@@ -118,17 +131,9 @@ class GrenierBoxStable:
         if self.eps >= cd_lower(d) * self.T:
             raise DisjointnessError("eps not below the disjointness budget")
 
-    @property
-    def T_minus(self) -> float:
-        return float(np.prod([self.alphas[self.d - 1 - k] ** (2 * (self.d - k) / self.d) for k in range(1, self.d)]))
-
-    @property
-    def T0(self) -> float:
-        return self.T_minus ** (self.d / (2.0 * (self.d - 1)))
-
 
 @dataclass(frozen=True)
-class GrenierBoxSpherical:
+class GrenierBoxSpherical(_GrenierHeights):
     """Coordinate box with sphere-chart thickening; y-bounds are modulated by
     the chart point through the rank-one Cholesky diagonal."""
 
@@ -153,14 +158,6 @@ class GrenierBoxSpherical:
             object.__setattr__(self, "T", self.T0)
         if self.T < self.T0:
             raise HorolabError(f"flow level T must be >= T0 = {self.T0}")
-
-    @property
-    def T_minus(self) -> float:
-        return float(np.prod([self.alphas[self.d - 1 - k] ** (2 * (self.d - k) / self.d) for k in range(1, self.d)]))
-
-    @property
-    def T0(self) -> float:
-        return self.T_minus ** (self.d / (2.0 * (self.d - 1)))
 
 
 def _default_beta(d: int, low: bool) -> tuple:
@@ -539,10 +536,7 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
     amax = _alpha_cutoff(target, t)
     if index is None:
         box = (x - radius, x + radius)
-        if L is None:
-            index = fy.farey_index(d, amax, box=box)
-        else:
-            index = fy.farey_index(d, amax, L=L, box=box)
+        index = fy.farey_index(d, amax, L=L, box=box)
         cand = np.arange(len(index))
     else:
         cand = index.near(x, radius, alpha_max=amax)
@@ -613,13 +607,7 @@ def _member_direct_general(target, L, x, t, delta, bound):
     d = target.d
     Lf = np.asarray(L, dtype=float)
     span = bound * (1.0 + float(np.abs(x).max())) + abs(delta) + 2
-    corners_lo = -span * np.ones(d)
-    corners_hi = span * np.ones(d)
-    pre = np.array(np.meshgrid(*zip(corners_lo, corners_hi), indexing="ij")).reshape(d, -1).T @ np.linalg.inv(Lf)
-    from . import _kernels as K
-
-    plo = np.floor(pre.min(axis=0)) - 1
-    phi = np.ceil(pre.max(axis=0)) + 1
+    plo, phi = fy.preimage_bounds(-span * np.ones(d), span * np.ones(d), np.linalg.inv(Lf))
     if np.prod(phi - plo + 1) > SLAB_BUDGET:
         raise ResourceLimitError("general-L slab enumeration over budget", SLAB_BUDGET)
     sources = K.primitive_box(plo, phi)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -75,10 +76,10 @@ SIEVE_SIZES = [0, 1, 2, 3, 4] + [v for p in (2, 3, 5, 7, 31, 97, 443) for v in (
 
 
 def assert_sieves_match_loops(n):
-    assert np.array_equal(K.NUMPY_IMPLS["mobius_sieve"](n), loop_mobius_sieve(n))
-    assert np.array_equal(K.NUMPY_IMPLS["phi_sieve"](n), loop_phi_sieve(n))
+    assert np.array_equal(K.mobius_sieve(n), loop_mobius_sieve(n))
+    assert np.array_equal(K.phi_sieve(n), loop_phi_sieve(n))
     for k in (1, 2):
-        assert np.array_equal(K.NUMPY_IMPLS["jordan_sieve"](n, k), loop_jordan_sieve(n, k))
+        assert np.array_equal(K.jordan_sieve(n, k), loop_jordan_sieve(n, k))
 
 
 @pytest.mark.parametrize("n", SIEVE_SIZES)
@@ -101,7 +102,7 @@ def test_floor_diff_prefix_matches_plain_expression():
         scale = float(rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)]))
         m = np.arange(m_max + 1, dtype=np.float64)
         want = np.cumsum((np.floor(scale * m * v) - np.floor(scale * m * u)).astype(np.int64))
-        got = K.NUMPY_IMPLS["floor_diff_prefix"](u, v, m_max, scale)
+        got = K.floor_diff_prefix(u, v, m_max, scale)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -145,40 +146,15 @@ def test_farey_kernels_match_each_other():
 
 
 def test_primitive_box():
-    got = K.primitive_box(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
-    want = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if math.gcd(a, b) == 1]
-    assert sorted(map(tuple, got.tolist())) == sorted(want)
-
-
-@pytest.mark.skipif(K.NUMBA_IMPLS is None, reason="numba not importable")
-def test_backends_agree():
-    nb, npy = K.NUMBA_IMPLS, K.NUMPY_IMPLS
-    assert np.array_equal(nb["phi_sieve"](200), npy["phi_sieve"](200))
-    assert np.array_equal(nb["mobius_sieve"](200), npy["mobius_sieve"](200))
-    assert np.array_equal(nb["jordan_sieve"](100, 2), npy["jordan_sieve"](100, 2))
-    assert np.array_equal(nb["floor_diff_prefix"](0.1, 0.9, 50, 2.0), npy["floor_diff_prefix"](0.1, 0.9, 50, 2.0))
-    a = nb["farey_d2"](20, 0.2, 0.8)
-    b = npy["farey_d2"](20, 0.2, 0.8)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    a3 = nb["farey_d3"](8, 0.0, 1.0, 0.1, 0.9)
-    b3 = npy["farey_d3"](8, 0.0, 1.0, 0.1, 0.9)
-    assert all(np.array_equal(x, y) for x, y in zip(a3, b3))
-    pa = nb["primitive_box"](np.array([-4.0, -2.0]), np.array([4.0, 2.0]))
-    pb = npy["primitive_box"](np.array([-4.0, -2.0]), np.array([4.0, 2.0]))
-    assert sorted(map(tuple, pa.tolist())) == sorted(map(tuple, pb.tolist()))
-
-
-def test_backend_env_selection():
-    import os
-    import subprocess
-    import sys
-
-    # the import path is the parent's; only the backend variable is under test
-    env = {"PATH": "/usr/bin:/bin", "HOROLAB_BACKEND": "numpy", "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run(
-        [sys.executable, "-c", "import horolab._kernels as K; print(K.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "numpy"
+    boxes = [
+        ([-3.0, -3.0], [3.0, 3.0]),
+        ([-2.5, -1.0, 0.2], [3.7, 2.0, 4.0]),  # d = 3, not symmetric, fractional bounds
+        ([-1.0, 0.0, -2.0, 1.0], [1.0, 2.0, 1.5, 2.0]),  # d = 4
+        ([0.2, -1.0, -1.0], [0.8, 1.0, 1.0]),  # no integer on the first axis
+    ]
+    for lo, hi in boxes:
+        got = K.primitive_box(np.array(lo), np.array(hi))
+        axes = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+        want = [v for v in itertools.product(*axes) if math.gcd(*v) == 1]
+        assert got.dtype == np.int64 and got.shape == (len(want), len(lo))
+        assert [tuple(v) for v in got.tolist()] == want
