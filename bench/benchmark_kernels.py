@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, and the d = 2 interval count built on them.
+"""Time the hot kernels, the d = 2 interval count built on them, and the
+A3 collision search.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -14,6 +15,12 @@ import numpy as np
 
 from horolab import _kernels as K
 from horolab import farey
+
+
+def a3_centers():
+    """The d = 3 Farey centers at Q = 299 and the A3 window width 0.2 e^{-8.55}."""
+    _sources, alpha = farey.farey_arrays(3, 299)
+    return alpha[:, :2] / alpha[:, 2:], 0.2 * math.exp(-8.55)
 
 
 def timed(fn, *args, repeat=3):
@@ -39,6 +46,8 @@ CASES = [
         "count_farey_in_interval",
         (3_811_092, 0.1 + 0.1 * math.exp(-31.0), 0.7 - 0.1 * math.exp(-31.0)),
     ),
+    # the A3 collision search; a callable builds its arguments when the case runs
+    ("collision_clusters(A3)", "collision_clusters", a3_centers),
 ]
 
 
@@ -50,6 +59,7 @@ def main():
     print(f"{'case':32s} {'seconds':>10s}")
     for label, name, fargs in CASES:
         fn = getattr(K, name, None) or getattr(farey, name)
+        fargs = fargs() if callable(fargs) else fargs
         print(f"{label:32s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
 
 

@@ -149,14 +149,35 @@ def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
     return np.concatenate(qs_out), np.concatenate(p1_out), np.concatenate(p2_out)
 
 
+_BOX_CHUNK = 1 << 20  # gcd entries per step of primitive_box
+
+
 def primitive_box(lo: np.ndarray, hi: np.ndarray):
     """All primitive integer vectors in the closed box [lo, hi] of R^d, in
-    lexicographic order."""
+    lexicographic order.
+
+    The gcd of the other axes is taken once over their grid; each slab of
+    first-axis values is then one gcd against it, so the work arrays stay
+    near _BOX_CHUNK entries and only the kept points are materialised.
+    """
     d = lo.size
     axes = [np.arange(math.ceil(lo[i]), math.floor(hi[i]) + 1, dtype=np.int64) for i in range(d)]
     if any(a.size == 0 for a in axes):
         return np.empty((0, d), np.int64)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    g = np.gcd.reduce(np.abs(pts), axis=1)
-    return pts[g == 1]
+    first = axes[0]
+    if d > 1:
+        rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
+        g_rest = np.gcd.reduce(rest, axis=1)
+    else:
+        rest, g_rest = np.empty((1, 0), np.int64), np.zeros(1, np.int64)
+    step = max(1, _BOX_CHUNK // g_rest.size)
+    slabs = range(0, first.size, step)
+    keep = np.concatenate([np.gcd(first[i : i + step, None], g_rest) == 1 for i in slabs])
+    out = np.empty((int(np.count_nonzero(keep)), d), np.int64)
+    at = 0
+    for i in slabs:
+        rows, cols = np.nonzero(keep[i : i + step])
+        out[at : at + rows.size, 0] = first[i + rows]
+        out[at : at + rows.size, 1:] = rest[cols]
+        at += rows.size
+    return out

@@ -282,7 +282,9 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     """
     d = target.d
     sources, centers, w = _stable_window_centers(target, L, lo, hi, t)
-    if centers.shape[0] == 0:
+    count = int(sources.shape[0])
+    del sources  # only its length is needed; free it before the collision search
+    if count == 0:
         return 0.0, 0
     total = float(_clipped_box_volumes(centers, w, lo, hi).sum())
     clusters = fy.collision_clusters(centers, w)
@@ -292,7 +294,7 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         clustered = centers[np.concatenate(clusters)]
         union = _cluster_union_volume(clustered, w, lo, hi, sizes=[m.size for m in clusters])
         total += union - float(_clipped_box_volumes(clustered, w, lo, hi).sum())
-    return total, int(sources.shape[0])
+    return total, count
 
 
 def stable_window_overlap(target: tg.StableSection, L, lo, hi, t: float):

@@ -9,6 +9,7 @@ alpha'/alpha_d.  For L = I this is the classical Farey set p/q.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -405,6 +406,51 @@ def is_gamma_duplicate(L, s, tol: float = None) -> bool:
     return bool(np.all(np.abs(G - np.round(G)) <= tol * max(1.0, np.abs(G).max())))
 
 
+_CELL_SLACK = 1.0 + 2.0**-20  # cells a hair wider than max w
+_MAX_SPAN = 2**30  # cells per axis: a computed cell coordinate is then off by under 2^-22 cell
+_MAX_KEYS = 2**53  # product of the padded spans: float64 keys stay exact integers
+
+
+def _cell_keys(points: np.ndarray, max_w: float):
+    """Row-major int64 keys of the cells (wider than max_w) holding the
+    points, and the key step of each axis.
+
+    Cell ids run from 1 to span - 2 on each axis, so id +- 1 never wraps
+    into another row and a key names exactly one cell.  Where a span would
+    pass _MAX_SPAN, or their product _MAX_KEYS, the cell is doubled until
+    none does; a wider cell only adds candidate pairs.
+    """
+    # column by column: a reduction along axis 0 of a narrow array is slow
+    lo = np.array([points[:, a].min() for a in range(points.shape[1])])
+    extent = np.array([points[:, a].max() for a in range(points.shape[1])]) - lo
+    if not np.all(np.isfinite(extent)):
+        raise HorolabError("collision_clusters needs finite points")
+    # starting no finer than extent / _MAX_SPAN keeps extent / cell finite
+    cell = max(max_w * _CELL_SLACK, float(extent.max()) / _MAX_SPAN)
+    while True:
+        spans = np.floor(extent / cell) + 3.0
+        if spans.max() <= _MAX_SPAN and float(np.prod(spans)) <= _MAX_KEYS:
+            break
+        cell *= 2.0
+    steps = np.append(np.cumprod(spans[:0:-1])[::-1], 1.0)
+    ids = points - lo
+    ids /= cell
+    np.floor(ids, out=ids)
+    ids += 1.0
+    keys = ids @ steps
+    del ids  # the float columns go before the int64 copy is made
+    return keys.astype(np.int64), steps.astype(np.int64)
+
+
+def _cell_pair_rows(order, starts, counts, ci, cj):
+    """All (row of cell ci, row of cell cj) pairs over the cell pairs (ci, cj)."""
+    ni, nj = counts[ci], counts[cj]
+    m = ni * nj
+    link = np.repeat(np.arange(ci.size), m)
+    a, b = np.divmod(np.arange(link.size) - np.repeat(np.cumsum(m) - m, m), nj[link])
+    return order[starts[ci][link] + a], order[starts[cj][link] + b]
+
+
 def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     """Clusters of close points: a pair is close when its sup-norm gap is
     below (w_i + w_j)/2, with w one width for all points or one per point.
@@ -414,10 +460,15 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     only if their centers are this close, and the caller checks the exact
     disk test on the pairs of each cluster.
 
-    Offset-grid bucketing: cells of size 2*max_w on all 2^{dim} offset grids
-    catch every close pair; connected components of the close pairs are the
-    clusters.  Each cluster is sorted, and the clusters are ordered by their
-    smallest member.
+    Single-grid search: every gap of a close pair is below max w, so on a
+    grid of cells a hair wider than that its two points share a cell or lie
+    in cells that touch on every axis.  One stable sort by cell key gives
+    the same-cell pairs.  Each pair of touching cells is found once, from
+    the cell with the smaller key: the next cell on the last axis is the
+    next distinct key, and for each forward offset on the other axes one
+    searchsorted finds the (at most three) cells it reaches.  Connected
+    components of the close pairs are the clusters.  Each cluster is
+    sorted, and the clusters are ordered by their smallest member.
     """
     # imported on first use, which keeps csgraph out of `import horolab`
     from scipy.sparse import coo_matrix
@@ -427,31 +478,46 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     if n < 2:
         return []
     dim = points.shape[1]
-    w_arr = np.broadcast_to(np.asarray(w, dtype=float), (n,)).astype(float)
-    cell = 2.0 * float(w_arr.max())
-    if cell <= 0:
+    w_arr = np.broadcast_to(np.asarray(w, dtype=float), (n,))
+    max_w = float(w_arr.max())
+    if not max_w > 0:  # NaN widths close no pair either
         return []
-    pair_chunks = []
-    offsets = np.array(np.meshgrid(*([[0.0, 0.5]] * dim), indexing="ij")).reshape(dim, -1).T
-    for off in offsets:
-        ids = np.floor(points / cell + off).astype(np.int64)
-        keys = ids[:, 0].copy()
-        for j in range(1, dim):
-            keys = keys * 2_000_003 + ids[:, j]
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(sk)) + 1))
-        counts = np.diff(np.append(starts, sk.size))
-        for c in np.unique(counts[counts >= 2]):
-            rows = order[starts[counts == c][:, None] + np.arange(c)]
-            a, b = np.triu_indices(int(c), 1)
-            pair_chunks.append(np.stack([rows[:, a].ravel(), rows[:, b].ravel()], axis=1))
-    if not pair_chunks:
-        return []
-    pairs = np.concatenate(pair_chunks, axis=0)
-    pairs = np.sort(pairs, axis=1)
-    pairs = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1])
-    pi, pj = pairs // n, pairs % n
+    keys, steps = _cell_keys(points, max_w)
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    del keys
+    starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
+    m = starts.size
+    # the distinct keys, then three sentinels that end every look-ahead
+    cells = np.full(m + 3, np.iinfo(np.int64).max)
+    cells[:m] = sk[starts]
+    del sk
+    head = cells[:m]
+    counts = np.diff(np.append(starts, n))
+    pi_chunks, pj_chunks = [], []
+    for c in np.unique(counts[counts >= 2]):
+        rows = order[starts[counts == c][:, None] + np.arange(c)]
+        a, b = np.triu_indices(int(c), 1)
+        pi_chunks.append(rows[:, a].ravel())
+        pj_chunks.append(rows[:, b].ravel())
+    # touching cell pairs (ci, cj), ci < cj
+    ci_chunks = [np.flatnonzero(head[1:] == head[:-1] + 1)]
+    cj_chunks = [ci_chunks[0] + 1]
+    for prefix in itertools.product((-1, 0, 1), repeat=dim - 1):
+        if prefix <= (0,) * (dim - 1):
+            continue  # only forward offsets: the first nonzero entry is +1
+        delta = int(np.dot(prefix, steps[:-1]))
+        pos = np.searchsorted(head, head + (delta - 1))
+        reach = head + (delta + 1)
+        ci = np.flatnonzero(cells[pos] <= reach)
+        for k in range(3):
+            if k:
+                ci = ci[cells[pos[ci] + k] <= reach[ci]]
+            ci_chunks.append(ci)
+            cj_chunks.append(pos[ci] + k)
+    pi, pj = _cell_pair_rows(order, starts, counts, np.concatenate(ci_chunks), np.concatenate(cj_chunks))
+    pi = np.concatenate(pi_chunks + [pi])
+    pj = np.concatenate(pj_chunks + [pj])
     thr = 0.5 * (w_arr[pi] + w_arr[pj])
     hit = np.all(np.abs(points[pi] - points[pj]) < thr[:, None], axis=1)
     pi, pj = pi[hit], pj[hit]
@@ -460,10 +526,15 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     # the graph spans only the points in some close pair
     nodes, ends = np.unique(np.concatenate([pi, pj]), return_inverse=True)
     graph = coo_matrix((np.ones(pi.size), (ends[: pi.size], ends[pi.size :])), shape=(nodes.size, nodes.size))
-    _, labels = connected_components(graph, directed=False)
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(nodes[order], np.flatnonzero(np.diff(labels[order])) + 1)
-    return sorted(groups, key=lambda g: int(g[0]))
+    n_labels, labels = connected_components(graph, directed=False)
+    # nodes ascend, so a label's first node is its cluster's smallest member
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(n_labels, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_labels)
+    cluster = rank[labels]
+    members = nodes[np.argsort(cluster, kind="stable")]
+    bounds = np.cumsum(np.bincount(cluster)).tolist()
+    return [members[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

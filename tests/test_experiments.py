@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -302,6 +303,88 @@ def test_collision_clusters_ordered_by_smallest_member(perm):
     clusters = farey.collision_clusters(points, 1e-3)
     want = sorted([sorted(perm[:2]), sorted(perm[2:])])
     assert [c.tolist() for c in clusters] == want
+
+
+def _oracle_clusters(points, w):
+    """Every pair tested in sup norm against (w_i + w_j)/2, then connected
+    components by depth-first search from each point in index order."""
+    n = points.shape[0]
+    w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
+    close = np.all(np.abs(points[:, None, :] - points[None, :, :]) < (0.5 * (w[:, None] + w[None, :]))[..., None], axis=2)
+    np.fill_diagonal(close, False)
+    seen = np.zeros(n, dtype=bool)
+    clusters = []
+    for i in range(n):
+        if seen[i] or not close[i].any():
+            continue
+        seen[i] = True
+        stack, members = [i], []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for u in np.flatnonzero(close[v] & ~seen):
+                seen[u] = True
+                stack.append(u)
+        clusters.append(sorted(members))
+    return clusters
+
+
+@st.composite
+def point_sets(draw):
+    dim = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    # grid values put gaps exactly on the threshold; floats fill in between
+    coord = st.one_of(st.integers(-8, 8).map(lambda k: k * step), st.floats(-2.0, 2.0))
+    rows = draw(st.lists(st.tuples(*[coord] * dim), max_size=40))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    points = np.array(rows, dtype=float).reshape(len(rows), dim)
+    width = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return points, draw(width)
+    # per-point widths, as the spherical caller's diameters 2 * radii
+    return points, 2.0 * np.array(draw(st.lists(width, min_size=len(rows), max_size=len(rows))))
+
+
+@settings(deadline=None)
+@given(point_sets())
+def test_collision_clusters_match_brute_force(case):
+    points, w = case
+    assert [c.tolist() for c in farey.collision_clusters(points, w)] == _oracle_clusters(points, w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collision_clusters_pair_in_every_direction(dim):
+    # w = 1 with a point at the origin: the unit cells [k, k + 1) hold
+    # 3 + offset.  Point a sits in cell 3 on every axis and its one close
+    # partner b = a + 0.2 * step across the face, edge or corner toward
+    # `step`; every other cell around a holds a point at least 1.09 from a
+    # on some axis, so a joins a cluster only through the pair (a, b)
+    offsets = [np.array(o) for o in itertools.product((-1, 0, 1), repeat=dim) if any(o)]
+    for step in offsets:
+        a = 3.0 + np.where(step > 0, 0.9, np.where(step < 0, 0.1, 0.5))
+        others = [3.0 + o + np.where(o > 0, 0.99, np.where(o < 0, 0.01, 0.5)) for o in offsets if not np.array_equal(o, step)]
+        points = np.array([np.zeros(dim), a, a + 0.2 * step] + others)
+        want = _oracle_clusters(points, 1.0)
+        assert any(c[:2] == [1, 2] for c in want)
+        assert [c.tolist() for c in farey.collision_clusters(points, 1.0)] == want
+
+
+def test_collision_clusters_wide_range_tiny_width():
+    # 1e16 cells of w per axis: the grid must widen instead of wrapping its keys
+    rng = np.random.default_rng(7)
+    spread = rng.uniform(0.0, 1e7, size=(300, 2))
+    points = np.concatenate([
+        spread,
+        spread[:40],  # exact duplicates collide
+        np.nextafter(spread[40:60], np.inf),  # one ulp (about 1.9e-9) apart: not close
+        rng.uniform(0.0, 3e-8, size=(100, 2)),  # gaps around w near the origin
+    ])
+    points = points[rng.permutation(points.shape[0])]
+    want = _oracle_clusters(points, 1e-9)
+    assert len(want) > 40
+    assert [c.tolist() for c in farey.collision_clusters(points, 1e-9)] == want
 
 
 def test_d3_window_overlap_below_nominal_budget():
