@@ -39,7 +39,6 @@ from .targets import (
     StableSection,
     disjointness_budget,
     disjointness_property_sample,
-    measure_formula,
     member_direct,
     member_dual,
 )

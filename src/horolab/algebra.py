@@ -148,9 +148,10 @@ def swap_element(i: int, d: int) -> np.ndarray:
     return s
 
 
-def integer_det(m: np.ndarray) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [[int(x) for x in row] for row in np.asarray(m)]
+def integer_det(m: np.ndarray) -> int | Fraction:
+    """Exact determinant of an integer or Fraction matrix (Bareiss, in
+    Fractions); an integral value comes back as an int."""
+    a = [[x if isinstance(x, Fraction) else Fraction(int(x)) for x in row] for row in np.asarray(m)]
     n = len(a)
     sign = 1
     prev = 1
@@ -165,9 +166,10 @@ def integer_det(m: np.ndarray) -> int:
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    det = sign * a[n - 1][n - 1]
+    return det.numerator if det.denominator == 1 else det
 
 
 def as_fraction_scalar(x) -> Fraction | None:

@@ -10,10 +10,12 @@ tolerance can be overridden with the HOROLAB_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,35 +85,30 @@ def _matrix_json(m: np.ndarray):
 
 
 def target_from_dict(d: int, doc: dict):
+    """The target a config document describes.  "kind" picks the class in
+    targets.KINDS; each field of that class but d is read from the key of
+    its name, or from "radius" for a chart.  A key left out takes the
+    field's default, and a required key left out is a ConfigError."""
     kind = doc.get("kind")
-    if kind == "stable":
-        ytilde = tuple(float(_scalar(v)) for v in doc.get("ytilde", [0.0] * (d - 1)))
-        return targets.StableSection(d=d, T=float(_scalar(doc.get("T", 1))), eps=float(_scalar(doc["eps"])), ytilde=ytilde)
-    if kind == "spherical":
-        chart = coords.Chart(dim=d, radius=float(_scalar(doc["radius"])))
-        return targets.SphericalSection(d=d, T=float(_scalar(doc.get("T", 2))), chart=chart)
-    if kind == "grenier-stable":
-        return targets.GrenierBoxStable(
-            d=d,
-            alphas=tuple(float(_scalar(v)) for v in doc["alphas"]),
-            gammas=tuple(float(_scalar(v)) for v in doc["gammas"]),
-            beta_lo=tuple(float(_scalar(v)) for v in doc["beta_lo"]) if "beta_lo" in doc else None,
-            beta_hi=tuple(float(_scalar(v)) for v in doc["beta_hi"]) if "beta_hi" in doc else None,
-            ktilde=tuple(float(_scalar(v)) for v in doc["ktilde"]) if doc.get("ktilde") else None,
-            T=float(_scalar(doc.get("T", 1))),
-            eps=float(_scalar(doc["eps"])),
-            ytilde=tuple(float(_scalar(v)) for v in doc.get("ytilde", [0.0] * (d - 1))),
-        )
-    if kind == "grenier-spherical":
-        return targets.GrenierBoxSpherical(
-            d=d,
-            alphas=tuple(float(_scalar(v)) for v in doc["alphas"]),
-            gammas=tuple(float(_scalar(v)) for v in doc["gammas"]),
-            chart=coords.Chart(dim=d, radius=float(_scalar(doc["radius"]))),
-            ktilde=tuple(float(_scalar(v)) for v in doc["ktilde"]) if doc.get("ktilde") else None,
-            T=float(_scalar(doc["T"])) if "T" in doc else None,
-        )
-    raise ConfigError(f"unknown target kind {kind!r}")
+    if kind not in targets.KINDS:
+        raise ConfigError(f"unknown target kind {kind!r}")
+    cls = targets.KINDS[kind]
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        key = "radius" if hint is coords.Chart else f.name
+        value = doc.get(key)
+        if f.name == "d" or value is None:
+            if f.name != "d" and f.default is dataclasses.MISSING:
+                raise ConfigError(f"{kind} target needs {key!r}")
+        elif hint is coords.Chart:
+            kwargs[f.name] = coords.Chart(dim=d, radius=float(_scalar(value)))
+        elif tuple in (hint, *typing.get_args(hint)):
+            kwargs[f.name] = tuple(float(_scalar(v)) for v in value)
+        else:
+            kwargs[f.name] = float(_scalar(value))
+    return cls(d=d, **kwargs)
 
 
 def _l_from_config(doc, d: int):
@@ -128,37 +125,40 @@ def _l_from_config(doc, d: int):
 
 
 def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
-    d = int(doc["d"])
-    a_doc = doc.get("A", {"lo": [0.0] * (d - 1), "hi": [1.0] * (d - 1)})
-    rule_doc = doc.get("T_rule", {"kind": "constant"})
-    if rule_doc["kind"] == "constant":
-        rule = ("constant",)
-    elif rule_doc["kind"] == "growing":
-        rule = ("growing", float(_scalar(rule_doc["eta_prime"])))
-    else:
-        raise ConfigError(f"unknown T rule {rule_doc['kind']!r}")
-    est_doc = doc.get("estimator", {"kind": "auto"})
-    if isinstance(est_doc, str):
-        est_doc = {"kind": est_doc}
-    kind = est_doc["kind"]
-    if kind in ("auto", "exact-window", "window-sum"):
-        est = (kind,)
-    elif kind in ("grid", "monte-carlo"):
-        est = (kind, int(est_doc["n"]))
-    else:
-        raise ConfigError(f"unknown estimator {kind!r}")
-    return experiments.ExperimentConfig(
-        d=d,
-        target=target_from_dict(d, doc["target"]),
-        A_lo=tuple(float(_scalar(v)) for v in a_doc["lo"]),
-        A_hi=tuple(float(_scalar(v)) for v in a_doc["hi"]),
-        t_schedule=tuple(float(_scalar(v)) for v in doc["t_schedule"]),
-        L=_l_from_config(doc.get("L"), d),
-        T_rule=rule,
-        estimator=est,
-        seed=int(doc.get("seed", 0)),
-        tolerance=float(_scalar(doc["tolerance"])) if "tolerance" in doc else None,
-    )
+    try:
+        d = int(doc["d"])
+        a_doc = doc.get("A", {"lo": [0.0] * (d - 1), "hi": [1.0] * (d - 1)})
+        rule_doc = doc.get("T_rule", {"kind": "constant"})
+        if rule_doc["kind"] == "constant":
+            rule = ("constant",)
+        elif rule_doc["kind"] == "growing":
+            rule = ("growing", float(_scalar(rule_doc["eta_prime"])))
+        else:
+            raise ConfigError(f"unknown T rule {rule_doc['kind']!r}")
+        est_doc = doc.get("estimator", {"kind": "auto"})
+        if isinstance(est_doc, str):
+            est_doc = {"kind": est_doc}
+        kind = est_doc["kind"]
+        if kind in ("auto", "exact-window", "window-sum"):
+            est = (kind,)
+        elif kind in ("grid", "monte-carlo"):
+            est = (kind, int(est_doc["n"]))
+        else:
+            raise ConfigError(f"unknown estimator {kind!r}")
+        return experiments.ExperimentConfig(
+            d=d,
+            target=target_from_dict(d, doc["target"]),
+            A_lo=tuple(float(_scalar(v)) for v in a_doc["lo"]),
+            A_hi=tuple(float(_scalar(v)) for v in a_doc["hi"]),
+            t_schedule=tuple(float(_scalar(v)) for v in doc["t_schedule"]),
+            L=_l_from_config(doc.get("L"), d),
+            T_rule=rule,
+            estimator=est,
+            seed=int(doc.get("seed", 0)),
+            tolerance=float(_scalar(doc["tolerance"])) if "tolerance" in doc else None,
+        )
+    except KeyError as exc:
+        raise ConfigError(f"config is missing the key {exc.args[0]!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +254,9 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_volumes(args) -> int:
-    doc = {"kind": args.target, "T": args.T, "eps": args.eps, "radius": args.radius}
-    if args.target == "stable":
-        tgt = targets.StableSection(d=args.d, T=args.T, eps=args.eps)
-    elif args.target == "spherical":
-        tgt = targets.SphericalSection(d=args.d, T=args.T, chart=coords.Chart(dim=args.d, radius=args.radius))
-    else:
-        raise ConfigError("volumes supports --target stable|spherical; use a config file for coordinate boxes")
-    rec = targets.measure_formula(tgt)
-    _emit({"target": doc["kind"], "value": rec.value, "T": rec.T, "ratio_exponent": rec.ratio_exponent,
+    tgt = target_from_dict(args.d, {"kind": args.target, "T": args.T, "eps": args.eps, "radius": args.radius})
+    rec = tgt.measure()
+    _emit({"target": args.target, "value": rec.value, "T": rec.T, "ratio_exponent": rec.ratio_exponent,
            "method": rec.method})
     return 0
 

@@ -134,7 +134,7 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     kind, a = lattice_kind(L)
     if kind == "general":
         raise ConfigError("closed-form window estimator needs identity/integer or diagonal L")
-    q_cap = math.exp(t) * target.T ** (-0.5)
+    q_cap = target.denominator_cap(t)
     scale = 1.0 if kind == "lattice" else a * a
     m = int(math.floor(q_cap / (1.0 if kind == "lattice" else a) + 1e-9))
     if m < 1:
@@ -191,7 +191,7 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     d = target.d
     w = target.eps * math.exp(-d * t)
     c_off = np.asarray(target.ytilde, dtype=float) * math.exp(-d * t)
-    q_cap = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
+    q_cap = target.denominator_cap(t)
     margin = w / 2.0 + float(np.abs(c_off).max()) + 1e-15
     box = (lo - margin, hi + margin)
     sources, alpha = _enumerate_box(d, L, q_cap, box)
@@ -328,7 +328,7 @@ def window_sum_stable(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarra
     d = target.d
     kind, a = lattice_kind(L)
     w = target.eps * math.exp(-d * t)
-    q_cap = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
+    q_cap = target.denominator_cap(t)
     if _is_unit_cell(lo, hi) and d == 2:
         if kind == "lattice":
             n, _ = fy.count_farey(d, math.floor(q_cap + 1e-9))
@@ -361,7 +361,7 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     """
     d = target.d
     kind, _a = lattice_kind(L)
-    q_cap = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
+    q_cap = target.denominator_cap(t)
     # with T at least 2 sin(radius), neighboring-denominator gaps dominate
     # the window radii and the per-denominator closed sum is exact
     if _is_unit_cell(lo, hi) and kind == "lattice" and d == 2 and target.T >= 2.0 * math.sin(target.chart.radius):
@@ -469,19 +469,16 @@ def _circle_box_area(cx: float, cy: float, r: float, lo, hi) -> float:
 
 
 def _build_index(target, L, lo, hi, t):
-    d = target.d
-    radius = tg._candidate_radius(target, t)
-    amax = tg._alpha_cutoff(target, t)
+    radius = target.candidate_radius(t)
     box = (lo - radius - 1e-12, hi + radius + 1e-12)
-    return fy.farey_index(d, amax, L=L, box=box)
+    return fy.farey_index(target.d, target.alpha_cutoff(t), L=L, box=box)
 
 
 def sampled_integral(target, L, lo, hi, t, points: np.ndarray) -> tuple[float, int]:
     """vol(A) times the fraction of sample points the dual predicate accepts;
     the candidates near all samples are tested in one batched call."""
     index = _build_index(target, L, lo, hi, t)
-    radius = tg._candidate_radius(target, t)
-    amax = tg._alpha_cutoff(target, t)
+    radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
     near = [index.near(x, radius, alpha_max=amax) for x in points]
     si = np.repeat(np.arange(len(points)), [c.size for c in near])
     pos, _found = tg.dual_hits(target, L, t, points, si, np.concatenate(near), index)
@@ -505,10 +502,30 @@ def predicted_limit(config: ExperimentConfig) -> Optional[float]:
     """Analytic value of T^{d-1} integral in the t -> infinity limit."""
     target = config.target
     vol_a = box_volume(config.A_lo, config.A_hi)
-    record = tg.measure_formula(target)
+    record = target.measure()
     if record.value is None:
         return None
     return target.T ** (config.d - 1) * record.value * vol_a
+
+
+def exact_integral(target, L, lo: np.ndarray, hi: np.ndarray, t: float, estimator: str = "auto") -> tuple[float, int]:
+    """Exact integral over the box A = [lo, hi] of a section target's
+    indicator, and the number of points used.
+
+    "auto" takes the closed form for d = 2 stable targets with identity,
+    integer or diagonal L, and the window sum otherwise; "exact-window"
+    insists on the closed form and "window-sum" on the window sum.
+    """
+    stable_d2 = isinstance(target, tg.StableSection) and target.d == 2
+    if estimator == "exact-window" and not stable_d2:
+        raise ConfigError("exact-window estimator is for d = 2 stable targets")
+    if estimator == "exact-window" or (estimator == "auto" and stable_d2 and lattice_kind(L)[0] != "general"):
+        return exact_window_stable_d2(target, L, float(lo[0]), float(hi[0]), t)
+    if isinstance(target, tg.StableSection):
+        return window_sum_stable(target, L, lo, hi, t)
+    if isinstance(target, tg.SphericalSection):
+        return window_sum_spherical(target, L, lo, hi, t)
+    raise ConfigError("window sums cover stable and spherical section targets")
 
 
 def estimate_integral(config: ExperimentConfig, target_t, t: float, t_index: int) -> tuple[float, int]:
@@ -516,18 +533,8 @@ def estimate_integral(config: ExperimentConfig, target_t, t: float, t_index: int
     hi = np.asarray(config.A_hi, dtype=float)
     L = config.matrix_L()
     est = config.estimator[0]
-    if est == "auto":
-        est = "exact-window" if (isinstance(target_t, tg.StableSection) and config.d == 2) else "window-sum"
-    if est == "exact-window":
-        if not isinstance(target_t, tg.StableSection) or config.d != 2:
-            raise ConfigError("exact-window estimator is for d = 2 stable targets")
-        return exact_window_stable_d2(target_t, L, float(lo[0]), float(hi[0]), t)
-    if est == "window-sum":
-        if isinstance(target_t, tg.StableSection):
-            return window_sum_stable(target_t, L, lo, hi, t)
-        if isinstance(target_t, tg.SphericalSection):
-            return window_sum_spherical(target_t, L, lo, hi, t)
-        raise ConfigError("window sums cover stable and spherical section targets")
+    if est in ("auto", "exact-window", "window-sum"):
+        return exact_integral(target_t, L, lo, hi, t, est)
     if est == "grid":
         return sampled_integral(target_t, L, lo, hi, t, grid_points(lo, hi, int(config.estimator[1])))
     if est == "monte-carlo":
@@ -581,11 +588,7 @@ def sthe_exact_stable(d: int, A, eps: float, ytilde, T: float, t: float, L=None)
     target = tg.StableSection(d=d, T=T, eps=eps, ytilde=tuple(np.atleast_1d(ytilde).tolist()))
     lo = np.atleast_1d(np.asarray(A[0], dtype=float))
     hi = np.atleast_1d(np.asarray(A[1], dtype=float))
-    if d == 2 and lattice_kind(L)[0] != "general":
-        val, _n = exact_window_stable_d2(target, L, float(lo[0]), float(hi[0]), t)
-        return val
-    val, _n = window_sum_stable(target, L, lo, hi, t)
-    return val
+    return exact_integral(target, L, lo, hi, t)[0]
 
 
 # ---------------------------------------------------------------------------

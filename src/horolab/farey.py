@@ -301,31 +301,10 @@ def count_farey_in_interval(Q: float, u: float, v: float, scale: float = 1.0) ->
 def _block_period(M_frac: np.ndarray, d: int) -> Optional[np.ndarray]:
     """A^{-1}/det(A) for the top-left (d-1)-block, or None if singular."""
     A = M_frac[: d - 1, : d - 1]
-    if d == 2:
-        det = A[0, 0]
-        if det == 0:
-            return None
-        basis = np.empty((1, 1), dtype=object)
-        basis[0, 0] = 1 / (det * det)
-        return basis
-    det = Fraction(integer_det_fraction(A))
+    det = Fraction(integer_det(A))
     if det == 0:
         return None
     return fraction_matrix_inverse(A) / det
-
-
-def integer_det_fraction(A: np.ndarray) -> Fraction:
-    """Exact determinant of a small Fraction matrix (Laplace expansion)."""
-    n = A.shape[0]
-    if n == 1:
-        return Fraction(A[0, 0])
-    if n == 2:
-        return Fraction(A[0, 0]) * Fraction(A[1, 1]) - Fraction(A[0, 1]) * Fraction(A[1, 0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = np.delete(np.delete(A, 0, axis=0), j, axis=1)
-        total += (-1) ** j * Fraction(A[0, j]) * integer_det_fraction(minor)
-    return total
 
 
 def duplicate_region(L, assume_generic: bool = False) -> DuplicateRegion:
@@ -466,9 +445,11 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     the same-cell pairs.  Each pair of touching cells is found once, from
     the cell with the smaller key: the next cell on the last axis is the
     next distinct key, and for each forward offset on the other axes one
-    searchsorted finds the (at most three) cells it reaches.  Connected
-    components of the close pairs are the clusters.  Each cluster is
-    sorted, and the clusters are ordered by their smallest member.
+    searchsorted finds the (at most three) cells it reaches.  The candidate
+    pairs those cells hold are counted against ENUM_BUDGET before any is
+    listed.  Connected components of the close pairs are the clusters.
+    Each cluster is sorted, and the clusters are ordered by their smallest
+    member.
     """
     # imported on first use, which keeps csgraph out of `import horolab`
     from scipy.sparse import coo_matrix
@@ -494,12 +475,6 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     del sk
     head = cells[:m]
     counts = np.diff(np.append(starts, n))
-    pi_chunks, pj_chunks = [], []
-    for c in np.unique(counts[counts >= 2]):
-        rows = order[starts[counts == c][:, None] + np.arange(c)]
-        a, b = np.triu_indices(int(c), 1)
-        pi_chunks.append(rows[:, a].ravel())
-        pj_chunks.append(rows[:, b].ravel())
     # touching cell pairs (ci, cj), ci < cj
     ci_chunks = [np.flatnonzero(head[1:] == head[:-1] + 1)]
     cj_chunks = [ci_chunks[0] + 1]
@@ -515,7 +490,16 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
                 ci = ci[cells[pos[ci] + k] <= reach[ci]]
             ci_chunks.append(ci)
             cj_chunks.append(pos[ci] + k)
-    pi, pj = _cell_pair_rows(order, starts, counts, np.concatenate(ci_chunks), np.concatenate(cj_chunks))
+    ci, cj = np.concatenate(ci_chunks), np.concatenate(cj_chunks)
+    shared = counts[counts >= 2]
+    check_budget(int((shared * (shared - 1) // 2).sum() + np.dot(counts[ci], counts[cj])), "collision candidate pairs")
+    pi_chunks, pj_chunks = [], []
+    for c in np.unique(shared):
+        rows = order[starts[counts == c][:, None] + np.arange(c)]
+        a, b = np.triu_indices(int(c), 1)
+        pi_chunks.append(rows[:, a].ravel())
+        pj_chunks.append(rows[:, b].ravel())
+    pi, pj = _cell_pair_rows(order, starts, counts, ci, cj)
     pi = np.concatenate(pi_chunks + [pi])
     pj = np.concatenate(pj_chunks + [pj])
     thr = 0.5 * (w_arr[pi] + w_arr[pj])

@@ -30,6 +30,7 @@ from .coords import (
     hrd_coords,
 )
 from .errors import (
+    ConfigError,
     DisjointnessError,
     HorolabError,
     ResourceLimitError,
@@ -44,12 +45,40 @@ SLAB_BUDGET = 100_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StableSection:
+class _Target:
+    """What the four target kinds share: the section denominator cap, which
+    is also the candidates' alpha_d cutoff for targets on the section."""
+
+    def denominator_cap(self, t: float) -> float:
+        """The cap e^{(d-1)t} T^{-(d-1)/d} on the denominators alpha_d of the
+        section points at flow time t."""
+        d = self.d
+        return math.exp((d - 1) * t) * self.T ** (-(d - 1) / d)
+
+    def alpha_cutoff(self, t: float) -> float:
+        return self.denominator_cap(t)
+
+
+class _StableThickening:
+    """Thickened by the stable box of width eps at ytilde."""
+
+    def candidate_radius(self, t: float) -> float:
+        return math.exp(-self.d * t) * (np.abs(np.asarray(self.ytilde)).max() + self.eps / 2.0 + 1e-9)
+
+
+class _ChartThickening:
+    """Thickened along a hemispherical sphere chart."""
+
+    def candidate_radius(self, t: float) -> float:
+        return math.exp(-self.d * t) * math.tan(self.chart.radius)
+
+
+@dataclass(frozen=True, kw_only=True)
+class StableSection(_Target, _StableThickening):
     """Section at level T thickened by the stable box of width eps at ytilde."""
 
     d: int
-    T: float
+    T: float = 1.0
     eps: float
     ytilde: tuple = None
 
@@ -67,13 +96,18 @@ class StableSection:
                 f"eps={self.eps} not below the disjointness budget {disjointness_budget(self.d, self.T)}"
             )
 
+    def measure(self) -> MeasureRecord:
+        d = self.d
+        value = self.eps ** (d - 1) / (d * zeta(d) * self.T ** (d - 1))
+        return MeasureRecord(value=value, T=self.T, ratio_exponent=d - 1, method="closed")
 
-@dataclass(frozen=True)
-class SphericalSection:
+
+@dataclass(frozen=True, kw_only=True)
+class SphericalSection(_Target, _ChartThickening):
     """Section at level T thickened along a hemispherical chart."""
 
     d: int
-    T: float
+    T: float = 2.0
     chart: Chart
 
     def __post_init__(self):
@@ -84,9 +118,18 @@ class SphericalSection:
         if self.chart.dim != self.d:
             raise HorolabError("chart dimension mismatch")
 
+    def measure(self) -> MeasureRecord:
+        d = self.d
+        if d == 2:
+            value = self.chart.domain_volume / (2.0 * zeta(2) * self.T)
+            return MeasureRecord(value=value, T=self.T, ratio_exponent=d - 1, method="closed")
+        value = spherical_measure_quadrature(self.chart, self.T, d)
+        return MeasureRecord(value=value, T=self.T, ratio_exponent=d - 1, method="quadrature")
 
-class _GrenierHeights:
-    """Heights set by a coordinate box's lower bounds alphas."""
+
+class _GrenierHeights(_Target):
+    """Flowed coordinate boxes: heights set by the lower bounds alphas, and
+    a closed-form measure for d = 2 only."""
 
     @property
     def T_minus(self) -> float:
@@ -96,9 +139,20 @@ class _GrenierHeights:
     def T0(self) -> float:
         return self.T_minus ** (self.d / (2.0 * (self.d - 1)))
 
+    def alpha_cutoff(self, t: float) -> float:
+        # the flow shift moves the entry level to T0
+        d = self.d
+        return math.exp((d - 1) * t) * (self.T0 / self.T) ** ((d - 1) / d) * math.exp((d - 1) * 1.0)
 
-@dataclass(frozen=True)
-class GrenierBoxStable(_GrenierHeights):
+    def measure(self) -> MeasureRecord:
+        if self.d != 2:
+            return MeasureRecord(value=None, T=self.T, ratio_exponent=self.d - 1, method="ratio-only",
+                                 detail="absolute coordinate-box measure unavailable for d >= 3")
+        return MeasureRecord(value=self._measure_d2(), T=self.T, ratio_exponent=1, method="closed")
+
+
+@dataclass(frozen=True, kw_only=True)
+class GrenierBoxStable(_GrenierHeights, _StableThickening):
     """Flowed coordinate box in the fundamental domain, thickened by a stable
     box; K' constraint given as an angle interval for d = 3 (None = all)."""
 
@@ -109,7 +163,7 @@ class GrenierBoxStable(_GrenierHeights):
     beta_hi: tuple = None
     ktilde: Optional[tuple] = None
     T: float = 1.0
-    eps: float = 0.1
+    eps: float
     ytilde: tuple = None
 
     def __post_init__(self):
@@ -131,18 +185,32 @@ class GrenierBoxStable(_GrenierHeights):
         if self.eps >= cd_lower(d) * self.T:
             raise DisjointnessError("eps not below the disjointness budget")
 
+    def _measure_d2(self) -> float:
+        blo, bhi = self.beta_lo[0], self.beta_hi[0]
+        # the height h = y_1 enters through the section parametrization as
+        # h = y^2, so the weight y^{-d} dy/y integrates to (1/a - 1/g)/2;
+        # the x box in [0, 1/2] lifts to two mirror copies on the unit
+        # x torus (the reduction folds signs), hence the factor 2
+        base = (
+            min(2.0 * (bhi - blo), 1.0)
+            * (1.0 / self.alphas[0] - 1.0 / self.gammas[0])
+            / (2.0 * zeta(2))
+            * self.eps
+        )
+        return base * (self.T0 / self.T) ** (self.d - 1)
 
-@dataclass(frozen=True)
-class GrenierBoxSpherical(_GrenierHeights):
+
+@dataclass(frozen=True, kw_only=True)
+class GrenierBoxSpherical(_GrenierHeights, _ChartThickening):
     """Coordinate box with sphere-chart thickening; y-bounds are modulated by
     the chart point through the rank-one Cholesky diagonal."""
 
     d: int
     alphas: tuple
     gammas: tuple
-    chart: Chart = None
+    chart: Chart
     ktilde: Optional[tuple] = None
-    T: float = None
+    T: float = None  # None = T0
 
     def __post_init__(self):
         d = self.d
@@ -150,7 +218,7 @@ class GrenierBoxSpherical(_GrenierHeights):
             raise HorolabError("alphas/gammas must have length d-1")
         if any(g < a for a, g in zip(self.alphas, self.gammas)):
             raise HorolabError("gammas must dominate alphas")
-        if self.chart is None or not self.chart.hemispherical:
+        if not self.chart.hemispherical:
             raise HorolabError("spherical boxes need a hemispherical chart")
         if self.T_minus <= h0(d) ** (2.0 * (d - 1) / d):
             raise HorolabError("lower height too small for spherical thickening")
@@ -158,6 +226,23 @@ class GrenierBoxSpherical(_GrenierHeights):
             object.__setattr__(self, "T", self.T0)
         if self.T < self.T0:
             raise HorolabError(f"flow level T must be >= T0 = {self.T0}")
+
+    def _measure_d2(self) -> float:
+        return (
+            self.T_minus
+            * (1.0 / self.alphas[0] - 1.0 / self.gammas[0])
+            * self.chart.domain_volume
+            / (2.0 * zeta(2) * self.T)
+        )
+
+
+# the config "kind" of each target class
+KINDS = {
+    "stable": StableSection,
+    "spherical": SphericalSection,
+    "grenier-stable": GrenierBoxStable,
+    "grenier-spherical": GrenierBoxSpherical,
+}
 
 
 def _default_beta(d: int, low: bool) -> tuple:
@@ -338,24 +423,6 @@ def _recover_inner_rotation(kprime: np.ndarray, w: np.ndarray, c, zprime: np.nda
 # ---------------------------------------------------------------------------
 
 
-def _candidate_radius(target, t: float) -> float:
-    d = target.d
-    if isinstance(target, (StableSection, GrenierBoxStable)):
-        return math.exp(-d * t) * (np.abs(np.asarray(target.ytilde)).max() + target.eps / 2.0 + 1e-9)
-    return math.exp(-d * t) * math.tan(target.chart.radius)
-
-
-def _alpha_cutoff(target, t: float) -> float:
-    d = target.d
-    q = math.exp((d - 1) * t)
-    if isinstance(target, StableSection):
-        return q * target.T ** (-(d - 1) / d)
-    if isinstance(target, SphericalSection):
-        return q * target.T ** (-(d - 1) / d)
-    # coordinate boxes: the flow shift moves the entry level to T0
-    return q * (target.T0 / target.T) ** ((d - 1) / d) * math.exp((d - 1) * 1.0)
-
-
 def _test_candidate(target, L, x: np.ndarray, t: float, point: np.ndarray, alpha_d: float, source) -> Optional[dict]:
     d = target.d
     q_denom = math.exp((d - 1) * t)
@@ -452,15 +519,13 @@ def dual_hits(target, L, t: float, x: np.ndarray, si: np.ndarray, ci: np.ndarray
     if t < 0:
         raise HorolabError("flow time t must be >= 0")
     d = target.d
-    stable = isinstance(target, (StableSection, GrenierBoxStable))
-    grenier = isinstance(target, (GrenierBoxStable, GrenierBoxSpherical))
-    if not (stable or grenier or isinstance(target, SphericalSection)):
-        raise TypeError(f"unknown target {type(target)!r}")
+    stable = isinstance(target, _StableThickening)
+    grenier = isinstance(target, _GrenierHeights)
     if grenier and d not in (2, 3):
         raise UnsupportedDimensionError("coordinate-box membership needs d in {2, 3}")
     alpha_d = index.alpha_d[ci]
     xt = math.exp(d * t) * (index.points[ci] - x[si])
-    level = math.exp((d - 1) * t) * target.T ** (-(d - 1) / d)
+    level = target.denominator_cap(t)
     if stable:
         y = np.asarray(target.ytilde)
         ok = np.all(xt >= y - target.eps / 2.0 - BOUNDARY_ATOL, axis=1) & np.all(xt < y + target.eps / 2.0, axis=1)
@@ -532,8 +597,8 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
         raise HorolabError("flow time t must be >= 0")
     d = target.d
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    radius = _candidate_radius(target, t)
-    amax = _alpha_cutoff(target, t)
+    radius = target.candidate_radius(t)
+    amax = target.alpha_cutoff(t)
     if index is None:
         box = (x - radius, x + radius)
         index = fy.farey_index(d, amax, L=L, box=box)
@@ -562,7 +627,7 @@ def member_direct(target: StableSection, L, x, t: float) -> Optional[MembershipW
     """Direct membership of the horosphere point itself: a primitive lattice
     row in a thin slab with the renormalized offset inside the stable box."""
     if not isinstance(target, StableSection):
-        raise TypeError("direct membership implemented for stable boxes only")
+        raise ConfigError("direct membership is implemented for stable section targets only")
     if t < 0:
         raise HorolabError("flow time t must be >= 0")
     d = target.d
@@ -574,33 +639,17 @@ def member_direct(target: StableSection, L, x, t: float) -> Optional[MembershipW
         raise ResourceLimitError(f"slab bound {bound} exceeds the enumeration budget", SLAB_BUDGET)
     if L is not None and not np.allclose(np.asarray(L, dtype=float), np.eye(d)):
         return _member_direct_general(target, L, x, t, delta, bound)
-    lo = np.asarray(target.ytilde) - target.eps / 2.0
-    hi = np.asarray(target.ytilde) + target.eps / 2.0
     axes = [np.arange(-bound, bound + 1, dtype=np.int64) for _ in range(d - 1)]
     grids = np.meshgrid(*axes, indexing="ij")
     aprime = np.stack([g.ravel() for g in grids], axis=1)
     dot = aprime.astype(float) @ x
     a_d = np.floor(-dot + delta).astype(np.int64)
-    u = aprime.astype(float) @ x + a_d
+    u = dot + a_d
     ok = (u > 0) & (u <= delta + 1e-15)
     g = np.gcd.reduce(np.abs(aprime), axis=1)
     ok &= np.gcd(g, np.abs(a_d)) == 1
-    if not np.any(ok):
-        return None
     aprime, a_d, u = aprime[ok], a_d[ok], u[ok]
-    xt = math.exp(-d * t) * aprime / u[:, None]
-    inside = np.all(xt >= lo - BOUNDARY_ATOL, axis=1) & np.all(xt < hi, axis=1)
-    if not np.any(inside):
-        return None
-    idx = int(np.argmax(inside))
-    src = tuple(int(v) for v in aprime[idx]) + (int(a_d[idx]),)
-    y_d = math.exp((d - 1) * t) * float(u[idx])
-    ap = math.exp(-t) * aprime[idx].astype(float)
-    return MembershipWitness(
-        farey=fy.TranslatedFareyPoint(source=src, alpha_prime=tuple(ap), alpha_d=y_d, point=tuple(xt[idx])),
-        s=-math.log(y_d) / (d - 1),
-        xt=tuple(xt[idx]),
-    )
+    return _slab_witness(target, t, np.column_stack([aprime, a_d]), aprime, u)
 
 
 def _member_direct_general(target, L, x, t, delta, bound):
@@ -611,15 +660,18 @@ def _member_direct_general(target, L, x, t, delta, bound):
     if np.prod(phi - plo + 1) > SLAB_BUDGET:
         raise ResourceLimitError("general-L slab enumeration over budget", SLAB_BUDGET)
     sources = K.primitive_box(plo, phi)
-    if sources.shape[0] == 0:
-        return None
     a = sources.astype(float) @ Lf
     u = a[:, : d - 1] @ x + a[:, d - 1]
     ok = (u > 0) & (u <= delta + 1e-15)
-    if not np.any(ok):
-        return None
-    sources, a, u = sources[ok], a[ok], u[ok]
-    xt = math.exp(-d * t) * a[:, : d - 1] / u[:, None]
+    return _slab_witness(target, t, sources[ok], a[ok, : d - 1], u[ok])
+
+
+def _slab_witness(target, t: float, sources: np.ndarray, aprime: np.ndarray, u: np.ndarray) -> Optional[MembershipWitness]:
+    """The first slab row whose renormalized offset lies in the stable box:
+    the rows are primitive sources, the first d-1 entries of their images
+    and their offsets u in the slab."""
+    d = target.d
+    xt = math.exp(-d * t) * aprime / u[:, None]
     lo = np.asarray(target.ytilde) - target.eps / 2.0
     hi = np.asarray(target.ytilde) + target.eps / 2.0
     inside = np.all(xt >= lo - BOUNDARY_ATOL, axis=1) & np.all(xt < hi, axis=1)
@@ -630,7 +682,7 @@ def _member_direct_general(target, L, x, t, delta, bound):
     return MembershipWitness(
         farey=fy.TranslatedFareyPoint(
             source=tuple(int(v) for v in sources[idx]),
-            alpha_prime=tuple(math.exp(-t) * a[idx, : d - 1]),
+            alpha_prime=tuple(math.exp(-t) * aprime[idx]),
             alpha_d=y_d,
             point=tuple(xt[idx]),
         ),
@@ -651,49 +703,6 @@ class MeasureRecord:
     ratio_exponent: float  # mu(target at T) / mu(target at T0) = (T0/T)^ratio_exponent
     method: str
     detail: str = ""
-
-
-def measure_formula(target) -> MeasureRecord:
-    """Closed-form Haar measure where available, scaling-law record otherwise."""
-    d = target.d
-    if isinstance(target, StableSection):
-        value = target.eps ** (d - 1) / (d * zeta(d) * target.T ** (d - 1))
-        return MeasureRecord(value=value, T=target.T, ratio_exponent=d - 1, method="closed")
-    if isinstance(target, SphericalSection):
-        if d == 2:
-            value = target.chart.domain_volume / (2.0 * zeta(2) * target.T)
-            return MeasureRecord(value=value, T=target.T, ratio_exponent=d - 1, method="closed")
-        value = spherical_measure_quadrature(target.chart, target.T, d)
-        return MeasureRecord(value=value, T=target.T, ratio_exponent=d - 1, method="quadrature")
-    if isinstance(target, GrenierBoxStable):
-        if d == 2:
-            blo, bhi = target.beta_lo[0], target.beta_hi[0]
-            # the height h = y_1 enters through the section parametrization as
-            # h = y^2, so the weight y^{-d} dy/y integrates to (1/a - 1/g)/2;
-            # the x box in [0, 1/2] lifts to two mirror copies on the unit
-            # x torus (the reduction folds signs), hence the factor 2
-            base = (
-                min(2.0 * (bhi - blo), 1.0)
-                * (1.0 / target.alphas[0] - 1.0 / target.gammas[0])
-                / (2.0 * zeta(2))
-                * target.eps
-            )
-            value = base * (target.T0 / target.T) ** (d - 1)
-            return MeasureRecord(value=value, T=target.T, ratio_exponent=d - 1, method="closed")
-        return MeasureRecord(value=None, T=target.T, ratio_exponent=d - 1, method="ratio-only",
-                             detail="absolute coordinate-box measure unavailable for d >= 3")
-    if isinstance(target, GrenierBoxSpherical):
-        if d == 2:
-            base = (
-                target.T_minus
-                * (1.0 / target.alphas[0] - 1.0 / target.gammas[0])
-                * target.chart.domain_volume
-                / (2.0 * zeta(2) * target.T)
-            )
-            return MeasureRecord(value=base, T=target.T, ratio_exponent=d - 1, method="closed")
-        return MeasureRecord(value=None, T=target.T, ratio_exponent=d - 1, method="ratio-only",
-                             detail="absolute coordinate-box measure unavailable for d >= 3")
-    raise TypeError(f"unknown target {type(target)!r}")
 
 
 def spherical_measure_quadrature(chart: Chart, T: float, d: int) -> float:

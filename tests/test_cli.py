@@ -3,9 +3,10 @@ import math
 import subprocess
 import sys
 
+import pytest
 import yaml
 
-from horolab import cli
+from horolab import cli, coords, targets
 
 
 def run_cli(argv):
@@ -101,6 +102,55 @@ def test_bad_config_value_is_usage_error(capsys, tmp_path):
     spec.write_text("kind: stable\nT: 1\neps: not-a-number\n")
     code = run_cli(["membership", "--d", "2", "--target", str(spec), "--x", "0.5", "--t", "1"])
     assert code == 2
+
+
+def test_direct_membership_of_a_spherical_target_is_usage_error(capsys, tmp_path):
+    spec = tmp_path / "target.yaml"
+    spec.write_text("kind: spherical\nT: 2\nradius: 0.5\n")
+    code = run_cli(["membership", "--d", "2", "--target", str(spec), "--x", "0.5", "--t", "1", "--direct"])
+    assert code == 2 and "stable" in capsys.readouterr().err
+
+
+def test_missing_target_key_is_usage_error(capsys, tmp_path):
+    spec = tmp_path / "target.yaml"
+    spec.write_text("kind: stable\nT: 1\n")
+    assert run_cli(["membership", "--d", "2", "--target", str(spec), "--x", "0.5", "--t", "1"]) == 2
+    assert "'eps'" in capsys.readouterr().err
+    cfg = sthe_config(tmp_path, target={"kind": "stable", "T": 2})
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'eps'" in capsys.readouterr().err
+    doc = yaml.safe_load(sthe_config(tmp_path).read_text())
+    del doc["t_schedule"]
+    cfg.write_text(yaml.safe_dump(doc))
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'t_schedule'" in capsys.readouterr().err
+
+
+CHART2, CHART3 = coords.Chart(dim=2, radius=0.5), coords.Chart(dim=3, radius=0.5)
+
+
+@pytest.mark.parametrize("d, doc, want", [
+    (2, {"kind": "stable", "eps": 0.2}, targets.StableSection(d=2, T=1.0, eps=0.2, ytilde=(0.0,))),
+    (3, {"kind": "stable", "T": "3/2", "eps": "1/5", "ytilde": ["1/100", -0.02]},
+     targets.StableSection(d=3, T=1.5, eps=0.2, ytilde=(0.01, -0.02))),
+    (2, {"kind": "spherical", "radius": 0.5}, targets.SphericalSection(d=2, T=2.0, chart=CHART2)),
+    (3, {"kind": "spherical", "T": 3, "radius": "1/2"}, targets.SphericalSection(d=3, T=3.0, chart=CHART3)),
+    (2, {"kind": "grenier-stable", "alphas": [1], "gammas": [4], "eps": 0.2},
+     targets.GrenierBoxStable(d=2, alphas=(1.0,), gammas=(4.0,), beta_lo=None, beta_hi=None, ktilde=None, T=1.0,
+                              eps=0.2, ytilde=(0.0,))),
+    (3, {"kind": "grenier-stable", "alphas": [1, 1], "gammas": [2, "5/2"], "beta_lo": [-0.5, -0.5, -0.25],
+         "beta_hi": [0.5, 0.5, 0.25], "ktilde": [0, 1], "T": 2, "eps": 0.2, "ytilde": [0.01, 0]},
+     targets.GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.5), beta_lo=(-0.5, -0.5, -0.25),
+                              beta_hi=(0.5, 0.5, 0.25), ktilde=(0.0, 1.0), T=2.0, eps=0.2, ytilde=(0.01, 0.0))),
+    (3, {"kind": "grenier-spherical", "alphas": [2, 2], "gammas": [6, 6], "radius": 0.5},
+     targets.GrenierBoxSpherical(d=3, alphas=(2.0, 2.0), gammas=(6.0, 6.0), chart=CHART3, ktilde=None, T=None)),
+    (2, {"kind": "grenier-spherical", "alphas": [1.5], "gammas": [6], "radius": 0.5, "ktilde": [0, 1], "T": 3},
+     targets.GrenierBoxSpherical(d=2, alphas=(1.5,), gammas=(6.0,), chart=CHART2, ktilde=(0.0, 1.0), T=3.0)),
+])
+def test_target_from_dict_minimal_and_full_docs(d, doc, want):
+    # the expected targets are the ones the per-kind constructors built
+    # before the defaults moved onto the dataclass fields
+    assert cli.target_from_dict(d, doc) == want
 
 
 def sthe_config(tmp_path, **overrides):

@@ -387,6 +387,22 @@ def test_collision_clusters_wide_range_tiny_width():
     assert [c.tolist() for c in farey.collision_clusters(points, 1e-9)] == want
 
 
+def test_collision_clusters_check_the_budget_before_allocating():
+    # x^2 crowds thousands of points into the first cells: their same-cell
+    # pairs alone number over 10^8, which once filled 8 GB
+    rng = np.random.default_rng(0)
+    points = (rng.uniform(0.0, 1.0, size=200_000) ** 2)[:, None]
+    widths = rng.uniform(0.0, 3e-3, size=200_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            farey.collision_clusters(points, widths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
+
+
 def test_d3_window_overlap_below_nominal_budget():
     # two distinct sheets meet below the nominal d = 3 budget C_3 T = 0.433:
     # at t = 1.8, eps = 0.2, T = 1 the detector reports (0,6,31) and (0,7,36),
@@ -519,6 +535,20 @@ def test_sthe_exact_stable_wrapper():
     assert val == direct
     val3 = ex.sthe_exact_stable(3, ([0.0, 0.0], [1.0, 1.0]), 0.2, (0.0, 0.0), 1.0, 2.0)
     assert val3 > 0
+
+
+@pytest.mark.parametrize("L, estimator", [
+    (((1.0, 0.0), (0.5, 1.0)), "window-sum"),  # general L: the enumerated sum
+    (None, "exact-window"),
+    (((math.sqrt(2), 0.0), (0.0, 1 / math.sqrt(2))), "exact-window"),  # diag_a2: 2
+])
+def test_auto_estimator_picks_the_exact_path(L, estimator):
+    cfg = stable_cfg(L=L, t_schedule=(5.0,), estimator=("auto",))
+    target, lo, hi = cfg.target, np.array([0.0]), np.array([1.0])
+    want = ex.estimate_integral(stable_cfg(L=L, t_schedule=(5.0,), estimator=(estimator,)), target, 5.0, 0)
+    assert ex.estimate_integral(cfg, target, 5.0, 0) == want
+    assert ex.sthe_exact_stable(2, ([0.0], [1.0]), 0.2, (0.0,), 2.0, 5.0, L=L) == want[0]
+    assert ex.exact_integral(target, L, lo, hi, 5.0) == want
 
 
 def test_dual_direct_length_consistency():

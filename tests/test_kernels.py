@@ -158,3 +158,23 @@ def test_primitive_box():
         want = [v for v in itertools.product(*axes) if math.gcd(*v) == 1]
         assert got.dtype == np.int64 and got.shape == (len(want), len(lo))
         assert [tuple(v) for v in got.tolist()] == want
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py swaps the module attributes in LAYERS for timing
+    # wrappers through getattr; a renamed layer would break traced runs
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for owner_name, attr, _name, _counters in tracing.LAYERS:
+        module, _, cls = owner_name.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr)), (owner_name, attr)

@@ -94,7 +94,7 @@ def test_dual_spherical_unique_chart_point(rng):
     idx = farey.farey_index(2, math.exp(t))
     for x in rng.uniform(0, 1, size=300):
         hits = []
-        for i in idx.near([x], targets._candidate_radius(target, t), alpha_max=targets._alpha_cutoff(target, t)):
+        for i in idx.near([x], target.candidate_radius(t), alpha_max=target.alpha_cutoff(t)):
             res = targets._test_candidate(target, None, np.array([x]), t, idx.points[i], float(idx.alpha_d[i]), idx.sources[i])
             if res is not None:
                 hits.append(res["z"])
@@ -176,7 +176,7 @@ def test_direct_general_translation():
 
 
 def test_measure_stable_example():
-    rec = targets.measure_formula(targets.StableSection(d=2, T=2.0, eps=0.2))
+    rec = targets.StableSection(d=2, T=2.0, eps=0.2).measure()
     assert abs(rec.value - 0.2 / (2 * zeta(2) * 2)) <= 1e-15
     assert abs(rec.value - 0.0303964) <= 1e-6
 
@@ -190,8 +190,8 @@ def test_measure_scaling_laws():
         targets.GrenierBoxSpherical(d=2, alphas=(1.5,), gammas=(6.0,), chart=coords.Chart(dim=2, radius=0.5), T=3.0),
     ):
         d = tgt.d
-        v1 = targets.measure_formula(tgt).value
-        v2 = targets.measure_formula(targets.with_level(tgt, 2 * tgt.T)).value
+        v1 = tgt.measure().value
+        v2 = targets.with_level(tgt, 2 * tgt.T).measure().value
         assert abs(v2 / v1 - 2.0 ** (-(d - 1))) <= 1e-12
 
 
@@ -200,22 +200,22 @@ def test_measure_flowed_box_law():
     base = targets.GrenierBoxStable(d=2, alphas=(1.0,), gammas=(4.0,), T=1.0, eps=0.2)
     tt = 1.7
     scaled = targets.GrenierBoxStable(d=2, alphas=(tt**2,), gammas=(4.0 * tt**2,), T=tt**2, eps=0.2)
-    v_base = targets.measure_formula(base).value
-    v_scaled = targets.measure_formula(scaled).value
+    v_base = base.measure().value
+    v_scaled = scaled.measure().value
     assert abs(v_scaled / v_base - tt ** (-2.0)) <= 1e-12
 
 
 def test_measure_spherical_quadrature_agreement():
     for radius, T in ((math.pi / 6, 1.2), (0.4, 3.0)):
         tgt = targets.SphericalSection(d=2, T=T, chart=coords.Chart(dim=2, radius=radius))
-        rec = targets.measure_formula(tgt)
+        rec = tgt.measure()
         quad = targets.spherical_measure_quadrature(tgt.chart, T, 2)
         assert abs(rec.value - quad) <= 1e-9 * rec.value
 
 
 def test_measure_grenier_d3_ratio_only():
     tgt = targets.GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.1)
-    rec = targets.measure_formula(tgt)
+    rec = tgt.measure()
     assert rec.value is None and rec.method == "ratio-only"
 
 
@@ -236,7 +236,7 @@ def test_grenier_spherical_measure_vs_quadrature():
 
     val, _ = integrate.quad(integrand, -xmax, xmax)
     val /= zeta(2)
-    rec = targets.measure_formula(tgt)
+    rec = tgt.measure()
     assert abs(rec.value - val) <= 1e-9 * val
 
 
@@ -390,11 +390,11 @@ def samples_and_pairs(target, L, t, n_near, n_uniform, seed):
     d = target.d
     lo, hi = np.full(d - 1, 0.25), np.full(d - 1, 0.5)
     index = experiments._build_index(target, L, lo, hi, t)
-    radius = targets._candidate_radius(target, t)
+    radius = target.candidate_radius(t)
     rng = np.random.default_rng(seed)
     picks = index.points[rng.integers(len(index), size=n_near if len(index) else 0)]
     xs = np.concatenate([picks - rng.uniform(-radius, radius, size=picks.shape), rng.uniform(lo, hi, size=(n_uniform, d - 1))])
-    near = [index.near(x, radius, alpha_max=targets._alpha_cutoff(target, t)) for x in xs]
+    near = [index.near(x, radius, alpha_max=target.alpha_cutoff(t)) for x in xs]
     return index, xs, np.repeat(np.arange(len(xs)), [c.size for c in near]), np.concatenate(near)
 
 
@@ -451,7 +451,7 @@ def test_dual_and_direct_hit_rates_agree(d, t, eps):
     xs = np.random.default_rng(7).uniform(0, 1, size=(4000, d - 1))
     dual, _count = experiments.sampled_integral(target, None, np.zeros(d - 1), np.ones(d - 1), t, xs)
     direct = np.mean([targets.member_direct(target, None, x, t) is not None for x in xs])
-    limit = targets.measure_formula(target).value
+    limit = target.measure().value
     sd = math.sqrt(limit * (1 - limit) / xs.shape[0])
     assert abs(dual - limit) <= 4 * sd and abs(direct - limit) <= 4 * sd
 
