@@ -88,26 +88,32 @@ def target_from_dict(d: int, doc: dict):
     """The target a config document describes.  "kind" picks the class in
     targets.KINDS; each field of that class but d is read from the key of
     its name, or from "radius" for a chart.  A key left out takes the
-    field's default, and a required key left out is a ConfigError."""
+    field's default, and a required key left out or a key that names no
+    field is a ConfigError."""
     kind = doc.get("kind")
     if kind not in targets.KINDS:
         raise ConfigError(f"unknown target kind {kind!r}")
     cls = targets.KINDS[kind]
     hints = typing.get_type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "d"}
+    keys = {name: "radius" if hints[name] is coords.Chart else name for name in fields}
+    unknown = sorted(set(doc) - {"kind", *keys.values()})
+    if unknown:
+        raise ConfigError(f"{kind} target has no key {unknown[0]!r}; its keys are {sorted(keys.values())}")
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        key = "radius" if hint is coords.Chart else f.name
-        value = doc.get(key)
-        if f.name == "d" or value is None:
-            if f.name != "d" and f.default is dataclasses.MISSING:
+    for name, key in keys.items():
+        hint, value = hints[name], doc.get(key)
+        if value is None:
+            if fields[name].default is dataclasses.MISSING:
                 raise ConfigError(f"{kind} target needs {key!r}")
         elif hint is coords.Chart:
-            kwargs[f.name] = coords.Chart(dim=d, radius=float(_scalar(value)))
+            kwargs[name] = coords.Chart(dim=d, radius=float(_scalar(value)))
         elif tuple in (hint, *typing.get_args(hint)):
-            kwargs[f.name] = tuple(float(_scalar(v)) for v in value)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{kind} target key {key!r} takes a list, got {value!r}")
+            kwargs[name] = tuple(float(_scalar(v)) for v in value)
         else:
-            kwargs[f.name] = float(_scalar(value))
+            kwargs[name] = float(_scalar(value))
     return cls(d=d, **kwargs)
 
 
@@ -254,7 +260,9 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_volumes(args) -> int:
-    tgt = target_from_dict(args.d, {"kind": args.target, "T": args.T, "eps": args.eps, "radius": args.radius})
+    # each kind reads one of the two thickness options; the other is no key of it
+    key = {"stable": "eps", "spherical": "radius"}[args.target]
+    tgt = target_from_dict(args.d, {"kind": args.target, "T": args.T, key: getattr(args, key)})
     rec = tgt.measure()
     _emit({"target": args.target, "value": rec.value, "T": rec.T, "ratio_exponent": rec.ratio_exponent,
            "method": rec.method})

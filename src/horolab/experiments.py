@@ -21,6 +21,7 @@ import numpy as np
 from . import _kernels as K
 from . import farey as fy
 from . import targets as tg
+from .algebra import zeta
 from .errors import ConfigError, DisjointnessError, HorolabError
 
 
@@ -187,14 +188,20 @@ def _enumerate_box(d: int, L, q_cap: float, box) -> tuple[np.ndarray, np.ndarray
     return sources, alpha
 
 
-def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
+def _stable_window_shape(target: tg.StableSection, t: float) -> tuple[float, np.ndarray, float]:
+    """Window width w, center offset c_off and the margin w/2 + |c_off| by
+    which a box must grow to hold every window that meets it."""
     d = target.d
     w = target.eps * math.exp(-d * t)
     c_off = np.asarray(target.ytilde, dtype=float) * math.exp(-d * t)
-    q_cap = target.denominator_cap(t)
-    margin = w / 2.0 + float(np.abs(c_off).max()) + 1e-15
+    return w, c_off, w / 2.0 + float(np.abs(c_off).max()) + 1e-15
+
+
+def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
+    d = target.d
+    w, c_off, margin = _stable_window_shape(target, t)
     box = (lo - margin, hi + margin)
-    sources, alpha = _enumerate_box(d, L, q_cap, box)
+    sources, alpha = _enumerate_box(d, L, target.denominator_cap(t), box)
     if sources.shape[0] == 0:
         return sources, np.empty((0, d - 1)), w
     centers = alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off
@@ -266,14 +273,37 @@ def _grid_union(los: np.ndarray, his: np.ndarray) -> float:
     return float(np.einsum("ci,cij,cj->", widths[..., 0], cover, widths[..., 1]))
 
 
+_STRIP_POINTS = 1 << 19  # predicted points per strip of the enumerated window sum
+
+
+def _strip_edges(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> np.ndarray:
+    """Edges lo_1 = e_0 < ... < e_n = hi_1 of the strips along the first
+    parameter axis, about _STRIP_POINTS predicted points each.
+
+    The prediction is vol(box) Q^d / (d zeta(d)) for the box A plus margin.
+    A general L gets one strip: its enumeration box is the preimage of the
+    admissible cone, which does not shrink with the strip.
+    """
+    d = target.d
+    if L is not None:
+        return np.array([lo[0], hi[0]])
+    margin = _stable_window_shape(target, t)[2]
+    predicted = box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
+    n = max(1, math.ceil(predicted / _STRIP_POINTS))
+    return np.linspace(lo[0], hi[0], n + 1)
+
+
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
     """Exact integral: clipped window volumes, corrected by the union of each
-    collision cluster.
+    collision cluster, summed strip by strip along the first axis of A.
 
-    The raw sum of all clipped windows comes first, and its volume array is
-    freed before clustering, which keeps peak memory down.  The clustered
-    windows then replace their raw sum by their exact union, measured in
-    one batched call over all clusters.
+    The measure of the union is additive over the strips, so each strip
+    enumerates only the windows that can meet it (the strip plus the margin
+    of _stable_window_centers), clips them to the strip and measures its own
+    collision clusters; the strips are added in order.  A strip counts the
+    points it owns, ceil(e_k q) <= p_1 < ceil(e_{k+1} q) in the kernel's own
+    rounding, the outer strips reaching out to the ends of the box, so the
+    count is that of the whole box.  ENUM_BUDGET bounds the running count.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
@@ -281,19 +311,32 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     small widths, so the union is computed instead.
     """
     d = target.d
-    sources, centers, w = _stable_window_centers(target, L, lo, hi, t)
-    count = int(sources.shape[0])
-    del sources  # only its length is needed; free it before the collision search
-    if count == 0:
-        return 0.0, 0
-    total = float(_clipped_box_volumes(centers, w, lo, hi).sum())
-    clusters = fy.collision_clusters(centers, w)
-    if clusters and d == 2:
-        raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
-    if clusters:
-        clustered = centers[np.concatenate(clusters)]
-        union = _cluster_union_volume(clustered, w, lo, hi, sizes=[m.size for m in clusters])
-        total += union - float(_clipped_box_volumes(clustered, w, lo, hi).sum())
+    edges = _strip_edges(target, L, lo, hi, t)
+    n = edges.size - 1
+    cuts = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
+    total, count = 0.0, 0
+    for k in range(n):
+        s_lo, s_hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        s_lo[0], s_hi[0] = edges[k], edges[k + 1]
+        sources, centers, w = _stable_window_centers(target, L, s_lo, s_hi, t)
+        if n == 1:
+            count += int(sources.shape[0])
+        else:
+            p, q = sources[:, 0], sources[:, -1].astype(float)
+            count += int(np.count_nonzero((p >= np.ceil(cuts[k] * q)) & (p < np.ceil(cuts[k + 1] * q))))
+        fy.check_budget(count, "window enumeration")
+        del sources  # only the owned count is needed; free it before the collision search
+        if centers.shape[0] == 0:
+            continue
+        part = float(_clipped_box_volumes(centers, w, s_lo, s_hi).sum())
+        clusters = fy.collision_clusters(centers, w)
+        if clusters and d == 2:
+            raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
+        if clusters:
+            clustered = centers[np.concatenate(clusters)]
+            union = _cluster_union_volume(clustered, w, s_lo, s_hi, sizes=[m.size for m in clusters])
+            part += union - float(_clipped_box_volumes(clustered, w, s_lo, s_hi).sum())
+        total += part
     return total, count
 
 

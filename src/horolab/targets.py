@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels as K
 from . import farey as fy
@@ -123,6 +122,11 @@ class SphericalSection(_Target, _ChartThickening):
         if d == 2:
             value = self.chart.domain_volume / (2.0 * zeta(2) * self.T)
             return MeasureRecord(value=value, T=self.T, ratio_exponent=d - 1, method="closed")
+        if d == 3:
+            # the quadrature's integral in closed form: int_0^tan r 2 pi rho (1 + rho^2)^{-3/2} drho
+            # = 2 pi (1 - cos r), with 1 - cos r = 2 sin^2(r/2) free of cancellation
+            value = 4.0 * math.pi * math.sin(self.chart.radius / 2.0) ** 2 / (3.0 * zeta(3) * self.T**2)
+            return MeasureRecord(value=value, T=self.T, ratio_exponent=d - 1, method="closed")
         value = spherical_measure_quadrature(self.chart, self.T, d)
         return MeasureRecord(value=value, T=self.T, ratio_exponent=d - 1, method="quadrature")
 
@@ -174,6 +178,7 @@ class GrenierBoxStable(_GrenierHeights, _StableThickening):
             raise HorolabError("lower bounds alphas must be >= 1 (lower height >= 1)")
         if any(g < a for a, g in zip(self.alphas, self.gammas)):
             raise HorolabError("gammas must dominate alphas")
+        _check_ktilde(self.ktilde)
         if self.ytilde is None:
             object.__setattr__(self, "ytilde", (0.0,) * (d - 1))
         if self.beta_lo is None:
@@ -218,6 +223,7 @@ class GrenierBoxSpherical(_GrenierHeights, _ChartThickening):
             raise HorolabError("alphas/gammas must have length d-1")
         if any(g < a for a, g in zip(self.alphas, self.gammas)):
             raise HorolabError("gammas must dominate alphas")
+        _check_ktilde(self.ktilde)
         if not self.chart.hemispherical:
             raise HorolabError("spherical boxes need a hemispherical chart")
         if self.T_minus <= h0(d) ** (2.0 * (d - 1) / d):
@@ -243,6 +249,11 @@ KINDS = {
     "grenier-stable": GrenierBoxStable,
     "grenier-spherical": GrenierBoxSpherical,
 }
+
+
+def _check_ktilde(ktilde) -> None:
+    if ktilde is not None and len(ktilde) != 2:
+        raise HorolabError(f"ktilde must be an angle pair (lo, hi) or None, got {ktilde!r}")
 
 
 def _default_beta(d: int, low: bool) -> tuple:
@@ -709,6 +720,8 @@ def spherical_measure_quadrature(chart: Chart, T: float, d: int) -> float:
     """Independent quadrature of the section-with-chart volume integral: the
     parabolic factor integrates to one, leaving the offset variable and the
     explicit exponential depth weight."""
+    from scipy import integrate  # slow to import, and only this oracle uses it
+
     if d == 2:
         xmax = math.tan(chart.radius)
 

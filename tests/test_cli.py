@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from horolab import cli, coords, targets
+from horolab.errors import ConfigError, HorolabError
 
 
 def run_cli(argv):
@@ -151,6 +152,55 @@ def test_target_from_dict_minimal_and_full_docs(d, doc, want):
     # the expected targets are the ones the per-kind constructors built
     # before the defaults moved onto the dataclass fields
     assert cli.target_from_dict(d, doc) == want
+
+
+@pytest.mark.parametrize("d, doc, key", [
+    (2, {"kind": "stable", "eps": 0.2, "Y_tilde": [0.3]}, "Y_tilde"),
+    (2, {"kind": "stable", "eps": 0.2, "radius": 0.5}, "radius"),
+    (3, {"kind": "spherical", "T": 3, "radius": 0.5, "eps": 0.2}, "eps"),
+    (3, {"kind": "spherical", "T": 3, "radius": 0.5, "d": 3}, "d"),
+])
+def test_target_from_dict_rejects_unknown_keys(d, doc, key):
+    with pytest.raises(ConfigError, match=repr(key)):
+        cli.target_from_dict(d, doc)
+
+
+def test_unknown_target_key_is_usage_error(capsys, tmp_path):
+    # a misspelled optional key used to parse silently to its default
+    cfg = sthe_config(tmp_path, target={"kind": "stable", "T": 2, "eps": 0.2, "Y_tilde": [0.3]})
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'Y_tilde'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "grenier-stable", "alphas": [1, 1], "gammas": [2, 2], "eps": 0.2},
+    {"kind": "grenier-spherical", "alphas": [2, 2], "gammas": [6, 6], "radius": 0.5},
+])
+def test_ktilde_must_be_a_pair(capsys, tmp_path, doc):
+    cli.target_from_dict(3, {**doc, "ktilde": [0, 1]})
+    doc = {**doc, "ktilde": [0.5]}
+    with pytest.raises(HorolabError, match="ktilde must be an angle pair"):
+        cli.target_from_dict(3, doc)
+    cfg = sthe_config(tmp_path, d=3, target=doc, A={"lo": [0, 0], "hi": [1, 1]}, t_schedule=[1.0],
+                      estimator={"kind": "monte-carlo", "n": 4})
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "ktilde must be an angle pair" in capsys.readouterr().err
+
+
+def test_tuple_target_key_takes_a_list():
+    with pytest.raises(ConfigError, match="'ktilde' takes a list"):
+        cli.target_from_dict(3, {"kind": "grenier-stable", "alphas": [1, 1], "gammas": [2, 2], "eps": 0.2, "ktilde": 0.5})
+
+
+def test_volumes_reads_one_thickness_option(capsys):
+    assert run_cli(["volumes", "--target", "spherical", "--d", "3", "--T", "3", "--radius", "0.5", "--eps", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "closed"
+
+
+def test_cli_import_leaves_scipy_integrate_and_csgraph_unloaded():
+    code = "import sys, horolab.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.sparse.csgraph') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def sthe_config(tmp_path, **overrides):

@@ -184,6 +184,60 @@ def test_window_sum_unit_cell_matches_enumeration_d3():
     assert abs(val_cell - val_enum) <= 1e-12 * max(val_cell, 1e-12)
 
 
+def tiled_and_one_strip(target, lo, hi, t, n):
+    """The enumerated stable window sum over n strips of A and over one, with
+    the points-per-strip constant set to give exactly n."""
+    d = target.d
+    margin = ex._stable_window_shape(target, t)[2]
+    predicted = ex.box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "_STRIP_POINTS", predicted / n * (1.0 + 1e-9))
+        assert ex._strip_edges(target, None, lo, hi, t).tolist() == np.linspace(lo[0], hi[0], n + 1).tolist()
+        tiled = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+        mp.setattr(ex, "_STRIP_POINTS", math.inf)
+        assert ex._strip_edges(target, None, lo, hi, t).size == 2
+        whole = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    return tiled, whole
+
+
+@st.composite
+def strip_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    lo = np.array([draw(st.floats(-0.5, 0.9)) for _ in range(d - 1)])
+    hi = lo + np.array([draw(st.floats(0.05, 1.0)) for _ in range(d - 1)])
+    T = draw(st.floats(1.0, 2.0))
+    eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(d, T)
+    ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(d - 1))
+    t = draw(st.floats(1.0, 5.0 if d == 2 else 1.9))
+    n = draw(st.integers(2, 12))
+    return tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde), lo, hi, t, n
+
+
+@settings(deadline=None, max_examples=40)
+@given(strip_cases())
+def test_tiled_window_sum_matches_one_strip(case):
+    target, lo, hi, t, n = case
+    (val, count), (val_one, count_one) = tiled_and_one_strip(target, lo, hi, t, n)
+    assert count == count_one
+    assert abs(val - val_one) <= 1e-12 * abs(val_one)
+
+
+@pytest.mark.parametrize("lo, hi, n, t", [
+    ([0.0], [1.0], 4, 5.0),
+    ([0.0, 0.0], [1.0, 1.0], 4, 1.8),
+    ([-0.5, 0.0], [0.5, 1.0], 2, 1.8),
+])
+def test_tiled_window_sum_with_edges_on_rationals(lo, hi, n, t):
+    # 1/4, 1/2, 3/4 and 0 are Farey points on the strip edges, for every q
+    # they divide, so ownership decides by the kernel's ceil; at x_1 = 0 the
+    # d = 3 cusp collisions form clusters that straddle the edge
+    d = len(lo) + 1
+    target = tg.StableSection(d=d, T=1.0, eps=0.2, ytilde=(0.01,) * (d - 1))
+    (val, count), (val_one, count_one) = tiled_and_one_strip(target, np.array(lo), np.array(hi), t, n)
+    assert count == count_one
+    assert abs(val - val_one) <= 1e-12 * val_one
+
+
 def test_spherical_window_sum_matches_enumeration():
     t = 4.0
     target = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))

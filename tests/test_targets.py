@@ -213,6 +213,15 @@ def test_measure_spherical_quadrature_agreement():
         assert abs(rec.value - quad) <= 1e-9 * rec.value
 
 
+@pytest.mark.parametrize("T, radius", [(3.0, 0.5), (2.5, 0.5), (2.5, 1.0), (4.0, 1.2), (2.4, 0.05)])
+def test_measure_spherical_d3_closed_form_against_quadrature(T, radius):
+    tgt = targets.SphericalSection(d=3, T=T, chart=coords.Chart(dim=3, radius=radius))
+    rec = tgt.measure()
+    quad = targets.spherical_measure_quadrature(tgt.chart, T, 3)
+    assert rec.method == "closed"
+    assert abs(rec.value - quad) <= 1e-12 * quad
+
+
 def test_measure_grenier_d3_ratio_only():
     tgt = targets.GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.1)
     rec = tgt.measure()
