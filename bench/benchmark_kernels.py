@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the hot kernels, the d = 2 interval count built on them, and the
-A3 collision search.
+A3 collision search and clipped window volumes.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -14,13 +14,21 @@ import time
 import numpy as np
 
 from horolab import _kernels as K
-from horolab import farey
+from horolab import experiments, farey
+from horolab.targets import StableSection
 
 
 def a3_centers():
-    """The d = 3 Farey centers at Q = 299 and the A3 window width 0.2 e^{-8.55}."""
-    _sources, alpha = farey.farey_arrays(3, 299)
-    return alpha[:, :2] / alpha[:, 2:], 0.2 * math.exp(-8.55)
+    """The A3 window centers over the unit square (T = 1, eps = 0.2,
+    t = 2.85, so q <= e^{5.7} and w = 0.2 e^{-8.55}), in the Fortran order
+    that _stable_window_centers gives the window sum."""
+    target = StableSection(d=3, T=1.0, eps=0.2)
+    _sources, centers, w = experiments._stable_window_centers(target, None, np.zeros(2), np.ones(2), 2.85)
+    return centers, w
+
+
+def a3_clipped():
+    return (*a3_centers(), np.zeros(2), np.ones(2))
 
 
 def timed(fn, *args, repeat=3):
@@ -46,8 +54,9 @@ CASES = [
         "count_farey_in_interval",
         (3_811_092, 0.1 + 0.1 * math.exp(-31.0), 0.7 - 0.1 * math.exp(-31.0)),
     ),
-    # the A3 collision search; a callable builds its arguments when the case runs
+    # the A3 collision search and window volumes; a callable builds its arguments when the case runs
     ("collision_clusters(A3)", "collision_clusters", a3_centers),
+    ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
 ]
 
 
@@ -58,7 +67,7 @@ def main():
 
     print(f"{'case':32s} {'seconds':>10s}")
     for label, name, fargs in CASES:
-        fn = getattr(K, name, None) or getattr(farey, name)
+        fn = getattr(K, name, None) or getattr(farey, name, None) or getattr(experiments, name)
         fargs = fargs() if callable(fargs) else fargs
         print(f"{label:32s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
 

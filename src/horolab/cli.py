@@ -100,6 +100,13 @@ def target_from_dict(d: int, doc: dict):
     unknown = sorted(set(doc) - {"kind", *keys.values()})
     if unknown:
         raise ConfigError(f"{kind} target has no key {unknown[0]!r}; its keys are {sorted(keys.values())}")
+
+    def number(key, value):
+        try:
+            return float(_scalar(value))
+        except TypeError:
+            raise ConfigError(f"{kind} target key {key!r} takes a number, got {value!r}") from None
+
     kwargs = {}
     for name, key in keys.items():
         hint, value = hints[name], doc.get(key)
@@ -107,13 +114,13 @@ def target_from_dict(d: int, doc: dict):
             if fields[name].default is dataclasses.MISSING:
                 raise ConfigError(f"{kind} target needs {key!r}")
         elif hint is coords.Chart:
-            kwargs[name] = coords.Chart(dim=d, radius=float(_scalar(value)))
+            kwargs[name] = coords.Chart(dim=d, radius=number(key, value))
         elif tuple in (hint, *typing.get_args(hint)):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{kind} target key {key!r} takes a list, got {value!r}")
-            kwargs[name] = tuple(float(_scalar(v)) for v in value)
+            kwargs[name] = tuple(number(f"{key}[{i}]", v) for i, v in enumerate(value))
         else:
-            kwargs[name] = float(_scalar(value))
+            kwargs[name] = number(key, value)
     return cls(d=d, **kwargs)
 
 

@@ -198,19 +198,43 @@ def _stable_window_shape(target: tg.StableSection, t: float) -> tuple[float, np.
 
 
 def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
+    """Sources, centers and width w of the windows that can meet [lo, hi].
+
+    For identity L both arrays are Fortran-ordered and each center column
+    p_i / q - c_off_i is built from the integer columns, so every later pass
+    over the centers reads contiguous columns.
+    """
     d = target.d
     w, c_off, margin = _stable_window_shape(target, t)
     box = (lo - margin, hi + margin)
-    sources, alpha = _enumerate_box(d, L, target.denominator_cap(t), box)
-    if sources.shape[0] == 0:
-        return sources, np.empty((0, d - 1)), w
-    centers = alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off
+    q_cap = target.denominator_cap(t)
+    if L is not None:
+        sources, alpha = _enumerate_box(d, L, q_cap, box)
+        return sources, alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off, w
+    sources = fy.farey_sources(d, q_cap, box) if q_cap >= 1 else np.empty((0, d), np.int64)
+    fy.check_budget(sources.shape[0], "window enumeration")
+    q = sources[:, d - 1].astype(float)
+    centers = np.empty((sources.shape[0], d - 1), order="F")
+    for i in range(d - 1):
+        np.divide(sources[:, i], q, out=centers[:, i])
+        centers[:, i] -= c_off[i]
     return sources, centers, w
 
 
 def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    clipped = np.clip(np.minimum(centers + w / 2.0, hi) - np.maximum(centers - w / 2.0, lo), 0.0, None)
-    return np.prod(clipped, axis=1)
+    """Volume of each box of width w at the centers, clipped to [lo, hi].
+    Axis by axis: the product of the clipped sides, for one or two sides
+    the same bits as np.prod along the rows."""
+    vol = None
+    for a in range(centers.shape[1]):
+        side = centers[:, a] + w / 2.0
+        np.minimum(side, hi[a], out=side)
+        low = centers[:, a] - w / 2.0
+        np.maximum(low, lo[a], out=low)
+        side -= low
+        np.clip(side, 0.0, None, out=side)
+        vol = side if vol is None else np.multiply(vol, side, out=vol)
+    return vol
 
 
 def _merge_length(intervals: np.ndarray) -> float:
@@ -246,6 +270,8 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     n, dim = centers.shape
     if dim not in (1, 2):
         raise ConfigError("window unions implemented for one and two parameter dimensions")
+    # the clusters are gathered row by row below: rows must be contiguous
+    centers = np.ascontiguousarray(centers)
     sizes = np.array([n]) if sizes is None else np.asarray(sizes, dtype=np.int64)
     los = np.maximum(centers - w / 2.0, lo)
     his = np.minimum(centers + w / 2.0, hi)

@@ -103,39 +103,73 @@ def _unit_box(d: int):
     return np.zeros(d - 1), np.ones(d - 1)
 
 
-def farey_arrays(d: int, Q: float, box=None) -> tuple[np.ndarray, np.ndarray]:
-    """Primitive (p, q) with 0 < q <= Q and p/q in the closed box.
+def _grid_bound(qmax: int, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Upper bound on the candidates the kernels test for 0 < q <= qmax:
+    sum_q prod_i (q l_i + 1) with l_i = max(hi_i - lo_i, 0), in closed form.
 
-    Returns (sources, alpha) where for L = I alpha equals the source floats.
+    The product is a polynomial sum_k c_k q^k, and the power sums
+    S_k = sum_{q <= qmax} q^k follow exactly, in integers, from
+    (qmax + 1)^{k+1} - 1 = sum_{j <= k} C(k + 1, j) S_j.
     """
+    coef = [1.0]  # c_0, c_1, ... of prod_i (l_i q + 1)
+    for l in np.maximum(hi - lo, 0.0):
+        coef = [a + float(l) * b for a, b in zip(coef + [0.0], [0.0] + coef)]
+    sums = []
+    for k in range(len(coef)):
+        rest = (qmax + 1) ** (k + 1) - 1 - sum(math.comb(k + 1, j) * sums[j] for j in range(k))
+        sums.append(rest // (k + 1))
+    return sum(c * s for c, s in zip(coef, sums))
+
+
+def _farey_columns(d: int, Q: float, box) -> list[np.ndarray]:
+    """The integer columns p_1, ..., p_{d-1}, q of the primitive points of
+    farey_arrays, as the kernel returns them.  The candidate grid is checked
+    against ENUM_BUDGET before the kernel runs."""
     _check_q(Q)
+    if d < 2:
+        raise InvalidDimensionError(f"d must be >= 2, got {d}")
     if box is None:
         lo, hi = _unit_box(d)
     else:
         lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
     qmax = int(math.floor(Q))
+    bound = _grid_bound(qmax, lo, hi)
+    check_budget(math.ceil(bound) if math.isfinite(bound) else bound, "Farey candidate grid")
     if d == 2:
         qs, ps = K.farey_d2(qmax, float(lo[0]), float(hi[0]))
-        sources = np.stack([ps, qs], axis=1)
-    elif d == 3:
+        return [ps, qs]
+    if d == 3:
         qs, p1, p2 = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-        sources = np.stack([p1, p2, qs], axis=1)
-    else:
-        if d < 2:
-            raise InvalidDimensionError(f"d must be >= 2, got {d}")
-        rows = []
-        for q in range(1, qmax + 1):
-            axes = [np.arange(math.ceil(lo[i] * q), math.floor(hi[i] * q) + 1, dtype=np.int64) for i in range(d - 1)]
-            if any(a.size == 0 for a in axes):
-                continue
-            grids = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=1)
-            g = np.gcd.reduce(np.abs(pts), axis=1)
-            g = np.gcd(g, q)
-            pts = pts[g == 1]
-            rows.append(np.concatenate([pts, np.full((pts.shape[0], 1), q, dtype=np.int64)], axis=1))
-        sources = np.concatenate(rows, axis=0) if rows else np.empty((0, d), np.int64)
+        return [p1, p2, qs]
+    rows = []
+    for q in range(1, qmax + 1):
+        axes = [np.arange(math.ceil(lo[i] * q), math.floor(hi[i] * q) + 1, dtype=np.int64) for i in range(d - 1)]
+        if any(a.size == 0 for a in axes):
+            continue
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        g = np.gcd.reduce(np.abs(pts), axis=1)
+        g = np.gcd(g, q)
+        pts = pts[g == 1]
+        rows.append(np.concatenate([pts, np.full((pts.shape[0], 1), q, dtype=np.int64)], axis=1))
+    sources = np.concatenate(rows, axis=0) if rows else np.empty((0, d), np.int64)
+    return list(sources.T)
+
+
+def farey_arrays(d: int, Q: float, box=None) -> tuple[np.ndarray, np.ndarray]:
+    """Primitive (p, q) with 0 < q <= Q and p/q in the closed box.
+
+    Returns (sources, alpha) where for L = I alpha equals the source floats.
+    """
+    sources = np.stack(_farey_columns(d, Q, box), axis=1)
     return sources, sources.astype(float)
+
+
+def farey_sources(d: int, Q: float, box=None) -> np.ndarray:
+    """The sources of farey_arrays as a Fortran-ordered (n, d) int64 array,
+    without the float copy: each column is contiguous, for callers that
+    work column by column."""
+    return np.concatenate(_farey_columns(d, Q, box)).reshape(d, -1).T
 
 
 def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
@@ -412,12 +446,16 @@ def _cell_keys(points: np.ndarray, max_w: float):
             break
         cell *= 2.0
     steps = np.append(np.cumprod(spans[:0:-1])[::-1], 1.0)
-    ids = points - lo
-    ids /= cell
-    np.floor(ids, out=ids)
-    ids += 1.0
-    keys = ids @ steps
-    del ids  # the float columns go before the int64 copy is made
+    # column by column, each id floor((x_a - lo_a) / cell) + 1 times its step:
+    # the sum is the row-major key, an exact integer below _MAX_KEYS
+    keys = None
+    for a in range(points.shape[1]):
+        ids = points[:, a] - lo[a]
+        ids /= cell
+        np.floor(ids, out=ids)
+        ids += 1.0
+        ids *= steps[a]
+        keys = ids if keys is None else np.add(keys, ids, out=keys)
     return keys.astype(np.int64), steps.astype(np.int64)
 
 
@@ -450,11 +488,10 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     listed.  Connected components of the close pairs are the clusters.
     Each cluster is sorted, and the clusters are ordered by their smallest
     member.
-    """
-    # imported on first use, which keeps csgraph out of `import horolab`
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
 
+    The points may be C- or Fortran-ordered; every pass over them reads
+    one column at a time.
+    """
     n = points.shape[0]
     if n < 2:
         return []
@@ -503,22 +540,46 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     pi = np.concatenate(pi_chunks + [pi])
     pj = np.concatenate(pj_chunks + [pj])
     thr = 0.5 * (w_arr[pi] + w_arr[pj])
-    hit = np.all(np.abs(points[pi] - points[pj]) < thr[:, None], axis=1)
+    hit = np.abs(points[pi, 0] - points[pj, 0]) < thr
+    for a in range(1, dim):
+        hit &= np.abs(points[pi, a] - points[pj, a]) < thr
     pi, pj = pi[hit], pj[hit]
     if pi.size == 0:
         return []
-    # the graph spans only the points in some close pair
+    # the graph spans only the points in some close pair; nodes ascend
     nodes, ends = np.unique(np.concatenate([pi, pj]), return_inverse=True)
-    graph = coo_matrix((np.ones(pi.size), (ends[: pi.size], ends[pi.size :])), shape=(nodes.size, nodes.size))
-    n_labels, labels = connected_components(graph, directed=False)
-    # nodes ascend, so a label's first node is its cluster's smallest member
-    _, first = np.unique(labels, return_index=True)
-    rank = np.empty(n_labels, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(n_labels)
-    cluster = rank[labels]
-    members = nodes[np.argsort(cluster, kind="stable")]
-    bounds = np.cumsum(np.bincount(cluster)).tolist()
-    return [members[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+    label = _component_labels(nodes.size, ends[: pi.size], ends[pi.size :])
+    order = np.argsort(label, kind="stable")
+    members = nodes[order]
+    cuts = (np.flatnonzero(label[order[1:]] != label[order[:-1]]) + 1).tolist()
+    return [members[a:b] for a, b in zip([0] + cuts, cuts + [members.size])]
+
+
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label of each of n nodes under the edges (u, v): the smallest node of
+    its connected component.
+
+    Root hooking and pointer jumping: label[x] <= x always names a node of
+    x's component, and a root is a node with label[x] == x.  Each round the
+    larger root of every edge whose roots differ is hooked under the
+    smaller (np.minimum.at keeps the least offer), then label = label[label]
+    runs until every node points at a root.  Every hook lowers a root's
+    label, so the rounds end, and then all nodes of a component share one
+    root.  Its smallest node can point only at itself, so that root is it.
+    """
+    label = np.arange(n)
+    while True:
+        ru, rv = label[u], label[v]
+        split = ru != rv
+        if not split.any():
+            return label
+        u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        np.minimum.at(label, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -197,10 +198,41 @@ def test_volumes_reads_one_thickness_option(capsys):
     assert json.loads(capsys.readouterr().out)["method"] == "closed"
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "stable", "eps": [0.2]}, "'eps'"),
+    ({"kind": "stable", "eps": {"value": 0.2}}, "'eps'"),
+    ({"kind": "stable", "eps": 0.2, "ytilde": [[0.1]]}, "'ytilde[0]'"),
+    ({"kind": "spherical", "T": 3, "radius": [0.5]}, "'radius'"),
+])
+def test_scalar_target_key_takes_a_number(capsys, tmp_path, doc, key):
+    # a list or mapping once reached float() and ended sthe-run with a TypeError
+    with pytest.raises(ConfigError, match=re.escape(f"{key} takes a number")):
+        cli.target_from_dict(2, doc)
+    cfg = sthe_config(tmp_path, target=doc, estimator={"kind": "window-sum"})
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} takes a number" in capsys.readouterr().err
+
+
+SCIPY_PARTS = "('scipy.integrate', 'scipy.sparse', 'scipy.sparse.csgraph')"
+
+
 def test_cli_import_leaves_scipy_integrate_and_csgraph_unloaded():
-    code = "import sys, horolab.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.sparse.csgraph') if m in sys.modules))"
+    code = f"import sys, horolab.cli; print(sorted(m for m in {SCIPY_PARTS} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_d3_window_sum_leaves_scipy_sparse_unloaded(tmp_path):
+    # t = 1.8 has colliding windows, so the run labels collision clusters
+    cfg = sthe_config(tmp_path, d=3, target={"kind": "stable", "T": 1, "eps": 0.2}, A={"lo": [0, 0], "hi": [1, 1]},
+                      t_schedule=[1.8], estimator={"kind": "window-sum"})
+    code = (f"import sys; from horolab import cli, farey; seen = []; run = farey.collision_clusters; "
+            f"farey.collision_clusters = lambda *a: seen.append(run(*a)) or seen[-1]; "
+            f"assert cli.main(['sthe-run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+            f"print(sum(len(c) for c in seen), sorted(m for m in {SCIPY_PARTS} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    clusters, loaded = out.strip().splitlines()[-1].split(" ", 1)  # sthe-run prints its summary first
+    assert int(clusters) > 0 and loaded == "[]"
 
 
 def sthe_config(tmp_path, **overrides):

@@ -176,6 +176,56 @@ def test_d2_counts_check_the_budget_before_allocating():
         assert peak < 1 << 20
 
 
+def test_d3_window_sum_in_strips_is_unchanged(monkeypatch):
+    # the value and count the strip-tiled sum gave with C-ordered centers and
+    # scipy's connected components, before the column-major layout
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    lo, hi, t = np.zeros(2), np.ones(2), 2.3
+    monkeypatch.setattr(ex, "_STRIP_POINTS", 1 << 16)
+    assert ex._strip_edges(target, None, lo, hi, t).size - 1 == 5
+    assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == (0.011086460573205231, 279417)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_clipped_box_volumes_match_row_product_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    lo, hi = np.full(dim, 0.25), np.full(dim, 0.75)
+    # grid values put edges exactly on lo and hi; the range reaches past both
+    centers = np.concatenate([rng.uniform(-0.2, 1.2, size=(500, dim)), rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(100, dim))])
+    for w in (0.1, 0.5, 2.0, 1e-9):
+        want = np.prod(np.clip(np.minimum(centers + w / 2.0, hi) - np.maximum(centers - w / 2.0, lo), 0.0, None), axis=1)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            got = ex._clipped_box_volumes(layout(centers), w, lo, hi)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_enumerations_check_the_budget_before_allocating(monkeypatch):
+    # candidate grids of 7e5 to 2e6 against a budget of 1e5: refused before
+    # the kernel runs.  At this size a missing check allocates megabytes,
+    # where a Q near the real budget would allocate gigabytes
+    monkeypatch.setattr(farey, "ENUM_BUDGET", 100_000)
+    zeta(3)  # the first call fills a cache through a 10^5-term partial sum
+    stable = tg.StableSection(d=3, T=1.0, eps=0.2)
+    sph = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
+    unit = (np.zeros(2), np.ones(2))
+    calls = [
+        lambda: farey.farey_arrays(3, 150),
+        lambda: farey.farey_sources(2, 1500, box=([0.0], [1.0])),
+        lambda: ex.stable_window_overlap(stable, None, *unit, 2.5),
+        lambda: ex.window_sum_spherical(sph, None, *unit, 2.8),
+        lambda: ex.marklof_average(3, 150, A=unit),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="Farey candidate grid"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_window_sum_unit_cell_matches_enumeration_d3():
     t = 1.8
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
@@ -404,8 +454,85 @@ def point_sets(draw):
 @settings(deadline=None)
 @given(point_sets())
 def test_collision_clusters_match_brute_force(case):
+    # the window sum passes Fortran-ordered centers, the spherical sum C-ordered ones
     points, w = case
-    assert [c.tolist() for c in farey.collision_clusters(points, w)] == _oracle_clusters(points, w)
+    want = _oracle_clusters(points, w)
+    assert [c.tolist() for c in farey.collision_clusters(points, w)] == want
+    assert [c.tolist() for c in farey.collision_clusters(np.asfortranarray(points), w)] == want
+
+
+def _union_find_clusters(points, w):
+    """Clusters by union-find over every close pair (sup-norm gap below
+    (w_i + w_j)/2), sorted, ordered by their smallest member."""
+    n = points.shape[0]
+    w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    close = np.all(np.abs(points[:, None, :] - points[None, :, :]) < (0.5 * (w[:, None] + w[None, :]))[..., None], axis=2)
+    pi, pj = np.nonzero(np.triu(close, 1))
+    for i, j in zip(pi, pj):
+        parent[find(i)] = find(j)
+    groups = {}
+    for i in np.unique(np.concatenate([pi, pj])):
+        groups.setdefault(find(i), []).append(int(i))
+    return sorted(groups.values())
+
+
+def _chain(n, w, y=0.0):
+    # consecutive boxes overlap (gap 0.9 w), every other pair is 1.8 w or more apart
+    return np.stack([0.9 * w * np.arange(n), np.full(n, y)], axis=1)
+
+
+def _star(n):
+    # a hub of width 2 at the origin meets n leaves of width 1e-3 on the
+    # circle of radius 0.9; neighbouring leaves lie about 0.004 apart
+    theta = 2.0 * np.pi * np.arange(n) / n
+    leaves = 0.9 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return np.concatenate([[[0.0, 0.0]], leaves]), np.concatenate([[2.0], np.full(n, 1e-3)])
+
+
+@pytest.mark.parametrize("shape, sizes", [("chain", [1200]), ("two chains", [600, 700]), ("star", [1001])])
+def test_collision_clusters_label_long_chains_and_stars(shape, sizes):
+    w = 1e-3
+    if shape == "chain":
+        points = _chain(1200, w)
+    elif shape == "two chains":
+        points = np.concatenate([_chain(700, w), _chain(600, w, y=1.5 * w)])
+    else:
+        points, w = _star(1000)
+    perm = np.random.default_rng(11).permutation(points.shape[0])  # the two chains interleave in index order
+    points = points[perm]
+    w = w if np.ndim(w) == 0 else w[perm]
+    want = _union_find_clusters(points, w)
+    assert sorted(len(c) for c in want) == sizes
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert [c.tolist() for c in farey.collision_clusters(layout(points), w)] == want
+
+
+@settings(deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+def test_component_labels_match_union_find(graph):
+    n, edges = graph
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)  # each root is its component's smallest node
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    assert farey._component_labels(n, u, v).tolist() == [find(x) for x in range(n)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

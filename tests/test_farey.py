@@ -168,6 +168,27 @@ def test_counts_check_the_budget_before_allocating():
         assert peak < 1 << 20
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(0, 40), st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 1.5)), min_size=3, max_size=3))
+def test_grid_bound_covers_the_kernel_grid(d, qmax, sides):
+    lo = np.array([a for a, _ in sides[: d - 1]])
+    hi = lo + np.array([b for _, b in sides[: d - 1]])
+    grid = sum(math.prod(math.floor(h * q) - math.ceil(l * q) + 1 for l, h in zip(lo, hi)) for q in range(1, qmax + 1))
+    bound = farey._grid_bound(qmax, lo, hi)
+    assert grid <= bound
+    # the unit box holds q + 1 values per axis: the bound is that grid exactly
+    unit = farey._grid_bound(qmax, np.zeros(d - 1), np.ones(d - 1))
+    assert unit == sum((q + 1) ** (d - 1) for q in range(1, qmax + 1))
+
+
+def test_farey_sources_are_the_farey_arrays_sources():
+    for d, box in ((2, ([-0.3], [0.7])), (3, ([0.1, -0.2], [0.6, 0.4])), (4, None)):
+        sources, alpha = farey.farey_arrays(d, 11.5, box=box)
+        cols = farey.farey_sources(d, 11.5, box=box)
+        assert cols.flags.f_contiguous and np.array_equal(cols, sources)
+        assert np.array_equal(alpha, sources.astype(float))
+
+
 def test_duplicate_region_hand_values():
     r = farey.duplicate_region(np.eye(3))
     assert r.kind == "torus" and np.allclose(r.period_basis, np.eye(2))
