@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the hot kernels, the d = 2 interval count built on them, and the
-A3 collision search and clipped window volumes.
+A3 collision searches and clipped window volumes.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -25,6 +25,14 @@ def a3_centers():
     target = StableSection(d=3, T=1.0, eps=0.2)
     _sources, centers, w = experiments._stable_window_centers(target, None, np.zeros(2), np.ones(2), 2.85)
     return centers, w
+
+
+def a3_pair_search():
+    """The A3 integer pair search: the denominator cap, the unit square grown
+    by the window margin, and w, as the window sum passes them."""
+    target = StableSection(d=3, T=1.0, eps=0.2)
+    w, _c_off, margin = experiments._stable_window_shape(target, 2.85)
+    return math.floor(target.denominator_cap(2.85)), np.full(2, -margin), np.full(2, 1.0 + margin), w
 
 
 def a3_clipped():
@@ -54,7 +62,8 @@ CASES = [
         "count_farey_in_interval",
         (3_811_092, 0.1 + 0.1 * math.exp(-31.0), 0.7 - 0.1 * math.exp(-31.0)),
     ),
-    # the A3 collision search and window volumes; a callable builds its arguments when the case runs
+    # the A3 collision searches and window volumes; a callable builds its arguments when the case runs
+    ("farey_window_pairs(A3)", "farey_window_pairs", a3_pair_search),
     ("collision_clusters(A3)", "collision_clusters", a3_centers),
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
 ]

@@ -213,12 +213,17 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
         return sources, alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off, w
     sources = fy.farey_sources(d, q_cap, box) if q_cap >= 1 else np.empty((0, d), np.int64)
     fy.check_budget(sources.shape[0], "window enumeration")
-    q = sources[:, d - 1].astype(float)
-    centers = np.empty((sources.shape[0], d - 1), order="F")
-    for i in range(d - 1):
+    return sources, _source_centers(sources, c_off), w
+
+
+def _source_centers(sources: np.ndarray, c_off: np.ndarray) -> np.ndarray:
+    """Fortran-ordered window centers p_i / q - c_off_i of identity-L sources."""
+    q = sources[:, -1].astype(float)
+    centers = np.empty((sources.shape[0], sources.shape[1] - 1), order="F")
+    for i in range(centers.shape[1]):
         np.divide(sources[:, i], q, out=centers[:, i])
         centers[:, i] -= c_off[i]
-    return sources, centers, w
+    return centers
 
 
 def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -306,15 +311,17 @@ def _strip_edges(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t:
     """Edges lo_1 = e_0 < ... < e_n = hi_1 of the strips along the first
     parameter axis, about _STRIP_POINTS predicted points each.
 
-    The prediction is vol(box) Q^d / (d zeta(d)) for the box A plus margin.
-    A general L gets one strip: its enumeration box is the preimage of the
-    admissible cone, which does not shrink with the strip.
+    The prediction is vol(box) Q^d / (d zeta(d)) for the box A plus margin;
+    it is checked against ENUM_BUDGET before the edges exist.  A general L
+    gets one strip: its enumeration box is the preimage of the admissible
+    cone, which does not shrink with the strip.
     """
     d = target.d
     if L is not None:
         return np.array([lo[0], hi[0]])
     margin = _stable_window_shape(target, t)[2]
     predicted = box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
+    fy.check_budget(math.ceil(predicted) if math.isfinite(predicted) else predicted, "predicted window enumeration")
     n = max(1, math.ceil(predicted / _STRIP_POINTS))
     return np.linspace(lo[0], hi[0], n + 1)
 
@@ -331,6 +338,13 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     rounding, the outer strips reaching out to the ends of the box, so the
     count is that of the whole box.  ENUM_BUDGET bounds the running count.
 
+    For identity L the overlapping window pairs of the whole box come from
+    one integer search (farey.farey_window_pairs) before the strips, ranked
+    in the kernel's row order (farey.pair_graph); a strip keeps the pairs
+    with both ends in its enumeration box and clusters them, in the order
+    collision_clusters gives for the strip's rows.  A general L, and d >= 4,
+    search each strip's centers with collision_clusters.
+
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
     For d >= 3 close window pairs are a real phenomenon at finite t even for
@@ -340,6 +354,10 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     edges = _strip_edges(target, L, lo, hi, t)
     n = edges.size - 1
     cuts = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
+    w, c_off, margin = _stable_window_shape(target, t)
+    search = L is None and d <= 3  # the integer pair search covers one and two parameter axes
+    if search:
+        nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w))
     total, count = 0.0, 0
     for k in range(n):
         s_lo, s_hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -355,12 +373,21 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         if centers.shape[0] == 0:
             continue
         part = float(_clipped_box_volumes(centers, w, s_lo, s_hi).sum())
-        clusters = fy.collision_clusters(centers, w)
-        if clusters and d == 2:
+        if search:
+            # the pairs with both ends in the strip's enumeration box, in the kernel's rounding
+            q = nodes[:, -1]
+            inside = (nodes[:, 0] >= np.ceil((s_lo[0] - margin) * q)) & (nodes[:, 0] <= np.floor((s_hi[0] + margin) * q))
+            both = inside[u] & inside[v]
+            members, sizes = fy.component_clusters(u[both], v[both])
+            clustered = _source_centers(nodes[members], c_off)
+        else:
+            clusters = fy.collision_clusters(centers, w)
+            sizes = [m.size for m in clusters]
+            clustered = centers[np.concatenate(clusters)] if clusters else None
+        if len(sizes) and d == 2:
             raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
-        if clusters:
-            clustered = centers[np.concatenate(clusters)]
-            union = _cluster_union_volume(clustered, w, s_lo, s_hi, sizes=[m.size for m in clusters])
+        if len(sizes):
+            union = _cluster_union_volume(clustered, w, s_lo, s_hi, sizes=sizes)
             part += union - float(_clipped_box_volumes(clustered, w, s_lo, s_hi).sum())
         total += part
     return total, count
@@ -545,10 +572,15 @@ def _build_index(target, L, lo, hi, t):
 
 def sampled_integral(target, L, lo, hi, t, points: np.ndarray) -> tuple[float, int]:
     """vol(A) times the fraction of sample points the dual predicate accepts;
-    the candidates near all samples are tested in one batched call."""
+    the candidates near all samples are tested in one batched call.  Their
+    running total is checked against ENUM_BUDGET as they are gathered."""
     index = _build_index(target, L, lo, hi, t)
     radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
-    near = [index.near(x, radius, alpha_max=amax) for x in points]
+    near, total = [], 0
+    for x in points:
+        near.append(index.near(x, radius, alpha_max=amax))
+        total += near[-1].size
+        fy.check_budget(total, "sample candidates")
     si = np.repeat(np.arange(len(points)), [c.size for c in near])
     pos, _found = tg.dual_hits(target, L, t, points, si, np.concatenate(near), index)
     hits = np.unique(si[pos]).size

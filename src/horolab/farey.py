@@ -213,6 +213,14 @@ def preimage_bounds(alo, ahi, M) -> tuple[np.ndarray, np.ndarray]:
     return np.floor(pre.min(axis=0)) - 1, np.ceil(pre.max(axis=0)) + 1
 
 
+def _primitive_box(plo: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """K.primitive_box over [plo, phi], once its integer point count has
+    been checked against ENUM_BUDGET."""
+    n = float(np.prod(np.maximum(np.floor(phi) - np.ceil(plo) + 1.0, 0.0)))
+    check_budget(math.ceil(n) if math.isfinite(n) else n, "preimage box")
+    return K.primitive_box(plo, phi)
+
+
 def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Primitive lattice points through the transpose-inverse of L.
 
@@ -234,7 +242,7 @@ def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.
     alo = np.append(np.minimum(lo * Q, 0.0), 0.0)
     ahi = np.append(np.maximum(hi * Q, 0.0), Q)
     # alpha = p @ tLinv  <=>  p = alpha @ tL
-    sources = K.primitive_box(*preimage_bounds(alo, ahi, np.asarray(L, dtype=float).T))
+    sources = _primitive_box(*preimage_bounds(alo, ahi, np.asarray(L, dtype=float).T))
     if sources.shape[0] == 0:
         return np.empty((0, d), np.int64), np.empty((0, d), float)
     alpha = sources.astype(float) @ tLinv_f
@@ -257,7 +265,7 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     d = L.shape[0]
     tLinv = _transpose_inverse(L)
     tLinv_f = tLinv.astype(float) if tLinv.dtype == object else tLinv
-    sources = K.primitive_box(*preimage_bounds(np.zeros(d), np.full(d, float(Q)), np.asarray(L, dtype=float).T))
+    sources = _primitive_box(*preimage_bounds(np.zeros(d), np.full(d, float(Q)), np.asarray(L, dtype=float).T))
     if sources.shape[0] == 0:
         return np.empty((0, d), np.int64), np.empty((0, d), float)
     alpha = sources.astype(float) @ tLinv_f
@@ -459,13 +467,24 @@ def _cell_keys(points: np.ndarray, max_w: float):
     return keys.astype(np.int64), steps.astype(np.int64)
 
 
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _block_pairs(start_i, n_i, start_j, n_j):
+    """Index pairs (start_i[k] + a, start_j[k] + b), a < n_i[k], b < n_j[k],
+    block by block, a major."""
+    m = n_i * n_j
+    link = np.repeat(np.arange(m.size), m)
+    a, b = np.divmod(_ramp(m), n_j[link])
+    return start_i[link] + a, start_j[link] + b
+
+
 def _cell_pair_rows(order, starts, counts, ci, cj):
     """All (row of cell ci, row of cell cj) pairs over the cell pairs (ci, cj)."""
-    ni, nj = counts[ci], counts[cj]
-    m = ni * nj
-    link = np.repeat(np.arange(ci.size), m)
-    a, b = np.divmod(np.arange(link.size) - np.repeat(np.cumsum(m) - m, m), nj[link])
-    return order[starts[ci][link] + a], order[starts[cj][link] + b]
+    a, b = _block_pairs(starts[ci], counts[ci], starts[cj], counts[cj])
+    return order[a], order[b]
 
 
 def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
@@ -546,13 +565,24 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     pi, pj = pi[hit], pj[hit]
     if pi.size == 0:
         return []
-    # the graph spans only the points in some close pair; nodes ascend
-    nodes, ends = np.unique(np.concatenate([pi, pj]), return_inverse=True)
-    label = _component_labels(nodes.size, ends[: pi.size], ends[pi.size :])
+    members, sizes = component_clusters(pi, pj)
+    cuts = np.cumsum(sizes)[:-1].tolist()
+    return [members[a:b] for a, b in zip([0] + cuts, cuts + [members.size])]
+
+
+def component_clusters(u: np.ndarray, v: np.ndarray):
+    """Connected components of the edges (u, v) between integer nodes, over
+    the nodes on some edge: all members in one array, cluster by cluster
+    (each ascending, the clusters ordered by their smallest member), and
+    the cluster sizes."""
+    if u.size == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    nodes, ends = np.unique(np.concatenate([u, v]), return_inverse=True)
+    label = _component_labels(nodes.size, ends[: u.size], ends[u.size :])
     order = np.argsort(label, kind="stable")
     members = nodes[order]
-    cuts = (np.flatnonzero(label[order[1:]] != label[order[:-1]]) + 1).tolist()
-    return [members[a:b] for a, b in zip([0] + cuts, cuts + [members.size])]
+    cuts = np.flatnonzero(label[order[1:]] != label[order[:-1]]) + 1
+    return members, np.diff(np.concatenate(([0], cuts, [members.size])))
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -580,6 +610,167 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, label):
                 break
             label = jumped
+
+
+def _pair_blocks(rows: np.ndarray, pair: np.ndarray, n_pairs: int):
+    """Start and length, within rows, of each pair's block; pair[rows]
+    ascends."""
+    counts = np.bincount(pair[rows], minlength=n_pairs)
+    return np.cumsum(counts) - counts, counts
+
+
+def _inverse_mod(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """b^{-1} mod a for coprime arrays (0 where a == 1): the extended Euclid
+    algorithm on all entries at once, s * b = r (mod a) all along."""
+    r0, r1 = a.copy(), b % a
+    s0, s1 = np.zeros_like(a), np.ones_like(a)
+    while r1.any():
+        live = r1 != 0
+        quot = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - quot * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - quot * s1, 0)
+    return s0 % a
+
+
+def _axis_solutions(q, q2, g, inv, kmax, lo: float, hi: float):
+    """One axis of farey_window_pairs: every (pair, k, p, p') with
+    q' p - q p' = g k, |k| <= kmax and p, p' in the kernel's ranges
+    ceil(lo q) .. floor(hi q) for q and q'.  Rows come pair by pair, k and
+    then p ascending.
+
+    With a = q/g and b = q'/g, p' = (b p - k)/a is an integer iff
+    p = k b^{-1} (mod a), and it lies in range iff p does in
+    ceil((a lo' + k)/b) .. floor((a hi' + k)/b).
+    """
+    a, b = q // g, q2 // g
+    p_lo, p_hi = np.ceil(lo * q).astype(np.int64), np.floor(hi * q).astype(np.int64)
+    p2_lo, p2_hi = np.ceil(lo * q2).astype(np.int64), np.floor(hi * q2).astype(np.int64)
+    # g k = q' p - q p' is confined by the two ranges as well
+    k_lo = np.maximum(-kmax, -((q * p2_hi - q2 * p_lo) // g))
+    k_hi = np.minimum(kmax, (q2 * p_hi - q * p2_lo) // g)
+    n_k = np.maximum(k_hi - k_lo + 1, 0)
+    check_budget(int(n_k.sum()), "window pair residues")
+    pair = np.repeat(np.arange(q.size), n_k)
+    k = np.repeat(k_lo, n_k) + _ramp(n_k)
+    a, b = a[pair], b[pair]
+    first = np.maximum(p_lo[pair], -((-(a * p2_lo[pair] + k)) // b))
+    last = np.minimum(p_hi[pair], (a * p2_hi[pair] + k) // b)
+    first += (k * inv[pair] - first) % a
+    n_p = np.maximum((last - first) // a + 1, 0)
+    check_budget(int(n_p.sum()), "window pair candidates")
+    link = np.repeat(np.arange(k.size), n_p)
+    p = first[link] + a[link] * _ramp(n_p)
+    k = k[link]
+    return pair[link], k, p, (b[link] * p - k) // a[link]
+
+
+def farey_window_pairs(m: int, lo, hi, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of primitive sources whose windows of width w overlap: (p, q)
+    and (p', q') with 0 < q <= q' <= m, each p_i in the kernel's range
+    ceil(lo_i q) .. floor(hi_i q), and |q' p_i - q p'_i| < w q q' on every
+    axis, i.e. sup |p/q - p'/q'| < w.  One or two parameter axes.
+
+    Returned as two (n, d) int64 arrays of sources (p_1, ..., p_{d-1}, q),
+    the first of each pair the smaller in (q, p) order.
+
+    The search follows the pairs, not the points.  The cross differences
+    D_i = q' p_i - q p'_i are integers and some D_i is nonzero, so only
+    (q, q') with w q q' > 1 can hold a pair; they are listed as one integer
+    range of q' per q.  On each axis D_i = g k with g = gcd(q, q') and
+    |k| <= K, the largest k with g k < w q q' (exactly: a float quotient
+    near an integer is settled with Fraction(w)), and each k is a linear
+    congruence for p_i (_axis_solutions).  The axes combine as a product
+    per (q, q') over the combinations with some k != 0; both ends must be
+    primitive.  Each array's size is checked against ENUM_BUDGET before it
+    is allocated.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    dim = lo.size
+    if dim not in (1, 2):
+        raise InvalidDimensionError(f"window pairs are implemented for one and two axes, got {dim}")
+    m = int(m)
+    check_budget(m, "denominator bound")
+    # w q q' <= w m^2 <= 1 leaves no pair (for w m^2 a hair above 1 in exact
+    # arithmetic, only q = q' = m >= 2 passes, and it needs w m > 1)
+    if m < 1 or not w * m * m > 1:
+        return np.empty((0, dim + 1), np.int64), np.empty((0, dim + 1), np.int64)
+    qs = np.arange(1, m + 1, dtype=np.int64)
+    # q' > 1/(w q); the floor of the float quotient may admit one q' too many
+    start = np.maximum(qs, np.floor(np.minimum(1.0 / (w * qs), m + 1.0)).astype(np.int64))
+    n_q2 = np.maximum(m - start + 1, 0)
+    check_budget(int(n_q2.sum()), "window pair denominators")
+    q = np.repeat(qs, n_q2)
+    q2 = np.repeat(start, n_q2) + _ramp(n_q2)
+    del qs, start, n_q2
+    g = np.gcd(q, q2)
+    inv = _inverse_mod(q2 // g, q // g)
+    quot = w * (q * q2).astype(float) / g
+    kmax = np.floor(quot)
+    near = np.abs(quot - np.rint(quot)) <= 1e-15 * quot
+    if near.any():
+        wf = Fraction(w)
+        for i in np.flatnonzero(near):
+            n = int(np.rint(quot[i]))
+            kmax[i] = n if int(g[i]) * n < wf * (int(q[i]) * int(q2[i])) else n - 1
+    # k = 0 on every axis is no pair: a (q, q') with K = 0 holds none
+    live = kmax > 0
+    q, q2, g, inv, kmax = q[live], q2[live], g[live], inv[live], kmax[live].astype(np.int64)
+    del quot, near, live
+    axes = [_axis_solutions(q, q2, g, inv, kmax, float(lo[i]), float(hi[i])) for i in range(dim)]
+    del g, inv, kmax
+    if dim == 1:
+        rows = (np.flatnonzero(axes[0][1] != 0),)
+    else:
+        # per (q, q'), the products (k_1 != 0) x (any k_2) and (k_1 == 0) x (k_2 != 0)
+        (pair1, k1, *_), (pair2, k2, *_) = axes
+        halves = [(np.flatnonzero(k1 != 0), np.arange(k2.size)), (np.flatnonzero(k1 == 0), np.flatnonzero(k2 != 0))]
+        blocks = [(_pair_blocks(r1, pair1, q.size), _pair_blocks(r2, pair2, q.size)) for r1, r2 in halves]
+        check_budget(int(sum(np.dot(b1[1], b2[1]) for b1, b2 in blocks)), "window pair candidates")
+        i1, i2 = [], []
+        for (r1, r2), (b1, b2) in zip(halves, blocks):
+            a, b = _block_pairs(*b1, *b2)
+            i1.append(r1[a])
+            i2.append(r2[b])
+        rows = np.concatenate(i1), np.concatenate(i2)
+    pair = axes[0][0][rows[0]]
+    cols = [ax[2][r] for ax, r in zip(axes, rows)], [ax[3][r] for ax, r in zip(axes, rows)]
+    cols[0].append(q[pair])
+    cols[1].append(q2[pair])
+    keep = np.ones(pair.size, dtype=bool)
+    for end in cols:
+        g = end[-1]
+        for c in end[:-1]:
+            g = np.gcd(g, c)
+        keep &= g == 1
+    # for q == q' each pair comes in both orders: keep the one with p < p'
+    ahead, tie = cols[0][-1] < cols[1][-1], cols[0][-1] == cols[1][-1]
+    for x, y in zip(cols[0][:-1], cols[1][:-1]):
+        ahead |= tie & (x < y)
+        tie &= x == y
+    keep &= ahead
+    return tuple(np.stack([c[keep] for c in end], axis=1) for end in cols)
+
+
+def pair_graph(first: np.ndarray, second: np.ndarray):
+    """The source pairs (first[k], second[k]) as a graph: the distinct
+    sources, ranked by (q, p_1, ..., p_{d-1}), and the two ranks of each
+    pair.
+
+    The ranks follow the row order of the enumeration kernels, so on any
+    subset of the pairs component_clusters gives the clusters, and their
+    members, in the order collision_clusters gives for the kernel's rows of
+    the same points.
+    """
+    n, d = first.shape
+    ends = np.concatenate([first, second])
+    order = np.lexsort(tuple(ends[:, j] for j in reversed(range(d - 1))) + (ends[:, d - 1],))
+    ends = ends[order]
+    new = np.ones(2 * n, dtype=bool)
+    new[1:] = np.any(ends[1:] != ends[:-1], axis=1)
+    rank = np.empty(2 * n, np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return ends[new], rank[:n], rank[n:]
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

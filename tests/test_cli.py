@@ -226,13 +226,13 @@ def test_d3_window_sum_leaves_scipy_sparse_unloaded(tmp_path):
     # t = 1.8 has colliding windows, so the run labels collision clusters
     cfg = sthe_config(tmp_path, d=3, target={"kind": "stable", "T": 1, "eps": 0.2}, A={"lo": [0, 0], "hi": [1, 1]},
                       t_schedule=[1.8], estimator={"kind": "window-sum"})
-    code = (f"import sys; from horolab import cli, farey; seen = []; run = farey.collision_clusters; "
-            f"farey.collision_clusters = lambda *a: seen.append(run(*a)) or seen[-1]; "
+    code = (f"import sys; from horolab import cli, farey; seen = []; run = farey._component_labels; "
+            f"farey._component_labels = lambda *a: seen.append(run(*a)) or seen[-1]; "
             f"assert cli.main(['sthe-run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
-            f"print(sum(len(c) for c in seen), sorted(m for m in {SCIPY_PARTS} if m in sys.modules))")
+            f"print(sum(len(label) for label in seen), sorted(m for m in {SCIPY_PARTS} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    clusters, loaded = out.strip().splitlines()[-1].split(" ", 1)  # sthe-run prints its summary first
-    assert int(clusters) > 0 and loaded == "[]"
+    labelled, loaded = out.strip().splitlines()[-1].split(" ", 1)  # sthe-run prints its summary first
+    assert int(labelled) > 0 and loaded == "[]"
 
 
 def sthe_config(tmp_path, **overrides):
@@ -278,6 +278,14 @@ def test_sthe_run_tolerance_failure(capsys, tmp_path):
 def test_sthe_run_over_budget_exits_2(capsys, tmp_path):
     # e^25 / sqrt(2) denominators: refused before any sieve is allocated
     cfg = sthe_config(tmp_path, t_schedule=[25])
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "over budget" in capsys.readouterr().err
+
+
+def test_sthe_run_d3_window_sum_over_budget_exits_2(capsys, tmp_path):
+    # about 1.9e20 predicted windows at t = 8: refused before the strip edges exist
+    cfg = sthe_config(tmp_path, d=3, target={"kind": "stable", "T": 1, "eps": 0.2}, A={"lo": [0, 0], "hi": [1, 1]},
+                      t_schedule=[8], estimator={"kind": "window-sum"})
     assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "over budget" in capsys.readouterr().err
 

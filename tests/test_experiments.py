@@ -288,6 +288,133 @@ def test_tiled_window_sum_with_edges_on_rationals(lo, hi, n, t):
     assert abs(val - val_one) <= 1e-12 * val_one
 
 
+def reference_window_sum(target, lo, hi, t):
+    """The identity-L stable window sum with each strip's clusters found by
+    collision_clusters on the strip's enumerated centers."""
+    edges = ex._strip_edges(target, None, lo, hi, t)
+    cuts = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
+    total, count = 0.0, 0
+    for k in range(edges.size - 1):
+        s_lo, s_hi = lo.copy(), hi.copy()
+        s_lo[0], s_hi[0] = edges[k], edges[k + 1]
+        sources, centers, w = ex._stable_window_centers(target, None, s_lo, s_hi, t)
+        p, q = sources[:, 0], sources[:, -1].astype(float)
+        count += int(np.count_nonzero((p >= np.ceil(cuts[k] * q)) & (p < np.ceil(cuts[k + 1] * q))))
+        total += float(ex._clipped_box_volumes(centers, w, s_lo, s_hi).sum())
+        clusters = farey.collision_clusters(centers, w)
+        if clusters:
+            clustered = centers[np.concatenate(clusters)]
+            union = ex._cluster_union_volume(clustered, w, s_lo, s_hi, sizes=[c.size for c in clusters])
+            total += union - float(ex._clipped_box_volumes(clustered, w, s_lo, s_hi).sum())
+    return total, count
+
+
+@st.composite
+def d3_window_sum_cases(draw):
+    # edges on 0 and on rationals put Farey points (and the x_1 = 0 cusp
+    # collisions) on strip and box edges
+    edge = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, -0.5]), st.floats(-0.5, 0.8))
+    lo = np.array([draw(edge), draw(edge)])
+    hi = lo + np.array([draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0))) for _ in range(2)])
+    T = draw(st.floats(1.0, 2.0))
+    eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(3, T)
+    ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(2))
+    t = draw(st.floats(1.5, 2.1))
+    n = draw(st.integers(1, 6))
+    return tg.StableSection(d=3, T=T, eps=eps, ytilde=ytilde), lo, hi, t, n
+
+
+@settings(deadline=None, max_examples=25)
+@given(d3_window_sum_cases())
+@example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8, 3))
+def test_d3_window_sum_matches_per_strip_collision_search(case):
+    target, lo, hi, t, n = case
+    d = target.d
+    margin = ex._stable_window_shape(target, t)[2]
+    predicted = ex.box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "_STRIP_POINTS", predicted / n * (1.0 + 1e-9))
+        val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+        want, want_count = reference_window_sum(target, lo, hi, t)
+    assert count == want_count
+    assert abs(val - want) <= 1e-12 * abs(want)
+
+
+def test_a3_window_pairs_and_clusters():
+    # the A3 row over the unit square: T = 1, eps = 0.2, t = 2.85, q <= 298
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    t = 2.85
+    w, _c_off, margin = ex._stable_window_shape(target, t)
+    first, second = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), np.full(2, -margin), np.full(2, 1.0 + margin), w)
+    nodes, u, v = farey.pair_graph(first, second)
+    _members, sizes = farey.component_clusters(u, v)
+    assert first.shape[0] == 171_680
+    assert (sizes.size, int(sizes.sum()), int(sizes.max())) == (52_020, 205_040, 138)
+    assert nodes.shape == (205_040, 3)
+
+
+def test_d4_window_sum_without_collisions_is_unchanged():
+    # the pair search covers d = 2, 3; a d = 4 sum whose windows do not meet
+    # needs no union and gives the value it gave before the pair search
+    target = tg.StableSection(d=4, T=1.0, eps=0.1)
+    assert ex._window_sum_stable_enumerated(target, None, np.zeros(3), np.ones(3), 0.6) == (0.0002956479801171616, 649)
+
+
+def test_window_sum_checks_the_predicted_count_before_the_strip_edges():
+    # t = 8 predicts about 1.9e20 windows; the strip edges alone would take petabytes
+    zeta(3)  # the first call fills a cache through a 10^5-term partial sum
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="predicted window enumeration"):
+            ex.window_sum_stable(target, None, np.zeros(2), np.ones(2), 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_translated_enumerations_check_the_box_before_allocating():
+    L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(2) - 1, math.sqrt(3) - 1, 1.0]])
+    unit = (np.zeros(2), np.ones(2))
+    calls = [
+        lambda: farey.translated_arrays(L, 1e6, unit),
+        lambda: farey.translated_alpha_box_arrays(L, 1e6),
+        lambda: farey.farey_index(3, 1e6, L=L, box=unit),
+        lambda: ex.marklof_average(3, 1e6, L=L, A=unit, sequence="translated"),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="preimage box"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch):
+    # the index is built under the real budget; the candidates near the
+    # samples are one more than the budget allows
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    lo, hi, t = np.zeros(2), np.ones(2), 1.8
+    points = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 2))
+    index = ex._build_index(target, None, lo, hi, t)
+    radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
+    total = sum(index.near(x, radius, alpha_max=amax).size for x in points)
+    assert total > 0
+
+    def refuse(*args):
+        raise AssertionError("dual_hits ran")
+
+    monkeypatch.setattr(ex, "_build_index", lambda *args: index)
+    monkeypatch.setattr(tg, "dual_hits", refuse)
+    monkeypatch.setattr(farey, "ENUM_BUDGET", total - 1)
+    with pytest.raises(ResourceLimitError, match="sample candidates"):
+        ex.sampled_integral(target, None, lo, hi, t, points)
+
+
 def test_spherical_window_sum_matches_enumeration():
     t = 4.0
     target = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))

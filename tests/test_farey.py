@@ -1,12 +1,13 @@
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horolab import _kernels as K, algebra, farey
+from horolab import _kernels as K, algebra, farey, targets as tg
 from horolab.errors import HorolabError, ResourceLimitError
 
 
@@ -243,3 +244,88 @@ def test_index_near_queries():
     assert {tuple(idx.sources[i]) for i in got} == {(1, 2)}
     got2 = idx.near([0.5], 0.2, alpha_max=3.0)
     assert {tuple(idx.sources[i]) for i in got2} == {(1, 2), (1, 3), (2, 3)}
+
+
+def brute_window_pairs(d, m, lo, hi, w):
+    """Every pair of the kernel's points in the box whose windows of width w
+    overlap, each gap decided in exact arithmetic: |q' p_i - q p'_i| <
+    w q q' on every axis.  A float test with a 1e-9 slack only skips pairs
+    that are far from the threshold."""
+    src = farey.farey_sources(d, m, (lo, hi)) if m >= 1 else np.empty((0, d), np.int64)
+    # (q, p) order, so the first of each pair is the smaller
+    src = src[np.lexsort(tuple(src[:, j] for j in reversed(range(d - 1))) + (src[:, -1],))]
+    q, p = src[:, -1], src[:, :-1]
+    wf, out = Fraction(w), set()
+    for start in range(0, src.shape[0], 256):
+        # every (i, j), i < j, for a block of rows i
+        rows = np.arange(start, min(start + 256, src.shape[0]))
+        i, j = np.nonzero(rows[:, None] < np.arange(src.shape[0]))
+        i = rows[i]
+        qq = q[i] * q[j]
+        gaps = np.abs(q[j, None] * p[i] - q[i, None] * p[j])
+        near = np.all(gaps < w * qq[:, None] * (1.0 + 1e-9), axis=1)
+        for a, b, qq_ab, gap in zip(i[near].tolist(), j[near].tolist(), qq[near].tolist(), gaps[near].tolist()):
+            if all(g < wf * qq_ab for g in gap):
+                out.add((tuple(src[a].tolist()), tuple(src[b].tolist())))
+    return out
+
+
+@st.composite
+def pair_search_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    # edges on 0 and on rationals put Farey points on the box edges
+    edge = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, -0.5]), st.floats(-0.6, 0.8))
+    side = st.one_of(st.sampled_from([0.25, 0.4, 1 / 3]), st.floats(0.02, 0.4))
+    lo = np.array([draw(edge) for _ in range(d - 1)])
+    hi = lo + np.array([draw(side) for _ in range(d - 1)])
+    if draw(st.booleans()):
+        # a stable target's width and denominator cap, the box grown by its margin
+        T = draw(st.floats(1.0, 2.0))
+        eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(d, T)
+        ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(d - 1))
+        t = draw(st.floats(0.3, 4.0 if d == 2 else 1.9))
+        target = tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde)
+        w = eps * math.exp(-d * t)
+        margin = w / 2.0 + float(np.abs(np.asarray(ytilde)).max()) * math.exp(-d * t) + 1e-15
+        return d, math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w
+    # dyadic widths make w q q' an integer for many pairs: the gap test is strict there
+    m = draw(st.integers(0, 60 if d == 2 else 25))
+    w = draw(st.one_of(st.sampled_from([0.0625, 0.125, 0.25, 0.375, 1.0]), st.floats(1e-3, 1.5)))
+    return d, m, lo, hi, w
+
+
+@settings(deadline=None, max_examples=60)
+@given(pair_search_cases())
+def test_window_pairs_match_brute_force(case):
+    d, m, lo, hi, w = case
+    first, second = farey.farey_window_pairs(m, lo, hi, w)
+    got = [(tuple(a), tuple(b)) for a, b in zip(first.tolist(), second.tolist())]
+    assert len(got) == len(set(got))
+    assert set(got) == brute_window_pairs(d, m, lo, hi, w)
+
+
+def test_window_pairs_check_the_budget_before_allocating():
+    # 2e4 denominators and w = 0.01: about 2e8 pairs (q, q') with w q q' > 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="window pair denominators"):
+            farey.farey_window_pairs(20_000, [0.0, 0.0], [1.0, 1.0], 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_pair_graph_ranks_sources_in_kernel_row_order():
+    # the chain (0,1,3) - (1,1,2) - (0,0,1) and the pair (1,0,2) - (0,1,4)
+    first = np.array([[0, 1, 3], [1, 0, 2], [0, 0, 1]])
+    second = np.array([[1, 1, 2], [0, 1, 4], [1, 1, 2]])
+    nodes, u, v = farey.pair_graph(first, second)
+    assert nodes.tolist() == [[0, 0, 1], [1, 0, 2], [1, 1, 2], [0, 1, 3], [0, 1, 4]]
+    assert (u.tolist(), v.tolist()) == ([3, 1, 0], [2, 4, 2])
+    members, sizes = farey.component_clusters(u, v)
+    assert nodes[members].tolist() == [[0, 0, 1], [1, 1, 2], [0, 1, 3], [1, 0, 2], [0, 1, 4]]
+    assert sizes.tolist() == [3, 2]
+    empty = farey.pair_graph(first[:0], second[:0])
+    assert [a.shape for a in empty] == [(0, 3), (0,), (0,)]
+    assert [a.size for a in farey.component_clusters(*empty[1:])] == [0, 0]
