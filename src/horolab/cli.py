@@ -301,21 +301,14 @@ def _cmd_sthe_run(args) -> int:
     csv_path = outdir / "results.csv"
     with open(csv_path, "w") as fh:
         experiments.write_results_csv(results, fh)
-    if len(results) >= 2:
-        report = experiments.convergence_report(results, tolerance=config.tolerance)
-        slope, final, passed, degenerate = report.slope, report.final_rel_error, report.passed, report.degenerate
-    else:
-        final = results[0].rel_error
-        slope = None
-        passed = None if (config.tolerance is None or final is None) else bool(final <= config.tolerance)
-        degenerate = results[0].degenerate
+    report = experiments.convergence_report(results, tolerance=config.tolerance)
     summary = {
         "rows": len(results),
-        "final_rel_error": final,
-        "slope": slope,
+        "final_rel_error": report.final_rel_error,
+        "slope": report.slope,
         "tolerance": config.tolerance,
-        "passed": passed,
-        "degenerate": degenerate,
+        "passed": report.passed,
+        "degenerate": report.degenerate,
         "region_warning": config.region_warning or None,
     }
     summary_path = outdir / "summary.json"
@@ -333,7 +326,7 @@ def _cmd_sthe_run(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _emit(summary)
-    if args.check and passed is False:
+    if args.check and report.passed is False:
         return 1
     return 0
 

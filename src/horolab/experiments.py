@@ -136,8 +136,8 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     if kind == "general":
         raise ConfigError("closed-form window estimator needs identity/integer or diagonal L")
     q_cap = target.denominator_cap(t)
-    scale = 1.0 if kind == "lattice" else a * a
-    m = int(math.floor(q_cap / (1.0 if kind == "lattice" else a) + 1e-9))
+    scale = a * a
+    m = int(math.floor(q_cap / a + 1e-9))
     if m < 1:
         return 0.0, 0
     fy.check_budget(m, "denominator bound")
@@ -175,19 +175,6 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     return float(total), n_mid + int(parts.size)
 
 
-def _enumerate_box(d: int, L, q_cap: float, box) -> tuple[np.ndarray, np.ndarray]:
-    """Sources and images of the sequence attached to L with alpha_d <= q_cap
-    and projected point in box; empty for identity L and q_cap < 1."""
-    if L is None:
-        if q_cap < 1:
-            return np.empty((0, d), np.int64), np.empty((0, d))
-        sources, alpha = fy.farey_arrays(d, q_cap, box=box)
-    else:
-        sources, alpha = fy.translated_arrays(L, q_cap, box)
-    fy.check_budget(sources.shape[0], "window enumeration")
-    return sources, alpha
-
-
 def _stable_window_shape(target: tg.StableSection, t: float) -> tuple[float, np.ndarray, float]:
     """Window width w, center offset c_off and the margin w/2 + |c_off| by
     which a box must grow to hold every window that meets it."""
@@ -209,7 +196,7 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     box = (lo - margin, hi + margin)
     q_cap = target.denominator_cap(t)
     if L is not None:
-        sources, alpha = _enumerate_box(d, L, q_cap, box)
+        sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
         return sources, alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off, w
     sources = fy.farey_sources(d, q_cap, box) if q_cap >= 1 else np.empty((0, d), np.int64)
     fy.check_budget(sources.shape[0], "window enumeration")
@@ -414,27 +401,6 @@ def stable_window_overlap(target: tg.StableSection, L, lo, hi, t: float):
     return tuple(int(v) for v in sources[members[0]]), tuple(int(v) for v in sources[partner])
 
 
-def window_sum_stable(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
-    """Exact integral of the stable-target indicator over the box A.
-
-    d = 2 over the full unit cell reduces to width times the exact point
-    count (the window family is lattice-periodic and collision-free below
-    the budget); everything else enumerates windows and measures the union.
-    """
-    d = target.d
-    kind, a = lattice_kind(L)
-    w = target.eps * math.exp(-d * t)
-    q_cap = target.denominator_cap(t)
-    if _is_unit_cell(lo, hi) and d == 2:
-        if kind == "lattice":
-            n, _ = fy.count_farey(d, math.floor(q_cap + 1e-9))
-            return w ** (d - 1) * n, n
-        if kind == "diag":
-            n = fy.count_farey_in_interval(math.floor(q_cap / a + 1e-9), 0.0, 1.0, scale=a * a)
-            return w * n, n
-    return _window_sum_stable_enumerated(target, L, lo, hi, t)
-
-
 # ---------------------------------------------------------------------------
 # spherical window estimators
 # ---------------------------------------------------------------------------
@@ -470,7 +436,7 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         return float(np.dot(counts, 2.0 * radii)), int(counts.sum())
     margin = math.exp(-d * t) * math.tan(target.chart.radius)
     box = (lo - margin, hi + margin)
-    sources, alpha = _enumerate_box(d, L, q_cap, box)
+    sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
     if sources.shape[0] == 0:
         return 0.0, 0
     ad = alpha[:, d - 1]
@@ -616,14 +582,22 @@ def exact_integral(target, L, lo: np.ndarray, hi: np.ndarray, t: float, estimato
     "auto" takes the closed form for d = 2 stable targets with identity,
     integer or diagonal L, and the window sum otherwise; "exact-window"
     insists on the closed form and "window-sum" on the window sum.
+
+    The d = 2 stable window sum over the full unit cell with such an L is
+    the width times the exact point count: the window family is
+    lattice-periodic and collision-free below the budget.
     """
     stable_d2 = isinstance(target, tg.StableSection) and target.d == 2
     if estimator == "exact-window" and not stable_d2:
         raise ConfigError("exact-window estimator is for d = 2 stable targets")
-    if estimator == "exact-window" or (estimator == "auto" and stable_d2 and lattice_kind(L)[0] != "general"):
+    kind, a = lattice_kind(L)
+    if estimator == "exact-window" or (estimator == "auto" and stable_d2 and kind != "general"):
         return exact_window_stable_d2(target, L, float(lo[0]), float(hi[0]), t)
+    if stable_d2 and kind != "general" and _is_unit_cell(lo, hi):
+        n = fy.count_farey_in_interval(math.floor(target.denominator_cap(t) / a + 1e-9), 0.0, 1.0, scale=a * a)
+        return target.eps * math.exp(-2.0 * t) * n, n
     if isinstance(target, tg.StableSection):
-        return window_sum_stable(target, L, lo, hi, t)
+        return _window_sum_stable_enumerated(target, L, lo, hi, t)
     if isinstance(target, tg.SphericalSection):
         return window_sum_spherical(target, L, lo, hi, t)
     raise ConfigError("window sums cover stable and spherical section targets")
@@ -779,9 +753,10 @@ class ConvergenceReport:
 
 
 def convergence_report(results, tolerance: float = None) -> ConvergenceReport:
-    """Fit the error decay over the schedule and apply the pass tolerance."""
-    if len(results) < 2:
-        raise HorolabError("need at least two results to report convergence")
+    """Fit the error decay over the schedule (no slope below two nonzero
+    errors) and apply the pass tolerance to the last row."""
+    if not results:
+        raise HorolabError("need at least one result to report convergence")
     rows = sorted(results, key=lambda r: r.t)
     ts = [r.t for r in rows if r.rel_error not in (None, 0.0)]
     errs = [r.rel_error for r in rows if r.rel_error not in (None, 0.0)]

@@ -4,6 +4,8 @@ A point of the sequence attached to a unimodular L is a primitive integer
 row vector (p_1, ..., p_{d-1}, q) pushed through the transpose-inverse of L,
 giving (alpha', alpha_d) with alpha_d > 0; the projected point is
 alpha'/alpha_d.  For L = I this is the classical Farey set p/q.
+
+sequence_arrays is the one function that branches on L for the point set.
 """
 
 from __future__ import annotations
@@ -177,24 +179,9 @@ def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
 
     Sorted lexicographically by (q, p).
     """
-    sources, alpha = farey_arrays(d, Q, box=_unit_box(d))
-    # the closed-box kernels include p_i = q; drop them for the half-open box
-    keep = np.all(sources[:, : d - 1] < sources[:, d - 1 :], axis=1)
-    sources = sources[keep]
-    order = np.lexsort(tuple(sources[:, j] for j in reversed(range(d - 1))) + (sources[:, d - 1],))
-    out = []
-    for i in order:
-        src = tuple(int(v) for v in sources[i])
-        q = float(src[-1])
-        out.append(
-            TranslatedFareyPoint(
-                source=src,
-                alpha_prime=tuple(float(v) for v in src[:-1]),
-                alpha_d=q,
-                point=tuple(v / q for v in src[:-1]),
-            )
-        )
-    return out
+    _check_q(Q)
+    idx = farey_index(d, Q, include_upper=False)
+    return [idx.record(i) for i in range(len(idx))]
 
 
 def _transpose_inverse(L: np.ndarray) -> np.ndarray:
@@ -221,31 +208,34 @@ def _primitive_box(plo: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return K.primitive_box(plo, phi)
 
 
+def _lattice_images(L, alo, ahi) -> tuple[np.ndarray, np.ndarray]:
+    """Primitive sources whose images alpha = p @ L^{-T} can lie in the box
+    [alo, ahi], with those images: the integer preimage box (p = alpha @ L^T)
+    inflated by 1 in sup-norm, then mapped forward for the caller to filter."""
+    L = np.asarray(L)
+    tLinv = _transpose_inverse(L)
+    tLinv_f = tLinv.astype(float) if tLinv.dtype == object else tLinv
+    sources = _primitive_box(*preimage_bounds(alo, ahi, np.asarray(L, dtype=float).T))
+    return sources, sources.astype(float) @ tLinv_f
+
+
 def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Primitive lattice points through the transpose-inverse of L.
 
     Enumerates integer sources in the preimage of the bounding box of the
-    admissible cone (image box mapped back through the transpose of L,
-    inflated by 1 in sup-norm), then filters; this makes the enumeration
-    provably exhaustive.  Q below 1 is allowed: under a general L an
-    image alpha_d can lie in (0, 1).
+    admissible cone, then filters; this makes the enumeration provably
+    exhaustive.  Q below 1 is allowed: under a general L an image alpha_d
+    can lie in (0, 1).
     """
-    L = np.asarray(L)
-    d = L.shape[0]
+    d = np.asarray(L).shape[0]
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise HorolabError("translated enumeration needs a bounded box")
-    tLinv = _transpose_inverse(L)
-    tLinv_f = tLinv.astype(float) if tLinv.dtype == object else tLinv
     # bounding box of {alpha : 0 < alpha_d <= Q, lo*alpha_d <= alpha' <= hi*alpha_d}
     alo = np.append(np.minimum(lo * Q, 0.0), 0.0)
     ahi = np.append(np.maximum(hi * Q, 0.0), Q)
-    # alpha = p @ tLinv  <=>  p = alpha @ tL
-    sources = _primitive_box(*preimage_bounds(alo, ahi, np.asarray(L, dtype=float).T))
-    if sources.shape[0] == 0:
-        return np.empty((0, d), np.int64), np.empty((0, d), float)
-    alpha = sources.astype(float) @ tLinv_f
+    sources, alpha = _lattice_images(L, alo, ahi)
     ad = alpha[:, d - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         pts = alpha[:, : d - 1] / ad[:, None]
@@ -261,42 +251,41 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     [0, Q]^{d-1} x (0, Q] (the canonical finite subsets of the translated
     sequence; their count grows like Q^d / zeta(d))."""
     _check_q(Q)
-    L = np.asarray(L)
-    d = L.shape[0]
-    tLinv = _transpose_inverse(L)
-    tLinv_f = tLinv.astype(float) if tLinv.dtype == object else tLinv
-    sources = _primitive_box(*preimage_bounds(np.zeros(d), np.full(d, float(Q)), np.asarray(L, dtype=float).T))
-    if sources.shape[0] == 0:
-        return np.empty((0, d), np.int64), np.empty((0, d), float)
-    alpha = sources.astype(float) @ tLinv_f
+    d = np.asarray(L).shape[0]
+    sources, alpha = _lattice_images(L, np.zeros(d), np.full(d, float(Q)))
     keep = (alpha[:, d - 1] > 0) & np.all(alpha <= Q + 1e-9, axis=1) & np.all(alpha >= -1e-9, axis=1)
     return sources[keep], alpha[keep]
 
 
-def enumerate_translated_farey(L, Q: float, box, include_upper: bool = True) -> list[TranslatedFareyPoint]:
-    """Point records for the sequence attached to L, sorted by (alpha_d, source)."""
-    sources, alpha = translated_arrays(L, Q, box, include_upper=include_upper)
-    d = sources.shape[1] if sources.size else np.asarray(L).shape[0]
-    idx = FareyIndex(d, sources, alpha)
-    return [idx.record(i) for i in range(len(idx))]
-
-
-def farey_index(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> FareyIndex:
-    """Array index of points; identity L uses the per-denominator kernels.
-    For identity L and Q < 1 no denominator is admissible: the index is empty."""
-    if L is None:
-        if Q < 1:
-            return FareyIndex(d, np.empty((0, d), np.int64), np.empty((0, d)))
+def sequence_arrays(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and images of the sequence attached to L (None: identity)
+    with alpha_d <= Q and projected point in box (the unit box by default;
+    open at its upper faces unless include_upper), count checked against
+    ENUM_BUDGET.  The one branch on L: identity L takes the per-denominator
+    kernels, empty for Q < 1; any other L the preimage-box enumeration."""
+    if L is not None:
+        sources, alpha = translated_arrays(L, Q, _unit_box(d) if box is None else box, include_upper=include_upper)
+    elif Q < 1:
+        sources, alpha = np.empty((0, d), np.int64), np.empty((0, d))
+    else:
         sources, alpha = farey_arrays(d, Q, box=box)
         if not include_upper:
             hi = np.ones(d - 1) if box is None else np.asarray(box[1], dtype=float)
             keep = np.all(sources[:, : d - 1].astype(float) < hi * sources[:, d - 1 :].astype(float), axis=1)
             sources, alpha = sources[keep], alpha[keep]
-        return FareyIndex(d, sources, alpha)
-    if box is None:
-        box = _unit_box(np.asarray(L).shape[0])
-    sources, alpha = translated_arrays(L, Q, box, include_upper=include_upper)
-    return FareyIndex(np.asarray(L).shape[0], sources, alpha)
+    check_budget(sources.shape[0], "window enumeration")
+    return sources, alpha
+
+
+def enumerate_translated_farey(L, Q: float, box, include_upper: bool = True) -> list[TranslatedFareyPoint]:
+    """Point records for the sequence attached to L, sorted by (alpha_d, source)."""
+    idx = farey_index(np.asarray(L).shape[0], Q, L=L, box=box, include_upper=include_upper)
+    return [idx.record(i) for i in range(len(idx))]
+
+
+def farey_index(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> FareyIndex:
+    """Array index of the points of sequence_arrays."""
+    return FareyIndex(d, *sequence_arrays(d, Q, L=L, box=box, include_upper=include_upper))
 
 
 def count_farey(d: int, Q: float) -> tuple[int, float]:

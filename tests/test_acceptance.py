@@ -64,6 +64,25 @@ def test_A2_stable_d2_growing_T():
     report("A2", ok, f"T range [{rows[0].T:.1f}, {rows[-1].T:.1f}] worst rel={worst:.2e} ({el:.1f}s)")
 
 
+def test_A2_d3_stable_growing_T():
+    tic = time.perf_counter()
+    cfg = ex.ExperimentConfig(
+        d=3,
+        target=tg.StableSection(d=3, T=1.0, eps=0.2),
+        A_lo=(0.0, 0.0),
+        A_hi=(1.0, 1.0),
+        t_schedule=(2.5, 3.0, 3.5),
+        T_rule=("growing", 0.2),
+        estimator=("window-sum",),
+    )
+    rows = ex.sthe_run(cfg)
+    el = time.perf_counter() - tic
+    worst = max(r.rel_error for r in rows)
+    ok = worst <= 0.02 and el <= 60.0
+    points = [r.farey_count_used for r in rows]
+    report("A2-d3", ok, f"T range [{rows[0].T:.1f}, {rows[-1].T:.1f}] worst rel={worst:.2e} points={points} ({el:.1f}s)")
+
+
 def test_A3_stable_d3_window_sum():
     tic = time.perf_counter()
     cfg = ex.ExperimentConfig(

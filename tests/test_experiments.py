@@ -10,7 +10,7 @@ from scipy import integrate
 
 from horolab import coords, experiments as ex, farey, targets as tg
 from horolab.algebra import zeta
-from horolab.errors import ConfigError, DisjointnessError, ResourceLimitError
+from horolab.errors import ConfigError, DisjointnessError, HorolabError, ResourceLimitError
 
 
 def stable_cfg(**kw):
@@ -36,6 +36,17 @@ def test_exact_window_matches_simple_count():
     q_cap = int(math.exp(t) * T ** (-0.5))
     count, _ = farey.count_farey(2, q_cap)
     assert abs(val - eps * math.exp(-2 * t) * count) <= 1e-18 * count
+
+
+def test_unit_cell_window_sum_d2_is_width_times_count():
+    # the d = 2 unit-cell window sum counts through the Moebius interval scan;
+    # it must give the Jordan-sieve count of the classical sequence exactly
+    target = tg.StableSection(d=2, T=2.0, eps=0.2)
+    unit = (np.array([0.0]), np.array([1.0]))
+    for t in (1.0, 3.7, 6.0, 9.25):
+        n = farey.count_farey(2, math.floor(target.denominator_cap(t) + 1e-9))[0]
+        assert n > 0
+        assert ex.exact_integral(target, None, *unit, t, "window-sum") == (0.2 * math.exp(-2.0 * t) * n, n)
 
 
 def test_exact_window_matches_enumeration():
@@ -143,8 +154,8 @@ def test_no_admissible_denominator_is_empty():
     target = tg.StableSection(d=2, T=2.0, eps=0.2)
     lo, hi = np.array([0.1]), np.array([0.7])
     assert ex.exact_window_stable_d2(target, None, 0.1, 0.7, 0.2) == (0.0, 0)
-    assert ex.window_sum_stable(target, None, lo, hi, 0.2) == (0.0, 0)
-    assert ex.window_sum_stable(target, DIAG_L[1], lo, hi, 0.2) == (0.0, 0)
+    assert ex.exact_integral(target, None, lo, hi, 0.2, "window-sum") == (0.0, 0)
+    assert ex.exact_integral(target, DIAG_L[1], lo, hi, 0.2, "window-sum") == (0.0, 0)
     sph = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))
     assert ex.window_sum_spherical(sph, None, lo, hi, 0.1) == (0.0, 0)
     low = tg.StableSection(d=2, T=1.9, eps=0.2)
@@ -161,8 +172,8 @@ def test_d2_counts_check_the_budget_before_allocating():
     calls = [
         lambda: ex.exact_window_stable_d2(stable, None, 0.1, 0.7, 25.0),
         lambda: ex.exact_window_stable_d2(stable, DIAG_L[1], 0.1, 0.7, 25.0),
-        lambda: ex.window_sum_stable(stable, None, *unit, 25.0),
-        lambda: ex.window_sum_stable(stable, DIAG_L[1], *unit, 25.0),
+        lambda: ex.exact_integral(stable, None, *unit, 25.0, "window-sum"),
+        lambda: ex.exact_integral(stable, DIAG_L[1], *unit, 25.0, "window-sum"),
         lambda: ex.window_sum_spherical(sph, None, *unit, 25.0),
     ]
     for call in calls:
@@ -229,7 +240,7 @@ def test_enumerations_check_the_budget_before_allocating(monkeypatch):
 def test_window_sum_unit_cell_matches_enumeration_d3():
     t = 1.8
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
-    val_cell, n_cell = ex.window_sum_stable(target, None, np.zeros(2), np.ones(2), t)
+    val_cell, n_cell = ex.exact_integral(target, None, np.zeros(2), np.ones(2), t, "window-sum")
     val_enum, _ = ex._window_sum_stable_enumerated(target, None, np.zeros(2), np.ones(2), t)
     assert abs(val_cell - val_enum) <= 1e-12 * max(val_cell, 1e-12)
 
@@ -367,7 +378,7 @@ def test_window_sum_checks_the_predicted_count_before_the_strip_edges():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="predicted window enumeration"):
-            ex.window_sum_stable(target, None, np.zeros(2), np.ones(2), 8.0)
+            ex.exact_integral(target, None, np.zeros(2), np.ones(2), 8.0, "window-sum")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -827,6 +838,16 @@ def test_degenerate_flag_far_box():
     report = ex.convergence_report(results)
     assert report.degenerate
     assert all(r.estimate == 0.0 for r in results)
+
+
+def test_convergence_report_of_one_row():
+    results = ex.sthe_run(stable_cfg(t_schedule=(6.0,)))
+    report = ex.convergence_report(results, tolerance=0.02)
+    assert report.slope is None and report.final_rel_error == results[0].rel_error
+    assert report.passed is True and not report.degenerate
+    assert ex.convergence_report(results).passed is None
+    with pytest.raises(HorolabError, match="at least one result"):
+        ex.convergence_report([])
 
 
 def test_convergence_report_slope():

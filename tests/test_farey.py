@@ -55,12 +55,19 @@ def test_monotone_in_q():
     assert small <= big
 
 
+def _record_bits(pts):
+    """Sources and the exact bits of every float field, record by record."""
+    return [(p.source, [x.hex() for x in (*p.alpha_prime, p.alpha_d, *p.point)]) for p in pts]
+
+
 def test_translated_identity_matches_farey():
-    a = {p.point for p in farey.enumerate_translated_farey(np.eye(2), 7.0, ([0.0], [1.0]), include_upper=False)}
-    b = {p.point for p in farey.enumerate_farey(2, 7)}
-    assert a == b
-    a3 = {p.point for p in farey.enumerate_translated_farey(np.eye(3), 4.0, ([0.0, 0.0], [1.0, 1.0]), include_upper=False)}
-    assert a3 == {p.point for p in farey.enumerate_farey(3, 4)}
+    # the identity through the general-L enumeration gives the classical
+    # records in the same order, with the same float bits
+    for d, Q in ((2, 7.0), (2, 13.5), (3, 4.0), (3, 6.0), (4, 4.0)):
+        unit = (np.zeros(d - 1), np.ones(d - 1))
+        want = farey.enumerate_farey(d, Q)
+        assert len(want) > 0
+        assert _record_bits(farey.enumerate_translated_farey(np.eye(d), Q, unit, include_upper=False)) == _record_bits(want)
 
 
 def test_translated_shear_example():
