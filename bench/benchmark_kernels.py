@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, the d = 2 interval count built on them, and the
-A3 collision searches and clipped window volumes.
+"""Time the hot kernels, the d = 2 interval count built on them, the A3
+collision searches and clipped window volumes, and the whole A3 window sum.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -39,6 +39,11 @@ def a3_clipped():
     return (*a3_centers(), np.zeros(2), np.ones(2))
 
 
+def a3_window_sum():
+    """The A3 row's arguments to the enumerated stable window sum."""
+    return StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 2.85
+
+
 def timed(fn, *args, repeat=3):
     best = float("inf")
     for _ in range(repeat):
@@ -66,6 +71,7 @@ CASES = [
     ("farey_window_pairs(A3)", "farey_window_pairs", a3_pair_search),
     ("collision_clusters(A3)", "collision_clusters", a3_centers),
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
+    ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
 ]
 
 

@@ -112,10 +112,10 @@ def floor_diff_prefix(u: float, v: float, m_max: int, scale: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def farey_d2(qmax: int, lo: float, hi: float):
+def farey_d2(qmax: int, lo: float, hi: float, q_first: int = 1):
     qs_out = []
     ps_out = []
-    for q in range(1, qmax + 1):
+    for q in range(q_first, qmax + 1):
         p = np.arange(math.ceil(lo * q), math.floor(hi * q) + 1, dtype=np.int64)
         if p.size == 0:
             continue
@@ -128,9 +128,9 @@ def farey_d2(qmax: int, lo: float, hi: float):
     return np.concatenate(qs_out), np.concatenate(ps_out)
 
 
-def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
+def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float, q_first: int = 1):
     qs_out, p1_out, p2_out = [], [], []
-    for q in range(1, qmax + 1):
+    for q in range(q_first, qmax + 1):
         a = np.arange(math.ceil(lo1 * q), math.floor(hi1 * q) + 1, dtype=np.int64)
         b = np.arange(math.ceil(lo2 * q), math.floor(hi2 * q) + 1, dtype=np.int64)
         if a.size == 0 or b.size == 0:

@@ -10,6 +10,7 @@ limit is the lattice-count fluctuation itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -184,12 +185,14 @@ def _stable_window_shape(target: tg.StableSection, t: float) -> tuple[float, np.
     return w, c_off, w / 2.0 + float(np.abs(c_off).max()) + 1e-15
 
 
-def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
+def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float, qs=None):
     """Sources, centers and width w of the windows that can meet [lo, hi].
 
-    For identity L both arrays are Fortran-ordered and each center column
-    p_i / q - c_off_i is built from the integer columns, so every later pass
-    over the centers reads contiguous columns.
+    For identity L, ``qs = (first, last)`` keeps the denominators
+    first <= q <= last (by default every q below the cutoff); both arrays
+    are Fortran-ordered and each center column p_i / q - c_off_i is built
+    from the integer columns, so every later pass over the centers reads
+    contiguous columns.
     """
     d = target.d
     w, c_off, margin = _stable_window_shape(target, t)
@@ -198,7 +201,8 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     if L is not None:
         sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
         return sources, alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off, w
-    sources = fy.farey_sources(d, q_cap, box) if q_cap >= 1 else np.empty((0, d), np.int64)
+    first, last = (1, q_cap) if qs is None else qs
+    sources = fy.farey_sources(d, last, box, first) if last >= 1 else np.empty((0, d), np.int64)
     fy.check_budget(sources.shape[0], "window enumeration")
     return sources, _source_centers(sources, c_off), w
 
@@ -291,46 +295,25 @@ def _grid_union(los: np.ndarray, his: np.ndarray) -> float:
     return float(np.einsum("ci,cij,cj->", widths[..., 0], cover, widths[..., 1]))
 
 
-_STRIP_POINTS = 1 << 19  # predicted points per strip of the enumerated window sum
-
-
-def _strip_edges(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> np.ndarray:
-    """Edges lo_1 = e_0 < ... < e_n = hi_1 of the strips along the first
-    parameter axis, about _STRIP_POINTS predicted points each.
-
-    The prediction is vol(box) Q^d / (d zeta(d)) for the box A plus margin;
-    it is checked against ENUM_BUDGET before the edges exist.  A general L
-    gets one strip: its enumeration box is the preimage of the admissible
-    cone, which does not shrink with the strip.
-    """
-    d = target.d
-    if L is not None:
-        return np.array([lo[0], hi[0]])
-    margin = _stable_window_shape(target, t)[2]
-    predicted = box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
-    fy.check_budget(math.ceil(predicted) if math.isfinite(predicted) else predicted, "predicted window enumeration")
-    n = max(1, math.ceil(predicted / _STRIP_POINTS))
-    return np.linspace(lo[0], hi[0], n + 1)
+_BLOCK_POINTS = 1 << 19  # predicted points per denominator block of the enumerated window sum
 
 
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
     """Exact integral: clipped window volumes, corrected by the union of each
-    collision cluster, summed strip by strip along the first axis of A.
+    collision cluster.
 
-    The measure of the union is additive over the strips, so each strip
-    enumerates only the windows that can meet it (the strip plus the margin
-    of _stable_window_centers), clips them to the strip and measures its own
-    collision clusters; the strips are added in order.  A strip counts the
-    points it owns, ceil(e_k q) <= p_1 < ceil(e_{k+1} q) in the kernel's own
-    rounding, the outer strips reaching out to the ends of the box, so the
-    count is that of the whole box.  ENUM_BUDGET bounds the running count.
-
-    For identity L the overlapping window pairs of the whole box come from
-    one integer search (farey.farey_window_pairs) before the strips, ranked
-    in the kernel's row order (farey.pair_graph); a strip keeps the pairs
-    with both ends in its enumeration box and clusters them, in the order
-    collision_clusters gives for the strip's rows.  A general L, and d >= 4,
-    search each strip's centers with collision_clusters.
+    For identity L and d <= 3 the windows of the box A plus the margin of
+    _stable_window_centers are enumerated in denominator blocks
+    q_{k-1} < q <= q_k, q_k = floor(m (k/n)^{1/d}) with repeats dropped, of
+    about _BLOCK_POINTS of the predicted vol(box) Q^d / (d zeta(d)) points
+    each; the prediction is checked against ENUM_BUDGET before anything is
+    allocated.  Each window has one q, so each block is clipped to A and
+    summed, the blocks are added in order, and the count is the sum of the
+    block sizes.  The overlapping window pairs come from one integer search
+    over the box (farey.farey_window_pairs), ranked in the kernel's row
+    order (farey.pair_graph), and their components are the clusters.  A
+    general L, and d >= 4, enumerate once and search the centers with
+    collision_clusters.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
@@ -338,45 +321,35 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     small widths, so the union is computed instead.
     """
     d = target.d
-    edges = _strip_edges(target, L, lo, hi, t)
-    n = edges.size - 1
-    cuts = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
     w, c_off, margin = _stable_window_shape(target, t)
-    search = L is None and d <= 3  # the integer pair search covers one and two parameter axes
-    if search:
-        nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w))
-    total, count = 0.0, 0
-    for k in range(n):
-        s_lo, s_hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        s_lo[0], s_hi[0] = edges[k], edges[k + 1]
-        sources, centers, w = _stable_window_centers(target, L, s_lo, s_hi, t)
-        if n == 1:
+    if L is not None or d > 3:  # the integer pair search covers one and two parameter axes
+        sources, centers, _w = _stable_window_centers(target, L, lo, hi, t)
+        count = int(sources.shape[0])
+        del sources  # only the count is needed; free it before the collision search
+        total = float(_clipped_box_volumes(centers, w, lo, hi).sum())
+        clusters = fy.collision_clusters(centers, w)
+        sizes = [m.size for m in clusters]
+        clustered = centers[np.concatenate(clusters)] if clusters else None
+    else:
+        q_cap = target.denominator_cap(t)
+        predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
+        fy.check_budget(math.ceil(predicted) if math.isfinite(predicted) else predicted, "predicted window enumeration")
+        m, n = math.floor(q_cap), max(1, math.ceil(predicted / _BLOCK_POINTS))
+        cuts = np.unique(np.floor(m * (np.arange(n + 1) / n) ** (1.0 / d)).astype(np.int64))
+        total, count = 0.0, 0
+        for q_lo, q_hi in itertools.pairwise(cuts.tolist()):
+            sources, centers, _w = _stable_window_centers(target, None, lo, hi, t, (q_lo + 1, q_hi))
             count += int(sources.shape[0])
-        else:
-            p, q = sources[:, 0], sources[:, -1].astype(float)
-            count += int(np.count_nonzero((p >= np.ceil(cuts[k] * q)) & (p < np.ceil(cuts[k + 1] * q))))
-        fy.check_budget(count, "window enumeration")
-        del sources  # only the owned count is needed; free it before the collision search
-        if centers.shape[0] == 0:
-            continue
-        part = float(_clipped_box_volumes(centers, w, s_lo, s_hi).sum())
-        if search:
-            # the pairs with both ends in the strip's enumeration box, in the kernel's rounding
-            q = nodes[:, -1]
-            inside = (nodes[:, 0] >= np.ceil((s_lo[0] - margin) * q)) & (nodes[:, 0] <= np.floor((s_hi[0] + margin) * q))
-            both = inside[u] & inside[v]
-            members, sizes = fy.component_clusters(u[both], v[both])
-            clustered = _source_centers(nodes[members], c_off)
-        else:
-            clusters = fy.collision_clusters(centers, w)
-            sizes = [m.size for m in clusters]
-            clustered = centers[np.concatenate(clusters)] if clusters else None
-        if len(sizes) and d == 2:
-            raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
-        if len(sizes):
-            union = _cluster_union_volume(clustered, w, s_lo, s_hi, sizes=sizes)
-            part += union - float(_clipped_box_volumes(clustered, w, s_lo, s_hi).sum())
-        total += part
+            fy.check_budget(count, "window enumeration")
+            total += float(_clipped_box_volumes(centers, w, lo, hi).sum())
+        nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(m, lo - margin, hi + margin, w))
+        members, sizes = fy.component_clusters(u, v)
+        clustered = _source_centers(nodes[members], c_off)
+    if len(sizes) and d == 2:
+        raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
+    if len(sizes):
+        union = _cluster_union_volume(clustered, w, lo, hi, sizes=sizes)
+        total += union - float(_clipped_box_volumes(clustered, w, lo, hi).sum())
     return total, count
 
 

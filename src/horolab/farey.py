@@ -123,10 +123,11 @@ def _grid_bound(qmax: int, lo: np.ndarray, hi: np.ndarray) -> float:
     return sum(c * s for c, s in zip(coef, sums))
 
 
-def _farey_columns(d: int, Q: float, box) -> list[np.ndarray]:
+def _farey_columns(d: int, Q: float, box, q_first: int = 1) -> list[np.ndarray]:
     """The integer columns p_1, ..., p_{d-1}, q of the primitive points of
-    farey_arrays, as the kernel returns them.  The candidate grid is checked
-    against ENUM_BUDGET before the kernel runs."""
+    farey_arrays with q_first <= q <= Q, as the kernel returns them.  The
+    candidate grid of those denominators is checked against ENUM_BUDGET
+    before the kernel runs."""
     _check_q(Q)
     if d < 2:
         raise InvalidDimensionError(f"d must be >= 2, got {d}")
@@ -135,16 +136,16 @@ def _farey_columns(d: int, Q: float, box) -> list[np.ndarray]:
     else:
         lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
     qmax = int(math.floor(Q))
-    bound = _grid_bound(qmax, lo, hi)
+    bound = _grid_bound(qmax, lo, hi) - _grid_bound(q_first - 1, lo, hi)
     check_budget(math.ceil(bound) if math.isfinite(bound) else bound, "Farey candidate grid")
     if d == 2:
-        qs, ps = K.farey_d2(qmax, float(lo[0]), float(hi[0]))
+        qs, ps = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
         return [ps, qs]
     if d == 3:
-        qs, p1, p2 = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        qs, p1, p2 = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
         return [p1, p2, qs]
     rows = []
-    for q in range(1, qmax + 1):
+    for q in range(q_first, qmax + 1):
         axes = [np.arange(math.ceil(lo[i] * q), math.floor(hi[i] * q) + 1, dtype=np.int64) for i in range(d - 1)]
         if any(a.size == 0 for a in axes):
             continue
@@ -167,11 +168,11 @@ def farey_arrays(d: int, Q: float, box=None) -> tuple[np.ndarray, np.ndarray]:
     return sources, sources.astype(float)
 
 
-def farey_sources(d: int, Q: float, box=None) -> np.ndarray:
-    """The sources of farey_arrays as a Fortran-ordered (n, d) int64 array,
-    without the float copy: each column is contiguous, for callers that
-    work column by column."""
-    return np.concatenate(_farey_columns(d, Q, box)).reshape(d, -1).T
+def farey_sources(d: int, Q: float, box=None, q_first: int = 1) -> np.ndarray:
+    """The sources of farey_arrays with q >= q_first as a Fortran-ordered
+    (n, d) int64 array, without the float copy: each column is contiguous,
+    for callers that work column by column."""
+    return np.concatenate(_farey_columns(d, Q, box, q_first)).reshape(d, -1).T
 
 
 def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:

@@ -283,7 +283,7 @@ def test_sthe_run_over_budget_exits_2(capsys, tmp_path):
 
 
 def test_sthe_run_d3_window_sum_over_budget_exits_2(capsys, tmp_path):
-    # about 1.9e20 predicted windows at t = 8: refused before the strip edges exist
+    # about 1.9e20 predicted windows at t = 8: refused before any block is enumerated
     cfg = sthe_config(tmp_path, d=3, target={"kind": "stable", "T": 1, "eps": 0.2}, A={"lo": [0, 0], "hi": [1, 1]},
                       t_schedule=[8], estimator={"kind": "window-sum"})
     assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -187,14 +187,47 @@ def test_d2_counts_check_the_budget_before_allocating():
         assert peak < 1 << 20
 
 
-def test_d3_window_sum_in_strips_is_unchanged(monkeypatch):
-    # the value and count the strip-tiled sum gave with C-ordered centers and
-    # scipy's connected components, before the column-major layout
+def block_ranges(monkeypatch):
+    """The (first, last) denominators of each block the window sum asks
+    _stable_window_centers for, in call order."""
+    ranges, centers = [], ex._stable_window_centers
+
+    def record(target, L, lo, hi, t, qs=None):
+        ranges.append(qs)
+        return centers(target, L, lo, hi, t, qs)
+
+    monkeypatch.setattr(ex, "_stable_window_centers", record)
+    return ranges
+
+
+def test_d3_window_sum_in_five_blocks_matches_one_block(monkeypatch):
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     lo, hi, t = np.zeros(2), np.ones(2), 2.3
-    monkeypatch.setattr(ex, "_STRIP_POINTS", 1 << 16)
-    assert ex._strip_edges(target, None, lo, hi, t).size - 1 == 5
-    assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == (0.011086460573205231, 279417)
+    ranges = block_ranges(monkeypatch)
+    monkeypatch.setattr(ex, "_BLOCK_POINTS", 1 << 16)
+    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    assert len(ranges) == 5
+    monkeypatch.setattr(ex, "_BLOCK_POINTS", math.inf)
+    assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == (val, count)
+    assert count == 279417
+    # the value the strip-tiled sum gave with C-ordered centers and scipy's
+    # connected components, before the denominator blocks
+    assert abs(val - 0.011086460573205231) <= 1e-15 * val
+
+
+def test_window_sum_budgets_each_block_by_its_own_grid(monkeypatch):
+    # 273,145 predicted points and 279,417 enumerated fit a budget of 3e5,
+    # and so does each block's candidate grid; the grid of the whole box
+    # (338,484 candidates) does not
+    zeta(3)  # the first call fills a cache through a 10^5-term partial sum
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    lo, hi, t = np.zeros(2), np.ones(2), 2.3
+    monkeypatch.setattr(ex, "_BLOCK_POINTS", 1 << 16)
+    want = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    monkeypatch.setattr(farey, "ENUM_BUDGET", 300_000)
+    margin = ex._stable_window_shape(target, t)[2]
+    assert farey._grid_bound(99, lo - margin, hi + margin) > farey.ENUM_BUDGET
+    assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == want
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -245,24 +278,29 @@ def test_window_sum_unit_cell_matches_enumeration_d3():
     assert abs(val_cell - val_enum) <= 1e-12 * max(val_cell, 1e-12)
 
 
-def tiled_and_one_strip(target, lo, hi, t, n):
-    """The enumerated stable window sum over n strips of A and over one, with
-    the points-per-strip constant set to give exactly n."""
+def blocked_and_one_block(target, lo, hi, t, n):
+    """The enumerated stable window sum over n denominator blocks and over
+    one, with the points-per-block constant set to give n before the
+    repeated denominators merge.  The blocks must tile 1, ..., m in order,
+    in at least two blocks once m >= n."""
     d = target.d
     margin = ex._stable_window_shape(target, t)[2]
+    m = math.floor(target.denominator_cap(t))
     predicted = ex.box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ex, "_STRIP_POINTS", predicted / n * (1.0 + 1e-9))
-        assert ex._strip_edges(target, None, lo, hi, t).tolist() == np.linspace(lo[0], hi[0], n + 1).tolist()
-        tiled = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
-        mp.setattr(ex, "_STRIP_POINTS", math.inf)
-        assert ex._strip_edges(target, None, lo, hi, t).size == 2
+        ranges = block_ranges(mp)
+        mp.setattr(ex, "_BLOCK_POINTS", predicted / n * (1.0 + 1e-9))
+        blocked = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+        assert [first for first, _last in ranges] == [1] + [last + 1 for _first, last in ranges[:-1]]
+        assert ranges[-1][1] == m and len(ranges) <= n
+        assert m < n or len(ranges) >= 2
+        mp.setattr(ex, "_BLOCK_POINTS", math.inf)
         whole = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
-    return tiled, whole
+    return blocked, whole
 
 
 @st.composite
-def strip_cases(draw):
+def block_cases(draw):
     d = draw(st.sampled_from([2, 3]))
     lo = np.array([draw(st.floats(-0.5, 0.9)) for _ in range(d - 1)])
     hi = lo + np.array([draw(st.floats(0.05, 1.0)) for _ in range(d - 1)])
@@ -274,56 +312,42 @@ def strip_cases(draw):
     return tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde), lo, hi, t, n
 
 
+def rational_case(lo, hi, n, t):
+    # boxes with Farey points on their edges; at x_1 = 0 the d = 3 cusp
+    # collisions form clusters that reach across the edge
+    d = len(lo) + 1
+    return tg.StableSection(d=d, T=1.0, eps=0.2, ytilde=(0.01,) * (d - 1)), np.array(lo), np.array(hi), t, n
+
+
 @settings(deadline=None, max_examples=40)
-@given(strip_cases())
-def test_tiled_window_sum_matches_one_strip(case):
+@given(block_cases())
+@example(rational_case([0.0], [1.0], 4, 5.0))
+@example(rational_case([0.0, 0.0], [1.0, 1.0], 4, 1.8))
+@example(rational_case([-0.5, 0.0], [0.5, 1.0], 2, 1.8))
+def test_block_window_sum_matches_one_block(case):
     target, lo, hi, t, n = case
-    (val, count), (val_one, count_one) = tiled_and_one_strip(target, lo, hi, t, n)
+    (val, count), (val_one, count_one) = blocked_and_one_block(target, lo, hi, t, n)
     assert count == count_one
     assert abs(val - val_one) <= 1e-12 * abs(val_one)
 
 
-@pytest.mark.parametrize("lo, hi, n, t", [
-    ([0.0], [1.0], 4, 5.0),
-    ([0.0, 0.0], [1.0, 1.0], 4, 1.8),
-    ([-0.5, 0.0], [0.5, 1.0], 2, 1.8),
-])
-def test_tiled_window_sum_with_edges_on_rationals(lo, hi, n, t):
-    # 1/4, 1/2, 3/4 and 0 are Farey points on the strip edges, for every q
-    # they divide, so ownership decides by the kernel's ceil; at x_1 = 0 the
-    # d = 3 cusp collisions form clusters that straddle the edge
-    d = len(lo) + 1
-    target = tg.StableSection(d=d, T=1.0, eps=0.2, ytilde=(0.01,) * (d - 1))
-    (val, count), (val_one, count_one) = tiled_and_one_strip(target, np.array(lo), np.array(hi), t, n)
-    assert count == count_one
-    assert abs(val - val_one) <= 1e-12 * val_one
-
-
 def reference_window_sum(target, lo, hi, t):
-    """The identity-L stable window sum with each strip's clusters found by
-    collision_clusters on the strip's enumerated centers."""
-    edges = ex._strip_edges(target, None, lo, hi, t)
-    cuts = np.concatenate(([-np.inf], edges[1:-1], [np.inf]))
-    total, count = 0.0, 0
-    for k in range(edges.size - 1):
-        s_lo, s_hi = lo.copy(), hi.copy()
-        s_lo[0], s_hi[0] = edges[k], edges[k + 1]
-        sources, centers, w = ex._stable_window_centers(target, None, s_lo, s_hi, t)
-        p, q = sources[:, 0], sources[:, -1].astype(float)
-        count += int(np.count_nonzero((p >= np.ceil(cuts[k] * q)) & (p < np.ceil(cuts[k + 1] * q))))
-        total += float(ex._clipped_box_volumes(centers, w, s_lo, s_hi).sum())
-        clusters = farey.collision_clusters(centers, w)
-        if clusters:
-            clustered = centers[np.concatenate(clusters)]
-            union = ex._cluster_union_volume(clustered, w, s_lo, s_hi, sizes=[c.size for c in clusters])
-            total += union - float(ex._clipped_box_volumes(clustered, w, s_lo, s_hi).sum())
-    return total, count
+    """The identity-L stable window sum from one enumeration of all centers,
+    with the clusters found by collision_clusters on them."""
+    sources, centers, w = ex._stable_window_centers(target, None, lo, hi, t)
+    total = float(ex._clipped_box_volumes(centers, w, lo, hi).sum())
+    clusters = farey.collision_clusters(centers, w)
+    if clusters:
+        clustered = centers[np.concatenate(clusters)]
+        union = ex._cluster_union_volume(clustered, w, lo, hi, sizes=[c.size for c in clusters])
+        total += union - float(ex._clipped_box_volumes(clustered, w, lo, hi).sum())
+    return total, int(sources.shape[0])
 
 
 @st.composite
 def d3_window_sum_cases(draw):
     # edges on 0 and on rationals put Farey points (and the x_1 = 0 cusp
-    # collisions) on strip and box edges
+    # collisions) on the box edges
     edge = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, -0.5]), st.floats(-0.5, 0.8))
     lo = np.array([draw(edge), draw(edge)])
     hi = lo + np.array([draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0))) for _ in range(2)])
@@ -338,17 +362,34 @@ def d3_window_sum_cases(draw):
 @settings(deadline=None, max_examples=25)
 @given(d3_window_sum_cases())
 @example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8, 3))
-def test_d3_window_sum_matches_per_strip_collision_search(case):
+def test_d3_window_sum_matches_collision_search(case):
     target, lo, hi, t, n = case
     d = target.d
     margin = ex._stable_window_shape(target, t)[2]
     predicted = ex.box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ex, "_STRIP_POINTS", predicted / n * (1.0 + 1e-9))
+        mp.setattr(ex, "_BLOCK_POINTS", predicted / n * (1.0 + 1e-9))
         val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
-        want, want_count = reference_window_sum(target, lo, hi, t)
+    want, want_count = reference_window_sum(target, lo, hi, t)
     assert count == want_count
     assert abs(val - want) <= 1e-12 * abs(want)
+
+
+@settings(deadline=None, max_examples=25)
+@given(d3_window_sum_cases(), st.sampled_from([2, 3]))
+def test_identity_window_sum_matches_the_preimage_box_path(case, d):
+    # L = I given as a matrix takes the preimage-box enumeration and the float
+    # grid search; at d = 2 the case keeps its first axis, its fraction of the
+    # disjointness budget, and its denominator cutoff (t doubles)
+    target, lo, hi, t, _n = case
+    if d == 2:
+        eps = target.eps / tg.disjointness_budget(3, target.T) * tg.disjointness_budget(2, target.T)
+        target = tg.StableSection(d=2, T=target.T, eps=eps, ytilde=target.ytilde[:1])
+        lo, hi, t = lo[:1], hi[:1], 2.0 * t
+    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    val_eye, count_eye = ex._window_sum_stable_enumerated(target, np.eye(d), lo, hi, t)
+    assert count == count_eye
+    assert abs(val - val_eye) <= 1e-12 * abs(val_eye)
 
 
 def test_a3_window_pairs_and_clusters():
@@ -372,7 +413,7 @@ def test_d4_window_sum_without_collisions_is_unchanged():
 
 
 def test_window_sum_checks_the_predicted_count_before_the_strip_edges():
-    # t = 8 predicts about 1.9e20 windows; the strip edges alone would take petabytes
+    # t = 8 predicts about 1.9e20 windows: refused before any block is enumerated
     zeta(3)  # the first call fills a cache through a 10^5-term partial sum
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     tracemalloc.start()

@@ -197,6 +197,33 @@ def test_farey_sources_are_the_farey_arrays_sources():
         assert np.array_equal(alpha, sources.astype(float))
 
 
+def test_farey_sources_from_a_first_denominator():
+    # q_first drops the rows below it and leaves the others as they were
+    for d, box in ((2, ([-0.3], [0.7])), (3, ([0.1, -0.2], [0.6, 0.4])), (4, None)):
+        whole = farey.farey_sources(d, 11.5, box=box)
+        for q_first in (1, 5, 11, 12):
+            block = farey.farey_sources(d, 11.5, box=box, q_first=q_first)
+            assert block.flags.f_contiguous and np.array_equal(block, whole[whole[:, -1] >= q_first])
+
+
+def test_farey_sources_budget_only_their_own_denominators(monkeypatch):
+    # the unit square's candidate grid is sum (q + 1)^2: 338,349 for q <= 99,
+    # 74,540 for 92 <= q <= 99 and 164,470 for 80 <= q <= 99
+    unit = (np.zeros(2), np.ones(2))
+    whole = farey.farey_sources(3, 99, box=unit)
+    monkeypatch.setattr(farey, "ENUM_BUDGET", 100_000)
+    high = farey.farey_sources(3, 99, box=unit, q_first=92)
+    assert np.array_equal(high, whole[whole[:, -1] >= 92])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="Farey candidate grid"):
+            farey.farey_sources(3, 99, box=unit, q_first=80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_duplicate_region_hand_values():
     r = farey.duplicate_region(np.eye(3))
     assert r.kind == "torus" and np.allclose(r.period_basis, np.eye(2))
