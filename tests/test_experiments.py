@@ -312,23 +312,30 @@ def block_cases(draw):
     return tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde), lo, hi, t, n
 
 
-def rational_case(lo, hi, n, t):
-    # boxes with Farey points on their edges; at x_1 = 0 the d = 3 cusp
-    # collisions form clusters that reach across the edge
-    d = len(lo) + 1
-    return tg.StableSection(d=d, T=1.0, eps=0.2, ytilde=(0.01,) * (d - 1)), np.array(lo), np.array(hi), t, n
-
-
 @settings(deadline=None, max_examples=40)
 @given(block_cases())
-@example(rational_case([0.0], [1.0], 4, 5.0))
-@example(rational_case([0.0, 0.0], [1.0, 1.0], 4, 1.8))
-@example(rational_case([-0.5, 0.0], [0.5, 1.0], 2, 1.8))
-def test_block_window_sum_matches_one_block(case):
+def test_tiled_window_sum_matches_one_strip(case):
+    # the tiles are denominator blocks; the one strip is one block over the
+    # whole box
     target, lo, hi, t, n = case
     (val, count), (val_one, count_one) = blocked_and_one_block(target, lo, hi, t, n)
     assert count == count_one
     assert abs(val - val_one) <= 1e-12 * abs(val_one)
+
+
+@pytest.mark.parametrize("lo, hi, n, t", [
+    ([0.0], [1.0], 4, 5.0),
+    ([0.0, 0.0], [1.0, 1.0], 4, 1.8),
+    ([-0.5, 0.0], [0.5, 1.0], 2, 1.8),
+])
+def test_tiled_window_sum_with_edges_on_rationals(lo, hi, n, t):
+    # boxes with Farey points on their edges; at x_1 = 0 the d = 3 cusp
+    # collisions form clusters that reach across the edge
+    d = len(lo) + 1
+    target = tg.StableSection(d=d, T=1.0, eps=0.2, ytilde=(0.01,) * (d - 1))
+    (val, count), (val_one, count_one) = blocked_and_one_block(target, np.array(lo), np.array(hi), t, n)
+    assert count == count_one
+    assert abs(val - val_one) <= 1e-12 * val_one
 
 
 def reference_window_sum(target, lo, hi, t):
