@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Time the hot kernels, the d = 2 interval count built on them, the A3
-collision searches and clipped window volumes, and the whole A3 window sum.
+collision searches and clipped window volumes, the whole A3 window sum, and
+the d = 3 spherical window sum of perfbench's d3-window workload with its
+clipped disk areas.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -15,7 +17,8 @@ import numpy as np
 
 from horolab import _kernels as K
 from horolab import experiments, farey
-from horolab.targets import StableSection
+from horolab.coords import Chart
+from horolab.targets import SphericalSection, StableSection
 
 
 def a3_centers():
@@ -42,6 +45,19 @@ def a3_clipped():
 def a3_window_sum():
     """The A3 row's arguments to the enumerated stable window sum."""
     return StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 2.85
+
+
+def d3_spherical_row():
+    """The d3-window spherical row's arguments to window_sum_spherical
+    (T = 3, radius 0.5, t = 2.6, unit square)."""
+    target = SphericalSection(d=3, T=3.0, chart=Chart(dim=3, radius=0.5))
+    return target, None, np.zeros(2), np.ones(2), 2.6
+
+
+def d3_spherical_disks():
+    """That row's 190,609 disks, clipped to the unit square."""
+    target, L, lo, hi, t = d3_spherical_row()
+    return (*experiments._spherical_windows(target, L, lo, hi, t), lo, hi)
 
 
 def timed(fn, *args, repeat=3):
@@ -72,6 +88,8 @@ CASES = [
     ("collision_clusters(A3)", "collision_clusters", a3_centers),
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
+    ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
+    ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
 ]
 
 

@@ -390,9 +390,11 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     """Integral of the spherical-target indicator: per-point windows whose
     radius couples the denominator to the chart through the cosine cutoff.
 
-    d = 2 windows are merged exactly when they touch; for d = 3 colliding
-    disks (possible at finite t) are corrected pairwise by the lens area
-    when they sit inside A.
+    d = 2 windows are merged exactly when they touch.  For d = 3 each disk
+    is clipped to A exactly, but colliding disks (possible at finite t) are
+    corrected only pairwise, by the lens area, and only when both sit
+    inside A; triple overlaps are ignored.  That is not exact: at T = 3,
+    radius 0.5, t = 2.6 on the unit square the sum is about 0.38% high.
     """
     d = target.d
     kind, _a = lattice_kind(L)
@@ -407,95 +409,145 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         counts = K.phi_sieve(qmax)[1:].astype(float)
         radii = _spherical_radii(np.arange(1, qmax + 1, dtype=float), q_cap, target.chart.radius, d, t)
         return float(np.dot(counts, 2.0 * radii)), int(counts.sum())
-    margin = math.exp(-d * t) * math.tan(target.chart.radius)
-    box = (lo - margin, hi + margin)
-    sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
-    if sources.shape[0] == 0:
+    centers, radii = _spherical_windows(target, L, lo, hi, t)
+    if centers.shape[0] == 0:
         return 0.0, 0
-    ad = alpha[:, d - 1]
-    keep = ad < q_cap
-    sources, alpha, ad = sources[keep], alpha[keep], ad[keep]
-    centers = alpha[:, : d - 1] / ad[:, None]
-    radii = _spherical_radii(ad, q_cap, target.chart.radius, d, t)
     if d == 2:
         intervals = np.stack([np.maximum(centers[:, 0] - radii, lo[0]), np.minimum(centers[:, 0] + radii, hi[0])], axis=1)
         return _merge_length(intervals), int(centers.shape[0])
     if d == 3:
-        # cumsum adds strictly left to right (np.sum adds pairwise): the sequential sum from 0.0
-        total = np.cumsum(np.append(0.0, _disk_box_areas(centers, radii, lo, hi)))[-1]
-        inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
-        for members in fy.collision_clusters(centers, 2.0 * radii):
-            a_i, b_i = np.triu_indices(members.size, 1)
-            for i, j in zip(members[a_i], members[b_i]):
-                if inside[i] and inside[j]:
-                    total -= _lens_area(float(np.linalg.norm(centers[i] - centers[j])), radii[i], radii[j])
-        return float(total), int(centers.shape[0])
+        return _disk_window_sum(centers, radii, lo, hi), int(centers.shape[0])
     raise ConfigError("spherical window sums implemented for d in {2, 3}")
 
 
+def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
+    """Centers and radii of the windows that can reach the box: the points
+    with alpha_d below the cutoff whose projection lies within the largest
+    radius of it."""
+    d = target.d
+    q_cap = target.denominator_cap(t)
+    margin = math.exp(-d * t) * math.tan(target.chart.radius)
+    _sources, alpha = fy.sequence_arrays(d, q_cap, L, (lo - margin, hi + margin))
+    alpha = alpha[alpha[:, d - 1] < q_cap]
+    ad = alpha[:, d - 1]
+    return alpha[:, : d - 1] / ad[:, None], _spherical_radii(ad, q_cap, target.chart.radius, d, t)
+
+
+def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi) -> float:
+    """Area of the disks inside the box less the lens of every meeting pair
+    that lies inside it: the disk areas added left to right from 0.0, then
+    the lenses subtracted in the order of _inside_lenses (cumsum adds
+    strictly left to right; np.sum adds pairwise)."""
+    lenses = _inside_lenses(centers, radii, lo, hi)
+    return float(np.cumsum(np.concatenate(([0.0], _disk_box_areas(centers, radii, lo, hi), -lenses)))[-1])
+
+
+def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarray:
+    """Lens area of each pair of meeting disks that both lie inside the box.
+
+    The pairs are those of the collision clusters of the diameters, cluster
+    by cluster and within a cluster in triu_indices order of its sorted
+    members.  The clusters of one size are expanded together and scattered
+    to their pairs' slots.  The distance is the BLAS dot of the difference
+    with itself, the bits np.linalg.norm gives one pair."""
+    clusters = fy.collision_clusters(centers, 2.0 * radii)
+    if not clusters:
+        return np.empty(0)
+    sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
+    members = np.concatenate(clusters)
+    starts = np.cumsum(sizes) - sizes
+    pairs = sizes * (sizes - 1) // 2
+    slots = np.cumsum(pairs) - pairs
+    first, second = np.empty((2, int(pairs.sum())), np.int64)
+    for k in np.unique(sizes):
+        a, b = np.triu_indices(k, 1)
+        of_size = sizes == k
+        rows, at = starts[of_size, None], slots[of_size, None] + np.arange(a.size)
+        first[at], second[at] = members[rows + a], members[rows + b]
+    inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
+    keep = inside[first] & inside[second]
+    first, second = first[keep], second[keep]
+    diff = centers[first] - centers[second]
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    r1, r2 = radii[first], radii[second]
+    meet = dist < r1 + r2
+    return _lens_areas(dist[meet], r1[meet], r2[meet])
+
+
+def _lens_areas(dist: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Intersection area of disks of radii r1, r2 at distance dist < r1 + r2:
+    the smaller disk when one holds the other, else the two circular
+    segments."""
+    r = np.minimum(r1, r2)
+    areas = math.pi * r * r
+    cut = dist > np.abs(r1 - r2)
+    d, p, q = dist[cut], r1[cut], r2[cut]
+    a1 = _elementwise(math.acos, np.clip((d * d + p * p - q * q) / (2 * d * p), -1.0, 1.0))
+    a2 = _elementwise(math.acos, np.clip((d * d + q * q - p * p) / (2 * d * q), -1.0, 1.0))
+    kern = np.maximum(0.0, (-d + p + q) * (d + p - q) * (d - p + q) * (d + p + q))
+    areas[cut] = p * p * a1 + q * q * a2 - 0.5 * np.sqrt(kern)
+    return areas
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """fn of math applied to each entry.  libm's asin and acos, not numpy's
+    own arcsin and arccos, which round differently on some inputs."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
 def _disk_box_areas(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarray:
-    """_circle_box_area of each disk (0 where r <= 0).  A disk whose scaled
-    distance to every side of the box is at least 1 gets r * r * pi
-    directly, which is the scalar formula's value there bit for bit."""
+    """Exact area of each disk inside the box (0 where r <= 0).
+
+    A disk whose scaled distance to every side of the box is at least 1 gets
+    r * r * pi.  Any other disk scales to the unit disk, whose part in the
+    box is the signed sum of its four corner quadrants (_unit_corners),
+    clamped at 0 and scaled back by r * r."""
     with np.errstate(all="ignore"):
         scaled = np.concatenate([lo - centers, centers - hi], axis=1) / radii[:, None]
     whole = (radii > 0) & np.all(scaled <= -1.0, axis=1)
     areas = np.where(whole, radii * radii * math.pi, 0.0)
-    for i in np.flatnonzero(~whole & (radii > 0)):
-        areas[i] = _circle_box_area(centers[i, 0], centers[i, 1], radii[i], lo, hi)
+    edge = np.flatnonzero(~whole & (radii > 0))
+    c, r = centers[edge], radii[edge]
+    x1, y1 = (lo[0] - c[:, 0]) / r, (lo[1] - c[:, 1]) / r
+    x2, y2 = (hi[0] - c[:, 0]) / r, (hi[1] - c[:, 1]) / r
+    corner = _unit_corners(np.concatenate([x1, x2, x1, x2]), np.concatenate([y1, y1, y2, y2])).reshape(4, -1)
+    areas[edge] = r * r * np.maximum(0.0, corner[0] - corner[1] - corner[2] + corner[3])
     return areas
 
 
-def _lens_area(dist: float, r1: float, r2: float) -> float:
-    if dist >= r1 + r2:
-        return 0.0
-    if dist <= abs(r1 - r2):
-        r = min(r1, r2)
-        return math.pi * r * r
-    a1 = math.acos(min(1.0, max(-1.0, (dist * dist + r1 * r1 - r2 * r2) / (2 * dist * r1))))
-    a2 = math.acos(min(1.0, max(-1.0, (dist * dist + r2 * r2 - r1 * r1) / (2 * dist * r2))))
-    kern = max(0.0, (-dist + r1 + r2) * (dist + r1 - r2) * (dist - r1 + r2) * (dist + r1 + r2))
-    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(kern)
+_QUARTER_DISK = 0.5 * math.asin(1.0)  # _half_strip(1.0), a quarter of the unit disk
 
 
-def _unit_corner(a: float, b: float) -> float:
-    """Area of the unit disk in the quadrant {u >= a, v >= b}."""
-    if a >= 1.0 or b >= 1.0:
-        return 0.0
-    a = max(a, -1.0)
-    b = max(b, -1.0)
-
-    def w(x):
-        x = min(max(x, -1.0), 1.0)
-        return 0.5 * (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(x))
-
-    if b >= 0.0:
-        xb = math.sqrt(max(0.0, 1.0 - b * b))
-        p = max(a, -xb)
-        if p >= xb:
-            return 0.0
-        return (w(xb) - w(p)) - b * (xb - p)
-    xb = math.sqrt(max(0.0, 1.0 - b * b))
-    total = 0.0
-    p = max(a, -xb)
-    if p < xb:
-        total += (w(xb) - w(p)) - b * (xb - p)
-    pr = max(a, xb)
-    if pr < 1.0:
-        total += 2.0 * (w(1.0) - w(pr))  # right lobe, chord fully above v = b
-    if a < -xb:
-        total += 2.0 * (w(-xb) - w(max(a, -1.0)))  # left lobe
-    return total
+def _half_strip(x: np.ndarray) -> np.ndarray:
+    """Signed area under the unit disk's upper half over [0, x], for x
+    clamped to [-1, 1]."""
+    x = np.clip(x, -1.0, 1.0)
+    return 0.5 * (x * np.sqrt(np.maximum(0.0, 1.0 - x * x)) + _elementwise(math.asin, x))
 
 
-def _circle_box_area(cx: float, cy: float, r: float, lo, hi) -> float:
-    """Exact area of the disk of radius r at (cx, cy) inside the box."""
-    if r <= 0:
-        return 0.0
-    x1, y1 = (lo[0] - cx) / r, (lo[1] - cy) / r
-    x2, y2 = (hi[0] - cx) / r, (hi[1] - cy) / r
-    val = _unit_corner(x1, y1) - _unit_corner(x2, y1) - _unit_corner(x1, y2) + _unit_corner(x2, y2)
-    return r * r * max(0.0, val)
+def _unit_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Area of the unit disk in each quadrant {u >= a, v >= b}.
+
+    With xb the half-length of the chord v = b: the part above the chord
+    over [max(a, -xb), xb], plus, when b < 0, the lobes beyond the chord's
+    ends, whose vertical chords lie wholly above v = b (each only right of
+    a).  Each entry takes the same operations, in the same order, as the
+    scalar one-corner formula the tests compare it with."""
+    areas = np.zeros(a.shape)
+    live = np.flatnonzero((a < 1.0) & (b < 1.0))
+    a, b = np.maximum(a[live], -1.0), np.maximum(b[live], -1.0)
+    xb = np.sqrt(np.maximum(0.0, 1.0 - b * b))
+    p = np.maximum(a, -xb)
+    total = np.zeros(a.shape)
+    top = p < xb
+    total[top] = (_half_strip(xb[top]) - _half_strip(p[top])) - b[top] * (xb[top] - p[top])
+    pr = np.maximum(a, xb)
+    right = (b < 0.0) & (pr < 1.0)
+    total[right] += 2.0 * (_QUARTER_DISK - _half_strip(pr[right]))
+    left = (b < 0.0) & (a < -xb)
+    total[left] += 2.0 * (_half_strip(-xb[left]) - _half_strip(a[left]))
+    areas[live] = total
+    return areas
 
 
 # ---------------------------------------------------------------------------

@@ -483,11 +483,20 @@ def test_spherical_window_sum_matches_enumeration():
     assert abs(val_cell - val_enum) <= 1e-12
 
 
+def test_d3_spherical_window_sum_is_unchanged():
+    # the d = 3 spherical row of perfbench's d3-window workload, pinned bit for
+    # bit at its smoke t (no lens correction) and its full t (lenses inside A)
+    target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
+    unit = (np.zeros(2), np.ones(2))
+    assert ex.window_sum_spherical(target, None, *unit, 2.0) == (0.023840732082532772, 5561)
+    assert ex.window_sum_spherical(target, None, *unit, 2.6) == (0.023661368622645552, 190609)
+
+
 def test_circle_box_area_against_quadrature(rng):
     for _ in range(25):
         cx, cy = rng.uniform(-0.5, 1.5, size=2)
         r = rng.uniform(0.05, 0.8)
-        got = ex._circle_box_area(cx, cy, r, (0.0, 0.0), (1.0, 1.0))
+        (got,) = ex._disk_box_areas(np.array([[cx, cy]]), np.array([r]), np.zeros(2), np.ones(2))
 
         def width(y):
             if abs(y - cy) >= r:
@@ -577,10 +586,141 @@ def test_disk_areas_match_scalar_loop_bitwise(disks):
     areas = ex._disk_box_areas(centers, radii, lo, hi)
     total = 0.0
     for k, (c, r) in enumerate(zip(centers, radii)):
-        want = ex._circle_box_area(c[0], c[1], r, lo, hi) if r > 0 else 0.0
+        want = _circle_box_area(c[0], c[1], r, lo, hi) if r > 0 else 0.0
         assert areas[k] == want
         total += want
     assert np.cumsum(np.append(0.0, areas))[-1] == total
+
+
+# the scalar disk and lens areas the batched d = 3 spherical window sum was
+# written from; the batched code must give their bits
+
+
+def _lens_area(dist: float, r1: float, r2: float) -> float:
+    if dist >= r1 + r2:
+        return 0.0
+    if dist <= abs(r1 - r2):
+        r = min(r1, r2)
+        return math.pi * r * r
+    a1 = math.acos(min(1.0, max(-1.0, (dist * dist + r1 * r1 - r2 * r2) / (2 * dist * r1))))
+    a2 = math.acos(min(1.0, max(-1.0, (dist * dist + r2 * r2 - r1 * r1) / (2 * dist * r2))))
+    kern = max(0.0, (-dist + r1 + r2) * (dist + r1 - r2) * (dist - r1 + r2) * (dist + r1 + r2))
+    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * math.sqrt(kern)
+
+
+def _unit_corner(a: float, b: float) -> float:
+    """Area of the unit disk in the quadrant {u >= a, v >= b}."""
+    if a >= 1.0 or b >= 1.0:
+        return 0.0
+    a = max(a, -1.0)
+    b = max(b, -1.0)
+
+    def w(x):
+        x = min(max(x, -1.0), 1.0)
+        return 0.5 * (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(x))
+
+    if b >= 0.0:
+        xb = math.sqrt(max(0.0, 1.0 - b * b))
+        p = max(a, -xb)
+        if p >= xb:
+            return 0.0
+        return (w(xb) - w(p)) - b * (xb - p)
+    xb = math.sqrt(max(0.0, 1.0 - b * b))
+    total = 0.0
+    p = max(a, -xb)
+    if p < xb:
+        total += (w(xb) - w(p)) - b * (xb - p)
+    pr = max(a, xb)
+    if pr < 1.0:
+        total += 2.0 * (w(1.0) - w(pr))  # right lobe, chord fully above v = b
+    if a < -xb:
+        total += 2.0 * (w(-xb) - w(max(a, -1.0)))  # left lobe
+    return total
+
+
+def _circle_box_area(cx: float, cy: float, r: float, lo, hi) -> float:
+    """Exact area of the disk of radius r at (cx, cy) inside the box."""
+    if r <= 0:
+        return 0.0
+    x1, y1 = (lo[0] - cx) / r, (lo[1] - cy) / r
+    x2, y2 = (hi[0] - cx) / r, (hi[1] - cy) / r
+    val = _unit_corner(x1, y1) - _unit_corner(x2, y1) - _unit_corner(x1, y2) + _unit_corner(x2, y2)
+    return r * r * max(0.0, val)
+
+
+def _pairwise_disk_window_sum(centers, radii, lo, hi):
+    """The per-pair loop the batched lens correction replaced: the disk
+    areas added left to right, then the lens of each pair inside A
+    subtracted, cluster by cluster.  Also returns the lenses of the pairs
+    that meet (dist < r1 + r2), in that order."""
+    total = np.cumsum(np.append(0.0, ex._disk_box_areas(centers, radii, lo, hi)))[-1]
+    inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
+    lenses = []
+    for members in farey.collision_clusters(centers, 2.0 * radii):
+        a_i, b_i = np.triu_indices(members.size, 1)
+        for i, j in zip(members[a_i], members[b_i]):
+            if inside[i] and inside[j]:
+                dist = float(np.linalg.norm(centers[i] - centers[j]))
+                lens = _lens_area(dist, radii[i], radii[j])
+                total -= lens
+                if dist < radii[i] + radii[j]:
+                    lenses.append(lens)
+    return float(total), lenses
+
+
+offset = st.one_of(st.sampled_from([0.0, 0.0625, -0.0625, 0.125, -0.125, 0.25]), st.floats(-0.3, 0.3))
+disk_radius = st.one_of(st.sampled_from([0.0625, 0.125, 0.25]), st.floats(1e-3, 0.3))
+
+
+@st.composite
+def disk_clusters(draw):
+    """Groups of 2 to 8 disks about a common point, inside A, across its
+    edges or outside it.  Grid offsets and radii make nested and tangent
+    pairs common; a group's far members need not meet."""
+    disks = []
+    for size in draw(st.lists(st.integers(2, 8), min_size=1, max_size=5)):
+        x, y = draw(coordinate), draw(coordinate)
+        for _ in range(size):
+            disks.append((x + draw(offset), y + draw(offset), draw(disk_radius)))
+    arr = np.array(disks)
+    return arr[:, :2], arr[:, 2]
+
+
+@settings(deadline=None)
+@given(disk_clusters())
+# nested: a small disk in a big one, both inside A
+@example((np.array([[0.5, 0.5], [0.5625, 0.5]]), np.array([0.25, 0.125])))
+# tangent: the disks at x = 0.25 and 0.5 touch (dist == r1 + r2), clustered through the one between
+@example((np.array([[0.25, 0.5], [0.5, 0.5], [0.375, 0.5]]), np.array([0.125, 0.125, 0.0625])))
+def test_batched_lenses_match_pairwise_loop(case):
+    centers, radii = case
+    lo, hi = np.zeros(2), np.ones(2)
+    want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
+    got = ex._disk_window_sum(centers, radii, lo, hi)
+    assert abs(got - want) <= 1e-15 * abs(want)
+    assert ex._inside_lenses(centers, radii, lo, hi).size == len(lenses)
+
+
+def test_batched_lenses_match_pairwise_loop_bitwise():
+    # the disks of the d = 3 spherical row at t = 2.4: 57,329 disks and 456
+    # meeting pairs inside A.  Each lens, in order, and the total keep the bits
+    target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
+    lo, hi = np.zeros(2), np.ones(2)
+    centers, radii = ex._spherical_windows(target, None, lo, hi, 2.4)
+    want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
+    assert len(lenses) == 456
+    assert ex._inside_lenses(centers, radii, lo, hi).tolist() == lenses
+    assert ex._disk_window_sum(centers, radii, lo, hi) == want
+
+
+def test_disk_areas_match_scalar_loop_bitwise_in_bulk(rng):
+    # thousands of boundary disks at once, where numpy's own arcsin would
+    # round differently from math.asin on some of them
+    centers = rng.uniform(-0.3, 1.3, size=(4000, 2))
+    radii = rng.uniform(1e-6, 0.7, size=4000)
+    lo, hi = np.zeros(2), np.ones(2)
+    want = [_circle_box_area(c[0], c[1], r, lo, hi) for c, r in zip(centers, radii)]
+    assert ex._disk_box_areas(centers, radii, lo, hi).tolist() == want
 
 
 @given(st.permutations(range(4)))
