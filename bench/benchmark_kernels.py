@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, the d = 2 interval count built on them, the A3
-collision searches and clipped window volumes, the whole A3 window sum, and
-the d = 3 spherical window sum of perfbench's d3-window workload with its
-clipped disk areas.
+"""Time the hot kernels, the d = 2 interval count built on them, the d = 4
+Farey enumeration, the A3 collision searches and clipped window volumes, the
+whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
+workload with its clipped disk areas, and the d = 2 interval union.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -60,6 +60,14 @@ def d3_spherical_disks():
     return (*experiments._spherical_windows(target, L, lo, hi, t), lo, hi)
 
 
+def random_intervals(n=400_000):
+    """n seeded random intervals starting in [0, 1]; in lo order, about two
+    in five start inside the union of those before them."""
+    rng = np.random.default_rng(0)
+    lo = rng.uniform(0.0, 1.0, size=n)
+    return (np.stack([lo, lo + rng.exponential(0.5 / n, size=n)], axis=1),)
+
+
 def timed(fn, *args, repeat=3):
     best = float("inf")
     for _ in range(repeat):
@@ -76,6 +84,7 @@ CASES = [
     ("floor_diff_prefix(1e6)", "floor_diff_prefix", (0.123, 0.877, 1_000_000, 1.0)),
     ("farey_d2(4000)", "farey_d2", (4000, 0.0, 1.0)),
     ("farey_d3(250)", "farey_d3", (250, 0.0, 1.0, 0.0, 1.0)),
+    ("_farey_columns(d = 4, 40)", "_farey_columns", (4, 40, None)),
     ("primitive_box(+-150)", "primitive_box", (np.array([-150.0, -150.0, -150.0]), np.array([150.0, 150.0, 150.0]))),
     # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2)
     (
@@ -90,6 +99,7 @@ CASES = [
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
+    ("_merge_length(400k)", "_merge_length", random_intervals),
 ]
 
 

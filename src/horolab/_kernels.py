@@ -2,6 +2,10 @@
 
 Every kernel is plain numpy; ``bench/benchmark_kernels.py`` times them.
 
+Farey points are enumerated by one per-denominator kernel,
+farey_primitive, for every d; farey_d2 and farey_d3 are one-line entry
+points to it that stay because perfbench traces the kernels by name.
+
 The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
 loop over the primes up to sqrt(n) only, each step one strided array
 operation, then one masked array step for the single prime factor above
@@ -112,41 +116,43 @@ def floor_diff_prefix(u: float, v: float, m_max: int, scale: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def farey_d2(qmax: int, lo: float, hi: float, q_first: int = 1):
-    qs_out = []
-    ps_out = []
+def farey_primitive(qmax: int, lo, hi, q_first: int = 1):
+    """Primitive integer points (p_1, ..., p_{d-1}, q) with
+    q_first <= q <= qmax and lo_i <= p_i / q <= hi_i, as the columns
+    (q, p_1, ..., p_{d-1}): q increasing, p lexicographic within each q.
+
+    One q at a time: the ranges ceil(lo_i q)..floor(hi_i q) are expanded
+    axis by axis (np.repeat of the columns so far, np.tile of the new axis)
+    while the gcd is folded along them, starting from q; the points whose
+    fold ends at 1 are kept.  Only one denominator's grid is held at a
+    time: a grid over all q at once is slower and needs more memory.
+    """
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    out = [[] for _ in range(len(lo) + 1)]
     for q in range(q_first, qmax + 1):
-        p = np.arange(math.ceil(lo * q), math.floor(hi * q) + 1, dtype=np.int64)
-        if p.size == 0:
+        axes = [np.arange(math.ceil(a * q), math.floor(b * q) + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+        if any(a.size == 0 for a in axes):
             continue
-        keep = np.gcd(p, q) == 1
-        p = p[keep]
-        qs_out.append(np.full(p.size, q, dtype=np.int64))
-        ps_out.append(p)
-    if not qs_out:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(qs_out), np.concatenate(ps_out)
+        cols, g = [axes[0]], np.gcd(axes[0], q)
+        for b in axes[1:]:
+            cols = [np.repeat(c, b.size) for c in cols] + [np.tile(b, g.size)]
+            g = np.gcd(np.repeat(g, b.size), cols[-1])
+        keep = g == 1
+        del g  # free before the filter allocates its columns
+        cols = [c[keep] for c in cols]
+        for o, c in zip(out, [np.full(cols[0].size, q, dtype=np.int64), *cols]):
+            o.append(c)
+    if not out[0]:
+        return tuple(np.empty(0, np.int64) for _ in out)
+    return tuple(np.concatenate(o) for o in out)
+
+
+def farey_d2(qmax: int, lo: float, hi: float, q_first: int = 1):
+    return farey_primitive(qmax, (lo,), (hi,), q_first)
 
 
 def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float, q_first: int = 1):
-    qs_out, p1_out, p2_out = [], [], []
-    for q in range(q_first, qmax + 1):
-        a = np.arange(math.ceil(lo1 * q), math.floor(hi1 * q) + 1, dtype=np.int64)
-        b = np.arange(math.ceil(lo2 * q), math.floor(hi2 * q) + 1, dtype=np.int64)
-        if a.size == 0 or b.size == 0:
-            continue
-        g1 = np.gcd(a, q)
-        aa = np.repeat(a, b.size)
-        bb = np.tile(b, a.size)
-        keep = np.gcd(np.repeat(g1, b.size), bb) == 1
-        aa, bb = aa[keep], bb[keep]
-        qs_out.append(np.full(aa.size, q, dtype=np.int64))
-        p1_out.append(aa)
-        p2_out.append(bb)
-    if not qs_out:
-        z = np.empty(0, np.int64)
-        return z, z.copy(), z.copy()
-    return np.concatenate(qs_out), np.concatenate(p1_out), np.concatenate(p2_out)
+    return farey_primitive(qmax, (lo1, lo2), (hi1, hi2), q_first)
 
 
 _BOX_CHUNK = 1 << 20  # gcd entries per step of primitive_box

@@ -1,15 +1,12 @@
 """Core matrix arithmetic for SL(d): flows, unipotents, and scalar constants.
 
 Matrices are plain float64 numpy arrays (integer ones int64 or Python-int
-object arrays when exactness matters).  Everything here is a pure function;
-the only module state is the global comparison tolerance, read once from
-``HOROLAB_TOL`` at import.
+object arrays when exactness matters).  Everything here is a pure function.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +14,8 @@ import numpy as np
 
 from .errors import InvalidDimensionError
 
-TOL = float(os.environ.get("HOROLAB_TOL", "1e-9"))
+# relative tolerance of the float matrix comparisons
+TOL = 1e-9
 
 # absolute tolerance for boundary comparisons of half-open target boxes
 BOUNDARY_ATOL = 1e-12

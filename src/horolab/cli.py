@@ -3,8 +3,7 @@
 Subcommands: farey, decompose, cholesky, membership, volumes, duplicates,
 sthe-run, marklof-check, disjointness-sample.  Config files are YAML with
 rational literals written as strings like "3/2"; those are parsed exactly.
-Numeric output carries 15 significant digits.  The global comparison
-tolerance can be overridden with the HOROLAB_TOL environment variable.
+Numeric output carries 15 significant digits.
 """
 
 from __future__ import annotations
@@ -179,23 +178,30 @@ def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _translation(args):
+    """The --L matrix, None when it is not given; a ConfigError unless it is
+    d x d for the --d given."""
+    if not args.L:
+        return None
+    L = parse_matrix(args.L)
+    if L.shape != (args.d, args.d):
+        raise ConfigError(f"--L is a {L.shape[0]}x{L.shape[1]} matrix but --d is {args.d}")
+    return L
+
+
 def _cmd_farey(args) -> int:
-    L = parse_matrix(args.L) if args.L else None
+    L = _translation(args)
+    box = None
     if args.box:
-        vals = parse_vector(args.box)
-        half = len(vals) // 2
-        box = ([float(v) for v in vals[:half]], [float(v) for v in vals[half:]])
+        vals = [float(v) for v in parse_vector(args.box)]
+        if len(vals) != 2 * (args.d - 1):
+            raise ConfigError(f"--box takes {2 * (args.d - 1)} values for d = {args.d}, got {len(vals)}")
+        box = (vals[: args.d - 1], vals[args.d - 1 :])
+    if L is None and box is None:
+        pts = farey.enumerate_farey(args.d, args.Q)
     else:
-        box = None
-    if L is None:
-        pts = farey.enumerate_farey(args.d, args.Q) if box is None else farey.enumerate_translated_farey(
-            np.eye(args.d), args.Q, box
-        )
-    else:
-        d = L.shape[0]
-        if box is None:
-            box = ([0.0] * (d - 1), [1.0] * (d - 1))
-        pts = farey.enumerate_translated_farey(L, args.Q, box)
+        idx = farey.farey_index(args.d, args.Q, L, box)
+        pts = [idx.record(i) for i in range(len(idx))]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         farey.points_to_csv(pts, out)
@@ -233,7 +239,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_cholesky(args) -> int:
     u = np.array([float(v) for v in parse_vector(args.u)], dtype=float)
-    b = coords.reverse_cholesky_recursive(u) if args.recursive else coords.reverse_cholesky(u)
+    b = coords.reverse_cholesky(u)
     target = np.eye(u.size) + np.outer(u, u)
     residual = float(np.abs(b @ b.T - target).max())
     _emit({"B": _matrix_json(b), "residual": residual, "det_squared": float(np.linalg.det(b)) ** 2,
@@ -244,7 +250,7 @@ def _cmd_cholesky(args) -> int:
 def _cmd_membership(args) -> int:
     doc = yaml.safe_load(Path(args.target).read_text())
     target = target_from_dict(args.d, doc)
-    L = parse_matrix(args.L) if args.L else None
+    L = _translation(args)
     x = [float(v) for v in parse_vector(args.x)]
     fn = targets.member_direct if args.direct else targets.member_dual
     witness = fn(target, L, x, args.t)
@@ -277,8 +283,7 @@ def _cmd_volumes(args) -> int:
 
 
 def _cmd_duplicates(args) -> int:
-    L = parse_matrix(args.L)
-    region = farey.duplicate_region(L, assume_generic=args.assume_generic)
+    region = farey.duplicate_region(_translation(args), assume_generic=args.assume_generic)
     _emit(
         {
             "kind": region.kind,
@@ -371,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="horolab",
         description="Farey lattice enumeration, SL(d) decompositions, shrinking-target "
         "membership tests and equidistribution experiments.",
-        epilog="Set HOROLAB_TOL to override the global comparison tolerance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cholesky", help="rank-one reverse Cholesky factor")
     p.add_argument("--u", required=True, help="comma-separated vector")
-    p.add_argument("--recursive", action="store_true", help="use the peeling recursion instead of the closed form")
     p.set_defaults(fn=_cmd_cholesky)
 
     p = sub.add_parser("membership", help="shrinking-target membership witness or 'none'")

@@ -234,19 +234,20 @@ def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.n
 
 
 def _merge_length(intervals: np.ndarray) -> float:
-    """Total length of a union of (lo, hi) intervals."""
+    """Total length of a union of (lo, hi) intervals.
+
+    After a stable sort by lo, a run of overlapping intervals starts where
+    lo passes every earlier hi, and ends at the running maximum of hi just
+    before the next run starts; the run lengths are added left to right
+    from 0.0 (cumsum adds strictly in order)."""
     iv = intervals[intervals[:, 1] > intervals[:, 0]]
     if iv.shape[0] == 0:
         return 0.0
     iv = iv[np.argsort(iv[:, 0], kind="stable")]
-    total, cur_lo, cur_hi = 0.0, iv[0, 0], iv[0, 1]
-    for a, b in iv[1:]:
-        if a > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = a, b
-        else:
-            cur_hi = max(cur_hi, b)
-    return float(total + (cur_hi - cur_lo))
+    reach = np.maximum.accumulate(iv[:, 1])
+    starts = np.flatnonzero(np.concatenate(([True], iv[1:, 0] > reach[:-1])))
+    ends = np.append(starts[1:] - 1, iv.shape[0] - 1)
+    return float(np.cumsum(np.concatenate(([0.0], reach[ends] - iv[starts, 0])))[-1])
 
 
 _UNION_CELLS = 1 << 21  # grid cells per batched step; bounds each step's arrays to tens of MiB
@@ -397,6 +398,8 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     radius 0.5, t = 2.6 on the unit square the sum is about 0.38% high.
     """
     d = target.d
+    if d not in (2, 3):
+        raise ConfigError("spherical window sums implemented for d in {2, 3}")
     kind, _a = lattice_kind(L)
     q_cap = target.denominator_cap(t)
     # with T at least 2 sin(radius), neighboring-denominator gaps dominate
@@ -415,9 +418,7 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     if d == 2:
         intervals = np.stack([np.maximum(centers[:, 0] - radii, lo[0]), np.minimum(centers[:, 0] + radii, hi[0])], axis=1)
         return _merge_length(intervals), int(centers.shape[0])
-    if d == 3:
-        return _disk_window_sum(centers, radii, lo, hi), int(centers.shape[0])
-    raise ConfigError("spherical window sums implemented for d in {2, 3}")
+    return _disk_window_sum(centers, radii, lo, hi), int(centers.shape[0])
 
 
 def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
@@ -426,7 +427,7 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
     radius of it."""
     d = target.d
     q_cap = target.denominator_cap(t)
-    margin = math.exp(-d * t) * math.tan(target.chart.radius)
+    margin = target.candidate_radius(t)
     _sources, alpha = fy.sequence_arrays(d, q_cap, L, (lo - margin, hi + margin))
     alpha = alpha[alpha[:, d - 1] < q_cap]
     ad = alpha[:, d - 1]

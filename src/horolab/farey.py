@@ -138,25 +138,14 @@ def _farey_columns(d: int, Q: float, box, q_first: int = 1) -> list[np.ndarray]:
     qmax = int(math.floor(Q))
     bound = _grid_bound(qmax, lo, hi) - _grid_bound(q_first - 1, lo, hi)
     check_budget(math.ceil(bound) if math.isfinite(bound) else bound, "Farey candidate grid")
+    # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
     if d == 2:
-        qs, ps = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
-        return [ps, qs]
-    if d == 3:
-        qs, p1, p2 = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
-        return [p1, p2, qs]
-    rows = []
-    for q in range(q_first, qmax + 1):
-        axes = [np.arange(math.ceil(lo[i] * q), math.floor(hi[i] * q) + 1, dtype=np.int64) for i in range(d - 1)]
-        if any(a.size == 0 for a in axes):
-            continue
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        g = np.gcd.reduce(np.abs(pts), axis=1)
-        g = np.gcd(g, q)
-        pts = pts[g == 1]
-        rows.append(np.concatenate([pts, np.full((pts.shape[0], 1), q, dtype=np.int64)], axis=1))
-    sources = np.concatenate(rows, axis=0) if rows else np.empty((0, d), np.int64)
-    return list(sources.T)
+        cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
+    elif d == 3:
+        cols = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
+    else:
+        cols = K.farey_primitive(qmax, lo, hi, q_first)
+    return [*cols[1:], cols[0]]
 
 
 def farey_arrays(d: int, Q: float, box=None) -> tuple[np.ndarray, np.ndarray]:

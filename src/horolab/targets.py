@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels as K
 from . import farey as fy
 from .algebra import BOUNDARY_ATOL, cd_lower, h0, zeta
 from .coords import (
@@ -32,12 +31,8 @@ from .errors import (
     ConfigError,
     DisjointnessError,
     HorolabError,
-    ResourceLimitError,
     UnsupportedDimensionError,
 )
-
-SLAB_BUDGET = 100_000_000
-
 
 # ---------------------------------------------------------------------------
 # target specifications
@@ -646,10 +641,9 @@ def member_direct(target: StableSection, L, x, t: float) -> Optional[MembershipW
     delta = math.exp(-(d - 1) * t) * target.T ** (-(d - 1) / d)
     sup_b = float(np.abs(np.asarray(target.ytilde)).max() + target.eps / 2.0)
     bound = int(math.ceil(sup_b * math.exp(t) * target.T ** (-(d - 1) / d) * (1.0 + float(np.abs(x).max())))) + 2
-    if (2 * bound + 1) ** (d - 1) > SLAB_BUDGET:
-        raise ResourceLimitError(f"slab bound {bound} exceeds the enumeration budget", SLAB_BUDGET)
     if L is not None and not np.allclose(np.asarray(L, dtype=float), np.eye(d)):
         return _member_direct_general(target, L, x, t, delta, bound)
+    fy.check_budget((2 * bound + 1) ** (d - 1), "direct-membership slab")
     axes = [np.arange(-bound, bound + 1, dtype=np.int64) for _ in range(d - 1)]
     grids = np.meshgrid(*axes, indexing="ij")
     aprime = np.stack([g.ravel() for g in grids], axis=1)
@@ -667,10 +661,7 @@ def _member_direct_general(target, L, x, t, delta, bound):
     d = target.d
     Lf = np.asarray(L, dtype=float)
     span = bound * (1.0 + float(np.abs(x).max())) + abs(delta) + 2
-    plo, phi = fy.preimage_bounds(-span * np.ones(d), span * np.ones(d), np.linalg.inv(Lf))
-    if np.prod(phi - plo + 1) > SLAB_BUDGET:
-        raise ResourceLimitError("general-L slab enumeration over budget", SLAB_BUDGET)
-    sources = K.primitive_box(plo, phi)
+    sources = fy._primitive_box(*fy.preimage_bounds(-span * np.ones(d), span * np.ones(d), np.linalg.inv(Lf)))
     a = sources.astype(float) @ Lf
     u = a[:, : d - 1] @ x + a[:, d - 1]
     ok = (u > 0) & (u <= delta + 1e-15)

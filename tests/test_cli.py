@@ -49,6 +49,41 @@ def test_duplicates_rational(capsys):
     assert doc["kind"] == "torus" and doc["period_basis"] == [[1.0]]
 
 
+@pytest.mark.parametrize("d, Q, box", [(2, "30", ["0.1", "0.7"]), (3, "9", ["0.1", "0.2", "0.6", "0.9"])])
+def test_farey_box_rows_are_the_full_rows_in_the_box(capsys, d, Q, box):
+    # inside the open unit box the --box rows are the unboxed rows whose point
+    # lies in the box, in the same order
+    assert run_cli(["farey", "--d", str(d), "--Q", Q]) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert run_cli(["farey", "--d", str(d), "--Q", Q, "--box", ",".join(box)]) == 0
+    boxed = capsys.readouterr().out.splitlines()
+    lo, hi = [float(v) for v in box[: d - 1]], [float(v) for v in box[d - 1 :]]
+
+    def inside(row):
+        q, p = int(row[0]), [int(v) for v in row[1:d]]
+        return all(a * q <= v <= b * q for v, a, b in zip(p, lo, hi))
+
+    want = [row for row in full[1:] if inside(row.split(","))]
+    assert boxed[0] == full[0] and boxed[1:] == want and len(want) > 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["farey", "--d", "3", "--Q", "5", "--L", "1,0;1/2,1"],
+    ["farey", "--d", "2", "--Q", "5", "--L", "1,0,0;0,1,0;0,0,1"],
+    ["farey", "--d", "2", "--Q", "5", "--box", "0.1,0.2,0.6,0.9"],
+    ["duplicates", "--d", "3", "--L", "1,0;1/2,1"],
+    ["duplicates", "--d", "2", "--L", "1,0,0;1/2,1,0;0,0,1"],
+    ["membership", "--d", "2", "--target", "TARGET", "--x", "0.5", "--t", "1", "--L", "1,0,0;0,1,0;0,0,1"],
+])
+def test_d_must_match_the_translation_and_box(capsys, tmp_path, argv):
+    spec = tmp_path / "target.yaml"
+    spec.write_text("kind: stable\nT: 1\neps: 0.2\n")
+    argv = [str(spec) if a == "TARGET" else a for a in argv]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "but --d is" in err or "values for d =" in err
+
+
 def test_decompose_keys(capsys):
     assert run_cli(["decompose", "--matrix", "2,1;1,1"]) == 0
     doc = json.loads(capsys.readouterr().out)

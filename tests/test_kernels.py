@@ -145,6 +145,31 @@ def test_farey_kernels_match_each_other():
     assert sorted(zip(p1.tolist(), p2.tolist(), qs3.tolist())) == sorted(want3)
 
 
+@pytest.mark.parametrize("qmax, lo, hi, q_first", [
+    (15, [-0.3], [0.7], 1),
+    (9, [0.1, -0.25], [0.6, 1.0], 3),
+    (6, [0.0, 0.2, -0.5], [1.0, 0.9, 0.5], 1),
+    (4, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], 2),
+    (5, [0.3, 0.0], [0.31, 1.0], 1),  # no integer p_1 for most q
+])
+def test_farey_primitive_rows_in_kernel_order(qmax, lo, hi, q_first):
+    # q increasing, then p lexicographic, as int64 columns (q, p_1, ...);
+    # farey_d2 and farey_d3 return the same arrays
+    cols = K.farey_primitive(qmax, lo, hi, q_first)
+    want = [
+        (q, *p)
+        for q in range(q_first, qmax + 1)
+        for p in itertools.product(*[range(math.ceil(a * q), math.floor(b * q) + 1) for a, b in zip(lo, hi)])
+        if math.gcd(q, *p) == 1
+    ]
+    assert len(cols) == len(lo) + 1 and all(c.dtype == np.int64 for c in cols)
+    assert list(zip(*[c.tolist() for c in cols])) == want
+    named = {1: K.farey_d2, 2: K.farey_d3}.get(len(lo))
+    if named is not None:
+        args = [v for pair in zip(lo, hi) for v in pair]
+        assert all(np.array_equal(a, b) for a, b in zip(named(qmax, *args, q_first), cols))
+
+
 def test_primitive_box():
     boxes = [
         ([-3.0, -3.0], [3.0, 3.0]),

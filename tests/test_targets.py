@@ -157,9 +157,12 @@ def test_direct_matches_brute_force(rng):
 
 
 def test_direct_resource_budget():
+    # both slabs count against the one enumeration budget before allocating
     target = targets.StableSection(d=2, T=1.0, eps=0.5)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="slab"):
         targets.member_direct(target, None, [0.3], 25.0)
+    with pytest.raises(ResourceLimitError, match="preimage box"):
+        targets.member_direct(target, np.diag([2.0**0.5, 2.0**-0.5]), [0.3], 25.0)
 
 
 def test_direct_general_translation():
