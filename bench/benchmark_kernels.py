@@ -2,7 +2,9 @@
 """Time the hot kernels, the d = 2 interval count built on them, the d = 4
 Farey enumeration, the A3 collision searches and clipped window volumes, the
 whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
-workload with its clipped disk areas, and the d = 2 interval union.
+workload with its clipped disk areas, the cover-count union of the A3
+collision clusters, and the same union of one set of intervals (the d = 2
+spherical window sum's call).
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -38,6 +40,17 @@ def a3_pair_search():
     return math.floor(target.denominator_cap(2.85)), np.full(2, -margin), np.full(2, 1.0 + margin), w
 
 
+def a3_clusters():
+    """The A3 collision clusters as the window sum passes them to the union:
+    the centers of the pair search's components in their order, w, the unit
+    square and the cluster sizes."""
+    m, box_lo, box_hi, w = a3_pair_search()
+    nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
+    members, sizes = farey.component_clusters(u, v)
+    _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
+    return experiments._source_centers(nodes[members], c_off), w, np.zeros(2), np.ones(2), sizes
+
+
 def a3_clipped():
     return (*a3_centers(), np.zeros(2), np.ones(2))
 
@@ -61,11 +74,12 @@ def d3_spherical_disks():
 
 
 def random_intervals(n=400_000):
-    """n seeded random intervals starting in [0, 1]; in lo order, about two
-    in five start inside the union of those before them."""
+    """n seeded random intervals starting in [0, 1], as one cluster's
+    (1, n, 1) lower and upper edges; in lo order, about two in five start
+    inside the union of those before them."""
     rng = np.random.default_rng(0)
     lo = rng.uniform(0.0, 1.0, size=n)
-    return (np.stack([lo, lo + rng.exponential(0.5 / n, size=n)], axis=1),)
+    return lo[None, :, None], (lo + rng.exponential(0.5 / n, size=n))[None, :, None]
 
 
 def timed(fn, *args, repeat=3):
@@ -99,7 +113,12 @@ CASES = [
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
-    ("_merge_length(400k)", "_merge_length", random_intervals),
+    (
+        "_cluster_union_volume(A3)",
+        lambda centers, w, lo, hi, sizes: experiments._cluster_union_volume(centers, w, lo, hi, sizes=sizes),
+        a3_clusters,
+    ),
+    ("_coverage_union(400k)", "_coverage_union", random_intervals),
 ]
 
 
@@ -110,7 +129,7 @@ def main():
 
     print(f"{'case':32s} {'seconds':>10s}")
     for label, name, fargs in CASES:
-        fn = getattr(K, name, None) or getattr(farey, name, None) or getattr(experiments, name)
+        fn = name if callable(name) else getattr(K, name, None) or getattr(farey, name, None) or getattr(experiments, name)
         fargs = fargs() if callable(fargs) else fargs
         print(f"{label:32s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
 

@@ -233,24 +233,7 @@ def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.n
     return vol
 
 
-def _merge_length(intervals: np.ndarray) -> float:
-    """Total length of a union of (lo, hi) intervals.
-
-    After a stable sort by lo, a run of overlapping intervals starts where
-    lo passes every earlier hi, and ends at the running maximum of hi just
-    before the next run starts; the run lengths are added left to right
-    from 0.0 (cumsum adds strictly in order)."""
-    iv = intervals[intervals[:, 1] > intervals[:, 0]]
-    if iv.shape[0] == 0:
-        return 0.0
-    iv = iv[np.argsort(iv[:, 0], kind="stable")]
-    reach = np.maximum.accumulate(iv[:, 1])
-    starts = np.flatnonzero(np.concatenate(([True], iv[1:, 0] > reach[:-1])))
-    ends = np.append(starts[1:] - 1, iv.shape[0] - 1)
-    return float(np.cumsum(np.concatenate(([0.0], reach[ends] - iv[starts, 0])))[-1])
-
-
-_UNION_CELLS = 1 << 21  # grid cells per batched step; bounds each step's arrays to tens of MiB
+_UNION_CELLS = 1 << 21  # cover cells per batched step, O(k^dim) per cluster of k boxes; bounds each step's arrays to tens of MiB
 
 
 def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, *, sizes=None) -> float:
@@ -259,10 +242,8 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
 
     ``sizes`` splits the rows into consecutive clusters and the result is
     the sum of the clusters' unions; by default all rows form one cluster.
-    Each cluster is measured on the grid of its own clipped box edges: k
-    boxes give 2k edges per axis, hence (2k-1)^dim cells, and a cell counts
-    once if it lies inside any box.  All clusters of one size are measured
-    together as one (m, k, dim) array, a few million cells at a time.
+    The clusters of one size are measured together by _coverage_union, as
+    one (m, k, dim) array, a few million cells at a time.
     """
     n, dim = centers.shape
     if dim not in (1, 2):
@@ -279,21 +260,39 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
         step = max(1, _UNION_CELLS // (2 * int(k) - 1) ** dim)
         for c in range(0, first.size, step):
             rows = first[c : c + step, None] + np.arange(k)
-            total += _grid_union(los[rows], his[rows])
+            total += _coverage_union(los[rows], his[rows])
     return float(total)
 
 
-def _grid_union(los: np.ndarray, his: np.ndarray) -> float:
+def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
     """Summed union measure of m clusters of k boxes, given as (m, k, dim)
-    corner arrays; a box with his < los on some axis is empty."""
-    edges = np.sort(np.concatenate([los, his], axis=1), axis=1)
-    widths = np.diff(edges, axis=1)
-    # inside[c, i, b, a]: cell i of axis a in cluster c lies within box b on that axis
-    inside = (los[:, None] <= edges[:, :-1, None]) & (edges[:, 1:, None] <= his[:, None])
-    if los.shape[2] == 1:
-        return float((widths[..., 0] * inside[..., 0].any(axis=2)).sum())
-    cover = np.matmul(inside[..., 0].astype(float), inside[..., 1].astype(float).transpose(0, 2, 1)) > 0
-    return float(np.einsum("ci,cij,cj->", widths[..., 0], cover, widths[..., 1]))
+    corner arrays, dim 1 or 2; a box with his <= los on some axis is empty.
+
+    A stable argsort ranks each cluster's 2k edges per axis, a lower edge
+    first at equal values so that touching boxes merge.  Each nonempty box
+    writes +-1 at its distinct corner ranks, and a cumsum per axis gives
+    each of the O(k^dim) cells its cover count.  Two dimensions add the
+    covered cells' areas; one adds each run of positive cover's length,
+    left to right from 0.0 (cumsum adds strictly in order)."""
+    m, k, dim = los.shape
+    values = np.concatenate([los, his], axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    edges = np.take_along_axis(values, order, axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(2 * k)[:, None], axis=1)
+    c, b = np.nonzero(np.all(rank[:, k:] > rank[:, :k], axis=2))
+    ends = (rank[c, b], rank[c, k + b])  # the live boxes' lower and upper edge ranks
+    cover = np.zeros((m,) + (2 * k,) * dim, np.min_scalar_type(-k - 1))
+    for corner in itertools.product((0, 1), repeat=dim):
+        cover[(c, *(ends[s][:, a] for a, s in enumerate(corner)))] = (-1) ** sum(corner)
+    for a in range(1, dim + 1):
+        np.cumsum(cover, axis=a, dtype=cover.dtype, out=cover)
+    if dim == 2:
+        widths = np.diff(edges, axis=1)
+        return float(np.einsum("ci,cij,cj->", widths[..., 0], cover[:, :-1, :-1] > 0, widths[..., 1]))
+    # the count is 0 after each cluster's last edge, so its flips pair up as (start, end)
+    runs = edges.ravel()[np.flatnonzero(np.diff(cover.ravel() > 0, prepend=False))]
+    return float(np.cumsum(np.concatenate(([0.0], runs[1::2] - runs[::2])))[-1])
 
 
 _BLOCK_POINTS = 1 << 19  # predicted points per denominator block of the enumerated window sum
@@ -416,8 +415,8 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     if centers.shape[0] == 0:
         return 0.0, 0
     if d == 2:
-        intervals = np.stack([np.maximum(centers[:, 0] - radii, lo[0]), np.minimum(centers[:, 0] + radii, hi[0])], axis=1)
-        return _merge_length(intervals), int(centers.shape[0])
+        los, his = np.maximum(centers - radii[:, None], lo), np.minimum(centers + radii[:, None], hi)
+        return _coverage_union(los[None], his[None]), int(centers.shape[0])
     return _disk_window_sum(centers, radii, lo, hi), int(centers.shape[0])
 
 

@@ -2,7 +2,7 @@ import os
 from pathlib import Path
 
 # one BLAS thread, as perfbench runs: set before numpy loads OpenBLAS.  The
-# batched 0/1 matmul of the window union gives the same values either way
+# batched 0/1 matmul of the tests' union oracle gives the same values either way
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

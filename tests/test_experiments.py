@@ -474,13 +474,26 @@ def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch)
         ex.sampled_integral(target, None, lo, hi, t, points)
 
 
-def test_spherical_window_sum_matches_enumeration():
+def test_spherical_window_sum_matches_enumeration(monkeypatch):
+    # an integer unimodular L has the primitive points of the identity, so its
+    # unit cell takes the phi-sieve closed form, while the two halves of the
+    # cell enumerate the translated sequence and measure the interval unions
     t = 4.0
     target = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))
-    val_cell, _ = ex.window_sum_spherical(target, None, np.zeros(1), np.ones(1), t)
-    # enumeration path triggered by a shifted cell covering the same torus
-    val_enum, _ = ex.window_sum_spherical(target, np.array([[2.0, 1.0], [1.0, 1.0]]), np.zeros(1), np.ones(1), t)
-    assert abs(val_cell - val_enum) <= 1e-12
+    L = np.array([[2.0, 1.0], [1.0, 1.0]])
+    calls, sequence_arrays = [], farey.sequence_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sequence_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(farey, "sequence_arrays", counted)
+    val_cell, _ = ex.window_sum_spherical(target, L, np.zeros(1), np.ones(1), t)
+    assert calls == []
+    left, _ = ex.window_sum_spherical(target, L, np.zeros(1), np.full(1, 0.5), t)
+    right, _ = ex.window_sum_spherical(target, L, np.full(1, 0.5), np.ones(1), t)
+    assert len(calls) == 2 and all(call[2] is L for call in calls)
+    assert abs(left + right - val_cell) <= 1e-12 * val_cell
 
 
 def test_d2_spherical_halves_add_up_to_the_unit_cell():
@@ -551,6 +564,25 @@ def test_collision_clusters():
     assert farey.collision_clusters(centers, 1e-7) == []
 
 
+def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
+    # the row's 384 collision clusters, the largest of 10 windows, are measured
+    # with np.matmul unavailable, and the sum is the one the matmul union gave
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.matmul called")
+
+    steps, coverage_union = [], ex._coverage_union
+
+    def counted(los, his):
+        steps.append(los.shape[:2])
+        return coverage_union(los, his)
+
+    monkeypatch.setattr(np, "matmul", refuse)
+    monkeypatch.setattr(ex, "_coverage_union", counted)
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    assert ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.0, "window-sum") == (0.010975701480163833, 46489)
+    assert sum(m for m, _k in steps) == 384 and max(k for _m, k in steps) == 10
+
+
 def test_cluster_union_volume():
     centers = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.25]])
     w = 1.0
@@ -569,14 +601,14 @@ def _sweep_union(centers, w, lo, hi):
     if los.shape[0] == 0:
         return 0.0
     if los.shape[1] == 1:
-        return ex._merge_length(np.stack([los[:, 0], his[:, 0]], axis=1))
+        return _merge_length_loop(np.stack([los[:, 0], his[:, 0]], axis=1))
     events = np.unique(np.concatenate([los[:, 0], his[:, 0]]))
     total = 0.0
     for x0, x1 in zip(events[:-1], events[1:]):
         mid = 0.5 * (x0 + x1)
         active = (los[:, 0] <= mid) & (his[:, 0] >= mid)
         if np.any(active):
-            total += (x1 - x0) * ex._merge_length(np.stack([los[active, 1], his[active, 1]], axis=1))
+            total += (x1 - x0) * _merge_length_loop(np.stack([los[active, 1], his[active, 1]], axis=1))
     return float(total)
 
 
@@ -611,9 +643,49 @@ def test_batched_union_matches_per_cluster_and_sweep(case):
         assert volumes.max() - 1e-12 <= union <= volumes.sum() + 1e-12
 
 
+def _grid_union(los: np.ndarray, his: np.ndarray) -> float:
+    """The batched 0/1 matrix product the cover counts replaced, kept as their
+    bitwise oracle: summed union measure of m clusters of k boxes, given as
+    (m, k, dim) corner arrays; a box with his < los on some axis is empty."""
+    edges = np.sort(np.concatenate([los, his], axis=1), axis=1)
+    widths = np.diff(edges, axis=1)
+    # inside[c, i, b, a]: cell i of axis a in cluster c lies within box b on that axis
+    inside = (los[:, None] <= edges[:, :-1, None]) & (edges[:, 1:, None] <= his[:, None])
+    if los.shape[2] == 1:
+        return float((widths[..., 0] * inside[..., 0].any(axis=2)).sum())
+    cover = np.matmul(inside[..., 0].astype(float), inside[..., 1].astype(float).transpose(0, 2, 1)) > 0
+    return float(np.einsum("ci,cij,cj->", widths[..., 0], cover, widths[..., 1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(box_clusters())
+def test_cover_count_union_matches_the_oracles_bitwise(case):
+    centers, w, sizes, lo, hi = case
+    got = ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes)
+    if centers.shape[1] == 2:
+        # the clusters of one size make one batched step here, as they do at A3
+        los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
+        sizes = np.asarray(sizes)
+        starts, want = np.cumsum(sizes) - sizes, 0.0
+        for k in np.unique(sizes):
+            rows = starts[sizes == k, None] + np.arange(k)
+            want += _grid_union(los[rows], his[rows])
+        assert got == want
+    else:
+        for part in np.split(centers, np.cumsum(sizes)[:-1]):
+            intervals = np.concatenate([np.maximum(part - w / 2.0, lo), np.minimum(part + w / 2.0, hi)], axis=1)
+            assert ex._cluster_union_volume(part, w, lo, hi) == _merge_length_loop(intervals)
+
+
+def _union_length(intervals: np.ndarray) -> float:
+    """The one-cluster dim-1 call of the cover-count union, as the d = 2
+    spherical window sum makes it."""
+    return ex._coverage_union(intervals[None, :, :1], intervals[None, :, 1:])
+
+
 def _merge_length_loop(intervals: np.ndarray) -> float:
-    """The interval-merge loop _merge_length replaced, kept as its bitwise
-    oracle."""
+    """The interval-merge loop the d = 2 interval union replaced, kept as its
+    bitwise oracle."""
     iv = intervals[intervals[:, 1] > intervals[:, 0]]
     if iv.shape[0] == 0:
         return 0.0
@@ -650,7 +722,7 @@ def interval_sets(draw):
 @settings(deadline=None, max_examples=300)
 @given(interval_sets())
 def test_merge_length_matches_loop_bitwise(intervals):
-    assert ex._merge_length(intervals) == _merge_length_loop(intervals)
+    assert _union_length(intervals) == _merge_length_loop(intervals)
 
 
 def test_merge_length_matches_loop_bitwise_in_bulk(rng):
@@ -661,7 +733,7 @@ def test_merge_length_matches_loop_bitwise_in_bulk(rng):
         scale = rng.choice([1.0, 1e3], size=n)
         lo = rng.uniform(0.0, 1.0, size=n) * scale
         intervals = np.stack([lo, lo + rng.exponential(0.5 / n, size=n) * scale], axis=1)
-        assert ex._merge_length(intervals) == _merge_length_loop(intervals)
+        assert _union_length(intervals) == _merge_length_loop(intervals)
 
 
 @settings(deadline=None)
