@@ -3,8 +3,9 @@
 Farey enumeration, the A3 collision searches and clipped window volumes, the
 whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
-collision clusters, and the same union of one set of intervals (the d = 2
-spherical window sum's call).
+collision clusters, the same union of one set of intervals (the d = 2
+spherical window sum's call), and the index build and the one batched
+candidate query of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -20,7 +21,7 @@ import numpy as np
 from horolab import _kernels as K
 from horolab import experiments, farey
 from horolab.coords import Chart
-from horolab.targets import SphericalSection, StableSection
+from horolab.targets import GrenierBoxStable, SphericalSection, StableSection
 
 
 def a3_centers():
@@ -82,6 +83,25 @@ def random_intervals(n=400_000):
     return lo[None, :, None], (lo + rng.exponential(0.5 / n, size=n))[None, :, None]
 
 
+D3_MEMBERSHIP = GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2), 1.5
+
+
+def d3_membership_build():
+    """The d3-membership row's index arguments (coordinate box with alphas 1,
+    gammas 2, T = 1, eps = 0.2, t = 1.5, unit square)."""
+    target, t = D3_MEMBERSHIP
+    return target, None, np.zeros(2), np.ones(2), t
+
+
+def d3_membership_query():
+    """That row's index, its 4,000 uniform samples as sthe-run draws them at
+    seed 0, the candidate radius and the alpha_d cutoff."""
+    target, t = D3_MEMBERSHIP
+    index = experiments._build_index(*d3_membership_build())
+    points = np.random.default_rng((0, 0)).uniform(0.0, 1.0, size=(4000, 2))
+    return index, points, target.candidate_radius(t), target.alpha_cutoff(t)
+
+
 def timed(fn, *args, repeat=3):
     best = float("inf")
     for _ in range(repeat):
@@ -119,6 +139,12 @@ CASES = [
         a3_clusters,
     ),
     ("_coverage_union(400k)", "_coverage_union", random_intervals),
+    ("_build_index(d3-membership)", "_build_index", d3_membership_build),
+    (
+        "FareyIndex.near(d3-membership)",
+        lambda index, points, radius, amax: index.near(points, radius, alpha_max=amax),
+        d3_membership_query,
+    ),
 ]
 
 

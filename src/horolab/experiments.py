@@ -562,19 +562,14 @@ def _build_index(target, L, lo, hi, t):
 
 
 def sampled_integral(target, L, lo, hi, t, points: np.ndarray) -> tuple[float, int]:
-    """vol(A) times the fraction of sample points the dual predicate accepts;
-    the candidates near all samples are tested in one batched call.  Their
-    running total is checked against ENUM_BUDGET as they are gathered."""
+    """vol(A) times the fraction of sample points the dual predicate accepts.
+    One index query finds the (sample, candidate) pairs of all samples, its
+    pre-mask total checked against ENUM_BUDGET, and one batched call tests
+    them."""
     index = _build_index(target, L, lo, hi, t)
-    radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
-    near, total = [], 0
-    for x in points:
-        near.append(index.near(x, radius, alpha_max=amax))
-        total += near[-1].size
-        fy.check_budget(total, "sample candidates")
-    si = np.repeat(np.arange(len(points)), [c.size for c in near])
-    pos, _found = tg.dual_hits(target, L, t, points, si, np.concatenate(near), index)
-    hits = np.unique(si[pos]).size
+    pairs = index.near(points, target.candidate_radius(t), alpha_max=target.alpha_cutoff(t))
+    pos, _found = tg.dual_hits(target, L, t, points, pairs[:, 0], pairs[:, 1], index)
+    hits = np.unique(pairs[pos, 0]).size
     vol = box_volume(lo, hi)
     return vol * hits / len(points), len(index)
 

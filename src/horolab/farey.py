@@ -47,35 +47,91 @@ class DuplicateRegion:
     period_basis: Optional[np.ndarray] = None
 
 
+_FINE = 16  # cells on key axis 1 per cell on key axis 0
+
+
 class FareyIndex:
-    """Immutable array-backed point set, sorted by (alpha_d, source)."""
+    """Immutable array-backed point set in (alpha_d, source) order.
+
+    Rows that already come in that order, as the identity-L kernels emit
+    them ((q, p) order), are kept as they are; others are sorted once.  The
+    projected points are bucketed on a grid of cells, about sqrt(n) along
+    axis 0 and _FINE times as many along axis 1 when d >= 3, and held
+    sorted by their int64 row-major cell key for near().
+    """
 
     def __init__(self, d: int, sources: np.ndarray, alpha: np.ndarray):
-        order = np.lexsort(tuple(sources[:, j] for j in reversed(range(d - 1))) + (alpha[:, d - 1],))
+        cols = [alpha[:, d - 1], *(sources[:, j] for j in range(d - 1))]
+        if not _rows_ascend(cols):
+            order = np.lexsort(cols[::-1])
+            sources, alpha = sources[order], alpha[order]
         self.d = d
-        self.sources = sources[order]
-        self.alpha = alpha[order]
-        self.alpha_d = self.alpha[:, d - 1]
-        self.points = self.alpha[:, : d - 1] / self.alpha_d[:, None]
-        self._x0_order = np.argsort(self.points[:, 0], kind="stable") if len(self.points) else np.empty(0, np.int64)
-        self._x0_sorted = self.points[self._x0_order, 0] if len(self.points) else np.empty(0)
+        self.sources = sources
+        self.alpha = alpha
+        self.alpha_d = alpha[:, d - 1]
+        self.points = alpha[:, : d - 1] / self.alpha_d[:, None]
+        n, k = len(self), min(d - 1, 2)
+        # column by column: a reduction along axis 0 of a narrow array is slow
+        self._lo = np.array([self.points[:, a].min() if n else 0.0 for a in range(k)])
+        extent = np.array([self.points[:, a].max() if n else 0.0 for a in range(k)]) - self._lo
+        # no finer than 2^-30 of the coordinates, so rounding moves a cell id by under one
+        scale = np.maximum(np.abs(self._lo), np.abs(self._lo + extent))
+        cell = np.maximum(extent / (math.isqrt(n) + 1.0) / [1.0, _FINE][:k], 2.0**-30 * scale)
+        self._cell = np.where(cell > 0, cell, 1.0)
+        self._spans = np.floor(extent / self._cell) + 1.0
+        keys = np.zeros(n, np.int64)
+        for a in range(k):
+            keys *= int(self._spans[a])
+            keys += np.floor((self.points[:, a] - self._lo[a]) / self._cell[a]).astype(np.int64)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
 
     def __len__(self) -> int:
         return self.sources.shape[0]
 
-    def near(self, x, radius: float, alpha_max: float = None) -> np.ndarray:
-        """Indices of points within sup-distance radius of x (binary search
-        on the first coordinate, then a mask on the rest)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lo = int(np.searchsorted(self._x0_sorted, x[0] - radius, side="left"))
-        hi = int(np.searchsorted(self._x0_sorted, x[0] + radius, side="right"))
-        idx = self._x0_order[lo:hi]
-        if self.d > 2 and idx.size:
-            mask = np.all(np.abs(self.points[idx][:, 1:] - x[1:]) <= radius, axis=1)
-            idx = idx[mask]
-        if alpha_max is not None and idx.size:
-            idx = idx[self.alpha_d[idx] <= alpha_max]
-        return idx
+    def near(self, xs, radius: float, alpha_max: float = None) -> np.ndarray:
+        """The (sample, index) pairs with point index within sup-distance
+        radius of xs[sample] (and alpha_d <= alpha_max when it is given),
+        as an (n, 2) int64 array ordered by sample, then index.  xs is an
+        (m, d-1) batch of samples; one point is the batch of one.
+
+        Each sample's box, widened by one cell on each side, is a range of
+        cell keys per axis-0 cell it spans; one searchsorted finds them
+        all.  Their total length is checked against ENUM_BUDGET before any
+        pair is gathered, and the gathered pairs are then held to the exact
+        tests x_0 - r <= p_0 <= x_0 + r and |p_i - x_i| <= r (i >= 1).
+        """
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if xs.shape[1] != self.d - 1:
+            raise InvalidDimensionError(f"samples need {self.d - 1} coordinates, got {xs.shape[1]}")
+        k = self._lo.size
+        # float cell ids, clipped so that a box off the grid, or NaN, is empty
+        first = np.fmax(np.fmin(np.floor((xs[:, :k] - radius - self._lo) / self._cell) - 1.0, self._spans), 0.0)
+        last = np.fmin(np.fmax(np.floor((xs[:, :k] + radius - self._lo) / self._cell) + 1.0, -1.0), self._spans - 1.0)
+        first, last = first.astype(np.int64), last.astype(np.int64)
+        live, base = first[:, -1:] <= last[:, -1:], 0
+        if k == 2:
+            # one key range per (sample, axis-0 cell), the cells past a sample's last masked
+            width = max(int((last[:, 0] - first[:, 0]).max(initial=-1)) + 1, 0)
+            check_budget(xs.shape[0] * width, "cell ranges of the sample candidates")
+            c0 = first[:, :1] + np.arange(width)
+            live = live & (c0 <= last[:, :1])
+            base = c0 * int(self._spans[1])
+        lo_key, hi_key = base + first[:, -1:], base + last[:, -1:]
+        start, stop = np.searchsorted(self._keys, np.stack([lo_key, hi_key + 1]))
+        counts = np.where(live, stop - start, 0).ravel()
+        check_budget(int(counts.sum()), "sample candidates")
+        sample = np.repeat(np.arange(xs.shape[0]), counts.reshape(xs.shape[0], -1).sum(axis=1))
+        idx = self._order[np.repeat(start.ravel(), counts) + _ramp(counts)]
+        x0 = xs[sample, 0]
+        keep = (self.points[idx, 0] >= x0 - radius) & (self.points[idx, 0] <= x0 + radius)
+        for a in range(1, self.d - 1):
+            keep &= np.abs(self.points[idx, a] - xs[sample, a]) <= radius
+        if alpha_max is not None:
+            keep &= self.alpha_d[idx] <= alpha_max
+        # sample-major, index ascending within a sample
+        n = max(len(self), 1)
+        return np.stack(np.divmod(np.sort(sample[keep] * n + idx[keep]), n), axis=1)
 
     def record(self, i: int) -> TranslatedFareyPoint:
         return TranslatedFareyPoint(
@@ -444,6 +500,17 @@ def _cell_keys(points: np.ndarray, max_w: float):
         ids *= steps[a]
         keys = ids if keys is None else np.add(keys, ids, out=keys)
     return keys.astype(np.int64), steps.astype(np.int64)
+
+
+def _rows_ascend(keys: list) -> bool:
+    """True when the rows are in lexicographic order of the key columns,
+    the first key most significant; ties count as in order."""
+    tied = np.ones(max(keys[0].size - 1, 0), dtype=bool)
+    for key in keys:
+        if np.any(tied & (key[1:] < key[:-1])):
+            return False
+        tied &= key[1:] == key[:-1]
+    return True
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:

@@ -610,7 +610,7 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
         index = fy.farey_index(d, amax, L=L, box=box)
         cand = np.arange(len(index))
     else:
-        cand = index.near(x, radius, alpha_max=amax)
+        cand = index.near(x, radius, alpha_max=amax)[:, 1]
     pos, found = dual_hits(target, L, t, x[None, :], np.zeros(cand.size, dtype=np.intp), cand, index)
     if pos.size == 0:
         return None

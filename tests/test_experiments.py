@@ -461,7 +461,7 @@ def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch)
     points = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 2))
     index = ex._build_index(target, None, lo, hi, t)
     radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
-    total = sum(index.near(x, radius, alpha_max=amax).size for x in points)
+    total = index.near(points, radius, alpha_max=amax).shape[0]
     assert total > 0
 
     def refuse(*args):
@@ -472,6 +472,26 @@ def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch)
     monkeypatch.setattr(farey, "ENUM_BUDGET", total - 1)
     with pytest.raises(ResourceLimitError, match="sample candidates"):
         ex.sampled_integral(target, None, lo, hi, t, points)
+
+
+def test_batched_near_gives_the_per_sample_pairs_at_the_d3_membership_config():
+    # perfbench's d3-membership row: the one batched query against the
+    # per-sample query it replaced (binary search on x_0, then a mask)
+    target = tg.GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2)
+    lo, hi, t = np.zeros(2), np.ones(2), 1.5
+    index = ex._build_index(target, None, lo, hi, t)
+    radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
+    points = np.random.default_rng((0, 0)).uniform(lo, hi, size=(4000, 2))
+    by_x0 = np.argsort(index.points[:, 0], kind="stable")
+    x0 = index.points[by_x0, 0]
+    loop = []
+    for i, x in enumerate(points):
+        idx = by_x0[np.searchsorted(x0, x[0] - radius, side="left") : np.searchsorted(x0, x[0] + radius, side="right")]
+        idx = idx[np.abs(index.points[idx, 1] - x[1]) <= radius]
+        loop += [[i, j] for j in np.sort(idx[index.alpha_d[idx] <= amax]).tolist()]
+    assert len(loop) == 18_009
+    assert index.near(points, radius, alpha_max=amax).tolist() == loop
+    assert ex.sampled_integral(target, None, lo, hi, t, points) == (0.00075, 919_845)
 
 
 def test_spherical_window_sum_matches_enumeration(monkeypatch):

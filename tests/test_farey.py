@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horolab import _kernels as K, algebra, farey, targets as tg
-from horolab.errors import HorolabError, ResourceLimitError
+from horolab.errors import HorolabError, InvalidDimensionError, ResourceLimitError
 
 
 def brute_farey(d, qmax):
@@ -275,9 +275,102 @@ def test_csv_export_format():
 def test_index_near_queries():
     idx = farey.farey_index(2, 40.0)
     got = idx.near([0.5], 1e-4)
-    assert {tuple(idx.sources[i]) for i in got} == {(1, 2)}
+    assert got.tolist() == [[0, i] for i in got[:, 1]] and {tuple(idx.sources[i]) for i in got[:, 1]} == {(1, 2)}
     got2 = idx.near([0.5], 0.2, alpha_max=3.0)
-    assert {tuple(idx.sources[i]) for i in got2} == {(1, 2), (1, 3), (2, 3)}
+    assert {tuple(idx.sources[i]) for i in got2[:, 1]} == {(1, 2), (1, 3), (2, 3)}
+    with pytest.raises(InvalidDimensionError):
+        idx.near([[0.5, 0.5]], 0.1)
+
+
+def brute_near(idx, xs, radius, alpha_max):
+    """Every (sample, index) pair by a scan of all index points, with the
+    comparisons near() documents, in sample then index order."""
+    p, x = idx.points[None, :, :], xs[:, None, :]
+    ok = (p[..., 0] >= x[..., 0] - radius) & (p[..., 0] <= x[..., 0] + radius)
+    ok &= np.all(np.abs(p[..., 1:] - x[..., 1:]) <= radius, axis=2)
+    if alpha_max is not None:
+        ok &= idx.alpha_d[None, :] <= alpha_max
+    return np.argwhere(ok)
+
+
+@st.composite
+def near_cases(draw):
+    """An index (empty when Q < 1) and samples: uniform ones around its box,
+    ones exactly +-radius (or 0) per axis from an index point, and ones on
+    the cell edges of its key grid."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    Q = draw(st.sampled_from((0.5, 3.0, 7.0, 15.0) if d < 4 else (0.5, 3.0, 6.0)))
+    lo = draw(st.floats(-1.0, 0.5))
+    side = draw(st.floats(0.0, 1.5))
+    idx = farey.farey_index(d, Q, box=(np.full(d - 1, lo), np.full(d - 1, lo + side)))
+    radius = draw(st.sampled_from((0.0, 1e-3)) | st.floats(0.0, 3.0))
+    alpha_max = draw(st.none() | st.floats(0.5, Q))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = rng.uniform(lo - 0.5, lo + side + 0.5, size=(6, d - 1))
+    picks = idx.points[rng.integers(len(idx), size=6 if len(idx) else 0)]
+    offset = picks + radius * rng.integers(-1, 2, size=picks.shape)
+    edges = rng.uniform(lo, lo + side, size=(4, d - 1))
+    k = idx._lo.size
+    edges[:, :k] = idx._lo + idx._cell * rng.integers(-1, 40, size=(4, k))
+    xs = rng.permutation(np.concatenate([uniform, offset, edges]))
+    return idx, xs, radius, alpha_max
+
+
+@settings(deadline=None, max_examples=150)
+@given(near_cases())
+def test_batched_near_matches_a_brute_force_scan(case):
+    idx, xs, radius, alpha_max = case
+    got = idx.near(xs, radius, alpha_max=alpha_max)
+    assert got.dtype == np.int64 and got.shape[1] == 2
+    assert np.array_equal(got, brute_near(idx, xs, radius, alpha_max))
+    # one point is the batch of one
+    single = idx.near(xs[0], radius, alpha_max=alpha_max)
+    assert np.array_equal(single, got[got[:, 0] == 0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from((2, 3)), st.floats(1.0, 12.0), st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       st.integers(0, 2**32 - 1))
+def test_index_order_does_not_depend_on_row_order(d, Q, shear, seed):
+    # identity L, or the unipotent L with last row (a, b, 1)
+    if shear is None:
+        sources, alpha = farey.sequence_arrays(d, Q)
+    else:
+        L = np.eye(d)
+        L[d - 1, : d - 1] = shear[: d - 1]
+        sources, alpha = farey.sequence_arrays(d, Q, L=L)
+    ref = np.lexsort(tuple(sources[:, j] for j in reversed(range(d - 1))) + (alpha[:, d - 1],))
+    perm = np.random.default_rng(seed).permutation(len(sources))
+    for idx in (farey.FareyIndex(d, sources, alpha), farey.FareyIndex(d, sources[perm], alpha[perm])):
+        assert np.array_equal(idx.sources, sources[ref])
+        assert np.array_equal(idx.alpha, alpha[ref])
+        assert np.array_equal(idx.points, alpha[ref, : d - 1] / alpha[ref, d - 1 :])
+
+
+def test_near_checks_the_budget_before_gathering(monkeypatch):
+    idx = farey.farey_index(3, 60.0)
+    xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(200, 2))
+    seen = {}
+    monkeypatch.setattr(farey, "check_budget", lambda n, what: seen.setdefault(what, n))
+    kept = idx.near(xs, 0.05).shape[0]
+    monkeypatch.undo()
+    total = seen["sample candidates"]
+    assert total > kept > 0
+
+    def refuse(*args):
+        raise AssertionError("pairs gathered")
+
+    monkeypatch.setattr(farey, "ENUM_BUDGET", total - 1)
+    monkeypatch.setattr(farey, "_ramp", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^sample candidates"):
+            idx.near(xs, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below one int64 array of the pre-mask pairs
+    assert peak < 8 * total
 
 
 def brute_window_pairs(d, m, lo, hi, w):

@@ -94,7 +94,7 @@ def test_dual_spherical_unique_chart_point(rng):
     idx = farey.farey_index(2, math.exp(t))
     for x in rng.uniform(0, 1, size=300):
         hits = []
-        for i in idx.near([x], target.candidate_radius(t), alpha_max=target.alpha_cutoff(t)):
+        for i in idx.near([x], target.candidate_radius(t), alpha_max=target.alpha_cutoff(t))[:, 1]:
             res = targets._test_candidate(target, None, np.array([x]), t, idx.points[i], float(idx.alpha_d[i]), idx.sources[i])
             if res is not None:
                 hits.append(res["z"])
@@ -406,8 +406,8 @@ def samples_and_pairs(target, L, t, n_near, n_uniform, seed):
     rng = np.random.default_rng(seed)
     picks = index.points[rng.integers(len(index), size=n_near if len(index) else 0)]
     xs = np.concatenate([picks - rng.uniform(-radius, radius, size=picks.shape), rng.uniform(lo, hi, size=(n_uniform, d - 1))])
-    near = [index.near(x, radius, alpha_max=target.alpha_cutoff(t)) for x in xs]
-    return index, xs, np.repeat(np.arange(len(xs)), [c.size for c in near]), np.concatenate(near)
+    pairs = index.near(xs, radius, alpha_max=target.alpha_cutoff(t))
+    return index, xs, pairs[:, 0], pairs[:, 1]
 
 
 def compare_batched_with_scalar(target, L, t, index, xs, si, ci) -> int:
