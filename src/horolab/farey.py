@@ -55,9 +55,10 @@ class FareyIndex:
 
     Rows that already come in that order, as the identity-L kernels emit
     them ((q, p) order), are kept as they are; others are sorted once.  The
-    projected points are bucketed on a grid of cells, about sqrt(n) along
-    axis 0 and _FINE times as many along axis 1 when d >= 3, and held
-    sorted by their int64 row-major cell key for near().
+    projected points are bucketed on a grid of about n cells along axis 0
+    when d = 2, or about sqrt(n) along axis 0 and _FINE times as many along
+    axis 1 when d >= 3, so that a cell holds O(1) points on average, and
+    held sorted by their int64 row-major cell key for near().
     """
 
     def __init__(self, d: int, sources: np.ndarray, alpha: np.ndarray):
@@ -76,7 +77,7 @@ class FareyIndex:
         extent = np.array([self.points[:, a].max() if n else 0.0 for a in range(k)]) - self._lo
         # no finer than 2^-30 of the coordinates, so rounding moves a cell id by under one
         scale = np.maximum(np.abs(self._lo), np.abs(self._lo + extent))
-        cell = np.maximum(extent / (math.isqrt(n) + 1.0) / [1.0, _FINE][:k], 2.0**-30 * scale)
+        cell = np.maximum(extent / ((n if k == 1 else math.isqrt(n)) + 1.0) / [1.0, _FINE][:k], 2.0**-30 * scale)
         self._cell = np.where(cell > 0, cell, 1.0)
         self._spans = np.floor(extent / self._cell) + 1.0
         keys = np.zeros(n, np.int64)
@@ -95,9 +96,9 @@ class FareyIndex:
         as an (n, 2) int64 array ordered by sample, then index.  xs is an
         (m, d-1) batch of samples; one point is the batch of one.
 
-        Each sample's box, widened by one cell on each side, is a range of
-        cell keys per axis-0 cell it spans; one searchsorted finds them
-        all.  Their total length is checked against ENUM_BUDGET before any
+        Each sample's box, widened by one cell on each side of axis 1, is a
+        range of cell keys per axis-0 cell it spans; one searchsorted finds
+        them all.  Their total length is checked against ENUM_BUDGET before any
         pair is gathered, and the gathered pairs are then held to the exact
         tests x_0 - r <= p_0 <= x_0 + r and |p_i - x_i| <= r (i >= 1).
         """
@@ -105,9 +106,13 @@ class FareyIndex:
         if xs.shape[1] != self.d - 1:
             raise InvalidDimensionError(f"samples need {self.d - 1} coordinates, got {xs.shape[1]}")
         k = self._lo.size
+        # Axis 0 needs no widening: its exact test compares p_0 with the same
+        # floats x_0 -+ r the cell ids come from, and rounding is monotone.
+        # |p_1 - x_1| <= r rounds otherwise, so axis 1 is widened by a cell.
+        widen = np.array([0.0, 1.0])[:k]
         # float cell ids, clipped so that a box off the grid, or NaN, is empty
-        first = np.fmax(np.fmin(np.floor((xs[:, :k] - radius - self._lo) / self._cell) - 1.0, self._spans), 0.0)
-        last = np.fmin(np.fmax(np.floor((xs[:, :k] + radius - self._lo) / self._cell) + 1.0, -1.0), self._spans - 1.0)
+        first = np.fmax(np.fmin(np.floor((xs[:, :k] - radius - self._lo) / self._cell) - widen, self._spans), 0.0)
+        last = np.fmin(np.fmax(np.floor((xs[:, :k] + radius - self._lo) / self._cell) + widen, -1.0), self._spans - 1.0)
         first, last = first.astype(np.int64), last.astype(np.int64)
         live, base = first[:, -1:] <= last[:, -1:], 0
         if k == 2:

@@ -494,6 +494,33 @@ def test_batched_near_gives_the_per_sample_pairs_at_the_d3_membership_config():
     assert ex.sampled_integral(target, None, lo, hi, t, points) == (0.00075, 919_845)
 
 
+def test_batched_near_stays_small_for_many_d2_samples(monkeypatch):
+    # d = 2 at t = 8 indexes about 1.35e6 points; 10,000 samples must gather
+    # O(1) candidates each, and keep the pairs of the per-sample x_0 search
+    target = tg.StableSection(d=2, T=2.0, eps=0.2)
+    lo, hi, t = np.zeros(1), np.ones(1), 8.0
+    index = ex._build_index(target, None, lo, hi, t)
+    radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
+    points = np.random.default_rng(0).uniform(lo, hi, size=(10_000, 1))
+    by_x0 = np.argsort(index.points[:, 0], kind="stable")
+    x0 = index.points[by_x0, 0]
+    starts = np.searchsorted(x0, points[:, 0] - radius, side="left")
+    stops = np.searchsorted(x0, points[:, 0] + radius, side="right")
+    loop = []
+    for i, (a, b) in enumerate(zip(starts, stops)):
+        idx = by_x0[a:b]
+        loop += [[i, j] for j in np.sort(idx[index.alpha_d[idx] <= amax]).tolist()]
+    assert len(loop) > 0
+    seen = {}
+    check = farey.check_budget
+    monkeypatch.setattr(farey, "check_budget", lambda n, what: (seen.setdefault(what, n), check(n, what)))
+    assert index.near(points, radius, alpha_max=amax).tolist() == loop
+    assert seen["sample candidates"] < 3 * len(points)
+    monkeypatch.setattr(ex, "_build_index", lambda *args: index)
+    estimate, count = ex.sampled_integral(target, None, lo, hi, t, points)
+    assert count == len(index) and 0.0 < estimate <= 1.0
+
+
 def test_spherical_window_sum_matches_enumeration(monkeypatch):
     # an integer unimodular L has the primitive points of the identity, so its
     # unit cell takes the phi-sieve closed form, while the two halves of the

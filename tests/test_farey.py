@@ -347,6 +347,18 @@ def test_index_order_does_not_depend_on_row_order(d, Q, shear, seed):
         assert np.array_equal(idx.points, alpha[ref, : d - 1] / alpha[ref, d - 1 :])
 
 
+def test_near_widens_axis_1_past_float_rounding():
+    # |p_1 - x_1| rounds down to r while x_1 + r rounds below p_1, and p_1 is
+    # the first float of its axis-1 cell: the cell of x_1 + r ends one short
+    p1, r, x1 = 0.7658374532410662, 1.0762866264385564, -0.31044917319749027
+    alpha = np.array([[0.0, 0.0, 1.0], [1.0, 24.50679850371412, 1.0], [0.5, p1, 1.0]])
+    idx = farey.FareyIndex(3, np.arange(6).reshape(3, 2), alpha)
+    assert abs(p1 - x1) <= r and x1 + r < p1
+    assert np.floor((x1 + r - idx._lo[1]) / idx._cell[1]) < np.floor((p1 - idx._lo[1]) / idx._cell[1])
+    xs = np.array([[0.5, x1]])
+    assert idx.near(xs, r).tolist() == brute_near(idx, xs, r, None).tolist() == [[0, 0], [0, 2]]
+
+
 def test_near_checks_the_budget_before_gathering(monkeypatch):
     idx = farey.farey_index(3, 60.0)
     xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(200, 2))
