@@ -27,7 +27,7 @@ from horolab.targets import GrenierBoxStable, SphericalSection, StableSection
 def a3_centers():
     """The A3 window centers over the unit square (T = 1, eps = 0.2,
     t = 2.85, so q <= e^{5.7} and w = 0.2 e^{-8.55}), in the Fortran order
-    that _stable_window_centers gives the window sum."""
+    that _stable_window_centers gives them."""
     target = StableSection(d=3, T=1.0, eps=0.2)
     _sources, centers, w = experiments._stable_window_centers(target, None, np.zeros(2), np.ones(2), 2.85)
     return centers, w

@@ -2,9 +2,11 @@
 
 Every kernel is plain numpy; ``bench/benchmark_kernels.py`` times them.
 
-Farey points are enumerated by one per-denominator kernel,
-farey_primitive, for every d; farey_d2 and farey_d3 are one-line entry
-points to it that stay because perfbench traces the kernels by name.
+Farey points come from one per-denominator generator, farey_grids, for
+every d: each q's integer ranges and the boolean grid of its primitive
+points, masked by the prime factors of q.  farey_primitive gathers the
+kept points into columns; farey_d2 and farey_d3 are one-line entry points
+to it that stay because perfbench traces the kernels by name.
 
 The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
 loop over the primes up to sqrt(n) only, each step one strided array
@@ -116,32 +118,57 @@ def floor_diff_prefix(u: float, v: float, m_max: int, scale: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[q] for 0 <= q <= n: the smallest prime factor of q (q itself for
+    0 and 1), from one sieve over the primes up to isqrt(n)."""
+    spf = np.arange(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    return spf
+
+
+def farey_grids(qmax: int, lo, hi, q_first: int = 1):
+    """For each q_first <= q <= qmax whose ranges ceil(lo_i q)..floor(hi_i q)
+    are all nonempty, yield (q, axes, keep): the ranges as int64 arrays and
+    the boolean grid over their product that marks the primitive points,
+    gcd(p_1, ..., p_{d-1}, q) = 1.
+
+    A point fails exactly when some prime r | q divides every p_i, and on
+    each axis those p_i form one strided slice, so keep is cleared one
+    slice per prime factor of q; the primes come from a smallest-prime-factor
+    table.  Only one denominator's grid is held at a time.
+    """
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    spf = _smallest_prime_factors(qmax).tolist() if qmax >= 1 else []
+    for q in range(q_first, qmax + 1):
+        axes = [np.arange(math.ceil(a * q), math.floor(b * q) + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+        if any(a.size == 0 for a in axes):
+            continue
+        keep = np.ones(tuple(a.size for a in axes), dtype=bool)
+        rest = q
+        while rest > 1:
+            r = spf[rest]
+            keep[tuple(slice(-int(a[0]) % r, None, r) for a in axes)] = False
+            while rest % r == 0:
+                rest //= r
+        yield q, axes, keep
+
+
 def farey_primitive(qmax: int, lo, hi, q_first: int = 1):
     """Primitive integer points (p_1, ..., p_{d-1}, q) with
     q_first <= q <= qmax and lo_i <= p_i / q <= hi_i, as the columns
     (q, p_1, ..., p_{d-1}): q increasing, p lexicographic within each q.
 
-    One q at a time: the ranges ceil(lo_i q)..floor(hi_i q) are expanded
-    axis by axis (np.repeat of the columns so far, np.tile of the new axis)
-    while the gcd is folded along them, starting from q; the points whose
-    fold ends at 1 are kept.  Only one denominator's grid is held at a
-    time: a grid over all q at once is slower and needs more memory.
+    The points of each farey_grids grid that keep marks, in the grid's
+    row-major order.
     """
-    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
     out = [[] for _ in range(len(lo) + 1)]
-    for q in range(q_first, qmax + 1):
-        axes = [np.arange(math.ceil(a * q), math.floor(b * q) + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-        if any(a.size == 0 for a in axes):
-            continue
-        cols, g = [axes[0]], np.gcd(axes[0], q)
-        for b in axes[1:]:
-            cols = [np.repeat(c, b.size) for c in cols] + [np.tile(b, g.size)]
-            g = np.gcd(np.repeat(g, b.size), cols[-1])
-        keep = g == 1
-        del g  # free before the filter allocates its columns
-        cols = [c[keep] for c in cols]
-        for o, c in zip(out, [np.full(cols[0].size, q, dtype=np.int64), *cols]):
-            o.append(c)
+    for q, axes, keep in farey_grids(qmax, lo, hi, q_first):
+        idx = np.nonzero(keep)
+        out[0].append(np.full(idx[0].size, q, dtype=np.int64))
+        for o, a, i in zip(out[1:], axes, idx):
+            o.append(a[i])
     if not out[0]:
         return tuple(np.empty(0, np.int64) for _ in out)
     return tuple(np.concatenate(o) for o in out)

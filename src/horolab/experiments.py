@@ -10,6 +10,7 @@ limit is the lattice-count fluctuation itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -185,14 +186,12 @@ def _stable_window_shape(target: tg.StableSection, t: float) -> tuple[float, np.
     return w, c_off, w / 2.0 + float(np.abs(c_off).max()) + 1e-15
 
 
-def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float, qs=None):
+def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
     """Sources, centers and width w of the windows that can meet [lo, hi].
 
-    For identity L, ``qs = (first, last)`` keeps the denominators
-    first <= q <= last (by default every q below the cutoff); both arrays
-    are Fortran-ordered and each center column p_i / q - c_off_i is built
-    from the integer columns, so every later pass over the centers reads
-    contiguous columns.
+    For identity L both arrays are Fortran-ordered and each center column
+    p_i / q - c_off_i is built from the integer columns, so every later pass
+    over the centers reads contiguous columns.
     """
     d = target.d
     w, c_off, margin = _stable_window_shape(target, t)
@@ -201,8 +200,7 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     if L is not None:
         sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
         return sources, alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off, w
-    first, last = (1, q_cap) if qs is None else qs
-    sources = fy.farey_sources(d, last, box, first) if last >= 1 else np.empty((0, d), np.int64)
+    sources = fy.farey_sources(d, q_cap, box) if q_cap >= 1 else np.empty((0, d), np.int64)
     fy.check_budget(sources.shape[0], "window enumeration")
     return sources, _source_centers(sources, c_off), w
 
@@ -217,20 +215,44 @@ def _source_centers(sources: np.ndarray, c_off: np.ndarray) -> np.ndarray:
     return centers
 
 
+def _clipped_sides(centers: np.ndarray, w: float, lo: float, hi: float) -> np.ndarray:
+    """Side of each interval of width w at the one-axis centers, clipped to
+    [lo, hi]: min(c + w/2, hi) - max(c - w/2, lo), or 0 when negative."""
+    side = centers + w / 2.0
+    np.minimum(side, hi, out=side)
+    low = centers - w / 2.0
+    np.maximum(low, lo, out=low)
+    side -= low
+    return np.clip(side, 0.0, None, out=side)
+
+
 def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Volume of each box of width w at the centers, clipped to [lo, hi].
-    Axis by axis: the product of the clipped sides, for one or two sides
+    """Volume of each box of width w at the centers, clipped to [lo, hi]:
+    the product of the clipped sides, axis by axis, for one or two sides
     the same bits as np.prod along the rows."""
-    vol = None
-    for a in range(centers.shape[1]):
-        side = centers[:, a] + w / 2.0
-        np.minimum(side, hi[a], out=side)
-        low = centers[:, a] - w / 2.0
-        np.maximum(low, lo[a], out=low)
-        side -= low
-        np.clip(side, 0.0, None, out=side)
-        vol = side if vol is None else np.multiply(vol, side, out=vol)
+    vol = _clipped_sides(centers[:, 0], w, lo[0], hi[0])
+    for a in range(1, centers.shape[1]):
+        vol *= _clipped_sides(centers[:, a], w, lo[a], hi[a])
     return vol
+
+
+def _stable_block_volumes(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t: float, qs) -> np.ndarray:
+    """Clipped volumes of the identity-L windows with first <= q <= last,
+    qs = (first, last), that can meet [lo, hi], in the kernel's (q, p) row
+    order, with no point or center array.
+
+    A window's volume is the product of its clipped sides, and the sides
+    depend on one p_i / q each, so each denominator's volumes are the outer
+    product of one clipped side per axis of its farey_grids grid, taken
+    where the grid is primitive.  The bits are those of _clipped_box_volumes
+    on the block's centers.
+    """
+    w, c_off, margin = _stable_window_shape(target, t)
+    parts = [np.empty(0)]
+    for q, axes, keep in fy.farey_grids(target.d, qs[1], (lo - margin, hi + margin), qs[0]):
+        sides = [_clipped_sides(p / q - c, w, a, b) for p, c, a, b in zip(axes, c_off, lo, hi)]
+        parts.append(functools.reduce(np.multiply.outer, sides)[keep])
+    return np.concatenate(parts)
 
 
 _UNION_CELLS = 1 << 21  # cover cells per batched step, O(k^dim) per cluster of k boxes; bounds each step's arrays to tens of MiB
@@ -303,16 +325,18 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     collision cluster.
 
     For identity L and d <= 3 the windows of the box A plus the margin of
-    _stable_window_centers are enumerated in denominator blocks
+    _stable_window_centers are walked in denominator blocks
     q_{k-1} < q <= q_k, q_k = floor(m (k/n)^{1/d}) with repeats dropped, of
     about _BLOCK_POINTS of the predicted vol(box) Q^d / (d zeta(d)) points
     each; the prediction is checked against ENUM_BUDGET before anything is
-    allocated.  Each window has one q, so each block is clipped to A and
-    summed, the blocks are added in order, and the count is the sum of the
-    block sizes.  The overlapping window pairs come from one integer search
-    over the box (farey.farey_window_pairs), ranked in the kernel's row
-    order (farey.pair_graph), and their components are the clusters.  A
-    general L, and d >= 4, enumerate once and search the centers with
+    allocated.  Each window has one q, so a block is one array of clipped
+    volumes (_stable_block_volumes, built per denominator from the clipped
+    sides, with no point or center array), summed; the blocks are added in
+    order, and the count is the sum of the block sizes.  The overlapping
+    window pairs come from one integer search over the box
+    (farey.farey_window_pairs), ranked in the kernel's row order
+    (farey.pair_graph), and their components are the clusters.  A general
+    L, and d >= 4, enumerate once and search the centers with
     collision_clusters.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
@@ -338,10 +362,10 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         cuts = np.unique(np.floor(m * (np.arange(n + 1) / n) ** (1.0 / d)).astype(np.int64))
         total, count = 0.0, 0
         for q_lo, q_hi in itertools.pairwise(cuts.tolist()):
-            sources, centers, _w = _stable_window_centers(target, None, lo, hi, t, (q_lo + 1, q_hi))
-            count += int(sources.shape[0])
+            volumes = _stable_block_volumes(target, lo, hi, t, (q_lo + 1, q_hi))
+            count += int(volumes.size)
             fy.check_budget(count, "window enumeration")
-            total += float(_clipped_box_volumes(centers, w, lo, hi).sum())
+            total += float(volumes.sum())
         nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(m, lo - margin, hi + margin, w))
         members, sizes = fy.component_clusters(u, v)
         clustered = _source_centers(nodes[members], c_off)

@@ -184,11 +184,11 @@ def _grid_bound(qmax: int, lo: np.ndarray, hi: np.ndarray) -> float:
     return sum(c * s for c, s in zip(coef, sums))
 
 
-def _farey_columns(d: int, Q: float, box, q_first: int = 1) -> list[np.ndarray]:
-    """The integer columns p_1, ..., p_{d-1}, q of the primitive points of
-    farey_arrays with q_first <= q <= Q, as the kernel returns them.  The
-    candidate grid of those denominators is checked against ENUM_BUDGET
-    before the kernel runs."""
+def _checked_grid(d: int, Q: float, box, q_first: int = 1):
+    """(qmax, lo, hi) of the identity-L Farey points with
+    q_first <= q <= Q and p/q in the box (the unit box by default), once Q,
+    d and the candidate grid of those denominators have been checked; the
+    grid is refused above ENUM_BUDGET before any kernel runs."""
     _check_q(Q)
     if d < 2:
         raise InvalidDimensionError(f"d must be >= 2, got {d}")
@@ -199,6 +199,21 @@ def _farey_columns(d: int, Q: float, box, q_first: int = 1) -> list[np.ndarray]:
     qmax = int(math.floor(Q))
     bound = _grid_bound(qmax, lo, hi) - _grid_bound(q_first - 1, lo, hi)
     check_budget(math.ceil(bound) if math.isfinite(bound) else bound, "Farey candidate grid")
+    return qmax, lo, hi
+
+
+def farey_grids(d: int, Q: float, box=None, q_first: int = 1):
+    """K.farey_grids over the denominators q_first <= q <= Q of the box,
+    checked by _checked_grid before the generator starts."""
+    qmax, lo, hi = _checked_grid(d, Q, box, q_first)
+    return K.farey_grids(qmax, lo, hi, q_first)
+
+
+def _farey_columns(d: int, Q: float, box, q_first: int = 1) -> list[np.ndarray]:
+    """The integer columns p_1, ..., p_{d-1}, q of the primitive points of
+    farey_arrays with q_first <= q <= Q, as the kernel returns them, checked
+    by _checked_grid before the kernel runs."""
+    qmax, lo, hi = _checked_grid(d, Q, box, q_first)
     # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
     if d == 2:
         cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)

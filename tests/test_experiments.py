@@ -189,14 +189,14 @@ def test_d2_counts_check_the_budget_before_allocating():
 
 def block_ranges(monkeypatch):
     """The (first, last) denominators of each block the window sum asks
-    _stable_window_centers for, in call order."""
-    ranges, centers = [], ex._stable_window_centers
+    _stable_block_volumes for, in call order."""
+    ranges, volumes = [], ex._stable_block_volumes
 
-    def record(target, L, lo, hi, t, qs=None):
+    def record(target, lo, hi, t, qs):
         ranges.append(qs)
-        return centers(target, L, lo, hi, t, qs)
+        return volumes(target, lo, hi, t, qs)
 
-    monkeypatch.setattr(ex, "_stable_window_centers", record)
+    monkeypatch.setattr(ex, "_stable_block_volumes", record)
     return ranges
 
 
@@ -228,6 +228,47 @@ def test_window_sum_budgets_each_block_by_its_own_grid(monkeypatch):
     margin = ex._stable_window_shape(target, t)[2]
     assert farey._grid_bound(99, lo - margin, hi + margin) > farey.ENUM_BUDGET
     assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == want
+
+
+def source_block_volumes(target, lo, hi, t, first, last):
+    """The clipped volumes of the windows with first <= q <= last, from the
+    block's sources and centers."""
+    w, c_off, margin = ex._stable_window_shape(target, t)
+    sources = farey.farey_sources(target.d, last, (lo - margin, hi + margin), first)
+    return ex._clipped_box_volumes(ex._source_centers(sources, c_off), w, lo, hi)
+
+
+@st.composite
+def block_volume_cases(draw):
+    # edges on 0 and on rationals put Farey points on the box edges
+    d = draw(st.sampled_from([2, 3]))
+    edge = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, -0.5]), st.floats(-0.5, 0.8))
+    lo = np.array([draw(edge) for _ in range(d - 1)])
+    hi = lo + np.array([draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0))) for _ in range(d - 1)])
+    T = draw(st.floats(1.0, 2.0))
+    eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(d, T)
+    ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(d - 1))
+    target = tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde)
+    t = draw(st.floats(1.0, 5.0 if d == 2 else 1.9))
+    m = math.floor(target.denominator_cap(t))
+    # blocks of several sizes that tile 1, ..., m
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=5))) if m > 1 else []
+    return target, lo, hi, t, list(zip([1] + [c + 1 for c in cuts], cuts + [m]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(block_volume_cases())
+@example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8, [(1, 7), (8, 8), (9, 36)]))
+def test_block_volumes_match_the_source_centers_bitwise(case):
+    # one outer product of clipped sides per denominator against the
+    # clipped volumes of the materialised sources: the same floats, in the
+    # same order, so the same block sums
+    target, lo, hi, t, blocks = case
+    for first, last in blocks:
+        got = ex._stable_block_volumes(target, lo, hi, t, (first, last))
+        want = source_block_volumes(target, lo, hi, t, first, last)
+        assert got.tobytes() == want.tobytes()
+        assert float(got.sum()).hex() == float(want.sum()).hex()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -387,9 +387,10 @@ def test_near_checks_the_budget_before_gathering(monkeypatch):
 
 def brute_window_pairs(d, m, lo, hi, w):
     """Every pair of the kernel's points in the box whose windows of width w
-    overlap, each gap decided in exact arithmetic: |q' p_i - q p'_i| <
-    w q q' on every axis.  A float test with a 1e-9 slack only skips pairs
-    that are far from the threshold."""
+    overlap, each gap decided exactly: |q' p_i - q p'_i| < w q q' on every
+    axis.  The gaps and q q' are exact integers, so a float test with a
+    1e-9 slack on either side of w q q' settles every pair away from the
+    threshold; the pairs inside that band are settled with Fraction(w)."""
     src = farey.farey_sources(d, m, (lo, hi)) if m >= 1 else np.empty((0, d), np.int64)
     # (q, p) order, so the first of each pair is the smaller
     src = src[np.lexsort(tuple(src[:, j] for j in reversed(range(d - 1))) + (src[:, -1],))]
@@ -402,10 +403,13 @@ def brute_window_pairs(d, m, lo, hi, w):
         i = rows[i]
         qq = q[i] * q[j]
         gaps = np.abs(q[j, None] * p[i] - q[i, None] * p[j])
-        near = np.all(gaps < w * qq[:, None] * (1.0 + 1e-9), axis=1)
-        for a, b, qq_ab, gap in zip(i[near].tolist(), j[near].tolist(), qq[near].tolist(), gaps[near].tolist()):
-            if all(g < wf * qq_ab for g in gap):
-                out.add((tuple(src[a].tolist()), tuple(src[b].tolist())))
+        wqq = w * qq[:, None]
+        near = np.all(gaps < wqq * (1.0 + 1e-9), axis=1)
+        meet = near & np.all(gaps < wqq * (1.0 - 1e-9), axis=1)
+        band = np.flatnonzero(near & ~meet)
+        for k, qq_ab, gap in zip(band.tolist(), qq[band].tolist(), gaps[band].tolist()):
+            meet[k] = all(g < wf * qq_ab for g in gap)
+        out.update(zip(map(tuple, src[i[meet]].tolist()), map(tuple, src[j[meet]].tolist())))
     return out
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from horolab import _kernels as K
 
@@ -168,6 +168,36 @@ def test_farey_primitive_rows_in_kernel_order(qmax, lo, hi, q_first):
     if named is not None:
         args = [v for pair in zip(lo, hi) for v in pair]
         assert all(np.array_equal(a, b) for a, b in zip(named(qmax, *args, q_first), cols))
+
+
+@st.composite
+def grid_cases(draw):
+    # d = 2, 3, 4; ranges reaching below 0, and empty ones where hi < lo
+    # or the interval holds no p / q
+    k = draw(st.integers(1, 3))
+    lo = [draw(st.floats(-1.5, 1.0)) for _ in range(k)]
+    hi = [a + draw(st.one_of(st.floats(-0.2, 1.2), st.just(0.0))) for a in lo]
+    qmax = draw(st.integers(0, (40, 14, 7)[k - 1]))
+    return qmax, lo, hi, draw(st.integers(1, qmax + 2))
+
+
+@settings(deadline=None, max_examples=80)
+@given(grid_cases())
+@example((12, [-1.0, 0.0], [0.0, 1.0], 1))
+@example((9, [0.3, -0.5, 0.0], [0.31, 0.5, 1.0], 4))
+def test_farey_grids_keep_is_the_gcd_fold(case):
+    qmax, lo, hi, q_first = case
+    ranges = {
+        q: [np.arange(math.ceil(a * q), math.floor(b * q) + 1) for a, b in zip(lo, hi)]
+        for q in range(q_first, qmax + 1)
+    }
+    grids = list(K.farey_grids(qmax, lo, hi, q_first))
+    assert [g[0] for g in grids] == [q for q, axes in ranges.items() if all(a.size for a in axes)]
+    for q, axes, keep in grids:
+        assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(axes, ranges[q]))
+        points = np.meshgrid(*axes, indexing="ij")
+        fold = np.gcd.reduce(np.stack([*points, np.full_like(points[0], q)]), axis=0)
+        assert keep.dtype == bool and np.array_equal(keep, fold == 1)
 
 
 def test_primitive_box():
