@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, the d = 2 interval count built on them, the d = 4
-Farey enumeration, the A3 collision searches and clipped window volumes, the
+"""Time the hot kernels, the d = 2 interval count built on them with its
+Mertens values, the d = 2 exact-window row at t = 15.5, the d = 4 Farey
+enumeration, the A3 collision searches and clipped window volumes, the
 whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
 collision clusters, the same union of one set of intervals (the d = 2
@@ -120,12 +121,15 @@ CASES = [
     ("farey_d3(250)", "farey_d3", (250, 0.0, 1.0, 0.0, 1.0)),
     ("_farey_columns(d = 4, 40)", "_farey_columns", (4, 40, None)),
     ("primitive_box(+-150)", "primitive_box", (np.array([-150.0, -150.0, -150.0]), np.array([150.0, 150.0, 150.0]))),
-    # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2)
+    # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2),
+    # the Mertens values it takes its Moebius block sums from, and the whole row
+    ("mertens_quotients(3811092)", "mertens_quotients", (3_811_092,)),
     (
         "count_farey_in_interval(3811092)",
         "count_farey_in_interval",
         (3_811_092, 0.1 + 0.1 * math.exp(-31.0), 0.7 - 0.1 * math.exp(-31.0)),
     ),
+    ("exact_window_stable_d2(t = 15.5)", "exact_window_stable_d2", (StableSection(d=2, T=2.0, eps=0.2), None, 0.1, 0.7, 15.5)),
     # the A3 collision searches and window volumes; a callable builds its arguments when the case runs
     ("farey_window_pairs(A3)", "farey_window_pairs", a3_pair_search),
     ("collision_clusters(A3)", "collision_clusters", a3_centers),

@@ -12,7 +12,9 @@ The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
 loop over the primes up to sqrt(n) only, each step one strided array
 operation, then one masked array step for the single prime factor above
 sqrt(n) that an integer up to n can have.  The Moebius values come back as
-int8.
+int8.  mertens_quotients gives the Mertens function at every quotient
+m // k from a Moebius sieve to m^{2/3} only, one vectorised step per
+quotient above it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,43 @@ def mobius_sieve(n: int) -> np.ndarray:
         mu[p * p :: p * p] = 0
     np.negative(mu, out=mu, where=rest > 1)
     return mu
+
+
+def mertens_quotients(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For m >= 1: the sorted quotient set {m // k : 1 <= k <= m} and the
+    Mertens function M(x) = sum_{e <= x} mu(e) at each of its values.
+
+    M up to y = max(isqrt(m), ceil(m^{2/3})) is the cumulative sum of
+    mobius_sieve(y).  The quotients above y are x = m // j for j = 1, 2, ...
+    (all j <= isqrt(m)); they are taken from the largest j down, so in
+    increasing x, by M(x) = 1 - sum_{2 <= d <= x} M(x // d).  With
+    r = isqrt(x), the terms d <= x // (r + 1) are read one by one:
+    x // d = m // (j d) is either at most y or a quotient already done.
+    The others have x // d = v <= r and are grouped, x // v - x // (v + 1)
+    terms per v.  Each quotient is one vectorised step over about 2 sqrt(x)
+    terms, O(m^{2/3}) work in all (Deleglise and Rivat, Experimental Math.
+    1996).
+    """
+    r = math.isqrt(m)
+    k = np.arange(1, r + 1, dtype=np.int64)
+    big = m // k[::-1]
+    # 1, ..., r and then m // r, ..., m // 1; m // r is r itself when m < r (r + 1)
+    ends = np.concatenate((k, big[1:] if big[0] == r else big))
+    y = min(m, max(r, math.ceil(m ** (2.0 / 3.0))))
+    small = np.cumsum(mobius_sieve(y), dtype=np.int64)
+    n_big = int(np.count_nonzero(ends > y))
+    # large[j] = M(m // j) for 1 <= j <= n_big, the quotients above y
+    large = np.zeros(n_big + 1, dtype=np.int64)
+    for j in range(n_big, 0, -1):
+        x = m // j
+        rx = math.isqrt(x)
+        split = x // (y + 1)  # x // d > y exactly for d <= split
+        above = large[j * np.arange(2, split + 1, dtype=np.int64)].sum()
+        below = small[x // np.arange(max(2, split + 1), x // (rx + 1) + 1, dtype=np.int64)].sum()
+        per_v = x // np.arange(1, rx + 2, dtype=np.int64)
+        grouped = np.dot(small[1 : rx + 1], per_v[:-1] - per_v[1:])
+        large[j] = 1 - above - below - grouped
+    return ends, np.concatenate((small[ends[: ends.size - n_big]], large[n_big:0:-1]))
 
 
 def jordan_sieve(n: int, k: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -125,14 +126,35 @@ def _is_unit_cell(lo, hi) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _strip_points(s_lo: float, s_hi: float, scale: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced p/q, 1 <= q <= m, with p/(scale*q) in the strip (s_lo, s_hi]
+    as floats decide it, floor(fl(fl(q*scale)*s_lo)) < p <= floor(fl(fl(q*scale)*s_hi)),
+    as int64 columns (p, q) sorted by q, then p.
+
+    Each float product is within two roundings of q*scale*s: under 4 eps
+    relative, or 2^-1074 absolute below the normal range.  So every such p/q
+    lies in the exact bounds scale*s widened by the larger of the two, and a
+    Farey walk lists the members of F_m there, about 0.3 scale w m^2 + 2 for
+    a strip of width w; the float test keeps the ones it admits.
+    """
+    bounds = [Fraction(scale) * Fraction(s) for s in (s_lo, s_hi)]
+    slack = [max(Fraction(4 * np.finfo(float).eps) * abs(b), Fraction(1, 2**1074)) for b in bounds]
+    p, q = fy.farey_between(bounds[0] - slack[0], bounds[1] + slack[1], m)
+    f = q * scale
+    keep = (np.floor(f * s_lo) < p) & (p <= np.floor(f * s_hi))
+    p, q = p[keep], q[keep]
+    order = np.lexsort((p, q))
+    return p[order], q[order]
+
+
 def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t: float) -> tuple[float, int]:
     """Exact integral of the stable-target indicator over [lo, hi] for d = 2.
 
     Windows of width eps e^{-2t} sit at the translated-Farey points with
     denominators below Q T^{-1/2}; interior windows are counted by a Moebius
-    prefix scan, boundary-straddling ones are enumerated and clipped.  The
-    denominator bound is checked against ENUM_BUDGET before any array is
-    allocated.
+    prefix scan, boundary-straddling ones are listed by a Farey walk over
+    each edge strip and clipped.  The denominator bound is checked against
+    ENUM_BUDGET before any array is allocated.
     """
     kind, a = lattice_kind(L)
     if kind == "general":
@@ -151,26 +173,12 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     v = hi + c_off - w / 2.0
     n_mid = fy.count_farey_in_interval(m, u, v, scale=scale)
     # the edge strips (lo - w/2, u] and (v, hi + w/2], shifted by c_off, hold
-    # the windows that straddle an end of [lo, hi]; p/(scale*q) lies in (s_lo, s_hi]
-    # for floor(scale*q*s_lo) < p <= floor(scale*q*s_hi), floors exact as floats
-    q_edge, p_edge = [], []
+    # the windows that straddle an end of [lo, hi]
+    r = []
     for s_lo, s_hi in ((lo + c_off - w / 2.0, u), (v, hi + c_off + w / 2.0)):
-        f_lo = np.arange(1, m + 1, dtype=np.float64)
-        f_lo *= scale
-        f_hi = f_lo * s_hi
-        np.floor(f_hi, out=f_hi)
-        f_lo *= s_lo
-        np.floor(f_lo, out=f_lo)
-        sel = np.flatnonzero(f_hi > f_lo)
-        n_p = (f_hi[sel] - f_lo[sel]).astype(np.int64)
-        # p runs over f_lo + 1, ..., f_hi for each selected q = sel + 1
-        first = np.cumsum(n_p) - n_p
-        q_edge.append(np.repeat(sel + 1, n_p))
-        p_edge.append(np.repeat(f_lo[sel].astype(np.int64) + 1 - first, n_p) + np.arange(int(n_p.sum())))
-        del f_lo, f_hi
-    q_edge, p_edge = np.concatenate(q_edge), np.concatenate(p_edge)
-    keep = np.gcd(p_edge, q_edge) == 1
-    r = p_edge[keep] / (scale * q_edge[keep])
+        p, q = _strip_points(s_lo, s_hi, scale, m)
+        r.append(p / (scale * q))
+    r = np.concatenate(r)
     parts = np.maximum(0.0, np.minimum(r - c_off + w / 2.0, hi) - np.maximum(r - c_off - w / 2.0, lo))
     # cumsum adds strictly left to right, in (strip, q, p) order, from w * n_mid
     total = np.cumsum(np.concatenate(([w * n_mid], parts)))[-1]

@@ -379,20 +379,58 @@ def count_farey_in_interval(Q: float, u: float, v: float, scale: float = 1.0) ->
     count is the sum over e <= m = floor(Q) of mu(e) P(m // e).  m // e takes
     about 2 sqrt(m) distinct values, each on a block of consecutive e, so
     the sum is one integer dot product of the blocks' Moebius sums with P at
-    the block values.
+    the block values.  Those sums are differences of the Mertens function at
+    the sorted quotients, O(m^{2/3}) work; the prefix is the one O(m) pass.
     """
     m = int(math.floor(Q))
     if m < 1:
         return 0
     check_budget(m, "sieve length")
-    mu = K.mobius_sieve(m)
+    ends, mertens = K.mertens_quotients(m)
     prefix = K.floor_diff_prefix(u, v, m, scale)
-    # the blocks end at every e <= isqrt(m) and at every m // e for those e
-    small = np.arange(1, math.isqrt(m) + 1, dtype=np.int64)
-    ends = np.unique(np.concatenate([small, m // small]))
-    starts = np.concatenate(([1], ends[:-1] + 1))
-    block_mu = np.add.reduceat(mu, starts, dtype=np.int64)
+    block_mu = np.diff(mertens, prepend=0)
     return int(np.dot(block_mu, prefix[m // ends]))
+
+
+def farey_neighbours(x: Fraction, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The consecutive members l <= x < r of F_m, the reduced fractions p/q
+    with 1 <= q <= m on the whole line, as (p, q) pairs.
+
+    A Stern-Brocot descent from floor(x)/1 and (floor(x) + 1)/1: while the
+    mediant of l and r has denominator <= m it lies between them, and the
+    end on its side of x moves towards the other as many mediant steps as
+    stay on that side and within F_m, all at once.  That takes O(log m)
+    steps, like Euclid's algorithm on x.
+    """
+    n, d = x.numerator, x.denominator
+    lp, lq, rp, rq = n // d, 1, n // d + 1, 1
+    while lq + rq <= m:
+        gap_l, gap_r = n * lq - d * lp, d * rp - n * rq  # d q (x - l) >= 0, d q (r - x) > 0
+        if (lp + rp) * d <= n * (lq + rq):
+            j = min(gap_l // gap_r, (m - lq) // rq)
+            lp, lq = lp + j * rp, lq + j * rq
+        else:
+            j = (m - rq) // lq if gap_l == 0 else min((gap_r - 1) // gap_l, (m - rq) // lq)
+            rp, rq = rp + j * lp, rq + j * lq
+    return (lp, lq), (rp, rq)
+
+
+def farey_between(a: Fraction, b: Fraction, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members p/q of F_m with a <= p/q <= b, increasing, as int64
+    columns (p, q): a walk from the neighbours of a by the next-term
+    recurrence of consecutive Farey fractions h/k < h'/k', whose successor
+    is (z h' - h)/(z k' - k) with z = (k + m) // k' (Graham, Knuth and
+    Patashnik, Concrete Mathematics, 4.5).  The walk is one step per
+    fraction listed.
+    """
+    (hp, hq), (kp, kq) = farey_neighbours(a, m)
+    ps, qs = ([hp], [hq]) if Fraction(hp, hq) == a <= b else ([], [])
+    while Fraction(kp, kq) <= b:
+        ps.append(kp)
+        qs.append(kq)
+        z = (hq + m) // kq
+        hp, hq, kp, kq = kp, kq, z * kp - hp, z * kq - hq
+    return np.array(ps, dtype=np.int64), np.array(qs, dtype=np.int64)
 
 
 def _block_period(M_frac: np.ndarray, d: int) -> Optional[np.ndarray]:

@@ -131,6 +131,62 @@ def test_exact_window_edges_match_loop_on_rational_ends():
         assert ex.exact_window_stable_d2(target, None, 0.1, 0.7, t) == loop_exact_window_d2(target, None, 0.1, 0.7, t)
 
 
+def loop_strip_points(s_lo, s_hi, scale, m):
+    """The (p, q) of a d = 2 edge strip by the per-q float floors the edge
+    scan used: gcd(p, q) = 1 and floor(fl(fl(q*scale)*s_lo)) < p <=
+    floor(fl(fl(q*scale)*s_hi)), in (q, p) order."""
+    out = []
+    for q in range(1, m + 1):
+        f = float(q) * scale
+        out += [(p, q) for p in range(math.floor(f * s_lo) + 1, math.floor(f * s_hi) + 1) if math.gcd(p, q) == 1]
+    return out
+
+
+SCALES = [1.0, math.sqrt(2.0) ** 2, 0.64, 0.8**2]
+
+
+@st.composite
+def edge_strips(draw):
+    scale = draw(st.sampled_from(SCALES))
+    m = draw(st.integers(1, 300))
+    # ends on or next to a rational p/(scale q), or anywhere
+    p, q = draw(st.integers(-300, 300)), draw(st.integers(1, 300))
+    end = draw(st.one_of(st.just(p / q), st.just(p / (q * scale)), st.floats(-2.0, 2.0)))
+    width = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1e-4, 1e-2]))
+    return (end, end + width, scale, m) if draw(st.booleans()) else (end - width, end, scale, m)
+
+
+@settings(deadline=None, max_examples=300)
+@given(edge_strips())
+# fl(10 * 0.7) = 7 admits 7/10 although fl(0.7) < 7/10
+@example((0.6, 0.7, 1.0, 10))
+@example((0.7 - 1e-9, 0.7, 1.0, 250))
+# negative s_lo; scales fl(sqrt(2))^2 and 0.64
+@example((-0.3, 0.2, 1.0, 40))
+@example((-0.25, -0.25 + 1e-6, math.sqrt(2.0) ** 2, 300))
+@example((0.1 - 1e-5, 0.1, 0.64, 300))
+# below the normal range: fl(0.4 * -5e-324) is -0.0, so 0/1 is out
+@example((-5e-324, 0.0, 0.4, 20))
+@example((-5e-324, 5e-324, 0.64, 20))
+def test_strip_points_match_the_per_q_float_floors(case):
+    p, q = ex._strip_points(*case)
+    assert p.dtype == q.dtype == np.int64
+    assert list(zip(p.tolist(), q.tolist())) == loop_strip_points(*case)
+
+
+def test_d2_count_rows_are_pinned():
+    # perfbench's d2-count rows at seed 0 (A = [0.1, 0.7], T = 2, eps = 0.2),
+    # (integral, count) as the full-length edge scans gave them
+    target = tg.StableSection(d=2, T=2.0, eps=0.2)
+    rows = {
+        14.0: (0.01823781583485089, 131882849943),
+        15.0: (0.018237817128686492, 974489845842),
+        15.5: (0.018237813882620316, 2648937568496),
+    }
+    for t, row in rows.items():
+        assert ex.exact_window_stable_d2(target, None, 0.1, 0.7, t) == row
+
+
 @settings(deadline=None, max_examples=60)
 @given(d2_windows(t_max=4.0))
 def test_exact_window_matches_enumeration_property(case):
@@ -495,23 +551,30 @@ def test_translated_enumerations_check_the_box_before_allocating():
 
 
 def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch):
-    # the index is built under the real budget; the candidates near the
-    # samples are one more than the budget allows
-    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    # the index is built under the real budget; the budget then admits the
+    # query's cell ranges but not its pre-mask candidates, so the candidate
+    # check itself must fire before any pair is tested.  Uniform samples
+    # meet fewer candidates than ranges; on the edge x_1 = 0, where the
+    # points (0, p_2/q) crowd, they meet more.
+    target = tg.StableSection(d=3, T=1.0, eps=0.4)
     lo, hi, t = np.zeros(2), np.ones(2), 1.8
-    points = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 2))
+    points = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 2)) * [0.0, 1.0]
     index = ex._build_index(target, None, lo, hi, t)
     radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
-    total = index.near(points, radius, alpha_max=amax).shape[0]
-    assert total > 0
+    seen = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(farey, "check_budget", lambda n, what: seen.setdefault(what, n))
+        assert index.near(points, radius, alpha_max=amax).shape[0] > 0
+    ranges, total = seen["cell ranges of the sample candidates"], seen["sample candidates"]
+    assert ranges < total
 
     def refuse(*args):
         raise AssertionError("dual_hits ran")
 
     monkeypatch.setattr(ex, "_build_index", lambda *args: index)
     monkeypatch.setattr(tg, "dual_hits", refuse)
-    monkeypatch.setattr(farey, "ENUM_BUDGET", total - 1)
-    with pytest.raises(ResourceLimitError, match="sample candidates"):
+    monkeypatch.setattr(farey, "ENUM_BUDGET", ranges)
+    with pytest.raises(ResourceLimitError, match="^sample candidates"):
         ex.sampled_integral(target, None, lo, hi, t, points)
 
 

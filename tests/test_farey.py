@@ -156,6 +156,65 @@ def test_count_in_interval_matches_per_divisor_scan(m, u, length, scale):
     assert farey.count_farey_in_interval(m, u, u + length, scale=scale) == loop_count_in_interval(m, u, u + length, scale)
 
 
+def test_count_in_interval_sieves_to_m_two_thirds(monkeypatch):
+    # the t = 15.5 exact-window row: the Moebius sieve stops at ceil(m^{2/3})
+    lengths = []
+    sieve = K.mobius_sieve
+    monkeypatch.setattr(K, "mobius_sieve", lambda n: lengths.append(n) or sieve(n))
+    m = 3_811_092
+    farey.count_farey_in_interval(m, 0.1, 0.7)
+    assert lengths == [24_399]
+
+
+def brute_farey_line(a, b, m):
+    """The reduced p/q with 1 <= q <= m and a <= p/q <= b, in increasing order."""
+    found = set()
+    for q in range(1, m + 1):
+        for p in range(math.ceil(a * q), math.floor(b * q) + 1):
+            if math.gcd(p, q) == 1:
+                found.add(Fraction(p, q))
+    return sorted(found)
+
+
+# x as a fraction: any rational, an integer (negative too), or a member of F_m
+farey_x = st.one_of(
+    st.builds(Fraction, st.integers(-500, 500), st.integers(1, 200)),
+    st.builds(Fraction, st.integers(-5, 5)),
+    st.floats(-3.0, 3.0).map(Fraction),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(farey_x, st.integers(1, 40))
+def test_farey_neighbours_vs_brute(x, m):
+    (lp, lq), (rp, rq) = farey.farey_neighbours(x, m)
+    line = brute_farey_line(math.floor(x), math.floor(x) + 1, m)
+    assert Fraction(lp, lq) == max(f for f in line if f <= x)
+    assert Fraction(rp, rq) == min(f for f in line if f > x)
+    # reduced, with positive denominators in F_m
+    assert 1 <= lq <= m and 1 <= rq <= m and math.gcd(lp, lq) == math.gcd(rp, rq) == 1
+
+
+def test_farey_neighbours_on_members_and_integers():
+    assert farey.farey_neighbours(Fraction(1, 3), 5) == ((1, 3), (2, 5))
+    assert farey.farey_neighbours(Fraction(-2), 3) == ((-2, 1), (-5, 3))
+    assert farey.farey_neighbours(Fraction(-1, 7), 1) == ((-1, 1), (0, 1))
+    assert farey.farey_neighbours(Fraction(0), 1) == ((0, 1), (1, 1))
+    # one batched step each way; single mediant steps would take 10^12
+    assert farey.farey_neighbours(Fraction(1, 10**12 + 1), 10**12) == ((0, 1), (1, 10**12))
+    assert farey.farey_neighbours(Fraction(-1, 10**12 + 1), 10**12) == ((-1, 10**12), (0, 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(farey_x, st.floats(0.0, 2.5).map(Fraction), st.integers(1, 40))
+def test_farey_between_vs_brute(a, length, m):
+    for lo, hi in ((a, a + length), (a, a), (a + length, a)):
+        p, q = farey.farey_between(lo, hi, m)
+        assert p.dtype == q.dtype == np.int64
+        assert [Fraction(int(a_), int(b_)) for a_, b_ in zip(p, q)] == brute_farey_line(lo, hi, m)
+        assert np.all(q >= 1) and np.all(np.gcd(p, q) == 1)
+
+
 def test_counts_below_one_are_empty():
     assert farey.count_farey(2, 0.5)[0] == 0
     assert farey.count_farey(3, 0.99)[0] == 0

@@ -106,6 +106,30 @@ def test_floor_diff_prefix_matches_plain_expression():
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+# squares and r (r + 1), where m // isqrt(m) is or is not isqrt(m) again, and
+# cubes k^3 and their neighbours, where the quotient m // k = k^2 sits on the
+# sieve length ceil(m^{2/3})
+MERTENS_SIZES = st.one_of(
+    st.integers(1, 60_000),
+    st.integers(1, 300).map(lambda r: r * r),
+    st.integers(1, 300).map(lambda r: r * (r + 1)),
+    st.tuples(st.integers(1, 40), st.integers(-1, 1)).map(lambda c: max(1, c[0] ** 3 + c[1])),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(MERTENS_SIZES)
+@example(1)
+@example(2)
+@example(8)
+@example(27_000)
+def test_mertens_quotients_match_the_sieve(m):
+    ends, mertens = K.mertens_quotients(m)
+    assert ends.dtype == mertens.dtype == np.int64
+    assert np.array_equal(ends, np.unique(m // np.arange(1, m + 1)))
+    assert np.array_equal(mertens, np.cumsum(K.mobius_sieve(m), dtype=np.int64)[ends])
+
+
 def test_phi_sieve_values():
     assert K.phi_sieve(30).tolist() == brute_phi(30)
 
