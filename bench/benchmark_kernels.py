@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the hot kernels, the d = 2 interval count built on them with its
-Mertens values, the d = 2 exact-window row at t = 15.5, the d = 4 Farey
+Mertens values and floor sums (also over the unit cell), the d = 2
+exact-window row at t = 15.5, the d = 4 Farey
 enumeration, the A3 collision searches and clipped window volumes, the
 whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
@@ -16,6 +17,7 @@ Each case prints the best of N wall-clock runs.
 import argparse
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +25,15 @@ from horolab import _kernels as K
 from horolab import experiments, farey
 from horolab.coords import Chart
 from horolab.targets import GrenierBoxStable, SphericalSection, StableSection
+
+
+def row_floor_sums():
+    """The floor sums of the t = 15.5 exact-window row at its upper end: the
+    quotients m // k and the left F_m neighbour a/b of v."""
+    m = 3_811_092
+    ends, _mertens = K.mertens_quotients(m)
+    (a, b), _right = farey.farey_neighbours(Fraction(0.7 - 0.1 * math.exp(-31.0)), m)
+    return m // ends, a, b
 
 
 def a3_centers():
@@ -122,8 +133,11 @@ CASES = [
     ("_farey_columns(d = 4, 40)", "_farey_columns", (4, 40, None)),
     ("primitive_box(+-150)", "primitive_box", (np.array([-150.0, -150.0, -150.0]), np.array([150.0, 150.0, 150.0]))),
     # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2),
-    # the Mertens values it takes its Moebius block sums from, and the whole row
+    # the Mertens values it takes its Moebius block sums from, the floor sums at
+    # their quotients, the unit cell at the same m, and the whole row
     ("mertens_quotients(3811092)", "mertens_quotients", (3_811_092,)),
+    ("floor_sums(t = 15.5 quotients)", "floor_sums", row_floor_sums),
+    ("count_farey_in_interval(3811092, 0, 1)", "count_farey_in_interval", (3_811_092, 0.0, 1.0)),
     (
         "count_farey_in_interval(3811092)",
         "count_farey_in_interval",
@@ -157,11 +171,11 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'case':32s} {'seconds':>10s}")
+    print(f"{'case':40s} {'seconds':>10s}")
     for label, name, fargs in CASES:
         fn = name if callable(name) else getattr(K, name, None) or getattr(farey, name, None) or getattr(experiments, name)
         fargs = fargs() if callable(fargs) else fargs
-        print(f"{label:32s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
+        print(f"{label:40s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
 
 
 if __name__ == "__main__":

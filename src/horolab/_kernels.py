@@ -15,6 +15,12 @@ sqrt(n) that an integer up to n can have.  The Moebius values come back as
 int8.  mertens_quotients gives the Mertens function at every quotient
 m // k from a Moebius sieve to m^{2/3} only, one vectorised step per
 quotient above it.
+
+floor_sums gives sum_{k <= n} floor(k a / b) at many n at once by the
+Euclid-style floor-sum recursion, one array step per step of Euclid's
+algorithm on (b, a).  floor_diff_prefix, the whole length-m float prefix
+that interval counts once read, is kept as the oracle of the tests and of
+the benchmark.
 """
 
 from __future__ import annotations
@@ -150,6 +156,32 @@ def floor_diff_prefix(u: float, v: float, m_max: int, scale: float) -> np.ndarra
     out = diff.astype(np.int64)  # the floats are exact integers
     del diff
     return np.cumsum(out, out=out)
+
+
+def floor_sums(n: np.ndarray, a: int, b: int) -> np.ndarray:
+    """sum_{k=1}^{n} floor(k a / b) for each entry n >= 0 of the int64 array
+    n, where 0 <= a < b.
+
+    The Euclid-style floor-sum recursion (as in the AtCoder Library's
+    floor_sum): for N terms floor((A i + B) / M), 0 <= i < N, take out the
+    whole parts of A / M and B / M, then swap the axes, N <- (A N + B) // M,
+    B <- (A N + B) % M, (M, A) <- (A, M).  (M, A) runs through Euclid's
+    algorithm on (b, a) whatever n is, so the loop is over its O(log b)
+    steps, one array step each for every n at once; no intermediate value
+    exceeds (n + 1) max(n + 1, b).
+    """
+    N = n + 1
+    B = np.zeros_like(N)
+    out = np.zeros_like(N)
+    M, A = b, a
+    while A:
+        y = A * N + B
+        N, B = y // M, y % M
+        M, A = A, M
+        out += N * (N - 1) // 2 * (A // M) + N * (B // M)
+        A %= M
+        B %= M
+    return out
 
 
 # ---------------------------------------------------------------------------

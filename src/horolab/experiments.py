@@ -131,15 +131,13 @@ def _strip_points(s_lo: float, s_hi: float, scale: float, m: int) -> tuple[np.nd
     as floats decide it, floor(fl(fl(q*scale)*s_lo)) < p <= floor(fl(fl(q*scale)*s_hi)),
     as int64 columns (p, q) sorted by q, then p.
 
-    Each float product is within two roundings of q*scale*s: under 4 eps
-    relative, or 2^-1074 absolute below the normal range.  So every such p/q
-    lies in the exact bounds scale*s widened by the larger of the two, and a
+    Each float product is within two roundings of q*scale*s, so every such
+    p/q lies in the exact bounds scale*s widened by fy.rounding_slack, and a
     Farey walk lists the members of F_m there, about 0.3 scale w m^2 + 2 for
     a strip of width w; the float test keeps the ones it admits.
     """
-    bounds = [Fraction(scale) * Fraction(s) for s in (s_lo, s_hi)]
-    slack = [max(Fraction(4 * np.finfo(float).eps) * abs(b), Fraction(1, 2**1074)) for b in bounds]
-    p, q = fy.farey_between(bounds[0] - slack[0], bounds[1] + slack[1], m)
+    b_lo, b_hi = (Fraction(scale) * Fraction(s) for s in (s_lo, s_hi))
+    p, q = fy.farey_between(b_lo - fy.rounding_slack(b_lo), b_hi + fy.rounding_slack(b_hi), m)
     f = q * scale
     keep = (np.floor(f * s_lo) < p) & (p <= np.floor(f * s_hi))
     p, q = p[keep], q[keep]
@@ -152,8 +150,9 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
 
     Windows of width eps e^{-2t} sit at the translated-Farey points with
     denominators below Q T^{-1/2}; interior windows are counted by a Moebius
-    prefix scan, boundary-straddling ones are listed by a Farey walk over
-    each edge strip and clipped.  The denominator bound is checked against
+    block sum over floor sums at the quotients (fy.count_farey_in_interval),
+    boundary-straddling ones are listed by a Farey walk over each edge strip
+    and clipped.  The denominator bound is checked against
     ENUM_BUDGET before any array is allocated.
     """
     kind, a = lattice_kind(L)

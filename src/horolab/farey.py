@@ -371,25 +371,93 @@ def count_farey(d: int, Q: float) -> tuple[int, float]:
 
 
 def count_farey_in_interval(Q: float, u: float, v: float, scale: float = 1.0) -> int:
-    """d = 2 only: number of points p/(scale*q) in (u, v] with q <= Q (0 when
-    Q < 1).
+    """d = 2 only: number of reduced p/q with q <= Q (0 when Q < 1) that the
+    floats admit, floor(fl(fl(q*scale)*u)) < p <= floor(fl(fl(q*scale)*v)):
+    the points p/(scale*q) in (u, v] up to rounding.
 
     Moebius inversion turned inside out: with P(k) the number of pairs
-    (p, q), q <= k, with p/(scale*q) in (u, v] (a floor-sum prefix), the
-    count is the sum over e <= m = floor(Q) of mu(e) P(m // e).  m // e takes
-    about 2 sqrt(m) distinct values, each on a block of consecutive e, so
-    the sum is one integer dot product of the blocks' Moebius sums with P at
-    the block values.  Those sums are differences of the Mertens function at
-    the sorted quotients, O(m^{2/3}) work; the prefix is the one O(m) pass.
+    (p, q), q <= k, that the floats admit (a floor-sum prefix), the count is
+    the sum over e <= m = floor(Q) of mu(e) P(m // e).  m // e takes about
+    2 sqrt(m) distinct values, each on a block of consecutive e, so the sum
+    is one integer dot product of the blocks' Moebius sums with P at the
+    block values.  Those sums are differences of the Mertens function at the
+    sorted quotients, O(m^{2/3}) work; P comes from floor sums at the same
+    quotients only (_floor_prefix), with no length-m array.
     """
     m = int(math.floor(Q))
     if m < 1:
         return 0
     check_budget(m, "sieve length")
     ends, mertens = K.mertens_quotients(m)
-    prefix = K.floor_diff_prefix(u, v, m, scale)
-    block_mu = np.diff(mertens, prepend=0)
-    return int(np.dot(block_mu, prefix[m // ends]))
+    return int(np.dot(np.diff(mertens, prepend=0), _interval_prefix(u, v, scale, m, m // ends)))
+
+
+def _interval_prefix(u: float, v: float, scale: float, m: int, n: np.ndarray) -> np.ndarray:
+    """K.floor_diff_prefix(u, v, m, scale)[n] for int64 n in 0..m; the whole
+    parts (floor(scale*v) - floor(scale*u)) n (n + 1) / 2 are taken together,
+    so no term is larger than that prefix."""
+    (fu, ru), (fv, rv) = (_floor_prefix(x, scale, m, n) for x in (u, v))
+    return (fv - fu) * (n * (n + 1) // 2) + (rv - ru)
+
+
+def rounding_slack(x: Fraction) -> Fraction:
+    """The larger of 4 eps |x| and 2^-1074.
+
+    A float product fl(fl(k*scale)*s) is within two roundings of k x,
+    x = scale*s: under 4 eps relative, or 2^-1074 absolute below the normal
+    range, so within k times this of k x.  An integer j between the two
+    therefore has j/k within this of x.
+    """
+    return max(Fraction(4 * np.finfo(float).eps) * abs(x), Fraction(1, 2**1074))
+
+
+_CHUNK = 1 << 16  # multiples per step of the rounding check in _floor_prefix
+
+
+def _floor_prefix(x: float, scale: float, m: int, n: np.ndarray) -> tuple[int, np.ndarray]:
+    """(floor(X), R) for X = scale*x taken exactly, where R[i] is the sum over
+    1 <= k <= n[i] of floor(fl(fl(k*scale)*x)) - floor(X) k, for int64 n in 0..m.
+
+    With a/b the left neighbour of X in F_m no member of F_m lies in
+    (a/b, X], so floor(k X) = floor(k a / b) for every k <= m, and that part
+    of R is K.floor_sums.  The float floor differs from floor(k X) only where
+    an integer j lies between the two, so j/k is within s = rounding_slack(X)
+    of X and k is a multiple of the denominator q of a member p/q of F_m
+    there.  Those multiples k = t q are evaluated with the same float
+    expression, _CHUNK at a time, and the differences added by a cumsum;
+    floor(k X) - t p = floor(t (q X - p)) is one integer over a chunk unless
+    X is large.  While s m < 1/2, two members are more than 1/m apart, so no
+    k is a multiple of both; each k is off by at most one; and X's own
+    multiples, k X < 2^53, are exact.  Near a small q without being on it
+    (scale = fl(sqrt 2)^2, say) the check is O(m / q).
+    """
+    X = Fraction(scale) * Fraction(x)
+    whole = math.floor(X)
+    (a, b), _ = farey_neighbours(X, m)
+    a -= whole * b
+    out = K.floor_sums(n, a, b)
+    s = rounding_slack(X)
+    # about 1.2 s m^2 members lie in the window, at some 20 us each; past
+    # s m = 5e-4, well inside the s m < 1/2 the members need, a check of
+    # every k, as the multiples of 0/1 at some 15 ns each, is cheaper
+    wide = s * m > 5e-4
+    for p, q in [(0, 1)] if wide else zip(*(c.tolist() for c in farey_between(X - s, X + s, m))):
+        c = q * X - p
+        if c == 0:
+            continue
+        for lo in range(1, m // q + 1, _CHUNK):
+            t = np.arange(lo, min(m // q + 1, lo + _CHUNK), dtype=np.int64)
+            k = t * q
+            f = k * scale
+            f *= x
+            g = np.floor(f, out=f).astype(np.int64)
+            g -= t * p
+            e = math.floor(lo * c)
+            if e != math.floor(int(t[-1]) * c):
+                e = k * a // b + whole * k - t * p  # floor(t c) for each t
+            off = np.flatnonzero(g != e)
+            out += np.concatenate(([0], np.cumsum((g - e)[off])))[np.searchsorted(k[off], n, side="right")]
+    return whole, out
 
 
 def farey_neighbours(x: Fraction, m: int) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from horolab import _kernels as K, algebra, farey, targets as tg
 from horolab.errors import HorolabError, InvalidDimensionError, ResourceLimitError
@@ -164,6 +164,75 @@ def test_count_in_interval_sieves_to_m_two_thirds(monkeypatch):
     m = 3_811_092
     farey.count_farey_in_interval(m, 0.1, 0.7)
     assert lengths == [24_399]
+
+
+ROOT2 = math.sqrt(2.0)
+PREFIX_SCALES = [1.0, 2.0, 0.5, 2.25, ROOT2, ROOT2 * ROOT2]
+
+
+@st.composite
+def prefix_cases(draw):
+    """(m, u, v, scale) for the floor-difference prefix at the quotients."""
+    m = draw(st.one_of(
+        st.integers(1, 200_000),
+        st.integers(1, 447).map(lambda r: r * r),
+        st.integers(1, 446).map(lambda r: r * (r + 1)),
+    ))
+    scale = draw(st.one_of(st.sampled_from(PREFIX_SCALES), st.floats(0.1, 4.0)))
+
+    def end(big):
+        p, q = draw(st.integers(-900, 900)), draw(st.integers(1, 300))
+        ends = [st.just(p / q), st.just(p / (scale * q)), st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310])]
+        # large dyadic ends, where X's own multiples are exact hits of a
+        # rounded fl(k*scale); the float floors stay below 2^52, where the
+        # kernel's float differences are exact
+        big_ends = [st.integers(1, 20).map(lambda c: (2 * c - 1) * 2.0 ** (43 - m.bit_length()))]
+        x = draw(st.one_of(ends + big_ends if big else ends))
+        for _ in range(draw(st.integers(0, 3))):
+            x = float(np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf]))))
+        return x
+
+    u = end(True)
+    close = abs(u) > 3.0 or draw(st.booleans())
+    v = u + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) if close else end(False)
+    return m, u, v, scale
+
+
+@settings(deadline=None, max_examples=200)
+@given(prefix_cases())
+# fl(10 * 0.7) = 7 although fl(0.7) < 7/10
+@example((10, 0.6, 0.7, 1.0))
+@example((3_000, 0.1, 0.7, 1.0))
+# X = scale * 0.5 is 1 + 2^-52, near 1/1 without being on it: every k checked
+@example((5_000, 0.1, 0.5, ROOT2 * ROOT2))
+# X = 1 - 2^-53: fl(k X) is k for every k, over several chunks of multiples
+@example((200_000, 0.0, 1.0 - 2.0**-53, 1.0))
+# X = 3 (2^52 + 1) / 2^9 in F_600, and fl(512 fl(sqrt 2)^2) 3 2^42 rounds
+@example((600, 3 * 2.0**42 - 1.0, 3 * 2.0**42, ROOT2 * ROOT2))
+# below the normal range: fl(0.4 * -5e-324) is -0.0
+@example((300, -5e-324, 5e-324, 0.4))
+@example((40_000, 0.0, 1.0, 2.25))
+def test_interval_prefix_matches_the_float_prefix(case):
+    m, u, v, scale = case
+    ends, _ = K.mertens_quotients(m)
+    got = farey._interval_prefix(u, v, scale, m, m // ends)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, K.floor_diff_prefix(u, v, m, scale)[m // ends])
+
+
+def test_count_in_interval_keeps_no_length_m_array():
+    # the t = 15.5 exact-window row, and the unit cells with scale 1 and 2.25
+    # (the latter is one end on 9/4 in F_m, with exact floats)
+    m = 3_811_092
+    tracemalloc.start()
+    try:
+        got = farey.count_farey_in_interval(m, 0.1 + 0.1 * math.exp(-31.0), 0.7 - 0.1 * math.exp(-31.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 2_648_937_568_494 and peak < 2 << 20
+    assert farey.count_farey_in_interval(m, 0.0, 1.0) == 4_414_895_947_502
+    assert farey.count_farey_in_interval(m, 0.0, 1.0, scale=2.25) == 9_933_515_882_082
 
 
 def brute_farey_line(a, b, m):

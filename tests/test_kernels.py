@@ -146,6 +146,32 @@ def test_jordan_sieve_values():
     assert np.array_equal(K.jordan_sieve(40, 1), K.phi_sieve(40))
 
 
+@st.composite
+def floor_sum_cases(draw):
+    b = draw(st.integers(1, 5000))
+    return draw(st.integers(0, b - 1)), b, draw(st.lists(st.integers(0, 3000), max_size=8))
+
+
+@settings(deadline=None, max_examples=200)
+@given(floor_sum_cases())
+@example((0, 1, [0, 1, 7]))
+@example((1, 2, []))
+def test_floor_sums_match_the_loop(case):
+    a, b, n = case
+    got = K.floor_sums(np.array(n, dtype=np.int64), a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sum(k * a // b for k in range(1, x + 1)) for x in n]
+
+
+def test_floor_sums_at_full_size():
+    # b and n near m = 3,811,092, the largest the d = 2 rows reach
+    b, n = 3_811_091, [3_811_092, 1_905_546, 1]
+    for a in (1, 1_905_545, b - 1):
+        # sum_{k <= x} floor(k a / b) = (a x (x + 1) / 2 - sum_k (k a mod b)) / b
+        want = [(a * x * (x + 1) // 2 - int((np.arange(1, x + 1, dtype=np.int64) * a % b).sum())) // b for x in n]
+        assert K.floor_sums(np.array(n, dtype=np.int64), a, b).tolist() == want
+
+
 def test_floor_diff_prefix():
     got = K.floor_diff_prefix(0.15, 0.85, 25, 1.0)
     acc = 0
