@@ -6,8 +6,9 @@ enumeration, the A3 collision searches and clipped window volumes, the
 whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
 collision clusters, the same union of one set of intervals (the d = 2
-spherical window sum's call), and the index build and the one batched
-candidate query of perfbench's d3-membership row.
+spherical window sum's call), and the index build, the one batched
+candidate query and the batched dual predicate of perfbench's
+d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -24,7 +25,7 @@ import numpy as np
 from horolab import _kernels as K
 from horolab import experiments, farey
 from horolab.coords import Chart
-from horolab.targets import GrenierBoxStable, SphericalSection, StableSection
+from horolab.targets import GrenierBoxStable, SphericalSection, StableSection, dual_hits
 
 
 def row_floor_sums():
@@ -114,6 +115,15 @@ def d3_membership_query():
     return index, points, target.candidate_radius(t), target.alpha_cutoff(t)
 
 
+def d3_membership_pairs():
+    """dual_hits' arguments on that row: the target, its samples and the
+    (sample, candidate) pairs of their batched query."""
+    target, t = D3_MEMBERSHIP
+    index, points, radius, amax = d3_membership_query()
+    pairs = index.near(points, radius, alpha_max=amax)
+    return target, None, t, points, pairs[:, 0], pairs[:, 1], index
+
+
 def timed(fn, *args, repeat=3):
     best = float("inf")
     for _ in range(repeat):
@@ -163,6 +173,7 @@ CASES = [
         lambda index, points, radius, amax: index.near(points, radius, alpha_max=amax),
         d3_membership_query,
     ),
+    ("dual_hits(d3-membership)", dual_hits, d3_membership_pairs),
 ]
 
 

@@ -28,7 +28,6 @@ from .farey import (
     count_farey,
     duplicate_region,
     enumerate_farey,
-    enumerate_translated_farey,
     is_gamma_duplicate,
 )
 from .targets import (
@@ -47,7 +46,6 @@ from .experiments import (
     ExperimentResult,
     convergence_report,
     marklof_average,
-    sthe_exact_stable,
     sthe_run,
 )
 

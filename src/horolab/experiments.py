@@ -709,14 +709,6 @@ def sthe_run(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentResult]:
     return sorted(results, key=lambda r: r.t)
 
 
-def sthe_exact_stable(d: int, A, eps: float, ytilde, T: float, t: float, L=None) -> float:
-    """Exact integral over A of the stable-target indicator (unscaled)."""
-    target = tg.StableSection(d=d, T=T, eps=eps, ytilde=tuple(np.atleast_1d(ytilde).tolist()))
-    lo = np.atleast_1d(np.asarray(A[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(A[1], dtype=float))
-    return exact_integral(target, L, lo, hi, t)[0]
-
-
 # ---------------------------------------------------------------------------
 # section-hit averages
 # ---------------------------------------------------------------------------

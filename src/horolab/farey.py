@@ -303,7 +303,7 @@ def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.
     ahi = np.append(np.maximum(hi * Q, 0.0), Q)
     sources, alpha = _lattice_images(L, alo, ahi)
     ad = alpha[:, d - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pts = alpha[:, : d - 1] / ad[:, None]
     keep = (ad > 0) & (ad <= Q + 1e-12)
     keep &= np.all(pts >= lo - 1e-12, axis=1) & np.all(pts <= hi + 1e-12, axis=1)
@@ -341,12 +341,6 @@ def sequence_arrays(d: int, Q: float, L=None, box=None, include_upper: bool = Tr
             sources, alpha = sources[keep], alpha[keep]
     check_budget(sources.shape[0], "window enumeration")
     return sources, alpha
-
-
-def enumerate_translated_farey(L, Q: float, box, include_upper: bool = True) -> list[TranslatedFareyPoint]:
-    """Point records for the sequence attached to L, sorted by (alpha_d, source)."""
-    idx = farey_index(np.asarray(L).shape[0], Q, L=L, box=box, include_upper=include_upper)
-    return [idx.record(i) for i in range(len(idx))]
 
 
 def farey_index(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> FareyIndex:

@@ -41,7 +41,8 @@ from .errors import (
 
 class _Target:
     """What the four target kinds share: the section denominator cap, which
-    is also the candidates' alpha_d cutoff for targets on the section."""
+    is also the candidates' alpha_d cutoff for targets on the section, and
+    the source test that applies it."""
 
     def denominator_cap(self, t: float) -> float:
         """The cap e^{(d-1)t} T^{-(d-1)/d} on the denominators alpha_d of the
@@ -52,6 +53,12 @@ class _Target:
     def alpha_cutoff(self, t: float) -> float:
         return self.denominator_cap(t)
 
+    def source_mask(self, L, t: float, index: fy.FareyIndex, ci: np.ndarray, chart: dict) -> tuple[np.ndarray, dict]:
+        """Mask of the index points ci that pass the section cap, c = cos|z|
+        on a chart and 1 otherwise, and the chart data of those kept."""
+        keep = index.alpha_d[ci] <= self.denominator_cap(t) * chart.get("c", 1.0) * (1 + 1e-12)
+        return keep, {key: v[keep] for key, v in chart.items()}
+
 
 class _StableThickening:
     """Thickened by the stable box of width eps at ytilde."""
@@ -59,12 +66,22 @@ class _StableThickening:
     def candidate_radius(self, t: float) -> float:
         return math.exp(-self.d * t) * (np.abs(np.asarray(self.ytilde)).max() + self.eps / 2.0 + 1e-9)
 
+    def offset_mask(self, xt: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Mask of the offsets xt (n, d-1) in the half-open stable box, and no chart data."""
+        y = np.asarray(self.ytilde)
+        return np.all(xt >= y - self.eps / 2.0 - BOUNDARY_ATOL, axis=1) & np.all(xt < y + self.eps / 2.0, axis=1), {}
+
 
 class _ChartThickening:
     """Thickened along a hemispherical sphere chart."""
 
     def candidate_radius(self, t: float) -> float:
         return math.exp(-self.d * t) * math.tan(self.chart.radius)
+
+    def offset_mask(self, xt: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Mask of the offsets xt (n, d-1) in the chart image, and the chart data "z" and "c" = cos|z|."""
+        z, ok = chart_points_from_offsets(self.chart, xt)
+        return ok, {"z": z, "c": np.cos(np.linalg.norm(z, axis=1))}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -127,8 +144,9 @@ class SphericalSection(_Target, _ChartThickening):
 
 
 class _GrenierHeights(_Target):
-    """Flowed coordinate boxes: heights set by the lower bounds alphas, and
-    a closed-form measure for d = 2 only."""
+    """Flowed coordinate boxes: heights set by the lower bounds alphas, a
+    source test on section coordinates, and a closed-form measure for d = 2
+    only."""
 
     @property
     def T_minus(self) -> float:
@@ -142,6 +160,22 @@ class _GrenierHeights(_Target):
         # the flow shift moves the entry level to T0
         d = self.d
         return math.exp((d - 1) * t) * (self.T0 / self.T) ** ((d - 1) / d) * math.exp((d - 1) * 1.0)
+
+    def source_mask(self, L, t: float, index: fy.FareyIndex, ci: np.ndarray, chart: dict) -> tuple[np.ndarray, dict]:
+        """The section coordinates of each distinct candidate, from one
+        stacked reduction, in the box (_in_box); the witness data are
+        "coords" and, on a chart, "z"."""
+        d = self.d
+        if d not in (2, 3):
+            raise UnsupportedDimensionError("coordinate-box membership needs d in {2, 3}")
+        cand, row = np.unique(ci, return_inverse=True)
+        s = t - np.log(index.alpha_d[cand]) / (d - 1) - self._s_shift
+        _gamma, coords = grenier_reduce(_h_part(index.sources[cand], L), s)
+        keep = self._in_box(coords.ys[row], coords.x[row], coords.kprime[row], chart)
+        witness = {"coords": [coords.row(r) for r in row[keep]]}
+        if "z" in chart:
+            witness["z"] = chart["z"][keep]
+        return keep, witness
 
     def measure(self) -> MeasureRecord:
         if self.d != 2:
@@ -185,6 +219,21 @@ class GrenierBoxStable(_GrenierHeights, _StableThickening):
         if self.eps >= cd_lower(d) * self.T:
             raise DisjointnessError("eps not below the disjointness budget")
 
+    @property
+    def _s_shift(self) -> float:
+        return math.log(self.T / self.T0) / self.d
+
+    def _in_box(self, ys, x, kprime, chart) -> np.ndarray:
+        # heights, the beta window and, for d = 3, the K' angle
+        d = self.d
+        iu, ju = np.triu_indices(d, 1)
+        keep = _in_boxes(ys, self.alphas, self.gammas)
+        keep &= np.all((np.asarray(self.beta_lo) - BOUNDARY_ATOL <= x[:, iu, ju])
+                       & (x[:, iu, ju] <= np.asarray(self.beta_hi) + BOUNDARY_ATOL), axis=1)
+        if d == 3:
+            keep &= _angle_in(self.ktilde, _kprime_angle(kprime))
+        return keep
+
     def _measure_d2(self) -> float:
         blo, bhi = self.beta_lo[0], self.beta_hi[0]
         # the height h = y_1 enters through the section parametrization as
@@ -227,6 +276,20 @@ class GrenierBoxSpherical(_GrenierHeights, _ChartThickening):
             object.__setattr__(self, "T", self.T0)
         if self.T < self.T0:
             raise HorolabError(f"flow level T must be >= T0 = {self.T0}")
+
+    _s_shift = 0.0  # T enters through the height scales instead
+
+    def _in_box(self, ys, x, kprime, chart) -> np.ndarray:
+        # heights scaled by the chart point; for d = 3 by the recovered inner rotation, with its K' angle
+        d = self.d
+        if d == 2:
+            c = chart["c"]
+            return _in_boxes(ys, self.alphas, self.gammas, (self.T / (c * c * self.T_minus))[:, None])
+        einv, c, _v, zp = chart_matrix(self.chart, chart["z"])
+        ktilde, b = _recover_inner_rotation(kprime, einv[:, : d - 1, d - 1], c, zp, einv[:, : d - 1, : d - 1])
+        beta = np.diagonal(b, axis1=1, axis2=2)[:, ::-1]  # (beta_1, ..., beta_{d-1})
+        scales = np.stack([beta[:, 1] / beta[:, 0], beta[:, 0] * self.T / (c * self.T0)], axis=1)
+        return _angle_in(self.ktilde, _kprime_angle(ktilde)) & _in_boxes(ys, self.alphas, self.gammas, scales)
 
     def _measure_d2(self) -> float:
         return (
@@ -294,12 +357,6 @@ def disjointness_budget(d: int, T: float) -> float:
 def _box_contains(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
     # half-open [lo, hi), lower bound inclusive with absolute tolerance
     return bool(np.all(x >= lo - BOUNDARY_ATOL) and np.all(x < hi))
-
-
-def _ltilde(L) -> np.ndarray:
-    if L is None:
-        return None
-    return np.linalg.inv(np.asarray(L, dtype=float)).T
 
 
 def complete_to_unimodular(p) -> np.ndarray:
@@ -393,8 +450,9 @@ def _h_part(source, L) -> np.ndarray:
     to a primitive source vector; a stack of sources (n, d) gives a stack."""
     source = np.asarray(source)
     gamma = (complete_to_unimodular(source) if source.ndim == 1 else _complete_stack(source)).astype(float)
-    g0 = gamma @ (_ltilde(L) if L is not None else np.eye(source.shape[-1]))
-    return hrd_coords(g0).m_h
+    if L is not None:
+        gamma = gamma @ np.linalg.inv(np.asarray(L, dtype=float)).T
+    return hrd_coords(gamma).m_h
 
 
 def _kprime_angle(k: np.ndarray):
@@ -513,9 +571,8 @@ def dual_hits(target, L, t: float, x: np.ndarray, si: np.ndarray, ci: np.ndarray
     """Batched dual membership over (sample, candidate) pairs.
 
     Pair k tests sample x[si[k]] against index point ci[k] and decides as
-    _test_candidate does.  The section coordinates of the coordinate boxes
-    depend on the candidate alone, so they are computed once per distinct
-    candidate that passes the offset test, in one stacked reduction.
+    _test_candidate does: the target's offset test on the renormalized
+    offsets, then its source test on the pairs that pass.
 
     Returns the positions of the accepted pairs, in pair order, and their
     witness data: "s" and "xt", and by target kind "z", "c" and "coords"
@@ -525,61 +582,18 @@ def dual_hits(target, L, t: float, x: np.ndarray, si: np.ndarray, ci: np.ndarray
     if t < 0:
         raise HorolabError("flow time t must be >= 0")
     d = target.d
-    stable = isinstance(target, _StableThickening)
-    grenier = isinstance(target, _GrenierHeights)
-    if grenier and d not in (2, 3):
-        raise UnsupportedDimensionError("coordinate-box membership needs d in {2, 3}")
-    alpha_d = index.alpha_d[ci]
     xt = math.exp(d * t) * (index.points[ci] - x[si])
-    level = target.denominator_cap(t)
-    if stable:
-        y = np.asarray(target.ytilde)
-        ok = np.all(xt >= y - target.eps / 2.0 - BOUNDARY_ATOL, axis=1) & np.all(xt < y + target.eps / 2.0, axis=1)
-        if isinstance(target, StableSection):
-            ok &= alpha_d <= level * (1 + 1e-12)
-    else:
-        z, ok = chart_points_from_offsets(target.chart, xt)
-        c = np.cos(np.linalg.norm(z, axis=1))
-        if isinstance(target, SphericalSection):
-            ok &= alpha_d <= level * c * (1 + 1e-12)
+    ok, chart = target.offset_mask(xt)
     pos = np.flatnonzero(ok)
-    found = {}
-    if grenier and pos.size:
-        cand, row = np.unique(ci[pos], return_inverse=True)
-        s = t - np.log(index.alpha_d[cand]) / (d - 1)
-        if stable:
-            s = s - math.log(target.T / target.T0) / d
-        _gamma, coords = grenier_reduce(_h_part(index.sources[cand], L), s)
-        ys, xs, kprime = coords.ys[row], coords.x[row], coords.kprime[row]
-        if stable:
-            keep = _in_boxes(ys, target.alphas, target.gammas)
-            iu, ju = np.triu_indices(d, 1)
-            keep &= np.all((np.asarray(target.beta_lo) - BOUNDARY_ATOL <= xs[:, iu, ju])
-                           & (xs[:, iu, ju] <= np.asarray(target.beta_hi) + BOUNDARY_ATOL), axis=1)
-            if d == 3:
-                keep &= _angle_in(target.ktilde, _kprime_angle(kprime))
-        elif d == 2:
-            cp = c[pos]
-            keep = _in_boxes(ys, target.alphas, target.gammas, (target.T / (cp * cp * target.T_minus))[:, None])
-        else:
-            einv, cp, _v, zp = chart_matrix(target.chart, z[pos])
-            ktilde, b = _recover_inner_rotation(kprime, einv[:, : d - 1, d - 1], cp, zp, einv[:, : d - 1, : d - 1])
-            beta = np.diagonal(b, axis1=1, axis2=2)[:, ::-1]  # (beta_1, ..., beta_{d-1})
-            scales = np.stack([beta[:, 1] / beta[:, 0], beta[:, 0] * target.T / (cp * target.T0)], axis=1)
-            keep = _angle_in(target.ktilde, _kprime_angle(ktilde)) & _in_boxes(ys, target.alphas, target.gammas, scales)
-        pos = pos[keep]
-        found["coords"] = [coords.row(r) for r in row[keep]]
-    if stable and d == 2 and pos.size > 1:
+    keep, found = target.source_mask(L, t, index, ci[pos], {key: v[pos] for key, v in chart.items()})
+    pos = pos[keep]
+    if not chart and d == 2 and pos.size > 1:
         # a Farey-neighbor gap argument makes this impossible below the
         # d = 2 budget; seeing it means the predicate itself is broken
         twice = np.bincount(si[pos]) > 1
         if np.any(twice):
             raise DisjointnessError(f"two stable witnesses found at x={x[int(np.argmax(twice))].tolist()}, t={t} for d=2")
-    found.update(s=t - np.log(alpha_d[pos]) / (d - 1), xt=xt[pos])
-    if not stable:
-        found["z"] = z[pos]
-    if isinstance(target, SphericalSection):
-        found["c"] = c[pos]
+    found.update(s=t - np.log(index.alpha_d[ci[pos]]) / (d - 1), xt=xt[pos])
     return pos, found
 
 
@@ -674,9 +688,7 @@ def _slab_witness(target, t: float, sources: np.ndarray, aprime: np.ndarray, u: 
     and their offsets u in the slab."""
     d = target.d
     xt = math.exp(-d * t) * aprime / u[:, None]
-    lo = np.asarray(target.ytilde) - target.eps / 2.0
-    hi = np.asarray(target.ytilde) + target.eps / 2.0
-    inside = np.all(xt >= lo - BOUNDARY_ATOL, axis=1) & np.all(xt < hi, axis=1)
+    inside, _chart = target.offset_mask(xt)
     if not np.any(inside):
         return None
     idx = int(np.argmax(inside))

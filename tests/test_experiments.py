@@ -1256,14 +1256,19 @@ def test_sampled_integral_counts_a_d3_cusp_pair_once():
 
 def test_sampled_integral_raises_on_a_d2_double_witness(monkeypatch):
     # an index holding 1/2 twice, as (1, 2) and (2, 4), gives x = 1/2 two
-    # stable witnesses at t = log 100; the batched path raises as member_dual does
-    index = farey.FareyIndex(2, np.array([[1, 2], [2, 4]]), np.array([[1.0, 2.0], [2.0, 4.0]]))
-    monkeypatch.setattr(ex, "_build_index", lambda *args: index)
-    target = tg.StableSection(d=2, T=1.0, eps=0.2)
-    with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
-        tg.member_dual(target, None, [0.5], math.log(100), index=index)
-    with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
-        ex.sampled_integral(target, None, np.zeros(1), np.ones(1), math.log(100), np.array([[0.25], [0.5]]))
+    # stable witnesses at t = log 100; the batched path raises as member_dual
+    # does.  The coordinate box with the same thickening reduces each source,
+    # so its index holds the primitive (1, 2) twice; its height, 2500 at
+    # t = log 100, lies in [1, 10^4)
+    section = farey.FareyIndex(2, np.array([[1, 2], [2, 4]]), np.array([[1.0, 2.0], [2.0, 4.0]]))
+    box = farey.FareyIndex(2, np.array([[1, 2], [1, 2]]), np.array([[1.0, 2.0], [1.0, 2.0]]))
+    for target, index in ((tg.StableSection(d=2, T=1.0, eps=0.2), section),
+                          (tg.GrenierBoxStable(d=2, alphas=(1.0,), gammas=(1e4,), T=1.0, eps=0.2), box)):
+        monkeypatch.setattr(ex, "_build_index", lambda *args: index)
+        with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
+            tg.member_dual(target, None, [0.5], math.log(100), index=index)
+        with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
+            ex.sampled_integral(target, None, np.zeros(1), np.ones(1), math.log(100), np.array([[0.25], [0.5]]))
 
 
 def test_d3_window_overlap_reports_a_touching_pair(monkeypatch):
@@ -1357,11 +1362,16 @@ def test_convergence_report_slope():
 
 
 def test_sthe_exact_stable_wrapper():
-    val = ex.sthe_exact_stable(2, ([0.0], [1.0]), 0.2, (0.0,), 2.0, 6.0)
-    direct, _ = ex.exact_window_stable_d2(tg.StableSection(d=2, T=2.0, eps=0.2), None, 0.0, 1.0, 6.0)
+    # the exact stable integral: the closed form at d = 2, a positive window
+    # sum at d = 3, and the enumerated window sum under a general L
+    target, lo, hi = tg.StableSection(d=2, T=2.0, eps=0.2), np.array([0.0]), np.array([1.0])
+    val = ex.exact_integral(target, None, lo, hi, 6.0)[0]
+    direct, _ = ex.exact_window_stable_d2(target, None, 0.0, 1.0, 6.0)
     assert val == direct
-    val3 = ex.sthe_exact_stable(3, ([0.0, 0.0], [1.0, 1.0]), 0.2, (0.0, 0.0), 1.0, 2.0)
+    val3 = ex.exact_integral(tg.StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 2.0)[0]
     assert val3 > 0
+    L = ((1.0, 0.0), (0.5, 1.0))
+    assert ex.exact_integral(target, L, lo, hi, 5.0)[0] == ex._window_sum_stable_enumerated(target, L, lo, hi, 5.0)[0]
 
 
 @pytest.mark.parametrize("L, estimator", [
@@ -1374,7 +1384,6 @@ def test_auto_estimator_picks_the_exact_path(L, estimator):
     target, lo, hi = cfg.target, np.array([0.0]), np.array([1.0])
     want = ex.estimate_integral(stable_cfg(L=L, t_schedule=(5.0,), estimator=(estimator,)), target, 5.0, 0)
     assert ex.estimate_integral(cfg, target, 5.0, 0) == want
-    assert ex.sthe_exact_stable(2, ([0.0], [1.0]), 0.2, (0.0,), 2.0, 5.0, L=L) == want[0]
     assert ex.exact_integral(target, L, lo, hi, 5.0) == want
 
 
@@ -1383,7 +1392,7 @@ def test_dual_direct_length_consistency():
     # exact interval unions on both sides at t = 9
     t, T, eps, d = 9.0, 2.0, 0.2, 2
     target = tg.StableSection(d=d, T=T, eps=eps)
-    dual_len = ex.sthe_exact_stable(d, ([0.0], [1.0]), eps, (0.0,), T, t)
+    dual_len = ex.exact_integral(target, None, np.zeros(1), np.ones(1), t)[0]
     # direct side: for each slope a' != 0, u = a' x + a_d runs over (0, delta],
     # the offset condition |e^{-dt} a' / u| < eps/2 trims it to u > u_min
     delta = math.exp(-(d - 1) * t) * T ** (-(d - 1) / d)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import random_special_orthogonal, random_unimodular
 from horolab import coords, experiments, farey, targets
 from horolab.algebra import integer_det, zeta
-from horolab.errors import DisjointnessError, HorolabError, ResourceLimitError
+from horolab.errors import DisjointnessError, HorolabError, ResourceLimitError, UnsupportedDimensionError
 
 
 def test_stable_target_validation():
@@ -419,6 +419,7 @@ def compare_batched_with_scalar(target, L, t, index, xs, si, ci) -> int:
     assert pos.tolist() == [k for k, r in enumerate(ref) if r is not None]
     for k, p in enumerate(pos):
         r = ref[p]
+        assert set(found) == set(r)  # "s", "xt" and the witness keys of the target kind
         assert abs(found["s"][k] - r["s"]) <= 1e-12 * max(1.0, abs(r["s"]))
         assert np.array_equal(found["xt"][k], r["xt"])
         if "coords" in r:
@@ -450,6 +451,22 @@ def test_dual_hits_match_scalar_on_accepted_pairs(kind, d):
     pos, _found = targets.dual_hits(target, None, t, xs, si, ci, index)
     keep = np.isin(si, np.union1d(si[pos], np.arange(5)))
     assert compare_batched_with_scalar(target, None, t, index, xs, si[keep], ci[keep]) == pos.size > 0
+
+
+@pytest.mark.parametrize("kind", ("grenier-stable", "grenier-spherical"))
+def test_dual_hits_refuse_coordinate_boxes_beyond_d3(kind):
+    # the source test refuses d = 4 even when no pair reaches it
+    d, t = 4, 0.3
+    chart = coords.Chart(dim=d, radius=0.4)
+    if kind == "grenier-stable":
+        target = targets.GrenierBoxStable(d=d, alphas=(1.0,) * 3, gammas=(3.0,) * 3, T=1.0, eps=0.2)
+    else:
+        target = targets.GrenierBoxSpherical(d=d, alphas=(2.0,) * 3, gammas=(6.0,) * 3, chart=chart)
+    index, xs, si, ci = samples_and_pairs(target, None, t, 4, 0, seed=0)
+    assert ci.size > 0
+    for k in (ci.size, 0):
+        with pytest.raises(UnsupportedDimensionError):
+            targets.dual_hits(target, None, t, xs, si[:k], ci[:k], index)
 
 
 @pytest.mark.parametrize("d, t, eps", [(2, 5.0, 0.5), (3, 2.5, 0.4)])
