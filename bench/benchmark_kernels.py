@@ -39,8 +39,8 @@ def row_floor_sums():
 
 def a3_centers():
     """The A3 window centers over the unit square (T = 1, eps = 0.2,
-    t = 2.85, so q <= e^{5.7} and w = 0.2 e^{-8.55}), in the Fortran order
-    that _stable_window_centers gives them."""
+    t = 2.85, so q <= e^{5.7} and w = 0.2 e^{-8.55}), as
+    _stable_window_centers gives them."""
     target = StableSection(d=3, T=1.0, eps=0.2)
     _sources, centers, w = experiments._stable_window_centers(target, None, np.zeros(2), np.ones(2), 2.85)
     return centers, w
@@ -62,7 +62,9 @@ def a3_clusters():
     nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
     members, sizes = farey.component_clusters(u, v)
     _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
-    return experiments._source_centers(nodes[members], c_off), w, np.zeros(2), np.ones(2), sizes
+    centers = nodes[members, :2] / nodes[members, 2:]
+    centers -= c_off
+    return centers, w, np.zeros(2), np.ones(2), sizes
 
 
 def a3_clipped():
@@ -140,7 +142,7 @@ CASES = [
     ("floor_diff_prefix(1e6)", "floor_diff_prefix", (0.123, 0.877, 1_000_000, 1.0)),
     ("farey_d2(4000)", "farey_d2", (4000, 0.0, 1.0)),
     ("farey_d3(250)", "farey_d3", (250, 0.0, 1.0, 0.0, 1.0)),
-    ("_farey_columns(d = 4, 40)", "_farey_columns", (4, 40, None)),
+    ("farey_arrays(d = 4, 40)", "farey_arrays", (4, 40)),
     ("primitive_box(+-150)", "primitive_box", (np.array([-150.0, -150.0, -150.0]), np.array([150.0, 150.0, 150.0]))),
     # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2),
     # the Mertens values it takes its Moebius block sums from, the floor sums at

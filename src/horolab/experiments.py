@@ -164,8 +164,8 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     if m < 1:
         return 0.0, 0
     fy.check_budget(m, "denominator bound")
-    w = target.eps * math.exp(-2.0 * t)
-    c_off = float(target.ytilde[0]) * math.exp(-2.0 * t)
+    w, c_off, _margin = _stable_window_shape(target, t)
+    c_off = float(c_off[0])
     if hi - lo <= w:
         return _window_sum_stable_enumerated(target, L, np.array([lo]), np.array([hi]), t)
     u = lo + c_off + w / 2.0
@@ -194,32 +194,15 @@ def _stable_window_shape(target: tg.StableSection, t: float) -> tuple[float, np.
 
 
 def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
-    """Sources, centers and width w of the windows that can meet [lo, hi].
-
-    For identity L both arrays are Fortran-ordered and each center column
-    p_i / q - c_off_i is built from the integer columns, so every later pass
-    over the centers reads contiguous columns.
-    """
+    """Sources, centers alpha' / alpha_d - c_off and width w of the windows
+    that can meet [lo, hi], from fy.sequence_arrays over the box grown by
+    the window margin."""
     d = target.d
     w, c_off, margin = _stable_window_shape(target, t)
-    box = (lo - margin, hi + margin)
-    q_cap = target.denominator_cap(t)
-    if L is not None:
-        sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
-        return sources, alpha[:, : d - 1] / alpha[:, d - 1 :] - c_off, w
-    sources = fy.farey_sources(d, q_cap, box) if q_cap >= 1 else np.empty((0, d), np.int64)
-    fy.check_budget(sources.shape[0], "window enumeration")
-    return sources, _source_centers(sources, c_off), w
-
-
-def _source_centers(sources: np.ndarray, c_off: np.ndarray) -> np.ndarray:
-    """Fortran-ordered window centers p_i / q - c_off_i of identity-L sources."""
-    q = sources[:, -1].astype(float)
-    centers = np.empty((sources.shape[0], sources.shape[1] - 1), order="F")
-    for i in range(centers.shape[1]):
-        np.divide(sources[:, i], q, out=centers[:, i])
-        centers[:, i] -= c_off[i]
-    return centers
+    sources, alpha = fy.sequence_arrays(d, target.denominator_cap(t), L, (lo - margin, hi + margin))
+    centers = alpha[:, : d - 1] / alpha[:, d - 1 :]
+    centers -= c_off
+    return sources, centers, w
 
 
 def _clipped_sides(centers: np.ndarray, w: float, lo: float, hi: float) -> np.ndarray:
@@ -342,9 +325,10 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     order, and the count is the sum of the block sizes.  The overlapping
     window pairs come from one integer search over the box
     (farey.farey_window_pairs), ranked in the kernel's row order
-    (farey.pair_graph), and their components are the clusters.  A general
-    L, and d >= 4, enumerate once and search the centers with
-    collision_clusters.
+    (farey.pair_graph), and their components are the clusters, whose
+    centers are taken from their integer nodes.  A general L, and d >= 4,
+    take all centers from _stable_window_centers, one fy.sequence_arrays
+    enumeration, and search them with collision_clusters.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
@@ -375,7 +359,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
             total += float(volumes.sum())
         nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(m, lo - margin, hi + margin, w))
         members, sizes = fy.component_clusters(u, v)
-        clustered = _source_centers(nodes[members], c_off)
+        clustered = nodes[members, : d - 1] / nodes[members, d - 1 :]
+        clustered -= c_off
     if len(sizes) and d == 2:
         raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
     if len(sizes):
@@ -646,7 +631,7 @@ def exact_integral(target, L, lo: np.ndarray, hi: np.ndarray, t: float, estimato
         return exact_window_stable_d2(target, L, float(lo[0]), float(hi[0]), t)
     if stable_d2 and kind != "general" and _is_unit_cell(lo, hi):
         n = fy.count_farey_in_interval(math.floor(target.denominator_cap(t) / a + 1e-9), 0.0, 1.0, scale=a * a)
-        return target.eps * math.exp(-2.0 * t) * n, n
+        return _stable_window_shape(target, t)[0] * n, n
     if isinstance(target, tg.StableSection):
         return _window_sum_stable_enumerated(target, L, lo, hi, t)
     if isinstance(target, tg.SphericalSection):
@@ -755,7 +740,7 @@ def marklof_average(
         else:
             lo, hi = (np.asarray(A[0], dtype=float), np.asarray(A[1], dtype=float))
             vol_a = box_volume(lo, hi)
-            sources, alpha = fy.farey_arrays(d, Q, box=(lo, hi))
+            sources, alpha = fy.sequence_arrays(d, Q, box=(lo, hi))
             ad = alpha[:, d - 1]
             inside = np.all(alpha[:, : d - 1] / ad[:, None] < hi, axis=1)
             inside &= (ad > lo_q) & (ad <= min(hi_q, Q))

@@ -209,35 +209,24 @@ def farey_grids(d: int, Q: float, box=None, q_first: int = 1):
     return K.farey_grids(qmax, lo, hi, q_first)
 
 
-def _farey_columns(d: int, Q: float, box, q_first: int = 1) -> list[np.ndarray]:
-    """The integer columns p_1, ..., p_{d-1}, q of the primitive points of
-    farey_arrays with q_first <= q <= Q, as the kernel returns them, checked
-    by _checked_grid before the kernel runs."""
-    qmax, lo, hi = _checked_grid(d, Q, box, q_first)
-    # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
-    if d == 2:
-        cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
-    elif d == 3:
-        cols = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
-    else:
-        cols = K.farey_primitive(qmax, lo, hi, q_first)
-    return [*cols[1:], cols[0]]
-
-
 def farey_arrays(d: int, Q: float, box=None) -> tuple[np.ndarray, np.ndarray]:
-    """Primitive (p, q) with 0 < q <= Q and p/q in the closed box.
+    """Primitive (p, q) with 0 < q <= Q and p/q in the closed box (the unit
+    box by default), in the kernels' (q, p) order, checked by _checked_grid
+    before the kernel runs.
 
     Returns (sources, alpha) where for L = I alpha equals the source floats.
     """
-    sources = np.stack(_farey_columns(d, Q, box), axis=1)
+    qmax, lo, hi = _checked_grid(d, Q, box)
+    # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
+    if d == 2:
+        cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]))
+    elif d == 3:
+        cols = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+    else:
+        cols = K.farey_primitive(qmax, lo, hi)
+    sources = np.stack([*cols[1:], cols[0]], axis=1)
+    del cols  # free the columns before the float copy
     return sources, sources.astype(float)
-
-
-def farey_sources(d: int, Q: float, box=None, q_first: int = 1) -> np.ndarray:
-    """The sources of farey_arrays with q >= q_first as a Fortran-ordered
-    (n, d) int64 array, without the float copy: each column is contiguous,
-    for callers that work column by column."""
-    return np.concatenate(_farey_columns(d, Q, box, q_first)).reshape(d, -1).T
 
 
 def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
@@ -246,7 +235,9 @@ def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
     Sorted lexicographically by (q, p).
     """
     _check_q(Q)
-    idx = farey_index(d, Q, include_upper=False)
+    sources, alpha = sequence_arrays(d, Q)
+    keep = np.all(sources[:, : d - 1] < sources[:, d - 1 :], axis=1)  # half-open: p_i < q
+    idx = FareyIndex(d, sources[keep], alpha[keep])
     return [idx.record(i) for i in range(len(idx))]
 
 
@@ -285,7 +276,7 @@ def _lattice_images(L, alo, ahi) -> tuple[np.ndarray, np.ndarray]:
     return sources, sources.astype(float) @ tLinv_f
 
 
-def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def translated_arrays(L, Q: float, box) -> tuple[np.ndarray, np.ndarray]:
     """Primitive lattice points through the transpose-inverse of L.
 
     Enumerates integer sources in the preimage of the bounding box of the
@@ -307,8 +298,6 @@ def translated_arrays(L, Q: float, box, include_upper: bool = True) -> tuple[np.
         pts = alpha[:, : d - 1] / ad[:, None]
     keep = (ad > 0) & (ad <= Q + 1e-12)
     keep &= np.all(pts >= lo - 1e-12, axis=1) & np.all(pts <= hi + 1e-12, axis=1)
-    if not include_upper:
-        keep &= np.all(pts < hi, axis=1)
     return sources[keep], alpha[keep]
 
 
@@ -323,29 +312,25 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     return sources[keep], alpha[keep]
 
 
-def sequence_arrays(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def sequence_arrays(d: int, Q: float, L=None, box=None) -> tuple[np.ndarray, np.ndarray]:
     """Sources and images of the sequence attached to L (None: identity)
-    with alpha_d <= Q and projected point in box (the unit box by default;
-    open at its upper faces unless include_upper), count checked against
-    ENUM_BUDGET.  The one branch on L: identity L takes the per-denominator
-    kernels, empty for Q < 1; any other L the preimage-box enumeration."""
+    with alpha_d <= Q and projected point in the closed box (the unit box by
+    default), count checked against ENUM_BUDGET.  The one branch on L:
+    identity L takes the per-denominator kernels, empty for Q < 1; any other
+    L the preimage-box enumeration."""
     if L is not None:
-        sources, alpha = translated_arrays(L, Q, _unit_box(d) if box is None else box, include_upper=include_upper)
+        sources, alpha = translated_arrays(L, Q, _unit_box(d) if box is None else box)
     elif Q < 1:
         sources, alpha = np.empty((0, d), np.int64), np.empty((0, d))
     else:
         sources, alpha = farey_arrays(d, Q, box=box)
-        if not include_upper:
-            hi = np.ones(d - 1) if box is None else np.asarray(box[1], dtype=float)
-            keep = np.all(sources[:, : d - 1].astype(float) < hi * sources[:, d - 1 :].astype(float), axis=1)
-            sources, alpha = sources[keep], alpha[keep]
     check_budget(sources.shape[0], "window enumeration")
     return sources, alpha
 
 
-def farey_index(d: int, Q: float, L=None, box=None, include_upper: bool = True) -> FareyIndex:
+def farey_index(d: int, Q: float, L=None, box=None) -> FareyIndex:
     """Array index of the points of sequence_arrays."""
-    return FareyIndex(d, *sequence_arrays(d, Q, L=L, box=box, include_upper=include_upper))
+    return FareyIndex(d, *sequence_arrays(d, Q, L=L, box=box))
 
 
 def count_farey(d: int, Q: float) -> tuple[int, float]:

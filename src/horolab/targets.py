@@ -611,7 +611,9 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
     alpha_d is returned.  For d = 2 stable boxes below the disjointness
     budget there is at most one, and finding two raises; for d = 3 two cusp
     sources can both hit, and the witness then carries their count as
-    ``extra["multiplicity"]``.  This is dual_hits for one sample.
+    ``extra["multiplicity"]``.  This is dual_hits for one sample, over the
+    candidates index.near gives; without an index one is built over the
+    box of the candidate radius around x.
     """
     if t < 0:
         raise HorolabError("flow time t must be >= 0")
@@ -620,11 +622,8 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
     radius = target.candidate_radius(t)
     amax = target.alpha_cutoff(t)
     if index is None:
-        box = (x - radius, x + radius)
-        index = fy.farey_index(d, amax, L=L, box=box)
-        cand = np.arange(len(index))
-    else:
-        cand = index.near(x, radius, alpha_max=amax)[:, 1]
+        index = fy.farey_index(d, amax, L=L, box=(x - radius, x + radius))
+    cand = index.near(x, radius, alpha_max=amax)[:, 1]
     pos, found = dual_hits(target, L, t, x[None, :], np.zeros(cand.size, dtype=np.intp), cand, index)
     if pos.size == 0:
         return None

@@ -290,8 +290,9 @@ def source_block_volumes(target, lo, hi, t, first, last):
     """The clipped volumes of the windows with first <= q <= last, from the
     block's sources and centers."""
     w, c_off, margin = ex._stable_window_shape(target, t)
-    sources = farey.farey_sources(target.d, last, (lo - margin, hi + margin), first)
-    return ex._clipped_box_volumes(ex._source_centers(sources, c_off), w, lo, hi)
+    sources, _alpha = farey.farey_arrays(target.d, last, (lo - margin, hi + margin))
+    sources = sources[sources[:, -1] >= first]
+    return ex._clipped_box_volumes(sources[:, :-1] / sources[:, -1:] - c_off, w, lo, hi)
 
 
 @st.composite
@@ -351,7 +352,7 @@ def test_enumerations_check_the_budget_before_allocating(monkeypatch):
     unit = (np.zeros(2), np.ones(2))
     calls = [
         lambda: farey.farey_arrays(3, 150),
-        lambda: farey.farey_sources(2, 1500, box=([0.0], [1.0])),
+        lambda: farey.farey_arrays(2, 1500, box=([0.0], [1.0])),
         lambda: ex.stable_window_overlap(stable, None, *unit, 2.5),
         lambda: ex.window_sum_spherical(sph, None, *unit, 2.8),
         lambda: ex.marklof_average(3, 150, A=unit),

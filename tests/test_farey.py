@@ -60,20 +60,27 @@ def _record_bits(pts):
     return [(p.source, [x.hex() for x in (*p.alpha_prime, p.alpha_d, *p.point)]) for p in pts]
 
 
-def _translated_records(L, Q, box, include_upper=True):
-    """Point records of the sequence attached to L, in index order."""
-    idx = farey.farey_index(np.asarray(L).shape[0], Q, L=L, box=box, include_upper=include_upper)
+def _index_records(idx):
     return [idx.record(i) for i in range(len(idx))]
 
 
+def _translated_records(L, Q, box):
+    """Point records of the sequence attached to L, in index order."""
+    return _index_records(farey.farey_index(np.asarray(L).shape[0], Q, L=L, box=box))
+
+
 def test_translated_identity_matches_farey():
-    # the identity through the general-L enumeration gives the classical
-    # records in the same order, with the same float bits
+    # the identity through the general-L enumeration, cut to the half-open
+    # unit box of the classical sequence, gives the classical records in
+    # the same order, with the same float bits
     for d, Q in ((2, 7.0), (2, 13.5), (3, 4.0), (3, 6.0), (4, 4.0)):
         unit = (np.zeros(d - 1), np.ones(d - 1))
         want = farey.enumerate_farey(d, Q)
         assert len(want) > 0
-        assert _record_bits(_translated_records(np.eye(d), Q, unit, include_upper=False)) == _record_bits(want)
+        sources, alpha = farey.translated_arrays(np.eye(d), Q, unit)
+        keep = np.all(alpha[:, : d - 1] / alpha[:, d - 1 :] < 1.0, axis=1)
+        got = _index_records(farey.FareyIndex(d, sources[keep], alpha[keep]))
+        assert _record_bits(got) == _record_bits(want)
 
 
 def test_translated_shear_example():
@@ -323,35 +330,37 @@ def test_grid_bound_covers_the_kernel_grid(d, qmax, sides):
     assert unit == sum((q + 1) ** (d - 1) for q in range(1, qmax + 1))
 
 
-def test_farey_sources_are_the_farey_arrays_sources():
-    for d, box in ((2, ([-0.3], [0.7])), (3, ([0.1, -0.2], [0.6, 0.4])), (4, None)):
-        sources, alpha = farey.farey_arrays(d, 11.5, box=box)
-        cols = farey.farey_sources(d, 11.5, box=box)
-        assert cols.flags.f_contiguous and np.array_equal(cols, sources)
-        assert np.array_equal(alpha, sources.astype(float))
+def grid_sources(d, grids):
+    """The rows (p, q) that each farey_grids grid keeps, grid by grid in
+    row-major order."""
+    rows = [np.column_stack([*(g[keep] for g in np.meshgrid(*axes, indexing="ij")), np.full(np.count_nonzero(keep), q)])
+            for q, axes, keep in grids]
+    return np.concatenate(rows) if rows else np.empty((0, d), np.int64)
 
 
 def test_farey_sources_from_a_first_denominator():
-    # q_first drops the rows below it and leaves the others as they were
+    # q_first drops the grids below it and leaves the others as they were;
+    # from q = 1 the grids keep the sources of farey_arrays
     for d, box in ((2, ([-0.3], [0.7])), (3, ([0.1, -0.2], [0.6, 0.4])), (4, None)):
-        whole = farey.farey_sources(d, 11.5, box=box)
+        whole, alpha = farey.farey_arrays(d, 11.5, box=box)
+        assert np.array_equal(alpha, whole.astype(float))
         for q_first in (1, 5, 11, 12):
-            block = farey.farey_sources(d, 11.5, box=box, q_first=q_first)
-            assert block.flags.f_contiguous and np.array_equal(block, whole[whole[:, -1] >= q_first])
+            block = grid_sources(d, farey.farey_grids(d, 11.5, box, q_first))
+            assert np.array_equal(block, whole[whole[:, -1] >= q_first])
 
 
 def test_farey_sources_budget_only_their_own_denominators(monkeypatch):
     # the unit square's candidate grid is sum (q + 1)^2: 338,349 for q <= 99,
     # 74,540 for 92 <= q <= 99 and 164,470 for 80 <= q <= 99
     unit = (np.zeros(2), np.ones(2))
-    whole = farey.farey_sources(3, 99, box=unit)
+    whole, _alpha = farey.farey_arrays(3, 99, box=unit)
     monkeypatch.setattr(farey, "ENUM_BUDGET", 100_000)
-    high = farey.farey_sources(3, 99, box=unit, q_first=92)
+    high = grid_sources(3, farey.farey_grids(3, 99, unit, 92))
     assert np.array_equal(high, whole[whole[:, -1] >= 92])
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="Farey candidate grid"):
-            farey.farey_sources(3, 99, box=unit, q_first=80)
+            farey.farey_grids(3, 99, unit, 80)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,7 +536,7 @@ def brute_window_pairs(d, m, lo, hi, w):
     axis.  The gaps and q q' are exact integers, so a float test with a
     1e-9 slack on either side of w q q' settles every pair away from the
     threshold; the pairs inside that band are settled with Fraction(w)."""
-    src = farey.farey_sources(d, m, (lo, hi)) if m >= 1 else np.empty((0, d), np.int64)
+    src = farey.farey_arrays(d, m, (lo, hi))[0] if m >= 1 else np.empty((0, d), np.int64)
     # (q, p) order, so the first of each pair is the smaller
     src = src[np.lexsort(tuple(src[:, j] for j in reversed(range(d - 1))) + (src[:, -1],))]
     q, p = src[:, -1], src[:, :-1]

@@ -195,20 +195,20 @@ def test_farey_kernels_match_each_other():
     assert sorted(zip(p1.tolist(), p2.tolist(), qs3.tolist())) == sorted(want3)
 
 
-@pytest.mark.parametrize("qmax, lo, hi, q_first", [
-    (15, [-0.3], [0.7], 1),
-    (9, [0.1, -0.25], [0.6, 1.0], 3),
-    (6, [0.0, 0.2, -0.5], [1.0, 0.9, 0.5], 1),
-    (4, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], 2),
-    (5, [0.3, 0.0], [0.31, 1.0], 1),  # no integer p_1 for most q
+@pytest.mark.parametrize("qmax, lo, hi", [
+    (15, [-0.3], [0.7]),
+    (9, [0.1, -0.25], [0.6, 1.0]),
+    (6, [0.0, 0.2, -0.5], [1.0, 0.9, 0.5]),
+    (4, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+    (5, [0.3, 0.0], [0.31, 1.0]),  # no integer p_1 for most q
 ])
-def test_farey_primitive_rows_in_kernel_order(qmax, lo, hi, q_first):
+def test_farey_primitive_rows_in_kernel_order(qmax, lo, hi):
     # q increasing, then p lexicographic, as int64 columns (q, p_1, ...);
     # farey_d2 and farey_d3 return the same arrays
-    cols = K.farey_primitive(qmax, lo, hi, q_first)
+    cols = K.farey_primitive(qmax, lo, hi)
     want = [
         (q, *p)
-        for q in range(q_first, qmax + 1)
+        for q in range(1, qmax + 1)
         for p in itertools.product(*[range(math.ceil(a * q), math.floor(b * q) + 1) for a, b in zip(lo, hi)])
         if math.gcd(q, *p) == 1
     ]
@@ -217,7 +217,7 @@ def test_farey_primitive_rows_in_kernel_order(qmax, lo, hi, q_first):
     named = {1: K.farey_d2, 2: K.farey_d3}.get(len(lo))
     if named is not None:
         args = [v for pair in zip(lo, hi) for v in pair]
-        assert all(np.array_equal(a, b) for a, b in zip(named(qmax, *args, q_first), cols))
+        assert all(np.array_equal(a, b) for a, b in zip(named(qmax, *args), cols))
 
 
 @st.composite

@@ -453,6 +453,32 @@ def test_dual_hits_match_scalar_on_accepted_pairs(kind, d):
     assert compare_batched_with_scalar(target, None, t, index, xs, si[keep], ci[keep]) == pos.size > 0
 
 
+def unipotent(d):
+    """The unipotent L whose last row is (sqrt 2 - 1, sqrt 3 - 1, 1), cut to d."""
+    L = np.eye(d)
+    L[d - 1, : d - 1] = [math.sqrt(2) - 1, math.sqrt(3) - 1][: d - 1]
+    return L
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(KINDS), st.sampled_from((2, 3)), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+def test_member_dual_takes_its_candidates_from_near(kind, d, frac, seed, translated):
+    # member_dual with no index, member_dual given the sampled estimator's
+    # index, and dual_hits over that index's near pairs name the same witness
+    t = (1.0 + 3.0 * frac) if d == 2 else (0.5 + frac)
+    L = unipotent(d) if translated else None
+    target = membership_target(kind, d, None)
+    index, xs, _si, _ci = samples_and_pairs(target, L, t, 4, 4, seed)
+    xs = np.clip(xs, 0.25, 0.5)  # in A, whose samples' candidates the index holds
+    pairs = index.near(xs, target.candidate_radius(t), alpha_max=target.alpha_cutoff(t))
+    pos, _found = targets.dual_hits(target, L, t, xs, pairs[:, 0], pairs[:, 1], index)
+    for i, x in enumerate(xs):
+        hits = pairs[pos, 1][pairs[pos, 0] == i]
+        want = index.record(int(hits[np.argmin(index.alpha_d[hits])])).source if hits.size else None
+        for witness in (targets.member_dual(target, L, x, t), targets.member_dual(target, L, x, t, index=index)):
+            assert (witness.farey.source if witness else None) == want
+
+
 @pytest.mark.parametrize("kind", ("grenier-stable", "grenier-spherical"))
 def test_dual_hits_refuse_coordinate_boxes_beyond_d3(kind):
     # the source test refuses d = 4 even when no pair reaches it
