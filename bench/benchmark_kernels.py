@@ -2,8 +2,10 @@
 """Time the hot kernels, the d = 2 interval count built on them with its
 Mertens values and floor sums (also over the unit cell), the d = 2
 exact-window row at t = 15.5, the d = 4 Farey
-enumeration, the A3 collision searches and clipped window volumes, the
-whole A3 window sum, the d = 3 spherical window sum of perfbench's d3-window
+enumeration, the primitive points of a box and the translated sequence of
+the d = 3 translated window sum at t = 2.4, the A3 collision searches and
+clipped window volumes, the whole A3 window sum, the d = 3 spherical window
+sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
 collision clusters, the same union of one set of intervals (the d = 2
 spherical window sum's call), and the index build, the one batched
@@ -69,6 +71,19 @@ def a3_clusters():
 
 def a3_clipped():
     return (*a3_centers(), np.zeros(2), np.ones(2))
+
+
+# the unipotent L with last row (sqrt2 - 1, sqrt3 - 1, 1) of the A3-translated row
+A3_TRANSLATED_L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, 1.0]])
+
+
+def a3_translated_arrays():
+    """translated_arrays' arguments in the d = 3 translated window sum at
+    t = 2.4 (T = 1, eps = 0.2, unit square, A3_TRANSLATED_L): the
+    denominator cap and the unit square grown by the window margin."""
+    target = StableSection(d=3, T=1.0, eps=0.2)
+    _w, _c_off, margin = experiments._stable_window_shape(target, 2.4)
+    return A3_TRANSLATED_L, target.denominator_cap(2.4), (np.full(2, -margin), np.full(2, 1.0 + margin))
 
 
 def a3_window_sum():
@@ -144,6 +159,7 @@ CASES = [
     ("farey_d3(250)", "farey_d3", (250, 0.0, 1.0, 0.0, 1.0)),
     ("farey_arrays(d = 4, 40)", "farey_arrays", (4, 40)),
     ("primitive_box(+-150)", "primitive_box", (np.array([-150.0, -150.0, -150.0]), np.array([150.0, 150.0, 150.0]))),
+    ("translated_arrays(t = 2.4)", "translated_arrays", a3_translated_arrays),
     # the interior count of the t = 15.5 exact-window row (A = [0.1, 0.7], T = 2, eps = 0.2),
     # the Mertens values it takes its Moebius block sums from, the floor sums at
     # their quotients, the unit cell at the same m, and the whole row

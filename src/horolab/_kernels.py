@@ -9,6 +9,9 @@ denominator for a walk in blocks of q.  farey_primitive gathers the kept
 points of every q <= qmax into columns; farey_d2 and farey_d3 are one-line
 entry points to it that stay because perfbench traces the kernels by name.
 
+primitive_box keeps the primitive points of a box whose last side may vary
+by row, the rows of farey.lattice_points.
+
 The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
 loop over the primes up to sqrt(n) only, each step one strided array
 operation, then one masked array step for the single prime factor above
@@ -254,35 +257,51 @@ def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
     return farey_primitive(qmax, (lo1, lo2), (hi1, hi2))
 
 
-_BOX_CHUNK = 1 << 20  # gcd entries per step of primitive_box
+_BOX_CHUNK = 1 << 19  # candidates per step of primitive_box
 
 
-def primitive_box(lo: np.ndarray, hi: np.ndarray):
+def primitive_box(lo, hi):
     """All primitive integer vectors in the closed box [lo, hi] of R^d, in
-    lexicographic order.
+    lexicographic order.  lo[-1] and hi[-1] may be arrays over the row-major
+    grid of the other axes: one range of last entries per row.
 
-    The gcd of the other axes is taken once over their grid; each slab of
-    first-axis values is then one gcd against it, so the work arrays stay
-    near _BOX_CHUNK entries and only the kept points are materialised.
-    """
-    d = lo.size
-    axes = [np.arange(math.ceil(lo[i]), math.floor(hi[i]) + 1, dtype=np.int64) for i in range(d)]
-    if any(a.size == 0 for a in axes):
-        return np.empty((0, d), np.int64)
-    first = axes[0]
-    if d > 1:
-        rest = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")], axis=1)
-        g_rest = np.gcd.reduce(rest, axis=1)
-    else:
-        rest, g_rest = np.empty((1, 0), np.int64), np.zeros(1, np.int64)
-    step = max(1, _BOX_CHUNK // g_rest.size)
-    slabs = range(0, first.size, step)
-    keep = np.concatenate([np.gcd(first[i : i + step, None], g_rest) == 1 for i in slabs])
-    out = np.empty((int(np.count_nonzero(keep)), d), np.int64)
-    at = 0
-    for i in slabs:
-        rows, cols = np.nonzero(keep[i : i + step])
-        out[at : at + rows.size, 0] = first[i + rows]
-        out[at : at + rows.size, 1:] = rest[cols]
-        at += rows.size
+    Each row's gcd is taken once.  The candidates are tested in chunks of
+    about _BOX_CHUNK, and only their keep masks are held until the kept
+    points are counted; all but the last chunk are then expanded again."""
+    d = len(lo)
+    axes = [np.arange(math.ceil(lo[i]), math.floor(hi[i]) + 1, dtype=np.int64) for i in range(d - 1)]
+    g = np.zeros(1, np.int64)  # the gcd of the empty row
+    for a in axes:
+        g = np.gcd.outer(g, a).ravel()
+    first = np.ceil(lo[-1]).astype(np.int64)
+    # one count per row, also when the last side is one interval for all rows
+    count = np.maximum(np.floor(hi[-1]).astype(np.int64) - first + np.ones(g.size, np.int64), 0)
+    edge = np.zeros(g.size + 1, np.int64)  # row r's candidates are edge[r] <= k < edge[r + 1]
+    np.add.accumulate(count, out=edge[1:])
+    shift = first - edge[:-1]  # candidate k of row r has last entry shift[r] + k
+    cuts = [0, *edge.searchsorted(np.arange(_BOX_CHUNK, edge[-1], _BOX_CHUNK)).tolist(), g.size]
+    chunks = [(r0, r1) for r0, r1 in zip(cuts[:-1], cuts[1:]) if r0 < r1]
+
+    def expand(r0, r1):
+        rows = np.arange(r0, r1).repeat(count[r0:r1])
+        return rows, shift[rows] + np.arange(edge[r0], edge[r1])
+
+    keeps = []
+    for r0, r1 in chunks:
+        rows, last = expand(r0, r1)
+        keeps.append(np.gcd(g[rows], last) == 1)
+    out = np.empty((sum(map(np.count_nonzero, keeps)), d), np.int64)
+    at = out.shape[0]
+    # written from the end, since the last chunk's rows and last entries are still at hand
+    for n, ((r0, r1), keep) in enumerate(zip(chunks[::-1], keeps[::-1])):
+        if n:
+            rows, last = expand(r0, r1)
+        rows, last = rows[keep], last[keep]
+        part, at = out[at - rows.size : at], at - rows.size
+        part[:, -1] = last
+        for i in range(d - 2, 0, -1):  # last is reused for the coordinates
+            np.divmod(rows, axes[i].size, out=(rows, last))
+            np.add(last, axes[i][0], out=part[:, i])
+        if axes:  # rows is now the index on the first axis
+            np.add(rows, axes[0][0], out=part[:, 0])
     return out

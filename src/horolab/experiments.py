@@ -348,7 +348,7 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     else:
         q_cap = target.denominator_cap(t)
         predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
-        fy.check_budget(math.ceil(predicted) if math.isfinite(predicted) else predicted, "predicted window enumeration")
+        fy.check_budget(predicted, "predicted window enumeration")
         m, n = math.floor(q_cap), max(1, math.ceil(predicted / _BLOCK_POINTS))
         cuts = np.unique(np.floor(m * (np.arange(n + 1) / n) ** (1.0 / d)).astype(np.int64))
         total, count = 0.0, 0

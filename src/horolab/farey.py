@@ -6,6 +6,8 @@ giving (alpha', alpha_d) with alpha_d > 0; the projected point is
 alpha'/alpha_d.  For L = I this is the classical Farey set p/q.
 
 sequence_arrays is the one function that branches on L for the point set.
+Every other point set, translated sequences and the slab of the direct
+membership test alike, comes from one row walk, lattice_points.
 """
 
 from __future__ import annotations
@@ -150,10 +152,10 @@ class FareyIndex:
 ENUM_BUDGET = 30_000_000
 
 
-def check_budget(n: int, what: str) -> None:
+def check_budget(n: float, what: str) -> None:
     """Raise before a sieve or an enumeration of n items is allocated when
-    n exceeds ENUM_BUDGET."""
-    if n > ENUM_BUDGET:
+    n, a count or a float bound, exceeds ENUM_BUDGET or is NaN."""
+    if not n <= ENUM_BUDGET:
         raise ResourceLimitError(f"{what} {n} over budget", ENUM_BUDGET)
 
 
@@ -198,7 +200,7 @@ def _checked_grid(d: int, Q: float, box, q_first: int = 1):
         lo, hi = (np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float))
     qmax = int(math.floor(Q))
     bound = _grid_bound(qmax, lo, hi) - _grid_bound(q_first - 1, lo, hi)
-    check_budget(math.ceil(bound) if math.isfinite(bound) else bound, "Farey candidate grid")
+    check_budget(bound, "Farey candidate grid")
     return qmax, lo, hi
 
 
@@ -241,57 +243,71 @@ def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
     return [idx.record(i) for i in range(len(idx))]
 
 
-def _transpose_inverse(L: np.ndarray) -> np.ndarray:
-    if L.dtype == object:
-        return fraction_matrix_inverse(L).T
-    return np.linalg.inv(L).T
+def lattice_points(C: np.ndarray, clo, chi) -> np.ndarray:
+    """Primitive integer rows n whose image n @ C (C a float invertible
+    matrix) can lie in the box [clo, chi], in lexicographic order.
 
-
-def preimage_bounds(alo, ahi, M) -> tuple[np.ndarray, np.ndarray]:
-    """Integer bounds (plo, phi) of a box holding the image of the box
-    [alo, ahi] under v -> v @ M: the floor of the least corner image minus 1
-    and the ceiling of the largest plus 1, per coordinate."""
-    d = len(alo)
-    corners = np.array(np.meshgrid(*zip(alo, ahi), indexing="ij")).reshape(d, -1).T
-    pre = corners @ M
-    return np.floor(pre.min(axis=0)) - 1, np.ceil(pre.max(axis=0)) + 1
-
-
-def _primitive_box(plo: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """K.primitive_box over [plo, phi], once its integer point count has
-    been checked against ENUM_BUDGET."""
-    n = float(np.prod(np.maximum(np.floor(phi) - np.ceil(plo) + 1.0, 0.0)))
-    check_budget(math.ceil(n) if math.isfinite(n) else n, "preimage box")
-    return K.primitive_box(plo, phi)
+    The rows n_1, ..., n_{d-1} run over the integer box around the preimage
+    corners, inflated by 1; n_d over one range per row, where every image
+    coordinate can lie in its side, a hair wider than the float ends.  The
+    row count, then the summed range lengths, are checked against
+    ENUM_BUDGET before either is allocated."""
+    M = np.linalg.inv(C)  # the preimage corners span center @ M +- halfwidth @ |M|
+    mid, spread = (chi + clo) / 2 @ M, (chi - clo) / 2 @ np.abs(M)
+    plo, phi = (np.floor(mid - spread) - 1).tolist(), (np.ceil(mid + spread) + 1).tolist()
+    check_budget(math.prod(b - a + 1 for a, b in zip(plo[:-1], phi[:-1])), "preimage box rows")
+    axes = [np.arange(a, b + 1) for a, b in zip(plo[:-1], phi[:-1])]
+    lo, hi = plo[-1], phi[-1]
+    sides = list(zip(clo.tolist(), chi.tolist()))
+    lower, upper = np.empty((2, math.prod(a.size for a in axes)))  # each row's n_d range
+    lower[:], upper[:] = lo, hi
+    # coordinate j bounds n_d to (side - s_j) / c_j; for c_j = 0 that is all of
+    # it or none, or 0/0 on the side's edge, a NaN that fmax and fmin pass over,
+    # and a subnormal c_j can send an end to infinity
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for side, (*col, c) in zip(sides, (C + 0.0).T.tolist()):  # + 0.0 turns -0.0 into 0.0
+            s = axes[0] * col[0]  # the rows' partial images in this coordinate, row-major
+            for a, cij in zip(axes[1:], col[1:]):
+                s = np.add.outer(s, a * cij).ravel()
+            ends = np.subtract.outer(side if c >= 0 else side[::-1], s) / c
+            np.fmax(lower, ends[0], out=lower)
+            np.fmin(upper, ends[1], out=upper)
+    # a hair relative to the largest |n_d| of the box, then clipped one past
+    # it, so that an end near +-1e17 (an entry of C that should be 0) or an
+    # infinite one never reaches the cast
+    hair = 1e-9 * (1 + max(-lo, hi))
+    first = np.ceil(np.minimum(lower - hair, hi + 1))
+    last = np.floor(np.maximum(upper + hair, lo - 1))
+    check_budget(float(np.add.reduce(np.maximum(last - first + 1, 0))), "preimage box")
+    return K.primitive_box([*plo[:-1], first], [*phi[:-1], last])
 
 
 def _lattice_images(L, alo, ahi) -> tuple[np.ndarray, np.ndarray]:
     """Primitive sources whose images alpha = p @ L^{-T} can lie in the box
-    [alo, ahi], with those images: the integer preimage box (p = alpha @ L^T)
-    inflated by 1 in sup-norm, then mapped forward for the caller to filter."""
+    [alo, ahi], with those images, for the caller to filter."""
     L = np.asarray(L)
-    tLinv = _transpose_inverse(L)
-    tLinv_f = tLinv.astype(float) if tLinv.dtype == object else tLinv
-    sources = _primitive_box(*preimage_bounds(alo, ahi, np.asarray(L, dtype=float).T))
-    return sources, sources.astype(float) @ tLinv_f
+    tLinv = np.asarray((fraction_matrix_inverse(L) if L.dtype == object else np.linalg.inv(L)).T, dtype=float)
+    sources = lattice_points(tLinv, alo, ahi)
+    return sources, sources.astype(float) @ tLinv
 
 
 def translated_arrays(L, Q: float, box) -> tuple[np.ndarray, np.ndarray]:
     """Primitive lattice points through the transpose-inverse of L.
 
-    Enumerates integer sources in the preimage of the bounding box of the
-    admissible cone, then filters; this makes the enumeration provably
-    exhaustive.  Q below 1 is allowed: under a general L an image alpha_d
-    can lie in (0, 1).
+    Enumerates the integer sources whose images can lie in the bounding box
+    of the admissible cone, then filters; this makes the enumeration
+    provably exhaustive.  Q below 1 is allowed: under a general L an image
+    alpha_d can lie in (0, 1).
     """
     d = np.asarray(L).shape[0]
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise HorolabError("translated enumeration needs a bounded box")
-    # bounding box of {alpha : 0 < alpha_d <= Q, lo*alpha_d <= alpha' <= hi*alpha_d}
-    alo = np.append(np.minimum(lo * Q, 0.0), 0.0)
-    ahi = np.append(np.maximum(hi * Q, 0.0), Q)
+    # bounding box of {alpha : 0 < alpha_d <= Q, lo*alpha_d <= alpha' <= hi*alpha_d},
+    # widened to the filter's tolerance 1e-12
+    alo = np.append(np.minimum(lo - 1e-12, 0.0) * (Q + 1e-12), 0.0)
+    ahi = np.append(np.maximum(hi + 1e-12, 0.0) * (Q + 1e-12), Q + 1e-12)
     sources, alpha = _lattice_images(L, alo, ahi)
     ad = alpha[:, d - 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -307,7 +323,7 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     sequence; their count grows like Q^d / zeta(d))."""
     _check_q(Q)
     d = np.asarray(L).shape[0]
-    sources, alpha = _lattice_images(L, np.zeros(d), np.full(d, float(Q)))
+    sources, alpha = _lattice_images(L, np.full(d, -1e-9), np.full(d, Q + 1e-9))
     keep = (alpha[:, d - 1] > 0) & np.all(alpha <= Q + 1e-9, axis=1) & np.all(alpha >= -1e-9, axis=1)
     return sources[keep], alpha[keep]
 

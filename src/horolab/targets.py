@@ -643,8 +643,11 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
 
 
 def member_direct(target: StableSection, L, x, t: float) -> Optional[MembershipWitness]:
-    """Direct membership of the horosphere point itself: a primitive lattice
-    row in a thin slab with the renormalized offset inside the stable box."""
+    """Direct membership of the horosphere point itself: the first primitive
+    lattice row a = nL, in the lexicographic order of n, with
+    0 < u = a'.x + a_d <= delta and the renormalized offset inside the
+    stable box.  For every L the candidates are the n with
+    n [L[:, :d-1] | L (x, 1)] = (a', u) in [-bound, bound]^{d-1} x [0, delta]."""
     if not isinstance(target, StableSection):
         raise ConfigError("direct membership is implemented for stable section targets only")
     if t < 0:
@@ -652,32 +655,18 @@ def member_direct(target: StableSection, L, x, t: float) -> Optional[MembershipW
     d = target.d
     x = np.atleast_1d(np.asarray(x, dtype=float))
     delta = math.exp(-(d - 1) * t) * target.T ** (-(d - 1) / d)
-    sup_b = float(np.abs(np.asarray(target.ytilde)).max() + target.eps / 2.0)
-    bound = int(math.ceil(sup_b * math.exp(t) * target.T ** (-(d - 1) / d) * (1.0 + float(np.abs(x).max())))) + 2
-    if L is not None and not np.allclose(np.asarray(L, dtype=float), np.eye(d)):
-        return _member_direct_general(target, L, x, t, delta, bound)
-    fy.check_budget((2 * bound + 1) ** (d - 1), "direct-membership slab")
-    axes = [np.arange(-bound, bound + 1, dtype=np.int64) for _ in range(d - 1)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    aprime = np.stack([g.ravel() for g in grids], axis=1)
-    dot = aprime.astype(float) @ x
-    a_d = np.floor(-dot + delta).astype(np.int64)
-    u = dot + a_d
-    ok = (u > 0) & (u <= delta + 1e-15)
-    g = np.gcd.reduce(np.abs(aprime), axis=1)
-    ok &= np.gcd(g, np.abs(a_d)) == 1
-    aprime, a_d, u = aprime[ok], a_d[ok], u[ok]
-    return _slab_witness(target, t, np.column_stack([aprime, a_d]), aprime, u)
-
-
-def _member_direct_general(target, L, x, t, delta, bound):
-    d = target.d
-    Lf = np.asarray(L, dtype=float)
-    span = bound * (1.0 + float(np.abs(x).max())) + abs(delta) + 2
-    sources = fy._primitive_box(*fy.preimage_bounds(-span * np.ones(d), span * np.ones(d), np.linalg.inv(Lf)))
+    sup_b = max(map(abs, target.ytilde)) + target.eps / 2.0
+    # a witness has |xt| <= sup_b and u <= delta, so |a'| = |xt| u e^{dt} stays below this
+    bound = math.ceil(sup_b * math.exp(t) * target.T ** (-(d - 1) / d)) + 2
+    Lf = np.eye(d) if L is None else np.asarray(L, dtype=float)
+    C = Lf.copy()
+    C[:, -1] += Lf[:, :-1] @ x
+    sources = fy.lattice_points(C, np.array([-bound] * (d - 1) + [0.0]), np.array([bound] * (d - 1) + [delta + 1e-15]))
     a = sources.astype(float) @ Lf
     u = a[:, : d - 1] @ x + a[:, d - 1]
     ok = (u > 0) & (u <= delta + 1e-15)
+    if not ok.any():  # a thin slab often holds no primitive row
+        return None
     return _slab_witness(target, t, sources[ok], a[ok, : d - 1], u[ok])
 
 

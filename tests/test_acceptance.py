@@ -1,4 +1,4 @@
-"""Acceptance criteria A1-A10.
+"""Acceptance criteria A1-A10, and A3 under a translation (A3-translated).
 
 Each test prints one `PASS/FAIL <id>` line (visible with -s / on failure) and
 asserts the stated tolerance.  Tolerances are pinned here, not configurable.
@@ -98,6 +98,32 @@ def test_A3_stable_d3_window_sum():
     predicted = 0.04 / (3.0 * algebra.zeta(3))
     ok = r.rel_error <= 0.05 and el <= 120.0
     report("A3", ok, f"estimate={r.estimate:.7f} limit={predicted:.7f} rel={r.rel_error:.2e} points={r.farey_count_used} ({el:.1f}s)")
+
+
+def test_A3_translated_stable_d3_window_sum():
+    # A3 under the unipotent L with last row (sqrt2 - 1, sqrt3 - 1, 1), at a
+    # tier-1 depth: the translated sequence comes from the row walk.  The
+    # duplicate-free cell of this L is the unit torus, so the unit square
+    # counts each orbit point once.
+    tic = time.perf_counter()
+    L = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, 1.0))
+    region = farey.duplicate_region(np.array(L))
+    assert region.kind == "torus" and np.array_equal(region.period_basis, np.eye(2))
+    cfg = ex.ExperimentConfig(
+        d=3,
+        target=tg.StableSection(d=3, T=1.0, eps=0.2),
+        A_lo=(0.0, 0.0),
+        A_hi=(1.0, 1.0),
+        t_schedule=(2.6,),
+        estimator=("window-sum",),
+        L=L,
+    )
+    assert not cfg.region_warning
+    r = ex.sthe_run(cfg)[0]
+    el = time.perf_counter() - tic
+    predicted = 0.04 / (3.0 * algebra.zeta(3))
+    ok = r.rel_error <= 0.05 and el <= 60.0
+    report("A3-translated", ok, f"estimate={r.estimate:.7f} limit={predicted:.7f} rel={r.rel_error:.2e} points={r.farey_count_used} ({el:.1f}s)")
 
 
 def test_A4_section_hit_fractions():

@@ -483,8 +483,8 @@ def test_d3_window_sum_matches_collision_search(case):
 @settings(deadline=None, max_examples=25)
 @given(d3_window_sum_cases(), st.sampled_from([2, 3]))
 def test_identity_window_sum_matches_the_preimage_box_path(case, d):
-    # L = I given as a matrix takes the preimage-box enumeration and the float
-    # grid search; at d = 2 the case keeps its first axis, its fraction of the
+    # L = I given as a matrix takes the row walk over its preimage box and the
+    # float grid search; at d = 2 the case keeps its first axis, its fraction of the
     # disjointness budget, and its denominator cutoff (t doubles)
     target, lo, hi, t, _n = case
     if d == 2:
@@ -495,6 +495,16 @@ def test_identity_window_sum_matches_the_preimage_box_path(case, d):
     val_eye, count_eye = ex._window_sum_stable_enumerated(target, np.eye(d), lo, hi, t)
     assert count == count_eye
     assert abs(val - val_eye) <= 1e-12 * abs(val_eye)
+
+
+def test_translated_d3_window_sum_keeps_the_box_enumeration_value():
+    # the d = 3 window sum under the unipotent L with last row
+    # (sqrt2 - 1, sqrt3 - 1, 1) at t = 2 (T = 1, eps = 0.2, unit square),
+    # frozen from the whole-preimage-box enumeration the row walk replaced
+    L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, 1.0]])
+    val, count = ex._window_sum_stable_enumerated(tg.StableSection(d=3, T=1.0, eps=0.2), L, np.zeros(2), np.ones(2), 2.0)
+    assert count == 46_060
+    assert abs(val - 0.01108804823721582) <= 1e-12 * 0.01108804823721582
 
 
 def test_a3_window_pairs_and_clusters():

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import warnings
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import shear_products
 from horolab import _kernels as K, algebra, farey, targets as tg
 from horolab.errors import HorolabError, InvalidDimensionError, ResourceLimitError
 
@@ -100,6 +103,102 @@ def test_translated_integer_invariance():
 def test_translated_rejects_unbounded_box():
     with pytest.raises(HorolabError):
         _translated_records(np.eye(2), 3.0, ([0.0], [math.inf]))
+
+
+def _transpose_inverse(L):
+    L = np.asarray(L)
+    return np.asarray((algebra.fraction_matrix_inverse(L) if L.dtype == object else np.linalg.inv(L)).T, dtype=float)
+
+
+def _box_images(L, alo, ahi):
+    """Oracle for the row walk: every primitive source in the whole integer
+    box around the preimage of [alo, ahi] (corner images floored and ceiled,
+    inflated by 1), through K.primitive_box, with its image."""
+    L = np.asarray(L)
+    tLinv = _transpose_inverse(L)
+    corners = np.array(list(itertools.product(*zip(alo, ahi)))) @ np.asarray(L, dtype=float).T
+    sources = K.primitive_box(np.floor(corners.min(axis=0)) - 1, np.ceil(corners.max(axis=0)) + 1)
+    return sources, sources.astype(float) @ tLinv
+
+
+def _box_translated(L, Q, lo, hi):
+    """translated_arrays by the box oracle, with the same filter."""
+    d = len(lo) + 1
+    sources, alpha = _box_images(L, np.append(np.minimum(lo * Q, 0.0), 0.0), np.append(np.maximum(hi * Q, 0.0), Q))
+    ad = alpha[:, d - 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pts = alpha[:, : d - 1] / ad[:, None]
+    keep = (ad > 0) & (ad <= Q + 1e-12) & np.all(pts >= lo - 1e-12, axis=1) & np.all(pts <= hi + 1e-12, axis=1)
+    return sources[keep], alpha[keep]
+
+
+def _box_alpha_box(L, Q):
+    """translated_alpha_box_arrays by the box oracle, with the same filter."""
+    d = np.asarray(L).shape[0]
+    sources, alpha = _box_images(L, np.zeros(d), np.full(d, float(Q)))
+    keep = (alpha[:, d - 1] > 0) & np.all(alpha <= Q + 1e-9, axis=1) & np.all(alpha >= -1e-9, axis=1)
+    return sources[keep], alpha[keep]
+
+
+# a Fraction L; one whose transpose-inverse has a 0 that rounds to -7.4e-17
+# in its last row, so the n_d ends of that coordinate come out near 1e17 and
+# must be clipped before the integer cast; one whose subnormal entry sends
+# them to infinity; and a rotation whose transpose-inverse has a -0.0 there
+FRACTION_L = np.array([[Fraction(1), Fraction(0)], [Fraction(1, 2), Fraction(1)]], dtype=object)
+ROUNDING_ZERO_L = np.array([[1.0, 0.0], [-1.51, 1.0]])
+SUBNORMAL_L = np.array([[1.0, 1.1125369292536007e-308], [0.0, 1.0]])
+ROTATION_L = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@st.composite
+def translated_cases(draw):
+    """(L, Q, lo, hi): a shear product at d = 2 or 3 or the Fraction L, a
+    denominator bound (below 1 too) and a box of points that may cross 0."""
+    L = draw(st.one_of(shear_products(2), shear_products(3), st.just(FRACTION_L)))
+    d = L.shape[0]
+    lo = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(d - 1)])
+    hi = lo + [draw(st.floats(0.3, 1.5)) for _ in range(d - 1)]
+    Q = draw(st.sampled_from([60.0, 20.0, 5.0, 0.5] if d == 2 else [8.0, 3.0, 0.5])) + draw(st.floats(0.0, 0.5))
+    return L, Q, lo, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(translated_cases())
+@example((ROUNDING_ZERO_L, 6.0, np.array([-0.5]), np.array([1.0])))
+@example((SUBNORMAL_L, 1.0, np.array([0.0]), np.array([1.0])))
+@example((ROTATION_L, 5.0, np.array([-1.0]), np.array([0.5])))
+@example((FRACTION_L, 7.5, np.array([-0.25]), np.array([0.75])))
+def test_translated_walk_matches_the_whole_preimage_box(case):
+    # the row walk keeps, in the same order, the sources the whole-box
+    # enumeration keeps, with images within a few roundings of a dot product
+    L, Q, lo, hi = case
+    tLinv = _transpose_inverse(L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = [
+            (farey.translated_arrays(L, Q, (lo, hi)), _box_translated(L, Q, lo, hi)),
+            (farey.translated_alpha_box_arrays(L, max(Q, 1.0)), _box_alpha_box(L, max(Q, 1.0))),
+        ]
+    for (sources, alpha), (want_sources, want_alpha) in pairs:
+        assert sources.dtype == np.int64 and np.array_equal(sources, want_sources)
+        rounding = 8 * np.finfo(float).eps * (np.abs(sources) @ np.abs(tLinv))
+        assert np.all(np.abs(alpha - want_alpha) <= rounding)
+
+
+def test_lattice_points_takes_exactly_the_rows_of_the_box():
+    # a shear maps the rows (n_1, n_2) to (n_1, n_1 / 2 + n_2): the primitive
+    # rows whose image lies in [-3, 3] x [0, 1], lexicographic
+    C = np.array([[1.0, 0.5], [0.0, 1.0]])
+    got = farey.lattice_points(C, np.array([-3.0, 0.0]), np.array([3.0, 1.0]))
+    want = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if 0 <= a / 2 + b <= 1 and math.gcd(a, b) == 1]
+    assert got.dtype == np.int64 and [tuple(v) for v in got.tolist()] == want
+
+
+def test_check_budget_takes_float_bounds_and_refuses_nan():
+    farey.check_budget(float(farey.ENUM_BUDGET), "grid")
+    for n in (farey.ENUM_BUDGET + 0.5, math.inf, math.nan):
+        with pytest.raises(ResourceLimitError, match="grid"):
+            farey.check_budget(n, "grid")
 
 
 def test_count_examples():

@@ -1,12 +1,14 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import random_special_orthogonal, random_unimodular
-from horolab import coords, experiments, farey, targets
-from horolab.algebra import integer_det, zeta
+from conftest import random_special_orthogonal, random_unimodular, shear_products
+from horolab import _kernels as K, coords, experiments, farey, targets
+from horolab.algebra import BOUNDARY_ATOL, integer_det, zeta
 from horolab.errors import DisjointnessError, HorolabError, ResourceLimitError, UnsupportedDimensionError
 
 
@@ -157,12 +159,12 @@ def test_direct_matches_brute_force(rng):
 
 
 def test_direct_resource_budget():
-    # both slabs count against the one enumeration budget before allocating
+    # every L takes the one lattice walk, which checks its preimage box
+    # against the enumeration budget before allocating
     target = targets.StableSection(d=2, T=1.0, eps=0.5)
-    with pytest.raises(ResourceLimitError, match="slab"):
-        targets.member_direct(target, None, [0.3], 25.0)
-    with pytest.raises(ResourceLimitError, match="preimage box"):
-        targets.member_direct(target, np.diag([2.0**0.5, 2.0**-0.5]), [0.3], 25.0)
+    for L in (None, np.diag([2.0**0.5, 2.0**-0.5])):
+        with pytest.raises(ResourceLimitError, match="preimage box"):
+            targets.member_direct(target, L, [0.3], 25.0)
 
 
 def test_direct_general_translation():
@@ -171,6 +173,97 @@ def test_direct_general_translation():
     target = targets.StableSection(d=2, T=1.0, eps=0.5)
     w = targets.member_direct(target, L, [0.0], 0.0)
     assert w is not None
+
+
+def _direct_box_oracle(target, L, x, t):
+    """The former general-L direct test: every primitive n in the integer
+    box around the preimage of a cube of side about 2 bound (1 + |x|),
+    through K.primitive_box, then the same slab test and witness."""
+    d = target.d
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    delta = math.exp(-(d - 1) * t) * target.T ** (-(d - 1) / d)
+    sup_b = float(np.abs(np.asarray(target.ytilde)).max() + target.eps / 2.0)
+    bound = int(math.ceil(sup_b * math.exp(t) * target.T ** (-(d - 1) / d) * (1.0 + float(np.abs(x).max())))) + 2
+    Lf = np.eye(d) if L is None else np.asarray(L, dtype=float)
+    span = bound * (1.0 + float(np.abs(x).max())) + abs(delta) + 2
+    corners = np.array(list(itertools.product(*[(-span, span)] * d))) @ np.linalg.inv(Lf)
+    sources = K.primitive_box(np.floor(corners.min(axis=0)) - 1, np.ceil(corners.max(axis=0)) + 1)
+    a = sources.astype(float) @ Lf
+    u = a[:, : d - 1] @ x + a[:, d - 1]
+    ok = (u > 0) & (u <= delta + 1e-15)
+    return targets._slab_witness(target, t, sources[ok], a[ok, : d - 1], u[ok])
+
+
+@st.composite
+def direct_cases(draw):
+    """(target, L, x, t): a stable box at d = 2 or 3 below its disjointness
+    budget, the identity (None) or a shear product, x in [-0.5, 1.5]^{d-1}
+    and t up to 3 (d = 2) or 1.5 (d = 3), where the box oracle stays small."""
+    d = draw(st.sampled_from([2, 3]))
+    T = draw(st.floats(1.0, 2.0))
+    eps = draw(st.floats(0.5, 0.95)) * targets.disjointness_budget(d, T)
+    ytilde = tuple(draw(st.floats(-0.1, 0.1)) for _ in range(d - 1))
+    L = draw(st.one_of(st.none(), shear_products(d, shear=0.7, stretch=1.5)))
+    x = np.array([draw(st.floats(-0.5, 1.5, allow_subnormal=False)) for _ in range(d - 1)])
+    return targets.StableSection(d=d, T=T, eps=eps, ytilde=ytilde), L, x, draw(st.floats(0.0, 3.0 if d == 2 else 1.5))
+
+
+# a general L at d = 2 and 3 with a witness at the x and t given
+DIRECT_L2 = np.array([[1.0, 0.0], [0.6, 1.0]]) @ np.diag([1.3, 1 / 1.3])
+DIRECT_L3 = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.0], [-0.3, 0.5, 1.0]])
+
+
+@settings(deadline=None, max_examples=80)
+@given(direct_cases())
+@example((targets.StableSection(d=2, T=1.5, eps=0.9 * targets.disjointness_budget(2, 1.5), ytilde=(0.05,)), DIRECT_L2, np.array([0.64]), 2.68))
+@example((targets.StableSection(d=3, T=1.2, eps=0.9 * targets.disjointness_budget(3, 1.2)), DIRECT_L3, np.array([0.77, 1.38]), 1.14))
+@example((targets.StableSection(d=3, T=1.0, eps=0.2), np.eye(3), np.array([0.3, 0.7]), 1.2))
+def test_direct_walk_gives_the_box_enumeration_witness(case):
+    # the one row walk gives the witness the whole-box enumeration gives,
+    # the same source and the same float bits, for the identity and general L
+    target, L, x, t = case
+    assert targets.member_direct(target, L, x, t) == _direct_box_oracle(target, L, x, t)
+
+
+def _brute_direct_d2(target, L, x, t):
+    """The first primitive n = (n_1, n_2), lexicographic, with
+    u = n L (x, 1) in (0, delta] and the offset in the stable box: a Python
+    loop over n_1 and the n_2 next to the slab, decided in exact rationals
+    of the floats L, x, delta and e^{-2t}."""
+    delta = math.exp(-t) * target.T**-0.5
+    lo, hi = target.ytilde[0] - target.eps / 2.0, target.ytilde[0] + target.eps / 2.0
+    Lq = [[Fraction(v) for v in row] for row in np.asarray(L, dtype=float).tolist()]
+    xq, dq, scale = Fraction(float(x)), Fraction(delta) + Fraction(1e-15), Fraction(math.exp(-2.0 * t))
+    c = [Lq[0][0] * xq + Lq[0][1], Lq[1][0] * xq + Lq[1][1]]  # u = n . c
+    cf = [float(v) for v in c]
+    # a witness has |a_1| = |xt| u e^{2t} <= max(|lo|, |hi|) delta e^{2t}, and
+    # n_1 = (a_1 c_2 - u L_21) / (L_11 c_2 - L_21 c_1); one more on each side
+    a_max = max(abs(lo), abs(hi)) * float(dq / scale)
+    reach = (a_max * abs(cf[1]) + delta * abs(float(Lq[1][0]))) / abs(float(Lq[0][0] * c[1] - Lq[1][0] * c[0])) + 1
+    for n1 in range(-math.ceil(reach), math.ceil(reach) + 1):
+        ends = sorted((-n1 * cf[0] / cf[1], (delta - n1 * cf[0]) / cf[1]))
+        for n2 in range(math.floor(ends[0]) - 1, math.ceil(ends[1]) + 2):
+            if abs(n1 * cf[0] + n2 * cf[1] - delta / 2) > delta or math.gcd(n1, n2) != 1:
+                continue  # far from the slab in floats
+            u = n1 * c[0] + n2 * c[1]
+            xt = scale * (n1 * Lq[0][0] + n2 * Lq[1][0]) / u if u else None
+            if 0 < u <= dq and lo - BOUNDARY_ATOL <= xt < hi:
+                return n1, n2
+    return None
+
+
+def test_direct_general_L_deep_in_the_flow_matches_a_brute_force_slab():
+    # at t = 10 the whole-box enumeration asked for over 4e8 points and was
+    # refused; the walk visits about 1e4 rows and agrees with a brute force
+    target = targets.StableSection(d=2, T=1.0, eps=0.5)
+    L = np.array([[2.0**0.5, 0.0], [0.3, 2.0**-0.5]])
+    hits = 0
+    for x in np.linspace(0.05, 0.95, 7):
+        w = targets.member_direct(target, L, [x], 10.0)
+        want = _brute_direct_d2(target, L, x, 10.0)
+        assert (w and w.farey.source) == want, x
+        hits += want is not None
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
