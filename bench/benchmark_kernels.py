@@ -8,9 +8,9 @@ clipped window volumes, the whole A3 window sum, the d = 3 spherical window
 sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
 collision clusters, the same union of one set of intervals (the d = 2
-spherical window sum's call), and the index build, the one batched
-candidate query and the batched dual predicate of perfbench's
-d3-membership row.
+spherical window sum's call), and the index build over the alpha window,
+the one batched candidate query, the batched dual predicate and the whole
+sampled estimate of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -123,13 +123,22 @@ def d3_membership_build():
     return target, None, np.zeros(2), np.ones(2), t
 
 
+def d3_membership_points():
+    """That row's 4,000 uniform samples as sthe-run draws them at seed 0."""
+    return np.random.default_rng((0, 0)).uniform(0.0, 1.0, size=(4000, 2))
+
+
 def d3_membership_query():
-    """That row's index, its 4,000 uniform samples as sthe-run draws them at
-    seed 0, the candidate radius and the alpha_d cutoff."""
+    """That row's index, its samples, the candidate radius and the top of
+    the alpha window."""
     target, t = D3_MEMBERSHIP
-    index = experiments._build_index(*d3_membership_build())
-    points = np.random.default_rng((0, 0)).uniform(0.0, 1.0, size=(4000, 2))
-    return index, points, target.candidate_radius(t), target.alpha_cutoff(t)
+    index, _count = experiments._build_index(*d3_membership_build())
+    return index, d3_membership_points(), target.candidate_radius(t), target.alpha_window(t)[1]
+
+
+def d3_membership_row():
+    """sampled_integral's arguments on that row."""
+    return (*d3_membership_build(), d3_membership_points())
 
 
 def d3_membership_pairs():
@@ -192,6 +201,7 @@ CASES = [
         d3_membership_query,
     ),
     ("dual_hits(d3-membership)", dual_hits, d3_membership_pairs),
+    ("sampled_integral(d3-membership)", "sampled_integral", d3_membership_row),
 ]
 
 

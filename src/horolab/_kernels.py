@@ -6,8 +6,9 @@ Farey points come from one per-denominator generator, farey_grids, for
 every d: each q's integer ranges and the boolean grid of its primitive
 points, masked by the prime factors of q, from q = 1 or from a first
 denominator for a walk in blocks of q.  farey_primitive gathers the kept
-points of every q <= qmax into columns; farey_d2 and farey_d3 are one-line
-entry points to it that stay because perfbench traces the kernels by name.
+points of every q_first <= q <= qmax into columns; farey_d2 and farey_d3
+are one-line entry points to it that stay because perfbench traces the
+kernels by name.
 
 primitive_box keeps the primitive points of a box whose last side may vary
 by row, the rows of farey.lattice_points.
@@ -230,16 +231,16 @@ def farey_grids(qmax: int, lo, hi, q_first: int = 1):
         yield q, axes, keep
 
 
-def farey_primitive(qmax: int, lo, hi):
-    """Primitive integer points (p_1, ..., p_{d-1}, q) with q <= qmax and
-    lo_i <= p_i / q <= hi_i, as the columns (q, p_1, ..., p_{d-1}): q
-    increasing, p lexicographic within each q.
+def farey_primitive(qmax: int, lo, hi, q_first: int = 1):
+    """Primitive integer points (p_1, ..., p_{d-1}, q) with
+    q_first <= q <= qmax and lo_i <= p_i / q <= hi_i, as the columns
+    (q, p_1, ..., p_{d-1}): q increasing, p lexicographic within each q.
 
     The points of each farey_grids grid that keep marks, in the grid's
     row-major order.
     """
     out = [[] for _ in range(len(lo) + 1)]
-    for q, axes, keep in farey_grids(qmax, lo, hi):
+    for q, axes, keep in farey_grids(qmax, lo, hi, q_first):
         idx = np.nonzero(keep)
         out[0].append(np.full(idx[0].size, q, dtype=np.int64))
         for o, a, i in zip(out[1:], axes, idx):
@@ -249,12 +250,12 @@ def farey_primitive(qmax: int, lo, hi):
     return tuple(np.concatenate(o) for o in out)
 
 
-def farey_d2(qmax: int, lo: float, hi: float):
-    return farey_primitive(qmax, (lo,), (hi,))
+def farey_d2(qmax: int, lo: float, hi: float, q_first: int = 1):
+    return farey_primitive(qmax, (lo,), (hi,), q_first)
 
 
-def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float):
-    return farey_primitive(qmax, (lo1, lo2), (hi1, hi2))
+def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float, q_first: int = 1):
+    return farey_primitive(qmax, (lo1, lo2), (hi1, hi2), q_first)
 
 
 _BOX_CHUNK = 1 << 19  # candidates per step of primitive_box

@@ -572,22 +572,26 @@ def _unit_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _build_index(target, L, lo, hi, t):
+    """The index of the sources in the target's alpha window whose points
+    lie within the candidate radius of A, and the number of sequence points
+    there with alpha_d <= alpha_cutoff(t)."""
     radius = target.candidate_radius(t)
     box = (lo - radius - 1e-12, hi + radius + 1e-12)
-    return fy.farey_index(target.d, target.alpha_cutoff(t), L=L, box=box)
+    return fy.window_index(target.d, target.alpha_cutoff(t), target.alpha_window(t), L=L, box=box)
 
 
 def sampled_integral(target, L, lo, hi, t, points: np.ndarray) -> tuple[float, int]:
-    """vol(A) times the fraction of sample points the dual predicate accepts.
-    One index query finds the (sample, candidate) pairs of all samples, its
-    pre-mask total checked against ENUM_BUDGET, and one batched call tests
-    them."""
-    index = _build_index(target, L, lo, hi, t)
-    pairs = index.near(points, target.candidate_radius(t), alpha_max=target.alpha_cutoff(t))
+    """vol(A) times the fraction of sample points the dual predicate
+    accepts, and the count of _build_index.  One index query finds the
+    (sample, candidate) pairs of all samples, up to the top of the target's
+    alpha window, its pre-mask total checked against ENUM_BUDGET, and one
+    batched call tests them."""
+    index, count = _build_index(target, L, lo, hi, t)
+    pairs = index.near(points, target.candidate_radius(t), alpha_max=target.alpha_window(t)[1])
     pos, _found = tg.dual_hits(target, L, t, points, pairs[:, 0], pairs[:, 1], index)
     hits = np.unique(pairs[pos, 0]).size
     vol = box_volume(lo, hi)
-    return vol * hits / len(points), len(index)
+    return vol * hits / len(points), count
 
 
 def grid_points(lo, hi, n: int) -> np.ndarray:

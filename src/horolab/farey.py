@@ -211,21 +211,21 @@ def farey_grids(d: int, Q: float, box=None, q_first: int = 1):
     return K.farey_grids(qmax, lo, hi, q_first)
 
 
-def farey_arrays(d: int, Q: float, box=None) -> tuple[np.ndarray, np.ndarray]:
-    """Primitive (p, q) with 0 < q <= Q and p/q in the closed box (the unit
-    box by default), in the kernels' (q, p) order, checked by _checked_grid
-    before the kernel runs.
+def farey_arrays(d: int, Q: float, box=None, q_first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Primitive (p, q) with q_first <= q <= Q and p/q in the closed box (the
+    unit box by default), in the kernels' (q, p) order, checked by
+    _checked_grid before the kernel runs.
 
     Returns (sources, alpha) where for L = I alpha equals the source floats.
     """
-    qmax, lo, hi = _checked_grid(d, Q, box)
+    qmax, lo, hi = _checked_grid(d, Q, box, q_first)
     # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
     if d == 2:
-        cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]))
+        cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
     elif d == 3:
-        cols = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+        cols = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
     else:
-        cols = K.farey_primitive(qmax, lo, hi)
+        cols = K.farey_primitive(qmax, lo, hi, q_first)
     sources = np.stack([*cols[1:], cols[0]], axis=1)
     del cols  # free the columns before the float copy
     return sources, sources.astype(float)
@@ -328,25 +328,52 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     return sources[keep], alpha[keep]
 
 
-def sequence_arrays(d: int, Q: float, L=None, box=None) -> tuple[np.ndarray, np.ndarray]:
+def sequence_arrays(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Sources and images of the sequence attached to L (None: identity)
-    with alpha_d <= Q and projected point in the closed box (the unit box by
-    default), count checked against ENUM_BUDGET.  The one branch on L:
-    identity L takes the per-denominator kernels, empty for Q < 1; any other
-    L the preimage-box enumeration."""
+    with alpha_lo <= alpha_d <= Q and projected point in the closed box (the
+    unit box by default), count checked against ENUM_BUDGET.  The one branch
+    on L: identity L takes the per-denominator kernels from
+    q = ceil(alpha_lo), empty for Q < 1; any other L the row walk."""
     if L is not None:
         sources, alpha = translated_arrays(L, Q, _unit_box(d) if box is None else box)
+        if alpha_lo > 0:
+            keep = alpha[:, d - 1] >= alpha_lo
+            sources, alpha = sources[keep], alpha[keep]
     elif Q < 1:
         sources, alpha = np.empty((0, d), np.int64), np.empty((0, d))
     else:
-        sources, alpha = farey_arrays(d, Q, box=box)
+        sources, alpha = farey_arrays(d, Q, box=box, q_first=max(math.ceil(alpha_lo), 1))
     check_budget(sources.shape[0], "window enumeration")
     return sources, alpha
 
 
-def farey_index(d: int, Q: float, L=None, box=None) -> FareyIndex:
+def farey_index(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -> FareyIndex:
     """Array index of the points of sequence_arrays."""
-    return FareyIndex(d, *sequence_arrays(d, Q, L=L, box=box))
+    return FareyIndex(d, *sequence_arrays(d, Q, L=L, box=box, alpha_lo=alpha_lo))
+
+
+def count_farey_arrays(d: int, Q: float, box=None) -> int:
+    """len(farey_arrays(d, Q, box)) without listing the points: the kept
+    points of each farey_grids mask, the kernels' own set; 0 for Q < 1."""
+    if Q < 1:
+        return 0
+    return sum(int(np.count_nonzero(keep)) for _q, _axes, keep in farey_grids(d, Q, box))
+
+
+def window_index(d: int, Q: float, window, L=None, box=None) -> tuple[FareyIndex, int]:
+    """The index of the points of sequence_arrays(d, Q, L, box) with alpha_d
+    in window = (lo, hi), and the number of all those points.
+
+    Identity L counts them per denominator (count_farey_arrays, whose grid
+    budget check runs first) and lists only the denominators of the window;
+    any other L takes the one row walk up to Q and keeps the window's."""
+    lo, hi = window
+    if L is None:
+        count = count_farey_arrays(d, Q, box)
+        return farey_index(d, min(hi, Q), box=box, alpha_lo=lo), count
+    sources, alpha = sequence_arrays(d, Q, L=L, box=box)
+    keep = (alpha[:, d - 1] >= lo) & (alpha[:, d - 1] <= hi)
+    return FareyIndex(d, sources[keep], alpha[keep]), sources.shape[0]
 
 
 def count_farey(d: int, Q: float) -> tuple[int, float]:

@@ -53,6 +53,11 @@ class _Target:
     def alpha_cutoff(self, t: float) -> float:
         return self.denominator_cap(t)
 
+    def alpha_window(self, t: float) -> tuple[float, float]:
+        """The alpha_d range (lo, hi), hi <= alpha_cutoff(t), of the sources
+        that can pass the source test: all of it up to the cutoff."""
+        return 0.0, self.alpha_cutoff(t)
+
     def source_mask(self, L, t: float, index: fy.FareyIndex, ci: np.ndarray, chart: dict) -> tuple[np.ndarray, dict]:
         """Mask of the index points ci that pass the section cap, c = cos|z|
         on a chart and 1 otherwise, and the chart data of those kept."""
@@ -157,6 +162,9 @@ class _GrenierHeights(_Target):
         return self.T_minus ** (self.d / (2.0 * (self.d - 1)))
 
     def alpha_cutoff(self, t: float) -> float:
+        """The alpha_d cutoff e^{d-1} above the cap at T0: it fixes the
+        sequence points a sampled row counts, while alpha_window fixes the
+        candidates it tests."""
         # the flow shift moves the entry level to T0
         d = self.d
         return math.exp((d - 1) * t) * (self.T0 / self.T) ** ((d - 1) / d) * math.exp((d - 1) * 1.0)
@@ -222,6 +230,20 @@ class GrenierBoxStable(_GrenierHeights, _StableThickening):
     @property
     def _s_shift(self) -> float:
         return math.log(self.T / self.T0) / self.d
+
+    def alpha_window(self, t: float) -> tuple[float, float]:
+        """The alpha_d range of the sources whose heights can lie in the box,
+        in closed form.  The reduced heights have prod_k y_k^k = e^{d(d-1)s}
+        (the inner block has determinant one), s = t - log(alpha_d)/(d-1)
+        - _s_shift, and the box holds that product in
+        [prod (alpha_k - tol)^k, prod gamma_k^k].  Widened by _WINDOW_MARGIN
+        for the rounding of the reduction, and cut at alpha_cutoff(t)."""
+        d = self.d
+        base = (d - 1) * (t - self._s_shift)
+        log_lo = sum(k * math.log(a - BOUNDARY_ATOL) for k, a in enumerate(self.alphas, 1))
+        log_hi = sum(k * math.log(g) for k, g in enumerate(self.gammas, 1))
+        return (math.exp(base - log_hi / d) * (1 - _WINDOW_MARGIN),
+                min(math.exp(base - log_lo / d) * (1 + _WINDOW_MARGIN), self.alpha_cutoff(t)))
 
     def _in_box(self, ys, x, kprime, chart) -> np.ndarray:
         # heights, the beta window and, for d = 3, the K' angle
@@ -299,6 +321,10 @@ class GrenierBoxSpherical(_GrenierHeights, _ChartThickening):
             / (2.0 * zeta(2) * self.T)
         )
 
+
+# relative widening of the closed-form alpha_d window, far above the
+# rounding of the reduction and of the determinant of its inner block
+_WINDOW_MARGIN = 1e-6
 
 # the config "kind" of each target class
 KINDS = {
@@ -612,18 +638,19 @@ def member_dual(target, L, x, t: float, index: fy.FareyIndex = None) -> Optional
     budget there is at most one, and finding two raises; for d = 3 two cusp
     sources can both hit, and the witness then carries their count as
     ``extra["multiplicity"]``.  This is dual_hits for one sample, over the
-    candidates index.near gives; without an index one is built over the
-    box of the candidate radius around x.
+    candidates index.near gives up to the top of the target's alpha
+    window; without an index one is built over that window and the box of
+    the candidate radius around x.
     """
     if t < 0:
         raise HorolabError("flow time t must be >= 0")
     d = target.d
     x = np.atleast_1d(np.asarray(x, dtype=float))
     radius = target.candidate_radius(t)
-    amax = target.alpha_cutoff(t)
+    alo, ahi = target.alpha_window(t)
     if index is None:
-        index = fy.farey_index(d, amax, L=L, box=(x - radius, x + radius))
-    cand = index.near(x, radius, alpha_max=amax)[:, 1]
+        index = fy.farey_index(d, ahi, L=L, box=(x - radius, x + radius), alpha_lo=alo)
+    cand = index.near(x, radius, alpha_max=ahi)[:, 1]
     pos, found = dual_hits(target, L, t, x[None, :], np.zeros(cand.size, dtype=np.intp), cand, index)
     if pos.size == 0:
         return None
@@ -675,7 +702,8 @@ def _slab_witness(target, t: float, sources: np.ndarray, aprime: np.ndarray, u: 
     the rows are primitive sources, the first d-1 entries of their images
     and their offsets u in the slab."""
     d = target.d
-    xt = math.exp(-d * t) * aprime / u[:, None]
+    with np.errstate(over="ignore"):  # a subnormal offset u gives an inf offset, which misses the box
+        xt = math.exp(-d * t) * aprime / u[:, None]
     inside, _chart = target.offset_mask(xt)
     if not np.any(inside):
         return None

@@ -570,7 +570,7 @@ def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch)
     target = tg.StableSection(d=3, T=1.0, eps=0.4)
     lo, hi, t = np.zeros(2), np.ones(2), 1.8
     points = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, 2)) * [0.0, 1.0]
-    index = ex._build_index(target, None, lo, hi, t)
+    index, count = ex._build_index(target, None, lo, hi, t)
     radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
     seen = {}
     with monkeypatch.context() as mp:
@@ -582,7 +582,7 @@ def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch)
     def refuse(*args):
         raise AssertionError("dual_hits ran")
 
-    monkeypatch.setattr(ex, "_build_index", lambda *args: index)
+    monkeypatch.setattr(ex, "_build_index", lambda *args: (index, count))
     monkeypatch.setattr(tg, "dual_hits", refuse)
     monkeypatch.setattr(farey, "ENUM_BUDGET", ranges)
     with pytest.raises(ResourceLimitError, match="^sample candidates"):
@@ -591,11 +591,12 @@ def test_sampled_integral_checks_the_candidates_before_testing_them(monkeypatch)
 
 def test_batched_near_gives_the_per_sample_pairs_at_the_d3_membership_config():
     # perfbench's d3-membership row: the one batched query against the
-    # per-sample query it replaced (binary search on x_0, then a mask)
+    # per-sample query it replaced (binary search on x_0, then a mask), over
+    # every source up to the cutoff
     target = tg.GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2)
     lo, hi, t = np.zeros(2), np.ones(2), 1.5
-    index = ex._build_index(target, None, lo, hi, t)
     radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
+    index = farey.farey_index(3, amax, box=(lo - radius - 1e-12, hi + radius + 1e-12))
     points = np.random.default_rng((0, 0)).uniform(lo, hi, size=(4000, 2))
     by_x0 = np.argsort(index.points[:, 0], kind="stable")
     x0 = index.points[by_x0, 0]
@@ -605,7 +606,18 @@ def test_batched_near_gives_the_per_sample_pairs_at_the_d3_membership_config():
         idx = idx[np.abs(index.points[idx, 1] - x[1]) <= radius]
         loop += [[i, j] for j in np.sort(idx[index.alpha_d[idx] <= amax]).tolist()]
     assert len(loop) == 18_009
-    assert index.near(points, radius, alpha_max=amax).tolist() == loop
+    pairs = index.near(points, radius, alpha_max=amax)
+    assert pairs.tolist() == loop
+    # the row itself indexes and queries only the alpha window [e^3/2, e^3],
+    # yet accepts the same (sample, source) pairs and counts every source
+    windowed, count = ex._build_index(target, None, lo, hi, t)
+    assert (len(windowed), count) == (2_256, len(index)) and 919_845 == count
+    near = windowed.near(points, radius, alpha_max=target.alpha_window(t)[1])
+    assert near.shape[0] == 38
+    full_hits = pairs[tg.dual_hits(target, None, t, points, pairs[:, 0], pairs[:, 1], index)[0]]
+    window_hits = near[tg.dual_hits(target, None, t, points, near[:, 0], near[:, 1], windowed)[0]]
+    assert np.array_equal(full_hits[:, 0], window_hits[:, 0]) and full_hits.shape[0] > 0
+    assert np.array_equal(index.sources[full_hits[:, 1]], windowed.sources[window_hits[:, 1]])
     assert ex.sampled_integral(target, None, lo, hi, t, points) == (0.00075, 919_845)
 
 
@@ -614,7 +626,8 @@ def test_batched_near_stays_small_for_many_d2_samples(monkeypatch):
     # O(1) candidates each, and keep the pairs of the per-sample x_0 search
     target = tg.StableSection(d=2, T=2.0, eps=0.2)
     lo, hi, t = np.zeros(1), np.ones(1), 8.0
-    index = ex._build_index(target, None, lo, hi, t)
+    index, count = ex._build_index(target, None, lo, hi, t)
+    assert count == len(index)  # a section target's window is all of its cutoff
     radius, amax = target.candidate_radius(t), target.alpha_cutoff(t)
     points = np.random.default_rng(0).uniform(lo, hi, size=(10_000, 1))
     by_x0 = np.argsort(index.points[:, 0], kind="stable")
@@ -631,9 +644,9 @@ def test_batched_near_stays_small_for_many_d2_samples(monkeypatch):
     monkeypatch.setattr(farey, "check_budget", lambda n, what: (seen.setdefault(what, n), check(n, what)))
     assert index.near(points, radius, alpha_max=amax).tolist() == loop
     assert seen["sample candidates"] < 3 * len(points)
-    monkeypatch.setattr(ex, "_build_index", lambda *args: index)
-    estimate, count = ex.sampled_integral(target, None, lo, hi, t, points)
-    assert count == len(index) and 0.0 < estimate <= 1.0
+    monkeypatch.setattr(ex, "_build_index", lambda *args: (index, count))
+    estimate, sampled_count = ex.sampled_integral(target, None, lo, hi, t, points)
+    assert sampled_count == len(index) and 0.0 < estimate <= 1.0
 
 
 def test_spherical_window_sum_matches_enumeration(monkeypatch):
@@ -1275,7 +1288,7 @@ def test_sampled_integral_raises_on_a_d2_double_witness(monkeypatch):
     box = farey.FareyIndex(2, np.array([[1, 2], [1, 2]]), np.array([[1.0, 2.0], [1.0, 2.0]]))
     for target, index in ((tg.StableSection(d=2, T=1.0, eps=0.2), section),
                           (tg.GrenierBoxStable(d=2, alphas=(1.0,), gammas=(1e4,), T=1.0, eps=0.2), box)):
-        monkeypatch.setattr(ex, "_build_index", lambda *args: index)
+        monkeypatch.setattr(ex, "_build_index", lambda *args: (index, len(index)))
         with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
             tg.member_dual(target, None, [0.5], math.log(100), index=index)
         with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):

@@ -448,6 +448,30 @@ def test_farey_sources_from_a_first_denominator():
             assert np.array_equal(block, whole[whole[:, -1] >= q_first])
 
 
+def test_window_index_counts_every_point_and_indexes_the_window():
+    # identity L counts the points up to Q from the farey_grids masks, the
+    # kernels' own set, and lists only the window's denominators; the
+    # unipotent L walks once and keeps the window's points.  Either way the
+    # count is the number of points sequence_arrays lists up to Q (none for
+    # Q < 1), and the index holds the points of the window among them
+    boxes = {2: [([-0.3], [0.7])], 3: [(np.full(2, -0.0123), np.full(2, 1.0123)), ([0.1, -0.2], [0.6, 0.4])],
+             4: [None, ([-0.2, 0.0, 0.3], [0.5, 1.0, 0.31])]}
+    for d, box in ((d, box) for d, listed in boxes.items() for box in listed):
+        unipotent = np.eye(d)
+        unipotent[d - 1, : d - 1] = [math.sqrt(2) - 1, math.sqrt(3) - 1, 0.5][: d - 1]
+        for Q in (0.5, 1.0, 7.3, 11.5):
+            if Q >= 1:
+                assert farey.count_farey_arrays(d, Q, box) == len(farey.farey_arrays(d, Q, box=box)[0])
+            for L in (None, unipotent) if d < 4 else (None,):
+                sources, alpha = farey.sequence_arrays(d, Q, L=L, box=box)
+                for lo, hi in ((0.0, Q), (2.5, 0.8 * Q), (3.0, 3.0), (5.5, 5.7)):  # the last holds no denominator
+                    index, count = farey.window_index(d, Q, (lo, hi), L=L, box=box)
+                    assert count == len(sources)
+                    inside = (alpha[:, -1] >= lo) & (alpha[:, -1] <= hi)
+                    want = farey.FareyIndex(d, sources[inside], alpha[inside])
+                    assert np.array_equal(index.sources, want.sources) and np.array_equal(index.alpha, want.alpha)
+
+
 def test_farey_sources_budget_only_their_own_denominators(monkeypatch):
     # the unit square's candidate grid is sum (q + 1)^2: 338,349 for q <= 99,
     # 74,540 for 92 <= q <= 99 and 164,470 for 80 <= q <= 99

@@ -204,7 +204,7 @@ def direct_cases(draw):
     eps = draw(st.floats(0.5, 0.95)) * targets.disjointness_budget(d, T)
     ytilde = tuple(draw(st.floats(-0.1, 0.1)) for _ in range(d - 1))
     L = draw(st.one_of(st.none(), shear_products(d, shear=0.7, stretch=1.5)))
-    x = np.array([draw(st.floats(-0.5, 1.5, allow_subnormal=False)) for _ in range(d - 1)])
+    x = np.array([draw(st.floats(-0.5, 1.5)) for _ in range(d - 1)])
     return targets.StableSection(d=d, T=T, eps=eps, ytilde=ytilde), L, x, draw(st.floats(0.0, 3.0 if d == 2 else 1.5))
 
 
@@ -218,6 +218,9 @@ DIRECT_L3 = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, 0.0], [-0.3, 0.5, 1.0]])
 @example((targets.StableSection(d=2, T=1.5, eps=0.9 * targets.disjointness_budget(2, 1.5), ytilde=(0.05,)), DIRECT_L2, np.array([0.64]), 2.68))
 @example((targets.StableSection(d=3, T=1.2, eps=0.9 * targets.disjointness_budget(3, 1.2)), DIRECT_L3, np.array([0.77, 1.38]), 1.14))
 @example((targets.StableSection(d=3, T=1.0, eps=0.2), np.eye(3), np.array([0.3, 0.7]), 1.2))
+# a subnormal x makes the slab offsets u = a'x subnormal: a'/u overflows to an offset that misses the box
+@example((targets.StableSection(d=2, T=1.0, eps=0.5), None, np.array([2.2e-309]), 0.0))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_direct_walk_gives_the_box_enumeration_witness(case):
     # the one row walk gives the witness the whole-box enumeration gives,
     # the same source and the same float bits, for the identity and general L
@@ -494,8 +497,10 @@ def samples_and_pairs(target, L, t, n_near, n_uniform, seed):
     a random index point, and their (sample, candidate) pairs."""
     d = target.d
     lo, hi = np.full(d - 1, 0.25), np.full(d - 1, 0.5)
-    index = experiments._build_index(target, L, lo, hi, t)
     radius = target.candidate_radius(t)
+    # every source up to the cutoff, not only the target's alpha window, so
+    # that the scalar oracle also sees the sources the window leaves out
+    index = farey.farey_index(d, target.alpha_cutoff(t), L=L, box=(lo - radius - 1e-12, hi + radius + 1e-12))
     rng = np.random.default_rng(seed)
     picks = index.points[rng.integers(len(index), size=n_near if len(index) else 0)]
     xs = np.concatenate([picks - rng.uniform(-radius, radius, size=picks.shape), rng.uniform(lo, hi, size=(n_uniform, d - 1))])
@@ -570,6 +575,79 @@ def test_member_dual_takes_its_candidates_from_near(kind, d, frac, seed, transla
         want = index.record(int(hits[np.argmin(index.alpha_d[hits])])).source if hits.size else None
         for witness in (targets.member_dual(target, L, x, t), targets.member_dual(target, L, x, t, index=index)):
             assert (witness.farey.source if witness else None) == want
+
+
+@st.composite
+def window_cases(draw):
+    """(target, L, t): a coordinate box with stable thickening at d = 2 or
+    3, random heights (alpha_k >= 1, T >= T0) and ytilde, the identity
+    (None) or the unipotent L, and t uniform or at the t where an end of
+    the height product, prod (alpha_k)^k or prod gamma_k^k, puts an
+    integer alpha_d on the edge of the alpha window."""
+    d = draw(st.sampled_from((2, 3)))
+    alphas = tuple(draw(st.floats(1.0, 2.0)) for _ in range(d - 1))
+    gammas = tuple(a * draw(st.floats(1.05, 3.0)) for a in alphas)
+    T0 = targets.GrenierBoxStable(d=d, alphas=alphas, gammas=gammas, T=1e6, eps=0.1).T0
+    T = T0 * draw(st.floats(1.0, 2.0))
+    eps = draw(st.floats(0.1, 0.9)) * targets.disjointness_budget(d, T)
+    ytilde = tuple(draw(st.floats(-0.05, 0.05)) for _ in range(d - 1))
+    target = targets.GrenierBoxStable(d=d, alphas=alphas, gammas=gammas, T=T, eps=eps, ytilde=ytilde)
+    t_max = 4.0 if d == 2 else 1.4
+    ends = [alphas, gammas][draw(st.integers(0, 1))]
+    if draw(st.booleans()):
+        t = draw(st.floats(0.3, t_max))
+    else:
+        log_p = sum(k * math.log(v) for k, v in enumerate(ends, 1))
+        t = target._s_shift + (math.log(draw(st.integers(2, 60))) + log_p / d) / (d - 1)
+        assume(t <= t_max)
+    return target, draw(st.sampled_from((None, unipotent(d)))), t
+
+
+def accepted_pairs(target, L, t, xs, index, alpha_max):
+    """The (sample, source) pairs dual_hits accepts among the near pairs of
+    the samples xs in index up to alpha_max."""
+    pairs = index.near(xs, target.candidate_radius(t), alpha_max=alpha_max)
+    pos, _found = targets.dual_hits(target, L, t, xs, pairs[:, 0], pairs[:, 1], index)
+    return [(int(i), tuple(index.sources[j].tolist())) for i, j in pairs[pos]]
+
+
+@settings(deadline=None, max_examples=40)
+@given(window_cases(), st.integers(0, 2**32 - 1))
+@example((targets.GrenierBoxStable(d=2, alphas=(1.0,), gammas=(3.047286498801027,), T=1.0, eps=0.2), None,
+          math.log(226) + math.log(3.047286498801027) / 2), 0)  # 226 sits an ulp below the float window's lower end
+@example((targets.GrenierBoxStable(d=2, alphas=(1.0,), gammas=(4.0,), T=1.0, eps=0.2), None, math.log(5)), 0)
+@example((targets.GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2), unipotent(3), 1.5), 0)
+def test_alpha_window_keeps_every_accepted_pair(case, seed):
+    # the sampled estimator indexes and queries only the alpha window, yet
+    # accepts the pairs dual_hits accepts over every source up to the
+    # cutoff, and counts all of those; member_dual, which builds its index
+    # over the window, names the same witness
+    target, L, t = case
+    d = target.d
+    lo, hi = np.full(d - 1, 0.25), np.full(d - 1, 0.5)
+    radius, cutoff = target.candidate_radius(t), target.alpha_cutoff(t)
+    index = farey.farey_index(d, cutoff, L=L, box=(lo - radius - 1e-12, hi + radius + 1e-12))
+    # samples in the offset box of the sources that pass the source test, those
+    # nearest the window's ends first, and uniform ones in A
+    passing = np.flatnonzero(target.source_mask(L, t, index, np.arange(len(index)), {})[0])
+    wlo, whi = target.alpha_window(t)
+    passing = passing[np.argsort(np.minimum(np.abs(np.log(index.alpha_d[passing] / wlo)),
+                                            np.abs(np.log(index.alpha_d[passing] / whi))), kind="stable")]
+    rng = np.random.default_rng(seed)
+    picks = np.concatenate([passing[:8], rng.permutation(passing[8:])[:8]])
+    xt = np.asarray(target.ytilde) + rng.uniform(-0.45, 0.45, size=(picks.size, d - 1)) * target.eps
+    xs = np.concatenate([index.points[picks] - math.exp(-d * t) * xt, rng.uniform(lo, hi, size=(16, d - 1))])
+    want = accepted_pairs(target, L, t, xs, index, cutoff)
+    assert set(range(picks.size)) <= {i for i, _source in want}
+    windowed, count = experiments._build_index(target, L, lo, hi, t)
+    assert count == len(index) and len(windowed) <= len(index)
+    assert accepted_pairs(target, L, t, xs, windowed, whi) == want
+    hits = len({i for i, _source in want})
+    assert experiments.sampled_integral(target, L, lo, hi, t, xs) == (experiments.box_volume(lo, hi) * hits / len(xs), count)
+    for i in range(0, len(xs), 4):
+        first = next((source for k, source in want if k == i), None)  # the smallest alpha_d, in index order
+        for witness in (targets.member_dual(target, L, xs[i], t), targets.member_dual(target, L, xs[i], t, index=index)):
+            assert (witness.farey.source if witness else None) == first
 
 
 @pytest.mark.parametrize("kind", ("grenier-stable", "grenier-spherical"))
