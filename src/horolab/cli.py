@@ -141,22 +141,15 @@ def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
         d = int(doc["d"])
         a_doc = doc.get("A", {"lo": [0.0] * (d - 1), "hi": [1.0] * (d - 1)})
         rule_doc = doc.get("T_rule", {"kind": "constant"})
-        if rule_doc["kind"] == "constant":
-            rule = ("constant",)
-        elif rule_doc["kind"] == "growing":
-            rule = ("growing", float(_scalar(rule_doc["eta_prime"])))
-        else:
-            raise ConfigError(f"unknown T rule {rule_doc['kind']!r}")
+        rule = (rule_doc["kind"],)
+        if rule == ("growing",):
+            rule += (float(_scalar(rule_doc["eta_prime"])),)
         est_doc = doc.get("estimator", {"kind": "auto"})
         if isinstance(est_doc, str):
             est_doc = {"kind": est_doc}
-        kind = est_doc["kind"]
-        if kind in ("auto", "exact-window", "window-sum"):
-            est = (kind,)
-        elif kind in ("grid", "monte-carlo"):
-            est = (kind, int(est_doc["n"]))
-        else:
-            raise ConfigError(f"unknown estimator {kind!r}")
+        est = (est_doc["kind"],)
+        if est[0] in experiments.SAMPLED_ESTIMATORS:
+            est += (int(est_doc["n"]),)
         return experiments.ExperimentConfig(
             d=d,
             target=target_from_dict(d, doc["target"]),
@@ -276,9 +269,9 @@ def _cmd_volumes(args) -> int:
     # each kind reads one of the two thickness options; the other is no key of it
     key = {"stable": "eps", "spherical": "radius"}[args.target]
     tgt = target_from_dict(args.d, {"kind": args.target, "T": args.T, key: getattr(args, key)})
-    rec = tgt.measure()
-    _emit({"target": args.target, "value": rec.value, "T": rec.T, "ratio_exponent": rec.ratio_exponent,
-           "method": rec.method})
+    record = dataclasses.asdict(tgt.measure())
+    del record["detail"]
+    _emit({"target": args.target, **record})
     return 0
 
 
@@ -340,29 +333,13 @@ def _cmd_marklof_check(args) -> int:
     s1 = math.log(args.Tprime) / args.d
     res = experiments.marklof_average(args.d, args.Q, s1=s1)
     rel = abs(res.empirical - res.predicted) / res.predicted
-    _emit(
-        {
-            "empirical": res.empirical,
-            "predicted": res.predicted,
-            "rel_error": rel,
-            "n_total": res.n_total,
-            "n_slab": res.n_slab,
-        }
-    )
+    _emit({**dataclasses.asdict(res), "rel_error": rel})
     return 1 if args.tol is not None and rel > args.tol else 0
 
 
 def _cmd_disjointness_sample(args) -> int:
     report = targets.disjointness_property_sample(args.d, args.n, seed=args.seed)
-    _emit(
-        {
-            "d": report.d,
-            "n_samples": report.n_samples,
-            "observed_min": report.observed_min,
-            "bound": report.bound,
-            "ok": report.ok,
-        }
-    )
+    _emit(dataclasses.asdict(report))
     return 0 if report.ok else 1
 
 

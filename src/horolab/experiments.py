@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +30,10 @@ from .errors import ConfigError, DisjointnessError, HorolabError
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+T_RULES = ("constant", "growing")
+EXACT_ESTIMATORS = ("auto", "exact-window", "window-sum")
+SAMPLED_ESTIMATORS = ("grid", "monte-carlo")  # these take a sample count n >= 1
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,15 @@ class ExperimentConfig:
             raise ConfigError("A must be bounded")
         if self.T_rule[0] == "growing" and not 0 < self.T_rule[1] < 1:
             raise ConfigError("growing rule needs 0 < eta' < 1")
-        if self.T_rule[0] not in ("constant", "growing"):
+        if self.T_rule[0] not in T_RULES:
             raise ConfigError(f"unknown T rule {self.T_rule[0]!r}")
+        kind = self.estimator[0]
+        if kind not in EXACT_ESTIMATORS + SAMPLED_ESTIMATORS:
+            raise ConfigError(f"unknown estimator {kind!r}")
+        if kind in SAMPLED_ESTIMATORS:
+            n = self.estimator[1] if len(self.estimator) > 1 else None
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise ConfigError(f"the {kind} estimator needs a sample count n >= 1, got {n!r}")
         if self.L is not None:
             region = fy.duplicate_region(self.matrix_L())
             if region.kind == "torus":
@@ -178,7 +188,7 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
         p, q = _strip_points(s_lo, s_hi, scale, m)
         r.append(p / (scale * q))
     r = np.concatenate(r)
-    parts = np.maximum(0.0, np.minimum(r - c_off + w / 2.0, hi) - np.maximum(r - c_off - w / 2.0, lo))
+    parts = _clipped_sides(r - c_off, w, lo, hi)
     # cumsum adds strictly left to right, in (strip, q, p) order, from w * n_mid
     total = np.cumsum(np.concatenate(([w * n_mid], parts)))[-1]
     return float(total), n_mid + int(parts.size)
@@ -648,15 +658,13 @@ def estimate_integral(config: ExperimentConfig, target_t, t: float, t_index: int
     hi = np.asarray(config.A_hi, dtype=float)
     L = config.matrix_L()
     est = config.estimator[0]
-    if est in ("auto", "exact-window", "window-sum"):
+    if est in EXACT_ESTIMATORS:
         return exact_integral(target_t, L, lo, hi, t, est)
     if est == "grid":
-        return sampled_integral(target_t, L, lo, hi, t, grid_points(lo, hi, int(config.estimator[1])))
-    if est == "monte-carlo":
-        rng = np.random.default_rng((config.seed, t_index))
-        pts = rng.uniform(lo, hi, size=(int(config.estimator[1]), config.d - 1))
-        return sampled_integral(target_t, L, lo, hi, t, pts)
-    raise ConfigError(f"unknown estimator {est!r}")
+        return sampled_integral(target_t, L, lo, hi, t, grid_points(lo, hi, config.estimator[1]))
+    rng = np.random.default_rng((config.seed, t_index))  # monte-carlo
+    pts = rng.uniform(lo, hi, size=(config.estimator[1], config.d - 1))
+    return sampled_integral(target_t, L, lo, hi, t, pts)
 
 
 def _run_single(config: ExperimentConfig, t_index: int) -> ExperimentResult:
@@ -691,6 +699,8 @@ def sthe_run(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentResult]:
     independent of the worker count."""
     indices = list(range(len(config.t_schedule)))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, and only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_single, [config] * len(indices), indices))
     else:

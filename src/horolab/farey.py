@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .algebra import TOL, as_fraction_matrix, fraction_matrix_inverse, integer_det, swap_element, zeta
+from .algebra import TOL, as_fraction_matrix, as_fraction_scalar, fraction_matrix_inverse, integer_det, swap_element, zeta
 from .errors import HorolabError, InvalidDimensionError, ResourceLimitError
 
 
@@ -523,13 +523,24 @@ def farey_between(a: Fraction, b: Fraction, m: int) -> tuple[np.ndarray, np.ndar
     return np.array(ps, dtype=np.int64), np.array(qs, dtype=np.int64)
 
 
-def _block_period(M_frac: np.ndarray, d: int) -> Optional[np.ndarray]:
-    """A^{-1}/det(A) for the top-left (d-1)-block, or None if singular."""
-    A = M_frac[: d - 1, : d - 1]
-    det = Fraction(integer_det(A))
-    if det == 0:
-        return None
-    return fraction_matrix_inverse(A) / det
+def _exact_or_float(L) -> np.ndarray:
+    """L as a Fraction matrix when every entry is exactly rational, else as floats."""
+    L = np.asarray(L)
+    try:
+        return as_fraction_matrix(L)
+    except (TypeError, ValueError):
+        return L.astype(float)
+
+
+def _block_period(M: np.ndarray, d: int) -> Optional[np.ndarray]:
+    """A^{-1}/det(A) for the top-left (d-1)-block A of M, or None if it is
+    singular: in Fractions for a Fraction matrix, else in floats."""
+    A = M[: d - 1, : d - 1]
+    if M.dtype == object:
+        det = Fraction(integer_det(A))
+        return None if det == 0 else fraction_matrix_inverse(A) / det
+    det = float(np.linalg.det(A))
+    return None if abs(det) < 1e-12 else np.linalg.inv(A) / det
 
 
 def duplicate_region(L, assume_generic: bool = False) -> DuplicateRegion:
@@ -544,34 +555,14 @@ def duplicate_region(L, assume_generic: bool = False) -> DuplicateRegion:
     """
     if assume_generic:
         return DuplicateRegion(kind="all")
-    L = np.asarray(L)
-    d = L.shape[0]
-    try:
-        M = as_fraction_matrix(L)
-        exact = True
-    except (TypeError, ValueError):
-        M = L.astype(float)
-        exact = False
-    tL = M.T
-    basis = _block_period_any(tL, d, exact)
-    if basis is not None:
-        return DuplicateRegion(kind="torus", period_basis=np.asarray(basis, dtype=float))
-    for j in range(1, d + 1):
-        shifted = tL @ swap_element(j, d).astype(tL.dtype if not exact else object)
-        basis = _block_period_any(shifted, d, exact)
+    tL = _exact_or_float(L).T
+    d = tL.shape[0]
+    # j = d is the identity swap, the first attempt
+    for M in [tL] + [tL @ swap_element(j, d).astype(tL.dtype) for j in range(1, d)]:
+        basis = _block_period(M, d)
         if basis is not None:
             return DuplicateRegion(kind="torus", period_basis=np.asarray(basis, dtype=float))
     raise HorolabError("no signed swap produced an invertible block; L cannot be unimodular")
-
-
-def _block_period_any(M, d: int, exact: bool):
-    if exact:
-        return _block_period(M, d)
-    A = np.asarray(M, dtype=float)[: d - 1, : d - 1]
-    det = float(np.linalg.det(A))
-    if abs(det) < 1e-12:
-        return None
-    return np.linalg.inv(A) / det
 
 
 def is_gamma_duplicate(L, s, tol: float = None) -> bool:
@@ -580,30 +571,16 @@ def is_gamma_duplicate(L, s, tol: float = None) -> bool:
     automatically one)."""
     if tol is None:
         tol = TOL
-    from .algebra import as_fraction_scalar
-
-    L = np.asarray(L)
-    d = L.shape[0]
+    M = _exact_or_float(L)
+    d = M.shape[0]
     s = np.atleast_1d(s)
-    try:
-        M = as_fraction_matrix(L)
-        svec = [as_fraction_scalar(x) for x in s]
-        exact = all(v is not None for v in svec)
-    except TypeError:
-        exact = False
-    if exact:
-        n_minus = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                n_minus[i, j] = Fraction(1) if i == j else Fraction(0)
-        for i in range(d - 1):
-            n_minus[i, d - 1] = svec[i]
+    svec = [as_fraction_scalar(x) for x in s]
+    if M.dtype == object and None not in svec:
+        n_minus = np.identity(d, dtype=object)
+        n_minus[: d - 1, d - 1] = svec
         G = M @ n_minus @ fraction_matrix_inverse(M)
-        return all(Fraction(G[i, j]).denominator == 1 for i in range(d) for j in range(d))
-    try:
-        Lf = L.astype(float)
-    except ValueError:
-        Lf = as_fraction_matrix(L).astype(float)
+        return all(Fraction(g).denominator == 1 for g in G.flat)
+    Lf = M.astype(float)
     n_minus = np.eye(d)
     n_minus[: d - 1, d - 1] = np.asarray(s, dtype=float)
     G = Lf @ n_minus @ np.linalg.inv(Lf)

@@ -68,6 +68,18 @@ class _Target:
 class _StableThickening:
     """Thickened by the stable box of width eps at ytilde."""
 
+    def _check_thickening(self) -> None:
+        # 0 < eps < the disjointness budget, and ytilde, by default the origin, of length d-1
+        if self.eps <= 0:
+            raise HorolabError("eps must be positive")
+        if self.ytilde is None:
+            object.__setattr__(self, "ytilde", (0.0,) * (self.d - 1))
+        if len(self.ytilde) != self.d - 1:
+            raise HorolabError("ytilde must have length d-1")
+        budget = disjointness_budget(self.d, self.T)
+        if self.eps >= budget:
+            raise DisjointnessError(f"eps={self.eps} not below the disjointness budget {budget}")
+
     def candidate_radius(self, t: float) -> float:
         return math.exp(-self.d * t) * (np.abs(np.asarray(self.ytilde)).max() + self.eps / 2.0 + 1e-9)
 
@@ -79,6 +91,12 @@ class _StableThickening:
 
 class _ChartThickening:
     """Thickened along a hemispherical sphere chart."""
+
+    def _check_thickening(self) -> None:
+        if not self.chart.hemispherical:
+            raise HorolabError("spherical targets need a hemispherical chart, radius below pi/2")
+        if self.chart.dim != self.d:
+            raise HorolabError(f"chart dimension {self.chart.dim} is not d = {self.d}")
 
     def candidate_radius(self, t: float) -> float:
         return math.exp(-self.d * t) * math.tan(self.chart.radius)
@@ -101,16 +119,7 @@ class StableSection(_Target, _StableThickening):
     def __post_init__(self):
         if self.T < 1:
             raise HorolabError(f"section level T must be >= 1, got {self.T}")
-        if self.eps <= 0:
-            raise HorolabError("eps must be positive")
-        if self.ytilde is None:
-            object.__setattr__(self, "ytilde", (0.0,) * (self.d - 1))
-        if len(self.ytilde) != self.d - 1:
-            raise HorolabError("ytilde must have length d-1")
-        if self.eps >= disjointness_budget(self.d, self.T):
-            raise DisjointnessError(
-                f"eps={self.eps} not below the disjointness budget {disjointness_budget(self.d, self.T)}"
-            )
+        self._check_thickening()
 
     def measure(self) -> MeasureRecord:
         d = self.d
@@ -129,10 +138,7 @@ class SphericalSection(_Target, _ChartThickening):
     def __post_init__(self):
         if self.T <= h0(self.d):
             raise HorolabError(f"spherical targets need T > {h0(self.d)}, got {self.T}")
-        if not self.chart.hemispherical:
-            raise HorolabError("spherical section targets need a chart radius below pi/2")
-        if self.chart.dim != self.d:
-            raise HorolabError("chart dimension mismatch")
+        self._check_thickening()
 
     def measure(self) -> MeasureRecord:
         d = self.d
@@ -152,6 +158,15 @@ class _GrenierHeights(_Target):
     """Flowed coordinate boxes: heights set by the lower bounds alphas, a
     source test on section coordinates, and a closed-form measure for d = 2
     only."""
+
+    def _check_heights(self) -> None:
+        d = self.d
+        if len(self.alphas) != d - 1 or len(self.gammas) != d - 1:
+            raise HorolabError("alphas/gammas must have length d-1")
+        if any(g < a for a, g in zip(self.alphas, self.gammas)):
+            raise HorolabError("gammas must dominate alphas")
+        if self.ktilde is not None and len(self.ktilde) != 2:
+            raise HorolabError(f"ktilde must be an angle pair (lo, hi) or None, got {self.ktilde!r}")
 
     @property
     def T_minus(self) -> float:
@@ -208,24 +223,16 @@ class GrenierBoxStable(_GrenierHeights, _StableThickening):
     ytilde: tuple = None
 
     def __post_init__(self):
-        d = self.d
-        if len(self.alphas) != d - 1 or len(self.gammas) != d - 1:
-            raise HorolabError("alphas/gammas must have length d-1")
+        self._check_heights()
         if any(a < 1 for a in self.alphas):
             raise HorolabError("lower bounds alphas must be >= 1 (lower height >= 1)")
-        if any(g < a for a, g in zip(self.alphas, self.gammas)):
-            raise HorolabError("gammas must dominate alphas")
-        _check_ktilde(self.ktilde)
-        if self.ytilde is None:
-            object.__setattr__(self, "ytilde", (0.0,) * (d - 1))
         if self.beta_lo is None:
-            object.__setattr__(self, "beta_lo", _default_beta(d, low=True))
+            object.__setattr__(self, "beta_lo", _default_beta(self.d, low=True))
         if self.beta_hi is None:
-            object.__setattr__(self, "beta_hi", _default_beta(d, low=False))
+            object.__setattr__(self, "beta_hi", _default_beta(self.d, low=False))
         if self.T < self.T0:
             raise HorolabError(f"flow level T must be >= T0 = {self.T0}")
-        if self.eps >= cd_lower(d) * self.T:
-            raise DisjointnessError("eps not below the disjointness budget")
+        self._check_thickening()
 
     @property
     def _s_shift(self) -> float:
@@ -285,13 +292,8 @@ class GrenierBoxSpherical(_GrenierHeights, _ChartThickening):
 
     def __post_init__(self):
         d = self.d
-        if len(self.alphas) != d - 1 or len(self.gammas) != d - 1:
-            raise HorolabError("alphas/gammas must have length d-1")
-        if any(g < a for a, g in zip(self.alphas, self.gammas)):
-            raise HorolabError("gammas must dominate alphas")
-        _check_ktilde(self.ktilde)
-        if not self.chart.hemispherical:
-            raise HorolabError("spherical boxes need a hemispherical chart")
+        self._check_heights()
+        self._check_thickening()
         if self.T_minus <= h0(d) ** (2.0 * (d - 1) / d):
             raise HorolabError("lower height too small for spherical thickening")
         if self.T is None:
@@ -333,11 +335,6 @@ KINDS = {
     "grenier-stable": GrenierBoxStable,
     "grenier-spherical": GrenierBoxSpherical,
 }
-
-
-def _check_ktilde(ktilde) -> None:
-    if ktilde is not None and len(ktilde) != 2:
-        raise HorolabError(f"ktilde must be an angle pair (lo, hi) or None, got {ktilde!r}")
 
 
 def _default_beta(d: int, low: bool) -> tuple:

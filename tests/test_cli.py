@@ -223,6 +223,15 @@ def test_ktilde_must_be_a_pair(capsys, tmp_path, doc):
     assert "ktilde must be an angle pair" in capsys.readouterr().err
 
 
+def test_grenier_stable_ytilde_of_the_wrong_length_exits_2(capsys, tmp_path):
+    # it used to broadcast over both offset axes and run to exit 0
+    doc = {"kind": "grenier-stable", "alphas": [1, 1], "gammas": [2, 2], "eps": 0.2, "ytilde": [0.05]}
+    cfg = sthe_config(tmp_path, d=3, target=doc, A={"lo": [0, 0], "hi": [1, 1]}, t_schedule=[1.0],
+                      estimator={"kind": "monte-carlo", "n": 4})
+    assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "ytilde must have length d-1" in capsys.readouterr().err
+
+
 def test_tuple_target_key_takes_a_list():
     with pytest.raises(ConfigError, match="'ktilde' takes a list"):
         cli.target_from_dict(3, {"kind": "grenier-stable", "alphas": [1, 1], "gammas": [2, 2], "eps": 0.2, "ktilde": 0.5})

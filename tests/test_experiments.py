@@ -1492,8 +1492,69 @@ def test_config_validation():
         stable_cfg(A_hi=(0.0,))
     with pytest.raises(ConfigError):
         stable_cfg(T_rule=("growing", 1.5))
+    with pytest.raises(ConfigError, match="unknown T rule 'linear'"):  # reported before the estimator
+        stable_cfg(T_rule=("linear",), estimator=("bogus",))
     cfg = stable_cfg(L=tuple(map(tuple, np.diag([math.sqrt(2), 1 / math.sqrt(2)]))))
     assert "multiplicity" in cfg.region_warning
+
+
+CHART3 = coords.Chart(dim=3, radius=0.4)
+VALID_D3 = {
+    tg.StableSection: dict(d=3, T=1.0, eps=0.2),
+    tg.SphericalSection: dict(d=3, T=3.0, chart=CHART3),
+    tg.GrenierBoxStable: dict(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2),
+    tg.GrenierBoxSpherical: dict(d=3, alphas=(2.0, 2.0), gammas=(6.0, 6.0), chart=CHART3),
+}
+
+
+@pytest.mark.parametrize("cls, bad, error", [
+    (tg.StableSection, dict(T=0.5), HorolabError),
+    (tg.StableSection, dict(eps=0.0), HorolabError),
+    (tg.StableSection, dict(ytilde=(0.1,)), HorolabError),
+    (tg.StableSection, dict(eps=0.5), DisjointnessError),
+    (tg.SphericalSection, dict(T=2.0), HorolabError),
+    (tg.SphericalSection, dict(chart=coords.Chart(dim=3, radius=2.0)), HorolabError),
+    (tg.SphericalSection, dict(chart=coords.Chart(dim=2, radius=0.4)), HorolabError),
+    (tg.GrenierBoxStable, dict(alphas=(1.0,)), HorolabError),
+    (tg.GrenierBoxStable, dict(gammas=(2.0, 2.0, 2.0)), HorolabError),
+    (tg.GrenierBoxStable, dict(alphas=(0.5, 1.0)), HorolabError),
+    (tg.GrenierBoxStable, dict(gammas=(2.0, 0.5)), HorolabError),
+    (tg.GrenierBoxStable, dict(ktilde=(0.5,)), HorolabError),
+    (tg.GrenierBoxStable, dict(T=0.5), HorolabError),
+    (tg.GrenierBoxStable, dict(eps=-0.2), HorolabError),
+    (tg.GrenierBoxStable, dict(eps=0.0), HorolabError),
+    (tg.GrenierBoxStable, dict(ytilde=(0.05,)), HorolabError),
+    (tg.GrenierBoxStable, dict(eps=0.5), DisjointnessError),
+    (tg.GrenierBoxSpherical, dict(gammas=(6.0,)), HorolabError),
+    (tg.GrenierBoxSpherical, dict(gammas=(6.0, 1.0)), HorolabError),
+    (tg.GrenierBoxSpherical, dict(ktilde=(0.0, 1.0, 2.0)), HorolabError),
+    (tg.GrenierBoxSpherical, dict(chart=coords.Chart(dim=3, radius=2.0)), HorolabError),
+    (tg.GrenierBoxSpherical, dict(chart=coords.Chart(dim=2, radius=0.4)), HorolabError),
+    (tg.GrenierBoxSpherical, dict(alphas=(1.0, 1.0)), HorolabError),
+    (tg.GrenierBoxSpherical, dict(T=2.0), HorolabError),
+    (ex.ExperimentConfig, dict(A_lo=(0.0, 0.0)), ConfigError),
+    (ex.ExperimentConfig, dict(A_hi=(0.0,)), ConfigError),
+    (ex.ExperimentConfig, dict(A_hi=(math.inf,)), ConfigError),
+    (ex.ExperimentConfig, dict(T_rule=("growing", 1.5)), ConfigError),
+    (ex.ExperimentConfig, dict(T_rule=("linear",)), ConfigError),
+    (ex.ExperimentConfig, dict(estimator=("bogus",)), ConfigError),
+    (ex.ExperimentConfig, dict(estimator=("grid",)), ConfigError),
+    (ex.ExperimentConfig, dict(estimator=("grid", 0)), ConfigError),
+    (ex.ExperimentConfig, dict(estimator=("monte-carlo", -3)), ConfigError),
+    (ex.ExperimentConfig, dict(estimator=("monte-carlo", 2.5)), ConfigError),
+])
+def test_constructors_reject_each_bad_field(cls, bad, error):
+    # each field is checked by the type that owns it, and raises the
+    # HorolabError subclass the CLI turns into exit code 2
+    if cls is ex.ExperimentConfig:
+        stable_cfg()
+        with pytest.raises(HorolabError) as info:
+            stable_cfg(**bad)
+    else:
+        cls(**VALID_D3[cls])
+        with pytest.raises(HorolabError) as info:
+            cls(**{**VALID_D3[cls], **bad})
+    assert type(info.value) is error
 
 
 def test_csv_format():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -498,13 +499,14 @@ def samples_and_pairs(target, L, t, n_near, n_uniform, seed):
     d = target.d
     lo, hi = np.full(d - 1, 0.25), np.full(d - 1, 0.5)
     radius = target.candidate_radius(t)
-    # every source up to the cutoff, not only the target's alpha window, so
-    # that the scalar oracle also sees the sources the window leaves out
-    index = farey.farey_index(d, target.alpha_cutoff(t), L=L, box=(lo - radius - 1e-12, hi + radius + 1e-12))
+    # sources up to 1.5 times the cutoff and pairs up to twice the candidate
+    # radius, not only the target's alpha window and offset box, so that the
+    # scalar oracle also sees the pairs the cap and the offset test reject
+    index = farey.farey_index(d, 1.5 * target.alpha_cutoff(t), L=L, box=(lo - 2 * radius - 1e-12, hi + 2 * radius + 1e-12))
     rng = np.random.default_rng(seed)
     picks = index.points[rng.integers(len(index), size=n_near if len(index) else 0)]
     xs = np.concatenate([picks - rng.uniform(-radius, radius, size=picks.shape), rng.uniform(lo, hi, size=(n_uniform, d - 1))])
-    pairs = index.near(xs, radius, alpha_max=target.alpha_cutoff(t))
+    pairs = index.near(xs, 2 * radius)
     return index, xs, pairs[:, 0], pairs[:, 1]
 
 
@@ -549,6 +551,24 @@ def test_dual_hits_match_scalar_on_accepted_pairs(kind, d):
     pos, _found = targets.dual_hits(target, None, t, xs, si, ci, index)
     keep = np.isin(si, np.union1d(si[pos], np.arange(5)))
     assert compare_batched_with_scalar(target, None, t, index, xs, si[keep], ci[keep]) == pos.size > 0
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_dual_hits_match_scalar_on_a_shifted_sub_box(d):
+    # a beta sub-box, an offset ytilde and, for d = 3, a K' angle window, so
+    # that the scalar test's x-window, offset and angle rejects are compared:
+    # on the samples that the same box without the beta and angle windows
+    # accepts among 2000, plus 5, of which the sub-box keeps some and not all
+    sub = (0.1, 0.4) if d == 2 else (-0.45, 0.45)
+    target = targets.GrenierBoxStable(d=d, alphas=(1.0,) * (d - 1), gammas=(4.0,) if d == 2 else (3.0, 3.0),
+                                      beta_lo=(sub[0],) * (d * (d - 1) // 2), beta_hi=(sub[1],) * (d * (d - 1) // 2),
+                                      ktilde=None if d == 2 else (0.0, 3.0), T=1.0, eps=0.2, ytilde=(0.03,) * (d - 1))
+    t = 3.0 if d == 2 else 1.5
+    index, xs, si, ci = samples_and_pairs(target, None, t, 2000, 0, seed=2)
+    wide = replace(target, beta_lo=None, beta_hi=None, ktilde=None)
+    pos, _found = targets.dual_hits(wide, None, t, xs, si, ci, index)
+    keep = np.isin(si, np.union1d(si[pos], np.arange(5)))
+    assert 0 < compare_batched_with_scalar(target, None, t, index, xs, si[keep], ci[keep]) < pos.size
 
 
 def unipotent(d):
