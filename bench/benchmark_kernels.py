@@ -3,8 +3,9 @@
 Mertens values and floor sums (also over the unit cell), the d = 2
 exact-window row at t = 15.5, the d = 4 Farey
 enumeration, the primitive points of a box and the translated sequence of
-the d = 3 translated window sum at t = 2.4, the A3 collision searches and
-clipped window volumes, the whole A3 window sum, the d = 3 spherical window
+the d = 3 translated window sum at t = 2.4, the A3 collision searches, the
+ranking of their pair ends, the clipped window volumes and their Moebius
+raw sum, the whole A3 window sum, the d = 3 spherical window
 sum of perfbench's d3-window
 workload with its clipped disk areas, the cover-count union of the A3
 collision clusters, the same union of one set of intervals (the d = 2
@@ -69,6 +70,11 @@ def a3_clusters():
     return centers, w, np.zeros(2), np.ones(2), sizes
 
 
+def a3_pair_ends():
+    """The A3 pair search's two arrays of pair ends, as pair_graph takes them."""
+    return farey.farey_window_pairs(*a3_pair_search())
+
+
 def a3_clipped():
     return (*a3_centers(), np.zeros(2), np.ones(2))
 
@@ -89,6 +95,11 @@ def a3_translated_arrays():
 def a3_window_sum():
     """The A3 row's arguments to the enumerated stable window sum."""
     return StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 2.85
+
+
+def a3_raw_sum():
+    """The A3 row's arguments to the Moebius sum of its clipped window volumes."""
+    return StableSection(d=3, T=1.0, eps=0.2), np.zeros(2), np.ones(2), 2.85
 
 
 def d3_spherical_row():
@@ -184,7 +195,9 @@ CASES = [
     # the A3 collision searches and window volumes; a callable builds its arguments when the case runs
     ("farey_window_pairs(A3)", "farey_window_pairs", a3_pair_search),
     ("collision_clusters(A3)", "collision_clusters", a3_centers),
+    ("pair_graph(A3)", "pair_graph", a3_pair_ends),
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
+    ("_stable_raw_sum(A3)", "_stable_raw_sum", a3_raw_sum),
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),

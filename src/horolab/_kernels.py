@@ -2,13 +2,15 @@
 
 Every kernel is plain numpy; ``bench/benchmark_kernels.py`` times them.
 
-Farey points come from one per-denominator generator, farey_grids, for
-every d: each q's integer ranges and the boolean grid of its primitive
-points, masked by the prime factors of q, from q = 1 or from a first
-denominator for a walk in blocks of q.  farey_primitive gathers the kept
-points of every q_first <= q <= qmax into columns; farey_d2 and farey_d3
-are one-line entry points to it that stay because perfbench traces the
-kernels by name.
+Farey points come from one per-denominator generator, farey_ranges, for
+every d: each q's integer ranges and the prime factors of q, which decide
+primitivity.  farey_grids masks the boolean grid of each q's primitive
+points with them, from q = 1 or from a first denominator, and
+farey_primitive gathers the kept points of every q_first <= q <= qmax into
+columns; farey_d2 and farey_d3 are one-line entry points to it that stay
+because perfbench traces the kernels by name.  farey_mobius_sums sums a
+product of per-axis sides over the same primitive points, and counts
+them, by Moebius inversion over the squarefree divisors of q, with no grid.
 
 primitive_box keeps the primitive points of a box whose last side may vary
 by row, the rows of farey.lattice_points.
@@ -204,16 +206,16 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
     return spf
 
 
-def farey_grids(qmax: int, lo, hi, q_first: int = 1):
+def farey_ranges(qmax: int, lo, hi, q_first: int = 1):
     """For each q_first <= q <= qmax whose ranges ceil(lo_i q)..floor(hi_i q)
-    are all nonempty, yield (q, axes, keep): the ranges as int64 arrays and
-    the boolean grid over their product that marks the primitive points,
-    gcd(p_1, ..., p_{d-1}, q) = 1.
+    are all nonempty, yield (q, axes, primes): the ranges as int64 arrays
+    and the distinct prime factors of q, from a smallest-prime-factor table.
 
-    A point fails exactly when some prime r | q divides every p_i, and on
-    each axis those p_i form one strided slice, so keep is cleared one
-    slice per prime factor of q; the primes come from a smallest-prime-factor
-    table.  Only one denominator's grid is held at a time.
+    This is where primitivity is decided: a point (p_1, ..., p_{d-1}, q) of
+    the ranges has gcd 1 exactly when no prime of q divides every p_i, and
+    on each axis the multiples of a prime r form the strided slice
+    slice(-p_first % r, None, r).  farey_grids clears those slices from a
+    boolean grid; farey_mobius_sums sums over them by Moebius inversion.
     """
     lo, hi = [float(v) for v in lo], [float(v) for v in hi]
     spf = _smallest_prime_factors(qmax).tolist() if qmax >= 1 else []
@@ -221,14 +223,53 @@ def farey_grids(qmax: int, lo, hi, q_first: int = 1):
         axes = [np.arange(math.ceil(a * q), math.floor(b * q) + 1, dtype=np.int64) for a, b in zip(lo, hi)]
         if any(a.size == 0 for a in axes):
             continue
-        keep = np.ones(tuple(a.size for a in axes), dtype=bool)
-        rest = q
+        primes, rest = [], q
         while rest > 1:
-            r = spf[rest]
+            primes.append(spf[rest])
+            while rest % primes[-1] == 0:
+                rest //= primes[-1]
+        yield q, axes, primes
+
+
+def farey_grids(qmax: int, lo, hi, q_first: int = 1):
+    """For each (q, axes, primes) of farey_ranges, yield (q, axes, keep):
+    keep is the boolean grid over the product of the ranges that marks the
+    primitive points, cleared one strided slice per prime factor of q.
+    Only one denominator's grid is held at a time.
+    """
+    for q, axes, primes in farey_ranges(qmax, lo, hi, q_first):
+        keep = np.ones(tuple(a.size for a in axes), dtype=bool)
+        for r in primes:
             keep[tuple(slice(-int(a[0]) % r, None, r) for a in axes)] = False
-            while rest % r == 0:
-                rest //= r
         yield q, axes, keep
+
+
+def farey_mobius_sums(qmax: int, lo, hi, sides=None) -> tuple[float, int]:
+    """Sum over the primitive points (p, q) of the farey_ranges of the
+    product prod_i sides(q, axes)[i][p_i], and their number, with no grid.
+
+    Summed over the divisors e of gcd(p_1, ..., p_{d-1}, q), mu(e) is 1 for
+    a primitive point and 0 otherwise, so each q gives
+    sum_{e | q squarefree} mu(e) prod_i sum_{e | p_i} side_i(p_i): one
+    strided sum per axis and squarefree divisor, over the multiples of e in
+    the range.  The count is the same sum with every side 1, in integers.
+    sides=None counts only.  The q are added in increasing order, and each
+    q's divisors in a fixed order, from 0.0.
+    """
+    total, count = 0.0, 0
+    for q, axes, primes in farey_ranges(qmax, lo, hi):
+        vals = sides(q, axes) if sides is not None else None
+        ends = [(int(a[0]) - 1, int(a[-1])) for a in axes]
+        divisors = [(1, 1)]
+        for r in primes:
+            divisors += [(e * r, -mu) for e, mu in divisors]
+        part = 0.0
+        for e, mu in divisors:
+            count += mu * math.prod(b // e - a // e for a, b in ends)
+            if vals is not None:
+                part += mu * math.prod(float(v[-int(a[0]) % e :: e].sum()) for v, a in zip(vals, axes))
+        total += part
+    return total, count
 
 
 def farey_primitive(qmax: int, lo, hi, q_first: int = 1):

@@ -136,9 +136,31 @@ def _l_from_config(doc, d: int):
     return tuple(tuple(row) for row in rows)
 
 
+CONFIG_KEYS = ("d", "target", "A", "L", "t_schedule", "T_rule", "estimator", "seed", "tolerance")
+
+
+def _integer(key: str, value) -> int:
+    """An integral config number (an int, an integral float or a literal
+    like "4000"), else a ConfigError."""
+    v = _scalar(value)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    elif isinstance(v, Fraction) and v.denominator == 1:
+        v = v.numerator
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"config key {key!r} takes an integer, got {value!r}")
+    return v
+
+
 def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
+    """The run a config document describes; a key that CONFIG_KEYS does not
+    name, a required key left out or a non-integral d, n or seed is a
+    ConfigError."""
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"config has no key {unknown[0]!r}; its keys are {sorted(CONFIG_KEYS)}")
     try:
-        d = int(doc["d"])
+        d = _integer("d", doc["d"])
         a_doc = doc.get("A", {"lo": [0.0] * (d - 1), "hi": [1.0] * (d - 1)})
         rule_doc = doc.get("T_rule", {"kind": "constant"})
         rule = (rule_doc["kind"],)
@@ -149,7 +171,7 @@ def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
             est_doc = {"kind": est_doc}
         est = (est_doc["kind"],)
         if est[0] in experiments.SAMPLED_ESTIMATORS:
-            est += (int(est_doc["n"]),)
+            est += (_integer("n", est_doc["n"]),)
         return experiments.ExperimentConfig(
             d=d,
             target=target_from_dict(d, doc["target"]),
@@ -159,7 +181,7 @@ def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
             L=_l_from_config(doc.get("L"), d),
             T_rule=rule,
             estimator=est,
-            seed=int(doc.get("seed", 0)),
+            seed=_integer("seed", doc.get("seed", 0)),
             tolerance=float(_scalar(doc["tolerance"])) if "tolerance" in doc else None,
         )
     except KeyError as exc:

@@ -10,7 +10,6 @@ limit is the lattice-count fluctuation itself.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -57,11 +56,12 @@ class ExperimentConfig:
             raise ConfigError("A must have positive volume")
         if not all(np.isfinite(self.A_lo)) or not all(np.isfinite(self.A_hi)):
             raise ConfigError("A must be bounded")
-        if self.T_rule[0] == "growing" and not 0 < self.T_rule[1] < 1:
+        rule = self.T_rule[0] if self.T_rule else None
+        if rule not in T_RULES:
+            raise ConfigError(f"unknown T rule {rule!r}")
+        if rule == "growing" and not (len(self.T_rule) == 2 and 0 < self.T_rule[1] < 1):
             raise ConfigError("growing rule needs 0 < eta' < 1")
-        if self.T_rule[0] not in T_RULES:
-            raise ConfigError(f"unknown T rule {self.T_rule[0]!r}")
-        kind = self.estimator[0]
+        kind = self.estimator[0] if self.estimator else None
         if kind not in EXACT_ESTIMATORS + SAMPLED_ESTIMATORS:
             raise ConfigError(f"unknown estimator {kind!r}")
         if kind in SAMPLED_ESTIMATORS:
@@ -236,23 +236,22 @@ def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.n
     return vol
 
 
-def _stable_block_volumes(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t: float, qs) -> np.ndarray:
-    """Clipped volumes of the identity-L windows with first <= q <= last,
-    qs = (first, last), that can meet [lo, hi], in the kernel's (q, p) row
-    order, with no point or center array.
+def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
+    """Summed clipped volume of the identity-L windows that can meet
+    [lo, hi], and their number, with no per-window array.
 
-    A window's volume is the product of its clipped sides, and the sides
-    depend on one p_i / q each, so each denominator's volumes are the outer
-    product of one clipped side per axis of its farey_grids grid, taken
-    where the grid is primitive.  The bits are those of _clipped_box_volumes
-    on the block's centers.
+    A window's volume is the product of its clipped sides, and each side
+    depends on one p_i / q (_clipped_sides of p_i / q - c_off_i, the floats
+    of _clipped_box_volumes on the window's center), so the sum over the
+    primitive points of each denominator is a Moebius sum of per-axis side
+    sums (K.farey_mobius_sums over the box grown by the window margin).
     """
     w, c_off, margin = _stable_window_shape(target, t)
-    parts = [np.empty(0)]
-    for q, axes, keep in fy.farey_grids(target.d, qs[1], (lo - margin, hi + margin), qs[0]):
-        sides = [_clipped_sides(p / q - c, w, a, b) for p, c, a, b in zip(axes, c_off, lo, hi)]
-        parts.append(functools.reduce(np.multiply.outer, sides)[keep])
-    return np.concatenate(parts)
+
+    def sides(q, axes):
+        return [_clipped_sides(p / q - c, w, a, b) for p, c, a, b in zip(axes, c_off, lo, hi)]
+
+    return K.farey_mobius_sums(math.floor(target.denominator_cap(t)), lo - margin, hi + margin, sides)
 
 
 _UNION_CELLS = 1 << 21  # cover cells per batched step, O(k^dim) per cluster of k boxes; bounds each step's arrays to tens of MiB
@@ -264,8 +263,17 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
 
     ``sizes`` splits the rows into consecutive clusters and the result is
     the sum of the clusters' unions; by default all rows form one cluster.
-    The clusters of one size are measured together by _coverage_union, as
-    one (m, k, dim) array, a few million cells at a time.
+
+    A cluster whose centers are equal on one axis (in two dimensions; any
+    cluster in one) lies on a line: its union is the clipped side on that
+    axis times a union of intervals along the other.  Intervals of one
+    width stay monotone under clipping, both ends nondecreasing in the
+    center, so once sorted by center each interval meets the union of the
+    earlier ones only inside its predecessor, and adds
+    max(0, hi_j - max(lo_j, hi_{j-1})); all line clusters take one
+    vectorised pass.  The other clusters of one size are measured together
+    by _coverage_union, as one (m, k, dim) array, a few million cells at a
+    time.
     """
     n, dim = centers.shape
     if dim not in (1, 2):
@@ -276,9 +284,25 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     los = np.maximum(centers - w / 2.0, lo)
     his = np.minimum(centers + w / 2.0, hi)
     starts = np.cumsum(sizes) - sizes
-    total = 0.0
-    for k in np.unique(sizes):
-        first = starts[sizes == k]
+    if dim == 1:
+        line, free, side = np.ones(sizes.size, bool), np.zeros(sizes.size, np.int64), np.ones(sizes.size)
+    else:
+        fixed = np.maximum.reduceat(centers, starts) == np.minimum.reduceat(centers, starts)
+        line, free = fixed.any(axis=1), np.where(fixed[:, 0], 1, 0)
+        at = (starts, 1 - free)
+        side = np.clip(his[at] - los[at], 0.0, None)
+    cluster = np.repeat(np.arange(sizes.size), sizes)
+    rows = np.flatnonzero(line[cluster])
+    cluster = cluster[rows]  # ascending, and the lexsort keeps it so
+    rows = rows[np.lexsort((centers[rows, free[cluster]], cluster))]
+    axis = free[cluster]
+    new = np.ones(rows.size, bool)  # the first row of each line cluster
+    new[1:] = cluster[1:] != cluster[:-1]
+    top = his[rows, axis]
+    gain = top - np.maximum(los[rows, axis], np.where(new, -np.inf, np.roll(top, 1)))
+    total = float((np.clip(gain, 0.0, None) * side[cluster]).sum())
+    for k in np.unique(sizes[~line]):
+        first = starts[(sizes == k) & ~line]
         step = max(1, _UNION_CELLS // (2 * int(k) - 1) ** dim)
         for c in range(0, first.size, step):
             rows = first[c : c + step, None] + np.arange(k)
@@ -317,24 +341,17 @@ def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], runs[1::2] - runs[::2])))[-1])
 
 
-_BLOCK_POINTS = 1 << 19  # predicted points per denominator block of the enumerated window sum
-
-
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
     """Exact integral: clipped window volumes, corrected by the union of each
     collision cluster.
 
-    For identity L and d <= 3 the windows of the box A plus the margin of
-    _stable_window_centers are walked in denominator blocks
-    q_{k-1} < q <= q_k, q_k = floor(m (k/n)^{1/d}) with repeats dropped, of
-    about _BLOCK_POINTS of the predicted vol(box) Q^d / (d zeta(d)) points
-    each; the prediction is checked against ENUM_BUDGET before anything is
-    allocated.  Each window has one q, so a block is one array of clipped
-    volumes (_stable_block_volumes, built per denominator from the clipped
-    sides, with no point or center array), summed; the blocks are added in
-    order, and the count is the sum of the block sizes.  The overlapping
-    window pairs come from one integer search over the box
-    (farey.farey_window_pairs), ranked in the kernel's row order
+    For identity L and d <= 3 the predicted vol(box) Q^d / (d zeta(d))
+    windows of the box A plus the margin of _stable_window_centers are
+    checked against ENUM_BUDGET before any work, and the clipped volumes are
+    summed per denominator by Moebius inversion (_stable_raw_sum), with no
+    point, center or volume array; the count is checked against the budget
+    too.  The overlapping window pairs come from one integer search over
+    the box (farey.farey_window_pairs), ranked in the kernel's row order
     (farey.pair_graph), and their components are the clusters, whose
     centers are taken from their integer nodes.  A general L, and d >= 4,
     take all centers from _stable_window_centers, one fy.sequence_arrays
@@ -359,15 +376,9 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         q_cap = target.denominator_cap(t)
         predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
         fy.check_budget(predicted, "predicted window enumeration")
-        m, n = math.floor(q_cap), max(1, math.ceil(predicted / _BLOCK_POINTS))
-        cuts = np.unique(np.floor(m * (np.arange(n + 1) / n) ** (1.0 / d)).astype(np.int64))
-        total, count = 0.0, 0
-        for q_lo, q_hi in itertools.pairwise(cuts.tolist()):
-            volumes = _stable_block_volumes(target, lo, hi, t, (q_lo + 1, q_hi))
-            count += int(volumes.size)
-            fy.check_budget(count, "window enumeration")
-            total += float(volumes.sum())
-        nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(m, lo - margin, hi + margin, w))
+        total, count = _stable_raw_sum(target, lo, hi, t)
+        fy.check_budget(count, "window enumeration")
+        nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w))
         members, sizes = fy.component_clusters(u, v)
         clustered = nodes[members, : d - 1] / nodes[members, d - 1 :]
         clustered -= c_off

@@ -204,13 +204,6 @@ def _checked_grid(d: int, Q: float, box, q_first: int = 1):
     return qmax, lo, hi
 
 
-def farey_grids(d: int, Q: float, box=None, q_first: int = 1):
-    """K.farey_grids over the denominators q_first <= q <= Q of the box,
-    checked by _checked_grid before the generator starts."""
-    qmax, lo, hi = _checked_grid(d, Q, box, q_first)
-    return K.farey_grids(qmax, lo, hi, q_first)
-
-
 def farey_arrays(d: int, Q: float, box=None, q_first: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Primitive (p, q) with q_first <= q <= Q and p/q in the closed box (the
     unit box by default), in the kernels' (q, p) order, checked by
@@ -353,11 +346,12 @@ def farey_index(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -> Fa
 
 
 def count_farey_arrays(d: int, Q: float, box=None) -> int:
-    """len(farey_arrays(d, Q, box)) without listing the points: the kept
-    points of each farey_grids mask, the kernels' own set; 0 for Q < 1."""
+    """len(farey_arrays(d, Q, box)) without listing the points: the
+    per-denominator Moebius count of K.farey_mobius_sums over the kernels'
+    own ranges, once _checked_grid has passed; 0 for Q < 1."""
     if Q < 1:
         return 0
-    return sum(int(np.count_nonzero(keep)) for _q, _axes, keep in farey_grids(d, Q, box))
+    return K.farey_mobius_sums(*_checked_grid(d, Q, box))[1]
 
 
 def window_index(d: int, Q: float, window, L=None, box=None) -> tuple[FareyIndex, int]:
@@ -931,17 +925,25 @@ def pair_graph(first: np.ndarray, second: np.ndarray):
     The ranks follow the row order of the enumeration kernels, so on any
     subset of the pairs component_clusters gives the clusters, and their
     members, in the order collision_clusters gives for the kernel's rows of
-    the same points.
+    the same points.  Each end is one int64 key, its offsets from the
+    smallest q, p_1, ... in mixed radix, so one np.unique sorts and ranks
+    them; a key range past int64 is refused before the keys are built.
     """
     n, d = first.shape
+    if n == 0:
+        return np.empty((0, d), np.int64), np.empty(0, np.int64), np.empty(0, np.int64)
     ends = np.concatenate([first, second])
-    order = np.lexsort(tuple(ends[:, j] for j in reversed(range(d - 1))) + (ends[:, d - 1],))
-    ends = ends[order]
-    new = np.ones(2 * n, dtype=bool)
-    new[1:] = np.any(ends[1:] != ends[:-1], axis=1)
-    rank = np.empty(2 * n, np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return ends[new], rank[:n], rank[n:]
+    cols = [ends[:, d - 1], *(ends[:, j] for j in range(d - 1))]
+    lows = [int(c.min()) for c in cols]
+    spans = [int(c.max()) - low + 1 for c, low in zip(cols, lows)]
+    if math.prod(spans) > 2**63:
+        raise ResourceLimitError(f"pair end keys span {math.prod(spans)} values, over int64", 2**63)
+    key = np.zeros(2 * n, np.int64)
+    for c, low, span in zip(cols, lows, spans):
+        key *= span
+        key += c - low
+    _key, index, rank = np.unique(key, return_index=True, return_inverse=True)
+    return ends[index], rank[:n], rank[n:]
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -161,6 +163,47 @@ def test_missing_target_key_is_usage_error(capsys, tmp_path):
     cfg.write_text(yaml.safe_dump(doc))
     assert run_cli(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "'t_schedule'" in capsys.readouterr().err
+
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_config():
+    """The experiment config document the README shows."""
+    return yaml.safe_load(re.search(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("estimater", {"kind": "grid", "n": 20}, "'estimater'"),
+    ("tolerence", 0.02, "'tolerence'"),
+    ("estimator", {"kind": "grid", "n": 2.7}, "'n' takes an integer"),
+    ("estimator", {"kind": "monte-carlo", "n": "5/2"}, "'n' takes an integer"),
+    ("estimator", {"kind": "grid", "n": True}, "'n' takes an integer"),
+    ("d", 2.5, "'d' takes an integer"),
+    ("seed", 0.5, "'seed' takes an integer"),
+])
+def test_config_rejects_unknown_keys_and_fractional_counts(key, value, message):
+    # a misspelled key must not fall back to its default, and a fractional
+    # sample count must not be truncated
+    doc = readme_config()
+    with pytest.raises(ConfigError, match=message):
+        cli.config_from_dict({**doc, key: value})
+
+
+def test_readme_and_benchmark_configs_parse():
+    doc = readme_config()
+    assert cli.config_from_dict(doc).estimator == ("exact-window",)
+    for n in (200, 200.0, "200"):
+        cfg = cli.config_from_dict({**doc, "estimator": {"kind": "grid", "n": n}})
+        assert cfg.estimator == ("grid", 200) and type(cfg.estimator[1]) is int
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for seed, size in ((0, "full"), (3, "smoke")):
+            for config in workloads.configs(workload, seed, size):
+                cli.config_from_dict(config)
 
 
 CHART2, CHART3 = coords.Chart(dim=2, radius=0.5), coords.Chart(dim=3, radius=0.5)

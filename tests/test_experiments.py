@@ -243,55 +243,36 @@ def test_d2_counts_check_the_budget_before_allocating():
         assert peak < 1 << 20
 
 
-def block_ranges(monkeypatch):
-    """The (first, last) denominators of each block the window sum asks
-    _stable_block_volumes for, in call order."""
-    ranges, volumes = [], ex._stable_block_volumes
-
-    def record(target, lo, hi, t, qs):
-        ranges.append(qs)
-        return volumes(target, lo, hi, t, qs)
-
-    monkeypatch.setattr(ex, "_stable_block_volumes", record)
-    return ranges
-
-
-def test_d3_window_sum_in_five_blocks_matches_one_block(monkeypatch):
-    target = tg.StableSection(d=3, T=1.0, eps=0.2)
-    lo, hi, t = np.zeros(2), np.ones(2), 2.3
-    ranges = block_ranges(monkeypatch)
-    monkeypatch.setattr(ex, "_BLOCK_POINTS", 1 << 16)
-    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
-    assert len(ranges) == 5
-    monkeypatch.setattr(ex, "_BLOCK_POINTS", math.inf)
-    assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == (val, count)
-    assert count == 279417
+def test_d3_window_sum_keeps_the_t23_value():
     # the value the strip-tiled sum gave with C-ordered centers and scipy's
-    # connected components, before the denominator blocks
+    # connected components, before the denominator blocks and the Moebius sum
+    val, count = ex._window_sum_stable_enumerated(tg.StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 2.3)
+    assert count == 279417
     assert abs(val - 0.011086460573205231) <= 1e-15 * val
 
 
-def test_window_sum_budgets_each_block_by_its_own_grid(monkeypatch):
-    # 273,145 predicted points and 279,417 enumerated fit a budget of 3e5,
-    # and so does each block's candidate grid; the grid of the whole box
-    # (338,484 candidates) does not
+def test_window_sum_budgets_the_window_count_not_the_grid(monkeypatch):
+    # 273,145 predicted windows and 279,417 counted fit a budget of 3e5,
+    # though the candidate grid of the box (338,484) does not: the Moebius
+    # sum holds no grid.  One below the count is refused by the count
     zeta(3)  # the first call fills a cache through a 10^5-term partial sum
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     lo, hi, t = np.zeros(2), np.ones(2), 2.3
-    monkeypatch.setattr(ex, "_BLOCK_POINTS", 1 << 16)
     want = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
     monkeypatch.setattr(farey, "ENUM_BUDGET", 300_000)
     margin = ex._stable_window_shape(target, t)[2]
     assert farey._grid_bound(99, lo - margin, hi + margin) > farey.ENUM_BUDGET
     assert ex._window_sum_stable_enumerated(target, None, lo, hi, t) == want
+    monkeypatch.setattr(farey, "ENUM_BUDGET", 279_416)
+    with pytest.raises(ResourceLimitError, match="^window enumeration"):
+        ex._window_sum_stable_enumerated(target, None, lo, hi, t)
 
 
-def source_block_volumes(target, lo, hi, t, first, last):
-    """The clipped volumes of the windows with first <= q <= last, from the
-    block's sources and centers."""
+def source_volumes(target, lo, hi, t):
+    """The clipped volumes of the identity-L windows that can meet [lo, hi],
+    from their materialised sources and centers."""
     w, c_off, margin = ex._stable_window_shape(target, t)
-    sources, _alpha = farey.farey_arrays(target.d, last, (lo - margin, hi + margin))
-    sources = sources[sources[:, -1] >= first]
+    sources, _alpha = farey.farey_arrays(target.d, target.denominator_cap(t), (lo - margin, hi + margin))
     return ex._clipped_box_volumes(sources[:, :-1] / sources[:, -1:] - c_off, w, lo, hi)
 
 
@@ -307,25 +288,24 @@ def block_volume_cases(draw):
     ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(d - 1))
     target = tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde)
     t = draw(st.floats(1.0, 5.0 if d == 2 else 1.9))
-    m = math.floor(target.denominator_cap(t))
-    # blocks of several sizes that tile 1, ..., m
-    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=5))) if m > 1 else []
-    return target, lo, hi, t, list(zip([1] + [c + 1 for c in cuts], cuts + [m]))
+    return target, lo, hi, t
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(block_volume_cases())
-@example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8, [(1, 7), (8, 8), (9, 36)]))
-def test_block_volumes_match_the_source_centers_bitwise(case):
-    # one outer product of clipped sides per denominator against the
-    # clipped volumes of the materialised sources: the same floats, in the
-    # same order, so the same block sums
-    target, lo, hi, t, blocks = case
-    for first, last in blocks:
-        got = ex._stable_block_volumes(target, lo, hi, t, (first, last))
-        want = source_block_volumes(target, lo, hi, t, first, last)
-        assert got.tobytes() == want.tobytes()
-        assert float(got.sum()).hex() == float(want.sum()).hex()
+@example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8))
+@example((tg.StableSection(d=3, T=1.0, eps=0.2), np.array([-0.5, 1 / 3]), np.array([0.5, 2 / 3]), 1.9))
+@example((tg.StableSection(d=2, T=1.0, eps=0.2, ytilde=(0.3,)), np.array([0.25]), np.array([0.5]), 5.0))
+def test_mobius_raw_sum_matches_the_source_volumes(case):
+    # the per-denominator Moebius sum of clipped sides against the clipped
+    # volumes of the materialised sources: the same count, and the same
+    # sum up to the order of addition
+    target, lo, hi, t = case
+    got, count = ex._stable_raw_sum(target, lo, hi, t)
+    volumes = source_volumes(target, lo, hi, t)
+    assert count == volumes.size
+    want = float(volumes.sum())
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -376,64 +356,21 @@ def test_window_sum_unit_cell_matches_enumeration_d3():
     assert abs(val_cell - val_enum) <= 1e-12 * max(val_cell, 1e-12)
 
 
-def blocked_and_one_block(target, lo, hi, t, n):
-    """The enumerated stable window sum over n denominator blocks and over
-    one, with the points-per-block constant set to give n before the
-    repeated denominators merge.  The blocks must tile 1, ..., m in order,
-    in at least two blocks once m >= n."""
-    d = target.d
-    margin = ex._stable_window_shape(target, t)[2]
-    m = math.floor(target.denominator_cap(t))
-    predicted = ex.box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
-    with pytest.MonkeyPatch.context() as mp:
-        ranges = block_ranges(mp)
-        mp.setattr(ex, "_BLOCK_POINTS", predicted / n * (1.0 + 1e-9))
-        blocked = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
-        assert [first for first, _last in ranges] == [1] + [last + 1 for _first, last in ranges[:-1]]
-        assert ranges[-1][1] == m and len(ranges) <= n
-        assert m < n or len(ranges) >= 2
-        mp.setattr(ex, "_BLOCK_POINTS", math.inf)
-        whole = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
-    return blocked, whole
-
-
-@st.composite
-def block_cases(draw):
-    d = draw(st.sampled_from([2, 3]))
-    lo = np.array([draw(st.floats(-0.5, 0.9)) for _ in range(d - 1)])
-    hi = lo + np.array([draw(st.floats(0.05, 1.0)) for _ in range(d - 1)])
-    T = draw(st.floats(1.0, 2.0))
-    eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(d, T)
-    ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(d - 1))
-    t = draw(st.floats(1.0, 5.0 if d == 2 else 1.9))
-    n = draw(st.integers(2, 12))
-    return tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde), lo, hi, t, n
-
-
-@settings(deadline=None, max_examples=40)
-@given(block_cases())
-def test_tiled_window_sum_matches_one_strip(case):
-    # the tiles are denominator blocks; the one strip is one block over the
-    # whole box
-    target, lo, hi, t, n = case
-    (val, count), (val_one, count_one) = blocked_and_one_block(target, lo, hi, t, n)
-    assert count == count_one
-    assert abs(val - val_one) <= 1e-12 * abs(val_one)
-
-
-@pytest.mark.parametrize("lo, hi, n, t", [
-    ([0.0], [1.0], 4, 5.0),
-    ([0.0, 0.0], [1.0, 1.0], 4, 1.8),
-    ([-0.5, 0.0], [0.5, 1.0], 2, 1.8),
+@pytest.mark.parametrize("lo, hi, t", [
+    ([0.0], [1.0], 5.0),
+    ([0.0, 0.0], [1.0, 1.0], 1.8),
+    ([-0.5, 0.0], [0.5, 1.0], 1.8),
 ])
-def test_tiled_window_sum_with_edges_on_rationals(lo, hi, n, t):
+def test_window_sum_with_edges_on_rationals_matches_collision_search(lo, hi, t):
     # boxes with Farey points on their edges; at x_1 = 0 the d = 3 cusp
     # collisions form clusters that reach across the edge
     d = len(lo) + 1
     target = tg.StableSection(d=d, T=1.0, eps=0.2, ytilde=(0.01,) * (d - 1))
-    (val, count), (val_one, count_one) = blocked_and_one_block(target, np.array(lo), np.array(hi), t, n)
-    assert count == count_one
-    assert abs(val - val_one) <= 1e-12 * val_one
+    lo, hi = np.array(lo), np.array(hi)
+    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    want, want_count = reference_window_sum(target, lo, hi, t)
+    assert count == want_count
+    assert abs(val - want) <= 1e-12 * want
 
 
 def reference_window_sum(target, lo, hi, t):
@@ -460,21 +397,15 @@ def d3_window_sum_cases(draw):
     eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(3, T)
     ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(2))
     t = draw(st.floats(1.5, 2.1))
-    n = draw(st.integers(1, 6))
-    return tg.StableSection(d=3, T=T, eps=eps, ytilde=ytilde), lo, hi, t, n
+    return tg.StableSection(d=3, T=T, eps=eps, ytilde=ytilde), lo, hi, t
 
 
 @settings(deadline=None, max_examples=25)
 @given(d3_window_sum_cases())
-@example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8, 3))
+@example((tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.01, -0.02)), np.zeros(2), np.ones(2), 1.8))
 def test_d3_window_sum_matches_collision_search(case):
-    target, lo, hi, t, n = case
-    d = target.d
-    margin = ex._stable_window_shape(target, t)[2]
-    predicted = ex.box_volume(lo - margin, hi + margin) * target.denominator_cap(t) ** d / (d * zeta(d))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ex, "_BLOCK_POINTS", predicted / n * (1.0 + 1e-9))
-        val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    target, lo, hi, t = case
+    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
     want, want_count = reference_window_sum(target, lo, hi, t)
     assert count == want_count
     assert abs(val - want) <= 1e-12 * abs(want)
@@ -486,7 +417,7 @@ def test_identity_window_sum_matches_the_preimage_box_path(case, d):
     # L = I given as a matrix takes the row walk over its preimage box and the
     # float grid search; at d = 2 the case keeps its first axis, its fraction of the
     # disjointness budget, and its denominator cutoff (t doubles)
-    target, lo, hi, t, _n = case
+    target, lo, hi, t = case
     if d == 2:
         eps = target.eps / tg.disjointness_budget(3, target.T) * tg.disjointness_budget(2, target.T)
         target = tg.StableSection(d=2, T=target.T, eps=eps, ytilde=target.ytilde[:1])
@@ -741,21 +672,30 @@ def test_collision_clusters():
 
 def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
     # the row's 384 collision clusters, the largest of 10 windows, are measured
-    # with np.matmul unavailable, and the sum is the one the matmul union gave
+    # with np.matmul unavailable, and the sum is the one the matmul union gave.
+    # 256 of them lie on a line; the cover-count grid steps over the other 128
     def refuse(*args, **kwargs):
         raise AssertionError("np.matmul called")
 
-    steps, coverage_union = [], ex._coverage_union
+    steps, coverage_union, clusters, cluster_union = [], ex._coverage_union, [], ex._cluster_union_volume
 
     def counted(los, his):
         steps.append(los.shape[:2])
         return coverage_union(los, his)
 
+    def sized(centers, w, lo, hi, *, sizes=None):
+        clusters.extend(sizes)
+        return cluster_union(centers, w, lo, hi, sizes=sizes)
+
     monkeypatch.setattr(np, "matmul", refuse)
     monkeypatch.setattr(ex, "_coverage_union", counted)
+    monkeypatch.setattr(ex, "_cluster_union_volume", sized)
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
-    assert ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.0, "window-sum") == (0.010975701480163833, 46489)
-    assert sum(m for m, _k in steps) == 384 and max(k for _m, k in steps) == 10
+    val, count = ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.0, "window-sum")
+    assert count == 46489
+    assert abs(val - 0.010975701480163833) <= 1e-15 * val
+    assert len(clusters) == 384 and max(clusters) == 10
+    assert sum(m for m, _k in steps) == 128 and max(k for _m, k in steps) == 10
 
 
 def test_cluster_union_volume():
@@ -836,20 +776,50 @@ def _grid_union(los: np.ndarray, his: np.ndarray) -> float:
 @given(box_clusters())
 def test_cover_count_union_matches_the_oracles_bitwise(case):
     centers, w, sizes, lo, hi = case
-    got = ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes)
+    los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
     if centers.shape[1] == 2:
-        # the clusters of one size make one batched step here, as they do at A3
-        los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
+        # the clusters of one size make one batched step, as they do at A3
         sizes = np.asarray(sizes)
-        starts, want = np.cumsum(sizes) - sizes, 0.0
+        starts = np.cumsum(sizes) - sizes
         for k in np.unique(sizes):
             rows = starts[sizes == k, None] + np.arange(k)
-            want += _grid_union(los[rows], his[rows])
-        assert got == want
+            assert ex._coverage_union(los[rows], his[rows]) == _grid_union(los[rows], his[rows])
     else:
-        for part in np.split(centers, np.cumsum(sizes)[:-1]):
-            intervals = np.concatenate([np.maximum(part - w / 2.0, lo), np.minimum(part + w / 2.0, hi)], axis=1)
-            assert ex._cluster_union_volume(part, w, lo, hi) == _merge_length_loop(intervals)
+        for part_lo, part_hi in zip(np.split(los, np.cumsum(sizes)[:-1]), np.split(his, np.cumsum(sizes)[:-1])):
+            intervals = np.concatenate([part_lo, part_hi], axis=1)
+            assert ex._coverage_union(part_lo[None], part_hi[None]) == _merge_length_loop(intervals)
+
+
+@st.composite
+def line_clusters(draw):
+    """Clusters of two-dimensional boxes, most of them with one coordinate
+    shared by all their centers (on a rational or a drawn value), some
+    free."""
+    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
+    centers, sizes = [], []
+    for k in draw(st.lists(st.integers(1, 9), min_size=1, max_size=8)):
+        axis = draw(st.sampled_from([0, 1, None]))
+        shared = draw(coordinate)
+        for _ in range(k):
+            c = [draw(coordinate), draw(coordinate)]
+            if axis is not None:
+                c[axis] = shared
+            centers.append(c)
+        sizes.append(k)
+    return np.array(centers), w, sizes, np.zeros(2), np.ones(2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(line_clusters())
+@example((np.array([[0.5, 0.1], [0.5, 0.3], [0.5, 0.2], [0.2, 0.7], [0.3, 0.7], [1.1, 0.7]]), 0.25, [3, 3], np.zeros(2), np.ones(2)))
+def test_line_clusters_match_the_cover_count_union(case):
+    # the one-dimensional pass over the clusters on a line and the
+    # cover-count grid measure the same unions
+    centers, w, sizes, lo, hi = case
+    los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
+    parts = np.cumsum(sizes)[:-1]
+    want = sum(ex._coverage_union(a[None], b[None]) for a, b in zip(np.split(los, parts), np.split(his, parts)))
+    assert abs(ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes) - want) <= 1e-12
 
 
 def _union_length(intervals: np.ndarray) -> float:
@@ -1542,6 +1512,9 @@ VALID_D3 = {
     (ex.ExperimentConfig, dict(estimator=("grid", 0)), ConfigError),
     (ex.ExperimentConfig, dict(estimator=("monte-carlo", -3)), ConfigError),
     (ex.ExperimentConfig, dict(estimator=("monte-carlo", 2.5)), ConfigError),
+    (ex.ExperimentConfig, dict(T_rule=("growing",)), ConfigError),
+    (ex.ExperimentConfig, dict(T_rule=()), ConfigError),
+    (ex.ExperimentConfig, dict(estimator=()), ConfigError),
 ])
 def test_constructors_reject_each_bad_field(cls, bad, error):
     # each field is checked by the type that owns it, and raises the

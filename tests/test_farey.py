@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import shear_products
 from horolab import _kernels as K, algebra, farey, targets as tg
@@ -444,7 +445,8 @@ def test_farey_sources_from_a_first_denominator():
         whole, alpha = farey.farey_arrays(d, 11.5, box=box)
         assert np.array_equal(alpha, whole.astype(float))
         for q_first in (1, 5, 11, 12):
-            block = grid_sources(d, farey.farey_grids(d, 11.5, box, q_first))
+            lo, hi = box if box is not None else (np.zeros(d - 1), np.ones(d - 1))
+            block = grid_sources(d, K.farey_grids(11, lo, hi, q_first))
             assert np.array_equal(block, whole[whole[:, -1] >= q_first])
 
 
@@ -472,18 +474,84 @@ def test_window_index_counts_every_point_and_indexes_the_window():
                     assert np.array_equal(index.sources, want.sources) and np.array_equal(index.alpha, want.alpha)
 
 
+
+@st.composite
+def count_boxes(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    edge = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, -0.5, -0.0123]), st.floats(-1.0, 1.0))
+    lo = np.array([draw(edge) for _ in range(d - 1)])
+    hi = lo + np.array([draw(st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 1.5))) for _ in range(d - 1)])
+    Q = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.5, {2: 60.0, 3: 25.0, 4: 9.0}[d])))
+    return d, (lo, hi), Q
+
+
+@settings(deadline=None, max_examples=200)
+@given(count_boxes())
+@example((3, (np.array([-0.5, 1 / 3]), np.array([0.5, 1 / 3])), 24.0))
+def test_mobius_count_matches_the_listed_points(case):
+    # the per-denominator Moebius count over the kernels' ranges against
+    # the points the kernels list, for boxes with lo < 0, edges on
+    # rationals and degenerate sides
+    d, box, Q = case
+    want = len(farey.farey_arrays(d, Q, box=box)[0]) if Q >= 1 else 0
+    assert farey.count_farey_arrays(d, Q, box) == want
+
+
+def lexsort_pair_graph(first, second):
+    """The lexsort ranking of pair ends the one-key np.unique replaced,
+    kept as its bitwise oracle."""
+    n, d = first.shape
+    ends = np.concatenate([first, second])
+    order = np.lexsort(tuple(ends[:, j] for j in reversed(range(d - 1))) + (ends[:, d - 1],))
+    ends = ends[order]
+    new = np.ones(2 * n, dtype=bool)
+    new[1:] = np.any(ends[1:] != ends[:-1], axis=1)
+    rank = np.empty(2 * n, np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return ends[new], rank[:n], rank[n:]
+
+
+@st.composite
+def pair_ends(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 40))
+    # small values make repeated ends; three spans of 2^20 + 1 still fit int64 keys
+    value = st.one_of(st.integers(-3, 3), st.integers(-2**19, 2**19))
+    ends = draw(hnp.arrays(np.int64, (2 * n, d), elements=value))
+    return ends[:n], ends[n:]
+
+
+@settings(deadline=None, max_examples=150)
+@given(pair_ends())
+@example((np.array([[0, 0, 0], [5, 5, 5]]), np.array([[2**21 - 1] * 3, [5, 5, 5]])))
+def test_pair_graph_matches_the_lexsort_ranking_bitwise(case):
+    first, second = case
+    got, want = farey.pair_graph(first, second), lexsort_pair_graph(first, second)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_pair_graph_refuses_keys_past_int64():
+    # three spans of 2^21 make keys up to 2^63 - 1; one more value does not fit
+    first, second = np.zeros((1, 3), np.int64), np.full((1, 3), 2**21 - 1)
+    assert farey.pair_graph(first, second)[0].tolist() == [[0, 0, 0], [2**21 - 1] * 3]
+    second[0, 2] += 1
+    with pytest.raises(ResourceLimitError, match="int64"):
+        farey.pair_graph(first, second)
+
+
 def test_farey_sources_budget_only_their_own_denominators(monkeypatch):
     # the unit square's candidate grid is sum (q + 1)^2: 338,349 for q <= 99,
     # 74,540 for 92 <= q <= 99 and 164,470 for 80 <= q <= 99
     unit = (np.zeros(2), np.ones(2))
     whole, _alpha = farey.farey_arrays(3, 99, box=unit)
     monkeypatch.setattr(farey, "ENUM_BUDGET", 100_000)
-    high = grid_sources(3, farey.farey_grids(3, 99, unit, 92))
+    high, _alpha = farey.farey_arrays(3, 99, box=unit, q_first=92)
     assert np.array_equal(high, whole[whole[:, -1] >= 92])
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="Farey candidate grid"):
-            farey.farey_grids(3, 99, unit, 80)
+            farey.farey_arrays(3, 99, box=unit, q_first=80)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
