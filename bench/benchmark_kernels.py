@@ -218,6 +218,12 @@ CASES = [
 ]
 
 
+def resolve(name):
+    """A case's function: itself when callable, else the attribute of that
+    name in _kernels, farey or experiments, the first that has it."""
+    return name if callable(name) else getattr(K, name, None) or getattr(farey, name, None) or getattr(experiments, name)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
@@ -225,7 +231,7 @@ def main():
 
     print(f"{'case':40s} {'seconds':>10s}")
     for label, name, fargs in CASES:
-        fn = name if callable(name) else getattr(K, name, None) or getattr(farey, name, None) or getattr(experiments, name)
+        fn = resolve(name)
         fargs = fargs() if callable(fargs) else fargs
         print(f"{label:40s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
 

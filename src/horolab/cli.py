@@ -96,9 +96,7 @@ def target_from_dict(d: int, doc: dict):
     hints = typing.get_type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name != "d"}
     keys = {name: "radius" if hints[name] is coords.Chart else name for name in fields}
-    unknown = sorted(set(doc) - {"kind", *keys.values()})
-    if unknown:
-        raise ConfigError(f"{kind} target has no key {unknown[0]!r}; its keys are {sorted(keys.values())}")
+    _known_keys(f"{kind} target", doc, ("kind", *keys.values()))
 
     def number(key, value):
         try:
@@ -123,17 +121,27 @@ def target_from_dict(d: int, doc: dict):
     return cls(d=d, **kwargs)
 
 
+def _known_keys(what: str, doc, keys) -> dict:
+    """doc, when it is a mapping whose every key is in keys; else a
+    ConfigError that names the first other key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} takes a mapping, got {doc!r}")
+    unknown = sorted(map(str, set(doc) - set(keys)))
+    if unknown:
+        raise ConfigError(f"{what} has no key {unknown[0]!r}; its keys are {sorted(keys)}")
+    return doc
+
+
 def _l_from_config(doc, d: int):
     if doc is None or doc == "identity":
         return None
-    if isinstance(doc, dict) and "diag_a2" in doc:
-        a2 = float(_scalar(doc["diag_a2"]))
+    if isinstance(doc, dict):
+        a2 = float(_scalar(_known_keys("L", doc, ("diag_a2",))["diag_a2"]))
         a = math.sqrt(a2)
         if d != 2:
             raise ConfigError("diag_a2 shorthand is for d = 2")
         return ((a, 0.0), (0.0, 1.0 / a))
-    rows = [[float(_scalar(v)) for v in row] for row in doc]
-    return tuple(tuple(row) for row in rows)
+    return tuple(tuple(float(_scalar(v)) for v in row) for row in doc)
 
 
 CONFIG_KEYS = ("d", "target", "A", "L", "t_schedule", "T_rule", "estimator", "seed", "tolerance")
@@ -154,24 +162,26 @@ def _integer(key: str, value) -> int:
 
 def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
     """The run a config document describes; a key that CONFIG_KEYS does not
-    name, a required key left out or a non-integral d, n or seed is a
+    name, a key that its A, T_rule, estimator or {diag_a2} L document does
+    not take, a required key left out or a non-integral d, n or seed is a
     ConfigError."""
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"config has no key {unknown[0]!r}; its keys are {sorted(CONFIG_KEYS)}")
+    _known_keys("config", doc, CONFIG_KEYS)
     try:
         d = _integer("d", doc["d"])
-        a_doc = doc.get("A", {"lo": [0.0] * (d - 1), "hi": [1.0] * (d - 1)})
-        rule_doc = doc.get("T_rule", {"kind": "constant"})
+        a_doc = _known_keys("A", doc.get("A", {"lo": [0.0] * (d - 1), "hi": [1.0] * (d - 1)}), ("lo", "hi"))
+        # eta_prime belongs to the growing rule only, n to the sampled estimators only
+        rule_doc = _known_keys("T_rule", doc.get("T_rule", {"kind": "constant"}), ("kind", "eta_prime"))
         rule = (rule_doc["kind"],)
         if rule == ("growing",):
             rule += (float(_scalar(rule_doc["eta_prime"])),)
+        _known_keys(f"{rule[0]} T_rule", rule_doc, ("kind", "eta_prime")[: len(rule)])
         est_doc = doc.get("estimator", {"kind": "auto"})
         if isinstance(est_doc, str):
             est_doc = {"kind": est_doc}
-        est = (est_doc["kind"],)
+        est = (_known_keys("estimator", est_doc, ("kind", "n"))["kind"],)
         if est[0] in experiments.SAMPLED_ESTIMATORS:
             est += (_integer("n", est_doc["n"]),)
+        _known_keys(f"{est[0]} estimator", est_doc, ("kind", "n")[: len(est)])
         return experiments.ExperimentConfig(
             d=d,
             target=target_from_dict(d, doc["target"]),

@@ -47,7 +47,7 @@ class ExperimentConfig:
     estimator: tuple = ("auto",)
     seed: int = 0
     tolerance: Optional[float] = None
-    region_warning: str = field(default="", compare=False)
+    region_warning: str = field(init=False, default="", compare=False)
 
     def __post_init__(self):
         if len(self.A_lo) != self.d - 1 or len(self.A_hi) != self.d - 1:
@@ -69,7 +69,13 @@ class ExperimentConfig:
             if not isinstance(n, (int, np.integer)) or n < 1:
                 raise ConfigError(f"the {kind} estimator needs a sample count n >= 1, got {n!r}")
         if self.L is not None:
-            region = fy.duplicate_region(self.matrix_L())
+            L = np.array(self.L, dtype=object)  # a ragged L gets a wrong shape, not a numpy error
+            if L.shape != (self.d, self.d) or not np.all(np.isfinite(L.astype(float))):
+                raise ConfigError(f"L must be a finite {self.d} x {self.d} matrix, got {self.L!r}")
+            L = self.matrix_L()
+            if not _unimodular(L):
+                raise ConfigError(f"L must have |det L| = 1, got det L = {np.linalg.det(L):.15g}")
+            region = fy.duplicate_region(L)
             if region.kind == "torus":
                 widths = np.asarray(self.A_hi) - np.asarray(self.A_lo)
                 periods = np.abs(np.asarray(region.period_basis, dtype=float)).sum(axis=0)
@@ -120,11 +126,15 @@ def lattice_kind(L) -> tuple:
         return ("lattice", 1.0)
     Lf = np.asarray(L, dtype=float)
     d = Lf.shape[0]
-    if np.allclose(Lf, np.round(Lf), atol=1e-12) and abs(abs(np.linalg.det(Lf)) - 1.0) < 1e-9:
+    if np.allclose(Lf, np.round(Lf), atol=1e-12) and _unimodular(Lf):
         return ("lattice", 1.0)
     if d == 2 and abs(Lf[0, 1]) < 1e-15 and abs(Lf[1, 0]) < 1e-15 and abs(Lf[0, 0] * Lf[1, 1] - 1.0) < 1e-12:
         return ("diag", float(Lf[0, 0]))
     return ("general", 0.0)
+
+
+def _unimodular(Lf: np.ndarray) -> bool:
+    return abs(abs(np.linalg.det(Lf)) - 1.0) < 1e-9
 
 
 def _is_unit_cell(lo, hi) -> bool:
@@ -390,27 +400,6 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     return total, count
 
 
-def stable_window_overlap(target: tg.StableSection, L, lo, hi, t: float):
-    """First colliding window pair below the cutoff, or None.  Exposes the
-    raw disjointness question the budget constant is about.
-
-    The pair is the first by enumeration index (i, j), i < j, whose windows
-    are closer than w in sup-norm, returned as two source tuples.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    sources, centers, w = _stable_window_centers(target, L, lo, hi, t)
-    clusters = fy.collision_clusters(centers, w)
-    if not clusters:
-        return None
-    # the smallest colliding index heads the first cluster; a cluster is only
-    # connected, so its partner is the first member it touches, not the next
-    members = clusters[0]
-    touch = np.all(np.abs(centers[members[1:]] - centers[members[0]]) < w, axis=1)
-    partner = members[1:][np.argmax(touch)]
-    return tuple(int(v) for v in sources[members[0]]), tuple(int(v) for v in sources[partner])
-
-
 # ---------------------------------------------------------------------------
 # spherical window estimators
 # ---------------------------------------------------------------------------
@@ -483,24 +472,19 @@ def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarray
     """Lens area of each pair of meeting disks that both lie inside the box.
 
     The pairs are those of the collision clusters of the diameters, cluster
-    by cluster and within a cluster in triu_indices order of its sorted
-    members.  The clusters of one size are expanded together and scattered
-    to their pairs' slots.  The distance is the BLAS dot of the difference
-    with itself, the bits np.linalg.norm gives one pair."""
+    by cluster and within a cluster the (a, b), a < b, of its sorted members
+    in a-major order, which is triu_indices order.  The distance is the BLAS
+    dot of the difference with itself, the bits np.linalg.norm gives one
+    pair."""
     clusters = fy.collision_clusters(centers, 2.0 * radii)
     if not clusters:
         return np.empty(0)
     sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
     members = np.concatenate(clusters)
     starts = np.cumsum(sizes) - sizes
-    pairs = sizes * (sizes - 1) // 2
-    slots = np.cumsum(pairs) - pairs
-    first, second = np.empty((2, int(pairs.sum())), np.int64)
-    for k in np.unique(sizes):
-        a, b = np.triu_indices(k, 1)
-        of_size = sizes == k
-        rows, at = starts[of_size, None], slots[of_size, None] + np.arange(a.size)
-        first[at], second[at] = members[rows + a], members[rows + b]
+    a, b = fy._block_pairs(starts, sizes, starts, sizes)
+    upper = a < b
+    first, second = members[a[upper]], members[b[upper]]
     inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
     keep = inside[first] & inside[second]
     first, second = first[keep], second[keep]

@@ -209,7 +209,7 @@ def farey_arrays(d: int, Q: float, box=None, q_first: int = 1) -> tuple[np.ndarr
     unit box by default), in the kernels' (q, p) order, checked by
     _checked_grid before the kernel runs.
 
-    Returns (sources, alpha) where for L = I alpha equals the source floats.
+    Returns (sources, sources): for L = I the images are the int64 sources.
     """
     qmax, lo, hi = _checked_grid(d, Q, box, q_first)
     # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
@@ -220,8 +220,7 @@ def farey_arrays(d: int, Q: float, box=None, q_first: int = 1) -> tuple[np.ndarr
     else:
         cols = K.farey_primitive(qmax, lo, hi, q_first)
     sources = np.stack([*cols[1:], cols[0]], axis=1)
-    del cols  # free the columns before the float copy
-    return sources, sources.astype(float)
+    return sources, sources
 
 
 def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
@@ -333,7 +332,7 @@ def sequence_arrays(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -
             keep = alpha[:, d - 1] >= alpha_lo
             sources, alpha = sources[keep], alpha[keep]
     elif Q < 1:
-        sources, alpha = np.empty((0, d), np.int64), np.empty((0, d))
+        sources = alpha = np.empty((0, d), np.int64)
     else:
         sources, alpha = farey_arrays(d, Q, box=box, q_first=max(math.ceil(alpha_lo), 1))
     check_budget(sources.shape[0], "window enumeration")

@@ -182,6 +182,16 @@ def readme_config():
     ("estimator", {"kind": "grid", "n": True}, "'n' takes an integer"),
     ("d", 2.5, "'d' takes an integer"),
     ("seed", 0.5, "'seed' takes an integer"),
+    ("estimator", {"kind": "exact-window", "n": 200, "sead": 1}, "estimator has no key 'sead'"),
+    ("estimator", {"kind": "exact-window", "n": 200}, "exact-window estimator has no key 'n'"),
+    ("T_rule", {"kind": "constant", "eta_prime": 0.2}, "constant T_rule has no key 'eta_prime'"),
+    ("T_rule", {"kind": "growing", "eta_prime": 0.2, "eta": 0.1}, "T_rule has no key 'eta'"),
+    ("A", {"lo": [0], "hi": [1], "l0": [0]}, "A has no key 'l0'"),
+    ("A", [[0], [1]], "A takes a mapping"),
+    ("L", {"diag_a2": "2", "diag_a3": "3"}, "L has no key 'diag_a3'"),
+    ("L", {"a2": "2"}, "L has no key 'a2'"),
+    ("L", [[1, 0], [0, 2]], r"\|det L\| = 1, got det L = 2"),
+    ("L", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "finite 2 x 2 matrix"),
 ])
 def test_config_rejects_unknown_keys_and_fractional_counts(key, value, message):
     # a misspelled key must not fall back to its default, and a fractional

@@ -333,7 +333,7 @@ def test_enumerations_check_the_budget_before_allocating(monkeypatch):
     calls = [
         lambda: farey.farey_arrays(3, 150),
         lambda: farey.farey_arrays(2, 1500, box=([0.0], [1.0])),
-        lambda: ex.stable_window_overlap(stable, None, *unit, 2.5),
+        lambda: ex._stable_window_centers(stable, None, *unit, 2.5),
         lambda: ex.window_sum_spherical(sph, None, *unit, 2.8),
         lambda: ex.marklof_average(3, 150, A=unit),
     ]
@@ -1216,21 +1216,24 @@ def test_collision_clusters_check_the_budget_before_allocating():
 
 def test_d3_window_overlap_below_nominal_budget():
     # two distinct sheets meet below the nominal d = 3 budget C_3 T = 0.433:
-    # at t = 1.8, eps = 0.2, T = 1 the detector reports (0,6,31) and (0,7,36),
+    # at t = 1.8, eps = 0.2, T = 1 the first pair of the integer pair search
+    # over the unit square, by pair_graph rank, is (0,6,31) and (0,7,36),
     # whose centers are 1/1116 apart against w = 0.2 e^{-5.4}, checked exactly
     eps, t = 0.2, 1.8
     target = tg.StableSection(d=3, T=1.0, eps=eps)
     assert eps < tg.disjointness_budget(3, 1.0)
-    pair = ex.stable_window_overlap(target, None, (0.0, 0.0), (1.0, 1.0), t)
-    assert pair == ((0, 6, 31), (0, 7, 36))
-    (a1, a2, qa), (b1, b2, qb) = pair
+    w, _c_off, margin = ex._stable_window_shape(target, t)
+    m = math.floor(target.denominator_cap(t))
+    nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, np.full(2, -margin), np.full(2, 1.0 + margin), w))
+    k = np.lexsort((v, u))[0]
+    (a1, a2, qa), (b1, b2, qb) = nodes[u[k]].tolist(), nodes[v[k]].tolist()
+    assert ((a1, a2, qa), (b1, b2, qb)) == ((0, 6, 31), (0, 7, 36))
     # Farey neighbours on the line x_1 = 0: the cross product is +-e_1
     cross = (a2 * qb - qa * b2, qa * b1 - a1 * qb, a1 * b2 - a2 * b1)
     assert cross in ((1, 0, 0), (-1, 0, 0))
     gap = max(abs(Fraction(a1, qa) - Fraction(b1, qb)), abs(Fraction(a2, qa) - Fraction(b2, qb)))
     # gap/w = 0.9922; the float exp is good to ~1e-16 relative, far inside a 0.5% margin
-    w = Fraction(eps * math.exp(-3 * t))
-    assert gap < Fraction(995, 1000) * w
+    assert gap < Fraction(995, 1000) * Fraction(w)
     # the same kind of meeting seen pointwise: x sits in the windows of both
     # (0,1,36) and (0,1,35), another cross-product-e_1 pair 1/1260 apart
     hit = tg.member_dual(target, None, [0.0002, 0.02818], t)
@@ -1263,20 +1266,6 @@ def test_sampled_integral_raises_on_a_d2_double_witness(monkeypatch):
             tg.member_dual(target, None, [0.5], math.log(100), index=index)
         with pytest.raises(DisjointnessError, match=r"x=\[0.5\]"):
             ex.sampled_integral(target, None, np.zeros(1), np.ones(1), math.log(100), np.array([[0.25], [0.5]]))
-
-
-def test_d3_window_overlap_reports_a_touching_pair(monkeypatch):
-    # chain 0 - 2 - 1: one cluster, but windows 0 and 1 do not touch
-    w = 1e-3
-    sources = np.array([[0, 0, 1], [0, 1, 2], [0, 1, 3]])
-    centers = np.array([[0.5, 0.5], [0.5, 0.5 + 1.6 * w], [0.5, 0.5 + 0.8 * w]])
-    monkeypatch.setattr(ex, "_stable_window_centers", lambda *args: (sources, centers, w))
-    from horolab import farey
-
-    assert [c.tolist() for c in farey.collision_clusters(centers, w)] == [[0, 1, 2]]
-    target = tg.StableSection(d=3, T=1.0, eps=0.2)
-    pair = ex.stable_window_overlap(target, None, (0.0, 0.0), (1.0, 1.0), 1.0)
-    assert pair == ((0, 0, 1), (0, 1, 3))
 
 
 def test_estimator_agreement_grid_and_mc():
@@ -1466,6 +1455,10 @@ def test_config_validation():
         stable_cfg(T_rule=("linear",), estimator=("bogus",))
     cfg = stable_cfg(L=tuple(map(tuple, np.diag([math.sqrt(2), 1 / math.sqrt(2)]))))
     assert "multiplicity" in cfg.region_warning
+    # the warning is derived from L and A, not passed in
+    assert stable_cfg().region_warning == ""
+    with pytest.raises(TypeError):
+        stable_cfg(region_warning="x")
 
 
 CHART3 = coords.Chart(dim=3, radius=0.4)
@@ -1515,6 +1508,8 @@ VALID_D3 = {
     (ex.ExperimentConfig, dict(T_rule=("growing",)), ConfigError),
     (ex.ExperimentConfig, dict(T_rule=()), ConfigError),
     (ex.ExperimentConfig, dict(estimator=()), ConfigError),
+    (ex.ExperimentConfig, dict(L=((1.0, math.inf), (0.0, 1.0))), ConfigError),
+    (ex.ExperimentConfig, dict(L=((1.0, 0.0), (0.0,))), ConfigError),
 ])
 def test_constructors_reject_each_bad_field(cls, bad, error):
     # each field is checked by the type that owns it, and raises the

@@ -283,3 +283,20 @@ def test_benchmark_tracer_names_resolve():
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr)), (owner_name, attr)
+
+
+def test_benchmark_kernel_cases_resolve():
+    # bench/benchmark_kernels.py looks its cases up by name when it runs; a
+    # rename in src/ would break the kernel timings.  Resolved as its main()
+    # does, without running a case
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "benchmark_kernels.py"
+    spec = importlib.util.spec_from_file_location("benchmark_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.CASES
+    for label, name, fargs in bench.CASES:
+        assert callable(bench.resolve(name)), label
+        assert callable(fargs) or isinstance(fargs, tuple), label
