@@ -2,18 +2,15 @@
 
 Every kernel is plain numpy; ``bench/benchmark_kernels.py`` times them.
 
-Farey points come from one per-denominator generator, farey_ranges, for
-every d: each q's integer ranges and the prime factors of q, which decide
-primitivity.  farey_grids masks the boolean grid of each q's primitive
-points with them, from q = 1 or from a first denominator, and
-farey_primitive gathers the kept points of every q_first <= q <= qmax into
-columns; farey_d2 and farey_d3 are one-line entry points to it that stay
-because perfbench traces the kernels by name.  farey_mobius_sums sums a
-product of per-axis sides over the same primitive points, and counts
-them, by Moebius inversion over the squarefree divisors of q, with no grid.
-
-primitive_box keeps the primitive points of a box whose last side may vary
-by row, the rows of farey.lattice_points.
+Every listed point set comes from one generator, _primitive_rows: the
+points (r, n) of explicit integer rows r, one range of last entries n per
+row, whose gcd is 1.  primitive_box gives it the rows of a box (those of
+farey.lattice_points), farey_points the identity-L Farey rows
+(q, p_1, ..., p_{d-2}) for every d; farey_d2 and farey_d3 stay as entry
+points to it because perfbench traces the kernels by name.  Every counted
+or summed Farey set comes from farey_mobius_sums, by Moebius inversion
+over the squarefree divisors of each q, with no grid.  The listing and the
+sums read the same ranges ceil(lo_i q)..floor(hi_i q), from _farey_ends.
 
 The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
 loop over the primes up to sqrt(n) only, each step one strided array
@@ -196,52 +193,33 @@ def floor_sums(n: np.ndarray, a: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _smallest_prime_factors(n: int) -> np.ndarray:
-    """spf[q] for 0 <= q <= n: the smallest prime factor of q (q itself for
-    0 and 1), from one sieve over the primes up to isqrt(n)."""
-    spf = np.arange(n + 1)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
-    return spf
+def _farey_ends(q: np.ndarray, lo, hi):
+    """The denominators of the int64 array q whose ranges
+    ceil(lo_i q)..floor(hi_i q) are all nonempty, and each axis's int64
+    (first, last) arrays over them: where the Farey ranges are decided."""
+    qf = q.astype(float)
+    ends = [(np.ceil(float(a) * qf).astype(np.int64), np.floor(float(b) * qf).astype(np.int64)) for a, b in zip(lo, hi)]
+    keep = np.flatnonzero(np.logical_and.reduce([b >= a for a, b in ends]))
+    return q[keep], [(a[keep], b[keep]) for a, b in ends]
 
 
-def farey_ranges(qmax: int, lo, hi, q_first: int = 1):
-    """For each q_first <= q <= qmax whose ranges ceil(lo_i q)..floor(hi_i q)
-    are all nonempty, yield (q, axes, primes): the ranges as int64 arrays
-    and the distinct prime factors of q, from a smallest-prime-factor table.
-
-    This is where primitivity is decided: a point (p_1, ..., p_{d-1}, q) of
-    the ranges has gcd 1 exactly when no prime of q divides every p_i, and
-    on each axis the multiples of a prime r form the strided slice
-    slice(-p_first % r, None, r).  farey_grids clears those slices from a
-    boolean grid; farey_mobius_sums sums over them by Moebius inversion.
-    """
-    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
-    spf = _smallest_prime_factors(qmax).tolist() if qmax >= 1 else []
-    for q in range(q_first, qmax + 1):
-        axes = [np.arange(math.ceil(a * q), math.floor(b * q) + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-        if any(a.size == 0 for a in axes):
-            continue
-        primes, rest = [], q
-        while rest > 1:
-            primes.append(spf[rest])
-            while rest % primes[-1] == 0:
-                rest //= primes[-1]
-        yield q, axes, primes
-
-
-def farey_grids(qmax: int, lo, hi, q_first: int = 1):
-    """For each (q, axes, primes) of farey_ranges, yield (q, axes, keep):
-    keep is the boolean grid over the product of the ranges that marks the
-    primitive points, cleared one strided slice per prime factor of q.
-    Only one denominator's grid is held at a time.
-    """
-    for q, axes, primes in farey_ranges(qmax, lo, hi, q_first):
-        keep = np.ones(tuple(a.size for a in axes), dtype=bool)
-        for r in primes:
-            keep[tuple(slice(-int(a[0]) % r, None, r) for a in axes)] = False
-        yield q, axes, keep
+def farey_ranges(qmax: int, lo, hi):
+    """For each 1 <= q <= qmax of _farey_ends, taken 4096 at a time, yield
+    (q, axes, primes): its ranges as int64 arrays and the distinct primes
+    of q in increasing order (the small primes of _small_primes_and_rest
+    that divide q, then its rest).  A point of the ranges is primitive
+    exactly when no prime of q divides every p_i, and the multiples of a
+    prime r on an axis form the slice slice(-p_first % r, None, r)."""
+    small, rest = _small_primes_and_rest(max(qmax, 1))
+    for start in range(1, qmax + 1, 4096):
+        qs, ends = _farey_ends(np.arange(start, min(start + 4096, qmax + 1), dtype=np.int64), lo, hi)
+        ends = [(a.tolist(), b.tolist()) for a, b in ends]
+        for k, q in enumerate(qs.tolist()):
+            axes = [np.arange(a[k], b[k] + 1, dtype=np.int64) for a, b in ends]
+            primes = [p for p in small if q % p == 0]
+            if rest[q] > 1:
+                primes.append(int(rest[q]))
+            yield q, axes, primes
 
 
 def farey_mobius_sums(qmax: int, lo, hi, sides=None) -> tuple[float, int]:
@@ -272,78 +250,84 @@ def farey_mobius_sums(qmax: int, lo, hi, sides=None) -> tuple[float, int]:
     return total, count
 
 
-def farey_primitive(qmax: int, lo, hi, q_first: int = 1):
-    """Primitive integer points (p_1, ..., p_{d-1}, q) with
-    q_first <= q <= qmax and lo_i <= p_i / q <= hi_i, as the columns
-    (q, p_1, ..., p_{d-1}): q increasing, p lexicographic within each q.
-
-    The points of each farey_grids grid that keep marks, in the grid's
-    row-major order.
-    """
-    out = [[] for _ in range(len(lo) + 1)]
-    for q, axes, keep in farey_grids(qmax, lo, hi, q_first):
-        idx = np.nonzero(keep)
-        out[0].append(np.full(idx[0].size, q, dtype=np.int64))
-        for o, a, i in zip(out[1:], axes, idx):
-            o.append(a[i])
-    if not out[0]:
-        return tuple(np.empty(0, np.int64) for _ in out)
-    return tuple(np.concatenate(o) for o in out)
+_BOX_CHUNK = 1 << 19  # candidates per step of _primitive_rows
 
 
-def farey_d2(qmax: int, lo: float, hi: float, q_first: int = 1):
-    return farey_primitive(qmax, (lo,), (hi,), q_first)
+def _primitive_rows(rows: np.ndarray, lo, hi, roll: int = 0) -> np.ndarray:
+    """The primitive integer points (r, n) for each row r of the (R, d - 1)
+    int64 array rows and each integer n in [lo[r], hi[r]] (arrays over the
+    rows, or one number for all of them): rows in order, n increasing
+    within a row.  Returned as an (N, d) int64 array,
+    np.roll(points, roll, axis=1).
 
+    Each row's gcd is taken once.  The candidates are tested in chunks of
+    about _BOX_CHUNK, and only their keep masks are held until the kept
+    points are counted; all but the last chunk are then expanded again."""
+    d = rows.shape[1] + 1
+    g = np.gcd.reduce(rows, axis=1)  # 0 for the empty row
+    first = np.ceil(lo).astype(np.int64)
+    count = np.maximum(np.floor(hi).astype(np.int64) - first + 1, 0)
+    edge = np.zeros(g.size + 1, np.int64)  # row r's candidates are edge[r] <= k < edge[r + 1]
+    np.add.accumulate(np.broadcast_to(count, g.shape), out=edge[1:])
+    shift = first - edge[:-1]  # candidate k of row r has last entry shift[r] + k
+    del first, count  # the per-row arrays held through the chunks are rows, g, edge and shift
+    cuts = [0, *edge.searchsorted(np.arange(_BOX_CHUNK, edge[-1], _BOX_CHUNK)).tolist(), g.size]
+    chunks = [(r0, r1) for r0, r1 in zip(cuts[:-1], cuts[1:]) if r0 < r1]
 
-def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float, q_first: int = 1):
-    return farey_primitive(qmax, (lo1, lo2), (hi1, hi2), q_first)
+    def expand(r0, r1):
+        at = np.arange(r0, r1).repeat(np.diff(edge[r0 : r1 + 1]))
+        return at, shift[at] + np.arange(edge[r0], edge[r1])
 
-
-_BOX_CHUNK = 1 << 19  # candidates per step of primitive_box
+    keeps = []
+    for r0, r1 in chunks:
+        at, n = expand(r0, r1)
+        keeps.append(np.gcd(g[at], n) == 1)
+    out = np.empty((sum(map(np.count_nonzero, keeps)), d), np.int64)
+    end = out.shape[0]
+    # written from the end, since the last chunk's rows and last entries are still at hand
+    for i, ((r0, r1), keep) in enumerate(zip(chunks[::-1], keeps[::-1])):
+        if i:
+            at, n = expand(r0, r1)
+        at, n = at[keep], n[keep]
+        part, end = out[end - at.size : end], end - at.size
+        part[:, (d - 1 + roll) % d] = n
+        for c in range(d - 1):
+            part[:, (c + roll) % d] = rows[:, c][at]
+    return out
 
 
 def primitive_box(lo, hi):
     """All primitive integer vectors in the closed box [lo, hi] of R^d, in
     lexicographic order.  lo[-1] and hi[-1] may be arrays over the row-major
-    grid of the other axes: one range of last entries per row.
+    grid of the other axes: one range of last entries per row."""
+    rows = np.zeros((1, 0), np.int64)
+    for a, b in zip(lo[:-1], hi[:-1]):
+        axis = np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64)
+        rows = np.column_stack((rows.repeat(axis.size, axis=0), np.tile(axis, rows.shape[0])))
+    return _primitive_rows(rows, lo[-1], hi[-1])
 
-    Each row's gcd is taken once.  The candidates are tested in chunks of
-    about _BOX_CHUNK, and only their keep masks are held until the kept
-    points are counted; all but the last chunk are then expanded again."""
-    d = len(lo)
-    axes = [np.arange(math.ceil(lo[i]), math.floor(hi[i]) + 1, dtype=np.int64) for i in range(d - 1)]
-    g = np.zeros(1, np.int64)  # the gcd of the empty row
-    for a in axes:
-        g = np.gcd.outer(g, a).ravel()
-    first = np.ceil(lo[-1]).astype(np.int64)
-    # one count per row, also when the last side is one interval for all rows
-    count = np.maximum(np.floor(hi[-1]).astype(np.int64) - first + np.ones(g.size, np.int64), 0)
-    edge = np.zeros(g.size + 1, np.int64)  # row r's candidates are edge[r] <= k < edge[r + 1]
-    np.add.accumulate(count, out=edge[1:])
-    shift = first - edge[:-1]  # candidate k of row r has last entry shift[r] + k
-    cuts = [0, *edge.searchsorted(np.arange(_BOX_CHUNK, edge[-1], _BOX_CHUNK)).tolist(), g.size]
-    chunks = [(r0, r1) for r0, r1 in zip(cuts[:-1], cuts[1:]) if r0 < r1]
 
-    def expand(r0, r1):
-        rows = np.arange(r0, r1).repeat(count[r0:r1])
-        return rows, shift[rows] + np.arange(edge[r0], edge[r1])
+def farey_points(qmax: int, lo, hi, q_first: int = 1) -> np.ndarray:
+    """Primitive integer points (p_1, ..., p_{d-1}, q) with
+    q_first <= q <= qmax and lo_i <= p_i / q <= hi_i, as the rows of an
+    int64 array: q increasing, p lexicographic within each q.
 
-    keeps = []
-    for r0, r1 in chunks:
-        rows, last = expand(r0, r1)
-        keeps.append(np.gcd(g[rows], last) == 1)
-    out = np.empty((sum(map(np.count_nonzero, keeps)), d), np.int64)
-    at = out.shape[0]
-    # written from the end, since the last chunk's rows and last entries are still at hand
-    for n, ((r0, r1), keep) in enumerate(zip(chunks[::-1], keeps[::-1])):
-        if n:
-            rows, last = expand(r0, r1)
-        rows, last = rows[keep], last[keep]
-        part, at = out[at - rows.size : at], at - rows.size
-        part[:, -1] = last
-        for i in range(d - 2, 0, -1):  # last is reused for the coordinates
-            np.divmod(rows, axes[i].size, out=(rows, last))
-            np.add(last, axes[i][0], out=part[:, i])
-        if axes:  # rows is now the index on the first axis
-            np.add(rows, axes[0][0], out=part[:, 0])
-    return out
+    The rows of _primitive_rows are (q, p_1, ..., p_{d-2}) over the ranges
+    of _farey_ends, one ramp per axis, and p_{d-1} runs over its range."""
+    q, ends = _farey_ends(np.arange(q_first, qmax + 1, dtype=np.int64), lo, hi)
+    link = np.arange(q.size)  # each row's q, as an index
+    rows = q[:, None]
+    for a, b in ends[:-1]:
+        n = (b - a + 1)[link]
+        shift = a[link] - (np.cumsum(n) - n)  # new row k of row r has p_i = shift[r] + k
+        link = link.repeat(n)
+        rows = np.column_stack((rows.repeat(n, axis=0), np.arange(link.size) + shift.repeat(n)))
+    return _primitive_rows(rows, ends[-1][0][link], ends[-1][1][link], roll=-1)
+
+
+def farey_d2(qmax: int, lo: float, hi: float, q_first: int = 1) -> np.ndarray:
+    return farey_points(qmax, (lo,), (hi,), q_first)
+
+
+def farey_d3(qmax: int, lo1: float, hi1: float, lo2: float, hi2: float, q_first: int = 1) -> np.ndarray:
+    return farey_points(qmax, (lo1, lo2), (hi1, hi2), q_first)

@@ -89,6 +89,8 @@ def target_from_dict(d: int, doc: dict):
     its name, or from "radius" for a chart.  A key left out takes the
     field's default, and a required key left out or a key that names no
     field is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"target takes a mapping, got {doc!r}")
     kind = doc.get("kind")
     if kind not in targets.KINDS:
         raise ConfigError(f"unknown target kind {kind!r}")
@@ -121,6 +123,13 @@ def target_from_dict(d: int, doc: dict):
     return cls(d=d, **kwargs)
 
 
+def _numbers(what: str, doc) -> tuple:
+    """The floats of doc, when it is a list of numbers; else a ConfigError."""
+    if isinstance(doc, (list, tuple)) and all(isinstance(_scalar(v), (int, float, Fraction)) for v in doc):
+        return tuple(float(_scalar(v)) for v in doc)
+    raise ConfigError(f"{what} takes a list of numbers, got {doc!r}")
+
+
 def _known_keys(what: str, doc, keys) -> dict:
     """doc, when it is a mapping whose every key is in keys; else a
     ConfigError that names the first other key."""
@@ -141,7 +150,9 @@ def _l_from_config(doc, d: int):
         if d != 2:
             raise ConfigError("diag_a2 shorthand is for d = 2")
         return ((a, 0.0), (0.0, 1.0 / a))
-    return tuple(tuple(float(_scalar(v)) for v in row) for row in doc)
+    if not isinstance(doc, (list, tuple)):
+        raise ConfigError(f"L takes 'identity', a diag_a2 mapping or a list of rows, got {doc!r}")
+    return tuple(_numbers("a row of L", row) for row in doc)
 
 
 CONFIG_KEYS = ("d", "target", "A", "L", "t_schedule", "T_rule", "estimator", "seed", "tolerance")
@@ -185,9 +196,9 @@ def config_from_dict(doc: dict) -> experiments.ExperimentConfig:
         return experiments.ExperimentConfig(
             d=d,
             target=target_from_dict(d, doc["target"]),
-            A_lo=tuple(float(_scalar(v)) for v in a_doc["lo"]),
-            A_hi=tuple(float(_scalar(v)) for v in a_doc["hi"]),
-            t_schedule=tuple(float(_scalar(v)) for v in doc["t_schedule"]),
+            A_lo=_numbers("A lo", a_doc["lo"]),
+            A_hi=_numbers("A hi", a_doc["hi"]),
+            t_schedule=_numbers("t_schedule", doc["t_schedule"]),
             L=_l_from_config(doc.get("L"), d),
             T_rule=rule,
             estimator=est,

@@ -173,7 +173,8 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     block sum over floor sums at the quotients (fy.count_farey_in_interval),
     boundary-straddling ones are listed by a Farey walk over each edge strip
     and clipped.  The denominator bound is checked against
-    ENUM_BUDGET before any array is allocated.
+    ENUM_BUDGET before any array is allocated (count_farey_in_interval, or
+    _stable_raw_sum for a window narrower than one window width).
     """
     kind, a = lattice_kind(L)
     if kind == "general":
@@ -183,7 +184,6 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     m = int(math.floor(q_cap / a + 1e-9))
     if m < 1:
         return 0.0, 0
-    fy.check_budget(m, "denominator bound")
     w, c_off, _margin = _stable_window_shape(target, t)
     c_off = float(c_off[0])
     if hi - lo <= w:
@@ -257,11 +257,13 @@ def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t:
     sums (K.farey_mobius_sums over the box grown by the window margin).
     """
     w, c_off, margin = _stable_window_shape(target, t)
+    qmax = math.floor(target.denominator_cap(t))
+    fy.check_budget(qmax, "denominator bound")  # however narrow the box, every q <= qmax is walked
 
     def sides(q, axes):
         return [_clipped_sides(p / q - c, w, a, b) for p, c, a, b in zip(axes, c_off, lo, hi)]
 
-    return K.farey_mobius_sums(math.floor(target.denominator_cap(t)), lo - margin, hi + margin, sides)
+    return K.farey_mobius_sums(qmax, lo - margin, hi + margin, sides)
 
 
 _UNION_CELLS = 1 << 21  # cover cells per batched step, O(k^dim) per cluster of k boxes; bounds each step's arrays to tens of MiB
@@ -760,7 +762,6 @@ def marklof_average(
             raise ConfigError("translated averages need an explicit position box A")
         lo, hi = (np.asarray(A[0], dtype=float), np.asarray(A[1], dtype=float))
         sources, alpha = fy.translated_alpha_box_arrays(L if L is not None else np.eye(d), Q)
-        fy.check_budget(sources.shape[0], "translated enumeration")
         n_total = int(sources.shape[0])
         if n_total == 0:
             raise HorolabError("no sequence points below Q")

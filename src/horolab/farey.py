@@ -214,12 +214,11 @@ def farey_arrays(d: int, Q: float, box=None, q_first: int = 1) -> tuple[np.ndarr
     qmax, lo, hi = _checked_grid(d, Q, box, q_first)
     # one kernel for every d; d = 2 and 3 call it through the names perfbench traces
     if d == 2:
-        cols = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
+        sources = K.farey_d2(qmax, float(lo[0]), float(hi[0]), q_first)
     elif d == 3:
-        cols = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
+        sources = K.farey_d3(qmax, float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]), q_first)
     else:
-        cols = K.farey_primitive(qmax, lo, hi, q_first)
-    sources = np.stack([*cols[1:], cols[0]], axis=1)
+        sources = K.farey_points(qmax, lo, hi, q_first)
     return sources, sources
 
 
@@ -323,8 +322,8 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
 def sequence_arrays(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Sources and images of the sequence attached to L (None: identity)
     with alpha_lo <= alpha_d <= Q and projected point in the closed box (the
-    unit box by default), count checked against ENUM_BUDGET.  The one branch
-    on L: identity L takes the per-denominator kernels from
+    unit box by default), their candidates checked against ENUM_BUDGET before
+    any is listed.  The one branch on L: identity L takes farey_arrays from
     q = ceil(alpha_lo), empty for Q < 1; any other L the row walk."""
     if L is not None:
         sources, alpha = translated_arrays(L, Q, _unit_box(d) if box is None else box)
@@ -335,7 +334,6 @@ def sequence_arrays(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -
         sources = alpha = np.empty((0, d), np.int64)
     else:
         sources, alpha = farey_arrays(d, Q, box=box, q_first=max(math.ceil(alpha_lo), 1))
-    check_budget(sources.shape[0], "window enumeration")
     return sources, alpha
 
 

@@ -192,6 +192,10 @@ def readme_config():
     ("L", {"a2": "2"}, "L has no key 'a2'"),
     ("L", [[1, 0], [0, 2]], r"\|det L\| = 1, got det L = 2"),
     ("L", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "finite 2 x 2 matrix"),
+    ("L", 5, "L takes 'identity'"),
+    ("t_schedule", 5, "t_schedule takes a list of numbers"),
+    ("A", {"lo": 5, "hi": [1]}, "A lo takes a list of numbers"),
+    ("target", "stable", "target takes a mapping"),
 ])
 def test_config_rejects_unknown_keys_and_fractional_counts(key, value, message):
     # a misspelled key must not fall back to its default, and a fractional

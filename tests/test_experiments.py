@@ -243,6 +243,23 @@ def test_d2_counts_check_the_budget_before_allocating():
         assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("estimator", ["exact-window", "window-sum"])
+def test_narrow_d2_window_sums_check_the_denominator_bound_before_allocating(estimator):
+    # A narrower than one window predicts about one window, but the Moebius
+    # sums would walk every q up to about 5e10; the denominator bound is
+    # refused before any table of that length exists
+    stable = tg.StableSection(d=2, T=2.0, eps=0.2)
+    zeta(2)  # the first call fills a cache through a 10^5-term partial sum
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="denominator bound"):
+            ex.exact_integral(stable, None, np.array([0.0]), np.array([1e-23]), 25.0, estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_d3_window_sum_keeps_the_t23_value():
     # the value the strip-tiled sum gave with C-ordered centers and scipy's
     # connected components, before the denominator blocks and the Moebius sum

@@ -430,29 +430,61 @@ def test_grid_bound_covers_the_kernel_grid(d, qmax, sides):
     assert unit == sum((q + 1) ** (d - 1) for q in range(1, qmax + 1))
 
 
-def grid_sources(d, grids):
-    """The rows (p, q) that each farey_grids grid keeps, grid by grid in
-    row-major order."""
-    rows = [np.column_stack([*(g[keep] for g in np.meshgrid(*axes, indexing="ij")), np.full(np.count_nonzero(keep), q)])
-            for q, axes, keep in grids]
-    return np.concatenate(rows) if rows else np.empty((0, d), np.int64)
-
-
 def test_farey_sources_from_a_first_denominator():
-    # q_first drops the grids below it and leaves the others as they were;
-    # from q = 1 the grids keep the sources of farey_arrays
+    # q_first drops the sources below it and leaves the others as they were
     for d, box in ((2, ([-0.3], [0.7])), (3, ([0.1, -0.2], [0.6, 0.4])), (4, None)):
         whole, alpha = farey.farey_arrays(d, 11.5, box=box)
         assert np.array_equal(alpha, whole.astype(float))
         for q_first in (1, 5, 11, 12):
-            lo, hi = box if box is not None else (np.zeros(d - 1), np.ones(d - 1))
-            block = grid_sources(d, K.farey_grids(11, lo, hi, q_first))
+            block = farey.farey_arrays(d, 11.5, box=box, q_first=q_first)[0]
             assert np.array_equal(block, whole[whole[:, -1] >= q_first])
 
 
+@st.composite
+def cone_cases(draw):
+    # d = 2, 3, 4; Q fractional and below 1, boxes reaching below 0, and
+    # empty ranges where hi < lo or the interval holds no p / q
+    d = draw(st.integers(2, 4))
+    lo = [draw(st.floats(-1.5, 1.0)) for _ in range(d - 1)]
+    hi = [a + draw(st.one_of(st.floats(-0.2, 1.2), st.just(0.0))) for a in lo]
+    Q = draw(st.one_of(st.floats(0.0, (40.0, 14.0, 7.0)[d - 2]), st.integers(1, (40, 14, 7)[d - 2])))
+    return d, Q, lo, hi, draw(st.integers(1, math.floor(Q) + 2))
+
+
+@settings(deadline=None, max_examples=80)
+@given(cone_cases())
+@example((3, 12.0, [-1.0, 0.0], [0.0, 1.0], 1))
+@example((4, 9.5, [0.3, -0.5, 0.0], [0.31, 0.5, 1.0], 4))
+@example((2, 15, [-0.3], [0.7], 1))
+@example((3, 9, [0.1, -0.25], [0.6, 1.0], 1))
+@example((4, 6, [0.0, 0.2, -0.5], [1.0, 0.9, 0.5], 1))
+@example((5, 4, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], 1))
+@example((3, 5, [0.3, 0.0], [0.31, 1.0], 1))  # no integer p_1 for most q
+def test_farey_arrays_is_the_gcd_listing_of_the_cone(case):
+    # every primitive (p, q) with q_first <= q <= Q and lo q <= p <= hi q, in
+    # (q, p) order, from a brute-force scan of the cone's integer box; the
+    # examples reach d = 5 and ranges holding no integer for most q
+    d, Q, lo, hi, q_first = case
+    if Q < 1:
+        with pytest.raises(HorolabError, match="must be >= 1"):
+            farey.farey_arrays(d, Q, (lo, hi), q_first)
+        assert all(a.shape == (0, d) for a in farey.sequence_arrays(d, Q, box=(lo, hi)))
+        return
+    qmax = math.floor(Q)
+    box = [range(math.floor(min(a, 0.0) * qmax), math.ceil(max(b, 0.0) * qmax) + 1) for a, b in zip(lo, hi)]
+    want = [
+        (*p, q)
+        for q, *p in itertools.product(range(q_first, qmax + 1), *box)
+        if all(a * q <= x <= b * q for a, b, x in zip(lo, hi, p)) and math.gcd(q, *p) == 1
+    ]
+    sources, alpha = farey.farey_arrays(d, Q, (lo, hi), q_first)
+    assert sources.dtype == np.int64 and sources.shape == (len(want), d) and alpha is sources
+    assert [tuple(v) for v in sources.tolist()] == want
+
+
 def test_window_index_counts_every_point_and_indexes_the_window():
-    # identity L counts the points up to Q from the farey_grids masks, the
-    # kernels' own set, and lists only the window's denominators; the
+    # identity L counts the points up to Q by the Moebius count
+    # (count_farey_arrays), and lists only the window's denominators; the
     # unipotent L walks once and keeps the window's points.  Either way the
     # count is the number of points sequence_arrays lists up to Q (none for
     # Q < 1), and the index holds the points of the window among them

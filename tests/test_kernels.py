@@ -181,10 +181,10 @@ def test_floor_diff_prefix():
 
 
 def test_farey_kernels_match_each_other():
-    qs, ps = K.farey_d2(12, 0.0, 1.0)
+    ps, qs = K.farey_d2(12, 0.0, 1.0).T
     want = [(p, q) for q in range(1, 13) for p in range(0, q + 1) if math.gcd(p, q) == 1]
     assert sorted(zip(ps.tolist(), qs.tolist())) == sorted(want)
-    qs3, p1, p2 = K.farey_d3(5, 0.0, 1.0, 0.0, 1.0)
+    p1, p2, qs3 = K.farey_d3(5, 0.0, 1.0, 0.0, 1.0).T
     want3 = [
         (a, b, q)
         for q in range(1, 6)
@@ -203,51 +203,29 @@ def test_farey_kernels_match_each_other():
     (5, [0.3, 0.0], [0.31, 1.0]),  # no integer p_1 for most q
 ])
 def test_farey_primitive_rows_in_kernel_order(qmax, lo, hi):
-    # q increasing, then p lexicographic, as int64 columns (q, p_1, ...);
-    # farey_d2 and farey_d3 return the same arrays
-    cols = K.farey_primitive(qmax, lo, hi)
-    want = [
-        (q, *p)
-        for q in range(1, qmax + 1)
-        for p in itertools.product(*[range(math.ceil(a * q), math.floor(b * q) + 1) for a, b in zip(lo, hi)])
-        if math.gcd(q, *p) == 1
-    ]
-    assert len(cols) == len(lo) + 1 and all(c.dtype == np.int64 for c in cols)
-    assert list(zip(*[c.tolist() for c in cols])) == want
+    # farey_d2 and farey_d3, the names perfbench traces, take the bounds axis
+    # by axis and return farey_points' int64 (p_1, ..., q) rows; farey's
+    # test_farey_arrays_is_the_gcd_listing_of_the_cone checks those rows
+    got = K.farey_points(qmax, lo, hi)
+    assert got.dtype == np.int64 and got.ndim == 2 and got.shape[1] == len(lo) + 1
     named = {1: K.farey_d2, 2: K.farey_d3}.get(len(lo))
     if named is not None:
-        args = [v for pair in zip(lo, hi) for v in pair]
-        assert all(np.array_equal(a, b) for a, b in zip(named(qmax, *args), cols))
+        assert np.array_equal(named(qmax, *[v for pair in zip(lo, hi) for v in pair]), got)
 
 
-@st.composite
-def grid_cases(draw):
-    # d = 2, 3, 4; ranges reaching below 0, and empty ones where hi < lo
-    # or the interval holds no p / q
-    k = draw(st.integers(1, 3))
-    lo = [draw(st.floats(-1.5, 1.0)) for _ in range(k)]
-    hi = [a + draw(st.one_of(st.floats(-0.2, 1.2), st.just(0.0))) for a in lo]
-    qmax = draw(st.integers(0, (40, 14, 7)[k - 1]))
-    return qmax, lo, hi, draw(st.integers(1, qmax + 2))
-
-
-@settings(deadline=None, max_examples=80)
-@given(grid_cases())
-@example((12, [-1.0, 0.0], [0.0, 1.0], 1))
-@example((9, [0.3, -0.5, 0.0], [0.31, 0.5, 1.0], 4))
-def test_farey_grids_keep_is_the_gcd_fold(case):
-    qmax, lo, hi, q_first = case
-    ranges = {
-        q: [np.arange(math.ceil(a * q), math.floor(b * q) + 1) for a, b in zip(lo, hi)]
-        for q in range(q_first, qmax + 1)
-    }
-    grids = list(K.farey_grids(qmax, lo, hi, q_first))
-    assert [g[0] for g in grids] == [q for q, axes in ranges.items() if all(a.size for a in axes)]
-    for q, axes, keep in grids:
-        assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(axes, ranges[q]))
-        points = np.meshgrid(*axes, indexing="ij")
-        fold = np.gcd.reduce(np.stack([*points, np.full_like(points[0], q)]), axis=0)
-        assert keep.dtype == bool and np.array_equal(keep, fold == 1)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 3), st.integers(0, 12), st.integers(-3, 3), st.data())
+def test_primitive_rows_keeps_each_rows_range_in_order(k, n_rows, roll, data):
+    # explicit rows with one range of last entries each (some empty), rolled
+    rows = np.array(data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                                       min_size=n_rows, max_size=n_rows)), np.int64).reshape(n_rows, k)
+    first = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n_rows, max_size=n_rows)), np.int64)
+    last = first + np.array(data.draw(st.lists(st.integers(-2, 9), min_size=n_rows, max_size=n_rows)), np.int64)
+    got = K._primitive_rows(rows, first, last, roll=roll)
+    want = [(*r, n) for r, a, b in zip(rows.tolist(), first.tolist(), last.tolist())
+            for n in range(a, b + 1) if math.gcd(*r, n) == 1]
+    assert got.dtype == np.int64 and got.shape == (len(want), k + 1)
+    assert np.array_equal(got, np.roll(np.array(want, np.int64).reshape(-1, k + 1), roll, axis=1))
 
 
 def test_primitive_box():
