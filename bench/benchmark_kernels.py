@@ -7,8 +7,9 @@ the d = 3 translated window sum at t = 2.4, the A3 collision searches, the
 ranking of their pair ends, the clipped window volumes and their Moebius
 raw sum, the whole A3 window sum, the d = 3 spherical window
 sum of perfbench's d3-window
-workload with its clipped disk areas, the cover-count union of the A3
-collision clusters, the same union of one set of intervals (the d = 2
+workload with its clipped disk areas, the cover-count union of all the A3
+collision clusters, the collision correction that measures only those with
+a cycle and subtracts the trees' pair overlaps, the same union of one set of intervals (the d = 2
 spherical window sum's call), and the index build over the alpha window,
 the one batched candidate query, the batched dual predicate and the whole
 sampled estimate of perfbench's d3-membership row.
@@ -57,17 +58,25 @@ def a3_pair_search():
     return math.floor(target.denominator_cap(2.85)), np.full(2, -margin), np.full(2, 1.0 + margin), w
 
 
-def a3_clusters():
-    """The A3 collision clusters as the window sum passes them to the union:
-    the centers of the pair search's components in their order, w, the unit
-    square and the cluster sizes."""
+def a3_pairs():
+    """The A3 collision pairs as the window sum passes them to the
+    correction: the centers of the pair ends in rank order, the two ranks
+    of each pair, w and the unit square."""
     m, box_lo, box_hi, w = a3_pair_search()
     nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
-    members, sizes = farey.component_clusters(u, v)
     _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
-    centers = nodes[members, :2] / nodes[members, 2:]
+    centers = nodes[:, :2] / nodes[:, 2:]
     centers -= c_off
-    return centers, w, np.zeros(2), np.ones(2), sizes
+    return centers, u, v, w, np.zeros(2), np.ones(2)
+
+
+def a3_clusters():
+    """All the A3 collision clusters, trees included, as one union call: the
+    centers of the pair search's components in their order, w, the unit
+    square and the cluster sizes."""
+    centers, u, v, w, lo, hi = a3_pairs()
+    members, sizes = farey.component_clusters(u, v)
+    return centers[members], w, lo, hi, sizes
 
 
 def a3_pair_ends():
@@ -206,6 +215,7 @@ CASES = [
         lambda centers, w, lo, hi, sizes: experiments._cluster_union_volume(centers, w, lo, hi, sizes=sizes),
         a3_clusters,
     ),
+    ("collision_correction(A3)", "_collision_correction", a3_pairs),
     ("_coverage_union(400k)", "_coverage_union", random_intervals),
     ("_build_index(d3-membership)", "_build_index", d3_membership_build),
     (

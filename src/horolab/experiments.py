@@ -288,8 +288,6 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     time.
     """
     n, dim = centers.shape
-    if dim not in (1, 2):
-        raise ConfigError("window unions implemented for one and two parameter dimensions")
     # the clusters are gathered row by row below: rows must be contiguous
     centers = np.ascontiguousarray(centers)
     sizes = np.array([n]) if sizes is None else np.asarray(sizes, dtype=np.int64)
@@ -353,9 +351,49 @@ def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], runs[1::2] - runs[::2])))[-1])
 
 
+def _collision_correction(centers: np.ndarray, u: np.ndarray, v: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Sum of union - raw over the collision clusters of the boxes of width w
+    at the centers, clipped to [lo, hi], in one or two dimensions.  The
+    clusters are the components of the overlapping pairs (u, v) of rows,
+    each pair listed once and every row on some pair.
+
+    Boxes have Helly number 2: three share a point only if each two of them
+    overlap.  A cluster with one pair fewer than members is a tree, so no
+    three of its boxes overlap pairwise, and by inclusion-exclusion its
+    union falls short of its raw sum by exactly the clipped overlap of each
+    of its pairs, the product over the axes of
+    min(min(c) + w/2, hi) - max(max(c) - w/2, lo) or 0 when negative; no
+    grid is needed.  Only the clusters with a cycle are gathered, each
+    ascending and in order of its smallest row (the labels of
+    farey._component_labels), for _cluster_union_volume.
+    """
+    n, dim = centers.shape
+    if dim not in (1, 2):
+        raise ConfigError("window unions implemented for one and two parameter dimensions")
+    label = fy._component_labels(n, u, v)
+    # read at the roots only: a cluster's pairs and members are counted at its label
+    tree = np.bincount(label[u], minlength=n) == np.bincount(label, minlength=n) - 1
+    in_tree = tree[label[u]]
+    first, second = centers[u[in_tree]], centers[v[in_tree]]
+    overlap = np.ones(first.shape[0])
+    for a in range(dim):
+        top = np.minimum(np.minimum(first[:, a], second[:, a]) + w / 2.0, hi[a])
+        top -= np.maximum(np.maximum(first[:, a], second[:, a]) - w / 2.0, lo[a])
+        overlap *= np.clip(top, 0.0, None)
+    correction = -float(overlap.sum())
+    rows = np.flatnonzero(~tree[label])
+    if rows.size:
+        rows = rows[np.argsort(label[rows] * n + rows)]
+        sizes = np.bincount(label[rows])
+        clustered = centers[rows]
+        union = _cluster_union_volume(clustered, w, lo, hi, sizes=sizes[sizes > 0])
+        correction += union - float(_clipped_box_volumes(clustered, w, lo, hi).sum())
+    return correction
+
+
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
     """Exact integral: clipped window volumes, corrected by the union of each
-    collision cluster.
+    collision cluster (_collision_correction).
 
     For identity L and d <= 3 the predicted vol(box) Q^d / (d zeta(d))
     windows of the box A plus the margin of _stable_window_centers are
@@ -364,10 +402,12 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     point, center or volume array; the count is checked against the budget
     too.  The overlapping window pairs come from one integer search over
     the box (farey.farey_window_pairs), ranked in the kernel's row order
-    (farey.pair_graph), and their components are the clusters, whose
-    centers are taken from their integer nodes.  A general L, and d >= 4,
-    take all centers from _stable_window_centers, one fy.sequence_arrays
-    enumeration, and search them with collision_clusters.
+    (farey.pair_graph), and centers are formed for their integer ends only.
+    A general L, and d >= 4, take all centers from _stable_window_centers,
+    one fy.sequence_arrays enumeration, search them with
+    farey.collision_pairs, and keep the centers on some pair, in row order.
+    Either way the correction subtracts the pair overlaps of the clusters
+    that are trees and measures the union of the others only.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
@@ -381,9 +421,9 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         count = int(sources.shape[0])
         del sources  # only the count is needed; free it before the collision search
         total = float(_clipped_box_volumes(centers, w, lo, hi).sum())
-        clusters = fy.collision_clusters(centers, w)
-        sizes = [m.size for m in clusters]
-        clustered = centers[np.concatenate(clusters)] if clusters else None
+        first, second = fy.collision_pairs(centers, w)
+        rows, ends = np.unique(np.concatenate([first, second]), return_inverse=True)
+        centers, u, v = centers[rows], ends[: first.size], ends[first.size :]
     else:
         q_cap = target.denominator_cap(t)
         predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
@@ -391,14 +431,12 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         total, count = _stable_raw_sum(target, lo, hi, t)
         fy.check_budget(count, "window enumeration")
         nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w))
-        members, sizes = fy.component_clusters(u, v)
-        clustered = nodes[members, : d - 1] / nodes[members, d - 1 :]
-        clustered -= c_off
-    if len(sizes) and d == 2:
+        centers = nodes[:, : d - 1] / nodes[:, d - 1 :]
+        centers -= c_off
+    if u.size and d == 2:
         raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
-    if len(sizes):
-        union = _cluster_union_volume(clustered, w, lo, hi, sizes=sizes)
-        total += union - float(_clipped_box_volumes(clustered, w, lo, hi).sum())
+    if u.size:
+        total += _collision_correction(centers, u, v, w, lo, hi)
     return total, count
 
 

@@ -596,7 +596,7 @@ def _cell_keys(points: np.ndarray, max_w: float):
     lo = np.array([points[:, a].min() for a in range(points.shape[1])])
     extent = np.array([points[:, a].max() for a in range(points.shape[1])]) - lo
     if not np.all(np.isfinite(extent)):
-        raise HorolabError("collision_clusters needs finite points")
+        raise HorolabError("collision_pairs needs finite points")
     # starting no finer than extent / _MAX_SPAN keeps extent / cell finite
     cell = max(max_w * _CELL_SLACK, float(extent.max()) / _MAX_SPAN)
     while True:
@@ -650,13 +650,30 @@ def _cell_pair_rows(order, starts, counts, ci, cj):
 
 
 def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
-    """Clusters of close points: a pair is close when its sup-norm gap is
-    below (w_i + w_j)/2, with w one width for all points or one per point.
+    """Clusters of close points: the connected components of the close pairs
+    of collision_pairs (component_clusters).  Each cluster is sorted, and
+    the clusters are ordered by their smallest member.
+
+    The spherical lenses and the A8 disjointness check take the clusters;
+    the stable window sum takes the pairs themselves.
+    """
+    pi, pj = collision_pairs(points, w)
+    if pi.size == 0:
+        return []
+    members, sizes = component_clusters(pi, pj)
+    cuts = np.cumsum(sizes)[:-1].tolist()
+    return [members[a:b] for a, b in zip([0] + cuts, cuts + [members.size])]
+
+
+def collision_pairs(points: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
+    """Close pairs of rows (i, j), each once: a pair is close when its
+    sup-norm gap is below (w_i + w_j)/2, with w one width for all points or
+    one per point.
 
     For boxes of width w this is exactly "the boxes overlap", so box callers
     pass the box width.  Disk callers must pass diameters: two disks meet
     only if their centers are this close, and the caller checks the exact
-    disk test on the pairs of each cluster.
+    disk test on the pairs.
 
     Single-grid search: every gap of a close pair is below max w, so on a
     grid of cells a hair wider than that its two points share a cell or lie
@@ -666,21 +683,20 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     next distinct key, and for each forward offset on the other axes one
     searchsorted finds the (at most three) cells it reaches.  The candidate
     pairs those cells hold are counted against ENUM_BUDGET before any is
-    listed.  Connected components of the close pairs are the clusters.
-    Each cluster is sorted, and the clusters are ordered by their smallest
-    member.
+    listed, and the strict test above keeps the close ones.
 
     The points may be C- or Fortran-ordered; every pass over them reads
     one column at a time.
     """
     n = points.shape[0]
+    none = np.empty(0, np.int64), np.empty(0, np.int64)
     if n < 2:
-        return []
+        return none
     dim = points.shape[1]
     w_arr = np.broadcast_to(np.asarray(w, dtype=float), (n,))
     max_w = float(w_arr.max())
     if not max_w > 0:  # NaN widths close no pair either
-        return []
+        return none
     keys, steps = _cell_keys(points, max_w)
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
@@ -724,12 +740,7 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     hit = np.abs(points[pi, 0] - points[pj, 0]) < thr
     for a in range(1, dim):
         hit &= np.abs(points[pi, a] - points[pj, a]) < thr
-    pi, pj = pi[hit], pj[hit]
-    if pi.size == 0:
-        return []
-    members, sizes = component_clusters(pi, pj)
-    cuts = np.cumsum(sizes)[:-1].tolist()
-    return [members[a:b] for a, b in zip([0] + cuts, cuts + [members.size])]
+    return pi[hit], pj[hit]
 
 
 def component_clusters(u: np.ndarray, v: np.ndarray):
@@ -924,7 +935,8 @@ def pair_graph(first: np.ndarray, second: np.ndarray):
     members, in the order collision_clusters gives for the kernel's rows of
     the same points.  Each end is one int64 key, its offsets from the
     smallest q, p_1, ... in mixed radix, so one np.unique sorts and ranks
-    them; a key range past int64 is refused before the keys are built.
+    them, and each end is scattered to its rank; a key range past int64 is
+    refused before the keys are built.
     """
     n, d = first.shape
     if n == 0:
@@ -939,8 +951,11 @@ def pair_graph(first: np.ndarray, second: np.ndarray):
     for c, low, span in zip(cols, lows, spans):
         key *= span
         key += c - low
-    _key, index, rank = np.unique(key, return_index=True, return_inverse=True)
-    return ends[index], rank[:n], rank[n:]
+    # no return_index: it would force a stable sort, and equal keys are equal ends
+    distinct, rank = np.unique(key, return_inverse=True)
+    nodes = np.empty((distinct.size, d), ends.dtype)
+    nodes[rank] = ends
+    return nodes, rank[:n], rank[n:]
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

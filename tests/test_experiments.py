@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
 from horolab import coords, experiments as ex, farey, targets as tg
@@ -455,6 +455,14 @@ def test_translated_d3_window_sum_keeps_the_box_enumeration_value():
     assert abs(val - 0.01108804823721582) <= 1e-12 * 0.01108804823721582
 
 
+def cluster_shapes(label, u):
+    """Pairs and members of each cluster under the component labels of the
+    pairs (u, v), and whether it is a tree (one pair fewer than members)."""
+    roots = np.unique(label)
+    pairs, members = np.bincount(label[u], minlength=label.size)[roots], np.bincount(label)[roots]
+    return pairs, members, pairs == members - 1
+
+
 def test_a3_window_pairs_and_clusters():
     # the A3 row over the unit square: T = 1, eps = 0.2, t = 2.85, q <= 298
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
@@ -466,6 +474,9 @@ def test_a3_window_pairs_and_clusters():
     assert first.shape[0] == 171_680
     assert (sizes.size, int(sizes.sum()), int(sizes.max())) == (52_020, 205_040, 138)
     assert nodes.shape == (205_040, 3)
+    pairs, members, tree = cluster_shapes(farey._component_labels(nodes.shape[0], u, v), u)
+    assert (int(tree.sum()), int(pairs[tree].sum())) == (43_380, 93_860)
+    assert (int((~tree).sum()), int(members[~tree].sum()), int(members[~tree].max())) == (8_640, 67_800, 138)
 
 
 def test_d4_window_sum_without_collisions_is_unchanged():
@@ -473,6 +484,14 @@ def test_d4_window_sum_without_collisions_is_unchanged():
     # needs no union and gives the value it gave before the pair search
     target = tg.StableSection(d=4, T=1.0, eps=0.1)
     assert ex._window_sum_stable_enumerated(target, None, np.zeros(3), np.ones(3), 0.6) == (0.0002956479801171616, 649)
+
+
+def test_d4_window_sum_with_collisions_is_refused():
+    # d >= 4 window unions are not implemented, so colliding windows there
+    # are refused whatever their clusters' shape
+    target = tg.StableSection(d=4, T=1.0, eps=0.3)
+    with pytest.raises(ConfigError, match="one and two parameter dimensions"):
+        ex._window_sum_stable_enumerated(target, None, np.zeros(3), np.ones(3), 0.8)
 
 
 def test_window_sum_checks_the_predicted_count_before_the_strip_edges():
@@ -688,31 +707,39 @@ def test_collision_clusters():
 
 
 def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
-    # the row's 384 collision clusters, the largest of 10 windows, are measured
-    # with np.matmul unavailable, and the sum is the one the matmul union gave.
-    # 256 of them lie on a line; the cover-count grid steps over the other 128
+    # the row's sum with np.matmul unavailable is the one the matmul union
+    # gave.  Its 384 collision clusters (600 pairs) are all trees, so none
+    # reaches the union; at t = 2.6 the 1,116 clusters with a cycle (9,624
+    # members, the largest 72) do, beside 14,732 trees holding 27,736 pairs
     def refuse(*args, **kwargs):
         raise AssertionError("np.matmul called")
 
-    steps, coverage_union, clusters, cluster_union = [], ex._coverage_union, [], ex._cluster_union_volume
-
-    def counted(los, his):
-        steps.append(los.shape[:2])
-        return coverage_union(los, his)
+    unions, graphs, cluster_union, component_labels = [], [], ex._cluster_union_volume, farey._component_labels
 
     def sized(centers, w, lo, hi, *, sizes=None):
-        clusters.extend(sizes)
+        unions.append(sizes)
         return cluster_union(centers, w, lo, hi, sizes=sizes)
 
+    def labelled(n, u, v):
+        graphs.append((component_labels(n, u, v), u))
+        return graphs[-1][0]
+
+    def trees():
+        pairs, _members, tree = cluster_shapes(*graphs.pop())
+        return int(tree.sum()), int(pairs[tree].sum())
+
     monkeypatch.setattr(np, "matmul", refuse)
-    monkeypatch.setattr(ex, "_coverage_union", counted)
     monkeypatch.setattr(ex, "_cluster_union_volume", sized)
+    monkeypatch.setattr(farey, "_component_labels", labelled)
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     val, count = ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.0, "window-sum")
     assert count == 46489
     assert abs(val - 0.010975701480163833) <= 1e-15 * val
-    assert len(clusters) == 384 and max(clusters) == 10
-    assert sum(m for m, _k in steps) == 128 and max(k for _m, k in steps) == 10
+    assert unions == [] and trees() == (384, 600)
+    ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.6, "window-sum")
+    (sizes,) = unions
+    assert (sizes.size, int(sizes.sum()), int(sizes.max())) == (1116, 9624, 72)
+    assert trees() == (14732, 27736)
 
 
 def test_cluster_union_volume():
@@ -837,6 +864,50 @@ def test_line_clusters_match_the_cover_count_union(case):
     parts = np.cumsum(sizes)[:-1]
     want = sum(ex._coverage_union(a[None], b[None]) for a, b in zip(np.split(los, parts), np.split(his, parts)))
     assert abs(ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes) - want) <= 1e-12
+
+
+@st.composite
+def pair_sets(draw):
+    """Boxes of width w in one or two dimensions, about half of them within w
+    of an earlier one on every axis, so that trees, cycles and pairs that
+    only touch (on the grid values) all occur."""
+    dim = draw(st.sampled_from([1, 2]))
+    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
+    centers = [draw(st.tuples(*[coordinate] * dim))]
+    for _ in range(draw(st.integers(1, 11))):
+        if draw(st.booleans()):
+            base = centers[draw(st.integers(0, len(centers) - 1))]
+            centers.append(tuple(b + draw(st.floats(-w, w)) for b in base))
+        else:
+            centers.append(draw(st.tuples(*[coordinate] * dim)))
+    return np.array(centers), w
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair_sets())
+@example((np.array([[0.1, 0.1], [0.3, 0.25], [0.5, 0.1], [0.7, 0.3]]), 0.25))  # a tree, on no line
+@example((np.array([[0.4, 0.4], [0.5, 0.45], [0.45, 0.55], [0.9, 0.9]]), 0.25))  # a triangle
+@example((np.array([[0.1], [0.2], [0.3]]), 0.25))  # a triangle of intervals
+@example((np.array([[0.2, 0.5], [0.5, 0.8], [0.8, 0.5], [0.5, 0.2]]), 0.5))  # a 4-cycle with no triangle
+@example((np.array([[0.0, 0.5], [0.25, 0.5], [0.5, 0.5], [0.5, 0.7], [0.75, 0.75]]), 0.25))  # touching edges
+@example((np.array([[-0.25, 0.5], [-0.1, 0.6], [1.25, 1.25], [1.1, 1.3]]), 0.25))  # clipped and empty outside A
+def test_collision_correction_matches_the_cluster_unions(case):
+    # trees subtract their pair overlaps and the clusters with a cycle take
+    # the union: the sum is union - raw per cluster, by the batched union
+    # and by the sweep, over the strict sup-norm pairs found by brute force
+    centers, w = case
+    lo, hi = np.zeros(centers.shape[1]), np.ones(centers.shape[1])
+    i, j = np.triu_indices(centers.shape[0], 1)
+    close = np.abs(centers[i] - centers[j]).max(axis=1) < w
+    assume(close.any())
+    rows, ends = np.unique(np.concatenate([i[close], j[close]]), return_inverse=True)
+    centers, u, v = centers[rows], ends[: close.sum()], ends[close.sum() :]
+    got = ex._collision_correction(centers, u, v, w, lo, hi)
+    members, sizes = farey.component_clusters(u, v)
+    parts = np.split(centers[members], np.cumsum(sizes)[:-1])
+    raw = [float(ex._clipped_box_volumes(p, w, lo, hi).sum()) for p in parts]
+    assert abs(got - sum(ex._cluster_union_volume(p, w, lo, hi) - r for p, r in zip(parts, raw))) <= 1e-12
+    assert abs(got - sum(_sweep_union(p, w, lo, hi) - r for p, r in zip(parts, raw))) <= 1e-12
 
 
 def _union_length(intervals: np.ndarray) -> float:
