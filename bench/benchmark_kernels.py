@@ -7,10 +7,9 @@ the d = 3 translated window sum at t = 2.4, the A3 collision searches, the
 ranking of their pair ends, the clipped window volumes and their Moebius
 raw sum, the whole A3 window sum, the d = 3 spherical window
 sum of perfbench's d3-window
-workload with its clipped disk areas, the cover-count union of all the A3
-collision clusters, the collision correction that measures only those with
-a cycle and subtracts the trees' pair overlaps, the same union of one set of intervals (the d = 2
-spherical window sum's call), and the index build over the alpha window,
+workload with its clipped disk areas, the clique union of the A3 windows
+on some collision pair, the cover-count union of one set of intervals (the
+d = 2 spherical window sum's call), and the index build over the alpha window,
 the one batched candidate query, the batched dual predicate and the whole
 sampled estimate of perfbench's d3-membership row.
 
@@ -59,24 +58,15 @@ def a3_pair_search():
 
 
 def a3_pairs():
-    """The A3 collision pairs as the window sum passes them to the
-    correction: the centers of the pair ends in rank order, the two ranks
-    of each pair, w and the unit square."""
+    """The A3 collision pairs as the window sum passes them to the union:
+    the centers of the pair ends in rank order, the two ranks of each pair,
+    w and the unit square."""
     m, box_lo, box_hi, w = a3_pair_search()
     nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
     _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
     centers = nodes[:, :2] / nodes[:, 2:]
     centers -= c_off
     return centers, u, v, w, np.zeros(2), np.ones(2)
-
-
-def a3_clusters():
-    """All the A3 collision clusters, trees included, as one union call: the
-    centers of the pair search's components in their order, w, the unit
-    square and the cluster sizes."""
-    centers, u, v, w, lo, hi = a3_pairs()
-    members, sizes = farey.component_clusters(u, v)
-    return centers[members], w, lo, hi, sizes
 
 
 def a3_pair_ends():
@@ -125,12 +115,12 @@ def d3_spherical_disks():
 
 
 def random_intervals(n=400_000):
-    """n seeded random intervals starting in [0, 1], as one cluster's
-    (1, n, 1) lower and upper edges; in lo order, about two in five start
-    inside the union of those before them."""
+    """n seeded random intervals starting in [0, 1], as their lower and
+    upper edges; in lo order, about two in five start inside the union of
+    those before them."""
     rng = np.random.default_rng(0)
     lo = rng.uniform(0.0, 1.0, size=n)
-    return lo[None, :, None], (lo + rng.exponential(0.5 / n, size=n))[None, :, None]
+    return lo, lo + rng.exponential(0.5 / n, size=n)
 
 
 D3_MEMBERSHIP = GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2), 1.5
@@ -212,10 +202,9 @@ CASES = [
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
     (
         "_cluster_union_volume(A3)",
-        lambda centers, w, lo, hi, sizes: experiments._cluster_union_volume(centers, w, lo, hi, sizes=sizes),
-        a3_clusters,
+        lambda centers, u, v, w, lo, hi: experiments._cluster_union_volume(centers, w, lo, hi, pairs=(u, v)),
+        a3_pairs,
     ),
-    ("collision_correction(A3)", "_collision_correction", a3_pairs),
     ("_coverage_union(400k)", "_coverage_union", random_intervals),
     ("_build_index(d3-membership)", "_build_index", d3_membership_build),
     (

@@ -10,7 +10,6 @@ limit is the lattice-count fluctuation itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -266,134 +265,78 @@ def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t:
     return K.farey_mobius_sums(qmax, lo - margin, hi + margin, sides)
 
 
-_UNION_CELLS = 1 << 21  # cover cells per batched step, O(k^dim) per cluster of k boxes; bounds each step's arrays to tens of MiB
+def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, *, pairs) -> float:
+    """Exact measure of the union of the boxes of width w at the centers,
+    clipped to [lo, hi], in any dimension.  ``pairs`` holds the rows (u, v)
+    of every two boxes that overlap, each pair once, either way round.
 
-
-def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, *, sizes=None) -> float:
-    """Exact measure of the union of the congruent boxes of width w at the
-    centers, clipped to [lo, hi], in one or two dimensions.
-
-    ``sizes`` splits the rows into consecutive clusters and the result is
-    the sum of the clusters' unions; by default all rows form one cluster.
-
-    A cluster whose centers are equal on one axis (in two dimensions; any
-    cluster in one) lies on a line: its union is the clipped side on that
-    axis times a union of intervals along the other.  Intervals of one
-    width stay monotone under clipping, both ends nondecreasing in the
-    center, so once sorted by center each interval meets the union of the
-    earlier ones only inside its predecessor, and adds
-    max(0, hi_j - max(lo_j, hi_{j-1})); all line clusters take one
-    vectorised pass.  The other clusters of one size are measured together
-    by _coverage_union, as one (m, k, dim) array, a few million cells at a
-    time.
+    Boxes have Helly number 2: some of them share a point exactly when each
+    two of them overlap, that is when they form a clique of the pair graph,
+    and what they share is again a box, from max(c) - w/2 to min(c) + w/2
+    on every axis.  So inclusion-exclusion over the cliques is exact: the
+    clipped volumes summed, then (-1)^{k+1} times the summed clipped volume
+    of the common boxes of the k-cliques, k = 2, 3, ...  The k-sets are
+    grown from the pairs, members ascending, each by every later neighbour
+    of its largest member.  One that is not a clique has an empty common
+    box, and one whose common box misses A has no superset that meets it,
+    so keeping only the sets of positive clipped volume keeps exactly the
+    cliques that count, each once.
     """
-    n, dim = centers.shape
-    # the clusters are gathered row by row below: rows must be contiguous
-    centers = np.ascontiguousarray(centers)
-    sizes = np.array([n]) if sizes is None else np.asarray(sizes, dtype=np.int64)
-    los = np.maximum(centers - w / 2.0, lo)
-    his = np.minimum(centers + w / 2.0, hi)
-    starts = np.cumsum(sizes) - sizes
-    if dim == 1:
-        line, free, side = np.ones(sizes.size, bool), np.zeros(sizes.size, np.int64), np.ones(sizes.size)
-    else:
-        fixed = np.maximum.reduceat(centers, starts) == np.minimum.reduceat(centers, starts)
-        line, free = fixed.any(axis=1), np.where(fixed[:, 0], 1, 0)
-        at = (starts, 1 - free)
-        side = np.clip(his[at] - los[at], 0.0, None)
-    cluster = np.repeat(np.arange(sizes.size), sizes)
-    rows = np.flatnonzero(line[cluster])
-    cluster = cluster[rows]  # ascending, and the lexsort keeps it so
-    rows = rows[np.lexsort((centers[rows, free[cluster]], cluster))]
-    axis = free[cluster]
-    new = np.ones(rows.size, bool)  # the first row of each line cluster
-    new[1:] = cluster[1:] != cluster[:-1]
-    top = his[rows, axis]
-    gain = top - np.maximum(los[rows, axis], np.where(new, -np.inf, np.roll(top, 1)))
-    total = float((np.clip(gain, 0.0, None) * side[cluster]).sum())
-    for k in np.unique(sizes[~line]):
-        first = starts[(sizes == k) & ~line]
-        step = max(1, _UNION_CELLS // (2 * int(k) - 1) ** dim)
-        for c in range(0, first.size, step):
-            rows = first[c : c + step, None] + np.arange(k)
-            total += _coverage_union(los[rows], his[rows])
-    return float(total)
+    n = centers.shape[0]
+    u, v = pairs
+    first, later = np.divmod(np.sort(np.minimum(u, v) * n + np.maximum(u, v)), n)
+    # row a's later neighbours are later[starts[a] : starts[a + 1]], ascending
+    starts = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
+    union = float(_clipped_box_volumes(centers, w, lo, hi).sum())
+    axes = [centers[:, a] for a in range(centers.shape[1])]
+    last = later  # the largest member of each listed set
+    bottom = [np.maximum(x[first], x[later]) for x in axes]
+    top = [np.minimum(x[first], x[later]) for x in axes]
+    sign = -1.0
+    while last.size:
+        vol = 1.0
+        for b, t, a0, a1 in zip(bottom, top, lo, hi):
+            vol = vol * np.clip(np.minimum(t + w / 2.0, a1) - np.maximum(b - w / 2.0, a0), 0.0, None)
+        union += sign * float(vol.sum())
+        meets = np.flatnonzero(vol > 0)
+        tail = last[meets]
+        n_next = starts[tail + 1] - starts[tail]
+        grown = np.repeat(meets, n_next)
+        last = later[np.repeat(starts[tail], n_next) + fy._ramp(n_next)]
+        bottom = [np.maximum(b[grown], x[last]) for b, x in zip(bottom, axes)]
+        top = [np.minimum(t[grown], x[last]) for t, x in zip(top, axes)]
+        sign = -sign
+    return union
 
 
 def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
-    """Summed union measure of m clusters of k boxes, given as (m, k, dim)
-    corner arrays, dim 1 or 2; a box with his <= los on some axis is empty.
+    """Length of the union of the intervals [los, his]; one with his <= los
+    is empty.
 
-    A stable argsort ranks each cluster's 2k edges per axis, a lower edge
-    first at equal values so that touching boxes merge.  Each nonempty box
-    writes +-1 at its distinct corner ranks, and a cumsum per axis gives
-    each of the O(k^dim) cells its cover count.  Two dimensions add the
-    covered cells' areas; one adds each run of positive cover's length,
-    left to right from 0.0 (cumsum adds strictly in order)."""
-    m, k, dim = los.shape
-    values = np.concatenate([los, his], axis=1)
-    order = np.argsort(values, axis=1, kind="stable")
-    edges = np.take_along_axis(values, order, axis=1)
+    A stable argsort ranks the 2k edges, a lower edge first at equal values
+    so that touching intervals merge.  Each nonempty interval writes +1 at
+    its lower rank and -1 at its upper one, a cumsum gives the cover count
+    between edges, and each run of positive cover adds its length, left to
+    right from 0.0 (cumsum adds strictly in order)."""
+    k = los.size
+    values = np.concatenate([los, his])
+    order = np.argsort(values, kind="stable")
+    edges = values[order]
     rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(2 * k)[:, None], axis=1)
-    c, b = np.nonzero(np.all(rank[:, k:] > rank[:, :k], axis=2))
-    ends = (rank[c, b], rank[c, k + b])  # the live boxes' lower and upper edge ranks
-    cover = np.zeros((m,) + (2 * k,) * dim, np.min_scalar_type(-k - 1))
-    for corner in itertools.product((0, 1), repeat=dim):
-        cover[(c, *(ends[s][:, a] for a, s in enumerate(corner)))] = (-1) ** sum(corner)
-    for a in range(1, dim + 1):
-        np.cumsum(cover, axis=a, dtype=cover.dtype, out=cover)
-    if dim == 2:
-        widths = np.diff(edges, axis=1)
-        return float(np.einsum("ci,cij,cj->", widths[..., 0], cover[:, :-1, :-1] > 0, widths[..., 1]))
-    # the count is 0 after each cluster's last edge, so its flips pair up as (start, end)
-    runs = edges.ravel()[np.flatnonzero(np.diff(cover.ravel() > 0, prepend=False))]
+    rank[order] = np.arange(2 * k)
+    live = np.flatnonzero(rank[k:] > rank[:k])
+    cover = np.zeros(2 * k, np.min_scalar_type(-k - 1))
+    cover[rank[live]] = 1
+    cover[rank[k + live]] = -1
+    np.cumsum(cover, dtype=cover.dtype, out=cover)
+    # the count is 0 after the last edge, so its flips pair up as (start, end)
+    runs = edges[np.flatnonzero(np.diff(cover > 0, prepend=False))]
     return float(np.cumsum(np.concatenate(([0.0], runs[1::2] - runs[::2])))[-1])
 
 
-def _collision_correction(centers: np.ndarray, u: np.ndarray, v: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Sum of union - raw over the collision clusters of the boxes of width w
-    at the centers, clipped to [lo, hi], in one or two dimensions.  The
-    clusters are the components of the overlapping pairs (u, v) of rows,
-    each pair listed once and every row on some pair.
-
-    Boxes have Helly number 2: three share a point only if each two of them
-    overlap.  A cluster with one pair fewer than members is a tree, so no
-    three of its boxes overlap pairwise, and by inclusion-exclusion its
-    union falls short of its raw sum by exactly the clipped overlap of each
-    of its pairs, the product over the axes of
-    min(min(c) + w/2, hi) - max(max(c) - w/2, lo) or 0 when negative; no
-    grid is needed.  Only the clusters with a cycle are gathered, each
-    ascending and in order of its smallest row (the labels of
-    farey._component_labels), for _cluster_union_volume.
-    """
-    n, dim = centers.shape
-    if dim not in (1, 2):
-        raise ConfigError("window unions implemented for one and two parameter dimensions")
-    label = fy._component_labels(n, u, v)
-    # read at the roots only: a cluster's pairs and members are counted at its label
-    tree = np.bincount(label[u], minlength=n) == np.bincount(label, minlength=n) - 1
-    in_tree = tree[label[u]]
-    first, second = centers[u[in_tree]], centers[v[in_tree]]
-    overlap = np.ones(first.shape[0])
-    for a in range(dim):
-        top = np.minimum(np.minimum(first[:, a], second[:, a]) + w / 2.0, hi[a])
-        top -= np.maximum(np.maximum(first[:, a], second[:, a]) - w / 2.0, lo[a])
-        overlap *= np.clip(top, 0.0, None)
-    correction = -float(overlap.sum())
-    rows = np.flatnonzero(~tree[label])
-    if rows.size:
-        rows = rows[np.argsort(label[rows] * n + rows)]
-        sizes = np.bincount(label[rows])
-        clustered = centers[rows]
-        union = _cluster_union_volume(clustered, w, lo, hi, sizes=sizes[sizes > 0])
-        correction += union - float(_clipped_box_volumes(clustered, w, lo, hi).sum())
-    return correction
-
-
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
-    """Exact integral: clipped window volumes, corrected by the union of each
-    collision cluster (_collision_correction).
+    """Exact integral: clipped window volumes, corrected by the union of the
+    windows on some overlapping pair less their own clipped volumes.
 
     For identity L and d <= 3 the predicted vol(box) Q^d / (d zeta(d))
     windows of the box A plus the margin of _stable_window_centers are
@@ -406,8 +349,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     A general L, and d >= 4, take all centers from _stable_window_centers,
     one fy.sequence_arrays enumeration, search them with
     farey.collision_pairs, and keep the centers on some pair, in row order.
-    Either way the correction subtracts the pair overlaps of the clusters
-    that are trees and measures the union of the others only.
+    Either way _cluster_union_volume measures those windows' union from
+    their pairs, by inclusion-exclusion over the cliques, in any dimension.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
@@ -436,7 +379,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     if u.size and d == 2:
         raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
     if u.size:
-        total += _collision_correction(centers, u, v, w, lo, hi)
+        union = _cluster_union_volume(centers, w, lo, hi, pairs=(u, v))
+        total += union - float(_clipped_box_volumes(centers, w, lo, hi).sum())
     return total, count
 
 
@@ -482,7 +426,7 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         return 0.0, 0
     if d == 2:
         los, his = np.maximum(centers - radii[:, None], lo), np.minimum(centers + radii[:, None], hi)
-        return _coverage_union(los[None], his[None]), int(centers.shape[0])
+        return _coverage_union(los[:, 0], his[:, 0]), int(centers.shape[0])
     return _disk_window_sum(centers, radii, lo, hi), int(centers.shape[0])
 
 
@@ -634,7 +578,7 @@ def sampled_integral(target, L, lo, hi, t, points: np.ndarray) -> tuple[float, i
     index, count = _build_index(target, L, lo, hi, t)
     pairs = index.near(points, target.candidate_radius(t), alpha_max=target.alpha_window(t)[1])
     pos, _found = tg.dual_hits(target, L, t, points, pairs[:, 0], pairs[:, 1], index)
-    hits = np.unique(pairs[pos, 0]).size
+    hits = np.count_nonzero(np.bincount(pairs[pos, 0]))  # the distinct samples hit; np.unique would import numpy.ma
     vol = box_volume(lo, hi)
     return vol * hits / len(points), count
 

@@ -654,8 +654,9 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     of collision_pairs (component_clusters).  Each cluster is sorted, and
     the clusters are ordered by their smallest member.
 
-    The spherical lenses and the A8 disjointness check take the clusters;
-    the stable window sum takes the pairs themselves.
+    The spherical lenses and the A8 disjointness check take the clusters.
+    The stable window sum needs no clusters: its union takes the pairs
+    themselves and sums over their cliques.
     """
     pi, pj = collision_pairs(points, w)
     if pi.size == 0:
@@ -671,9 +672,10 @@ def collision_pairs(points: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     one per point.
 
     For boxes of width w this is exactly "the boxes overlap", so box callers
-    pass the box width.  Disk callers must pass diameters: two disks meet
-    only if their centers are this close, and the caller checks the exact
-    disk test on the pairs.
+    pass the box width; the pairs are then the edges of the graph whose
+    cliques are the sets of boxes with a common point.  Disk callers must
+    pass diameters: two disks meet only if their centers are this close,
+    and the caller checks the exact disk test on the pairs.
 
     Single-grid search: every gap of a close pair is below max w, so on a
     grid of cells a hair wider than that its two points share a cell or lie
@@ -728,7 +730,7 @@ def collision_pairs(points: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     shared = counts[counts >= 2]
     check_budget(int((shared * (shared - 1) // 2).sum() + np.dot(counts[ci], counts[cj])), "collision candidate pairs")
     pi_chunks, pj_chunks = [], []
-    for c in np.unique(shared):
+    for c in np.flatnonzero(np.bincount(shared)):  # the distinct counts, ascending; np.unique would import numpy.ma
         rows = order[starts[counts == c][:, None] + np.arange(c)]
         a, b = np.triu_indices(int(c), 1)
         pi_chunks.append(rows[:, a].ravel())
@@ -911,6 +913,7 @@ def farey_window_pairs(m: int, lo, hi, w: float) -> tuple[np.ndarray, np.ndarray
     cols[0].append(q[pair])
     cols[1].append(q2[pair])
     keep = np.ones(pair.size, dtype=bool)
+    del axes, rows, pair  # the candidates' solutions: free them before the kept ends are stacked
     for end in cols:
         g = end[-1]
         for c in end[:-1]:

@@ -324,16 +324,38 @@ def test_cli_import_leaves_scipy_integrate_and_csgraph_unloaded():
 
 
 def test_d3_window_sum_leaves_scipy_sparse_unloaded(tmp_path):
-    # t = 1.8 has colliding windows, so the run labels collision clusters
+    # t = 1.8 has colliding windows, so the run measures their union
     cfg = sthe_config(tmp_path, d=3, target={"kind": "stable", "T": 1, "eps": 0.2}, A={"lo": [0, 0], "hi": [1, 1]},
                       t_schedule=[1.8], estimator={"kind": "window-sum"})
-    code = (f"import sys; from horolab import cli, farey; seen = []; run = farey._component_labels; "
-            f"farey._component_labels = lambda *a: seen.append(run(*a)) or seen[-1]; "
+    code = (f"import sys; from horolab import cli, experiments; seen = []; run = experiments._cluster_union_volume; "
+            f"experiments._cluster_union_volume = lambda *a, **k: seen.append(1) or run(*a, **k); "
             f"assert cli.main(['sthe-run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
-            f"print(sum(len(label) for label in seen), sorted(m for m in {SCIPY_PARTS} if m in sys.modules))")
+            f"print(len(seen), sorted(m for m in {SCIPY_PARTS} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    labelled, loaded = out.strip().splitlines()[-1].split(" ", 1)  # sthe-run prints its summary first
-    assert int(labelled) > 0 and loaded == "[]"
+    unions, loaded = out.strip().splitlines()[-1].split(" ", 1)  # sthe-run prints its summary first
+    assert int(unions) > 0 and loaded == "[]"
+
+
+def test_window_sums_and_sampling_leave_numpy_ma_unloaded(tmp_path):
+    # the first np.unique with no return_* flag imports numpy.ma (about 15 ms);
+    # the d = 3 stable and spherical window sums and the sampled estimate
+    # find their distinct values without it
+    rows = [
+        ("stable", {"kind": "stable", "T": 1, "eps": 0.2}, 1.8, {"kind": "window-sum"}),
+        ("spherical", {"kind": "spherical", "T": 3, "radius": 0.5}, 2.0, {"kind": "window-sum"}),
+        ("sampled", {"kind": "grenier-stable", "alphas": [1, 1], "gammas": [2, 2], "T": 1, "eps": 0.2}, 1.5,
+         {"kind": "monte-carlo", "n": 50}),
+    ]
+    argv = []
+    for name, target, t, estimator in rows:
+        (tmp_path / name).mkdir()
+        cfg = sthe_config(tmp_path / name, d=3, target=target, A={"lo": [0, 0], "hi": [1, 1]}, t_schedule=[t],
+                          estimator=estimator)
+        argv.append(["sthe-run", "--config", str(cfg), "--out", str(tmp_path / name / "o")])
+    code = (f"import sys; from horolab import cli; "
+            f"assert all(cli.main(a) == 0 for a in {argv!r}); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "False"
 
 
 def sthe_config(tmp_path, **overrides):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from horolab import coords, experiments as ex, farey, targets as tg
@@ -391,16 +392,11 @@ def test_window_sum_with_edges_on_rationals_matches_collision_search(lo, hi, t):
 
 
 def reference_window_sum(target, lo, hi, t):
-    """The identity-L stable window sum from one enumeration of all centers,
-    with the clusters found by collision_clusters on them."""
+    """The identity-L stable window sum from one enumeration of all centers:
+    the union of all their windows, with the pairs found by
+    collision_pairs on them."""
     sources, centers, w = ex._stable_window_centers(target, None, lo, hi, t)
-    total = float(ex._clipped_box_volumes(centers, w, lo, hi).sum())
-    clusters = farey.collision_clusters(centers, w)
-    if clusters:
-        clustered = centers[np.concatenate(clusters)]
-        union = ex._cluster_union_volume(clustered, w, lo, hi, sizes=[c.size for c in clusters])
-        total += union - float(ex._clipped_box_volumes(clustered, w, lo, hi).sum())
-    return total, int(sources.shape[0])
+    return ex._cluster_union_volume(centers, w, lo, hi, pairs=farey.collision_pairs(centers, w)), int(sources.shape[0])
 
 
 @st.composite
@@ -486,12 +482,24 @@ def test_d4_window_sum_without_collisions_is_unchanged():
     assert ex._window_sum_stable_enumerated(target, None, np.zeros(3), np.ones(3), 0.6) == (0.0002956479801171616, 649)
 
 
-def test_d4_window_sum_with_collisions_is_refused():
-    # d >= 4 window unions are not implemented, so colliding windows there
-    # are refused whatever their clusters' shape
-    target = tg.StableSection(d=4, T=1.0, eps=0.3)
-    with pytest.raises(ConfigError, match="one and two parameter dimensions"):
-        ex._window_sum_stable_enumerated(target, None, np.zeros(3), np.ones(3), 0.8)
+@pytest.mark.parametrize("eps, t, want, want_count", [
+    (0.3, 0.8, 0.007462723810015739, 5_509),
+    (0.2, 1.0, 0.0019936072690676892, 48_081),
+], ids=["eps0.3", "eps0.2"])
+def test_d4_window_sum_with_collisions_matches_the_cell_oracle(eps, t, want, want_count):
+    # d = 4 windows collide (224 and 392 pairs here): each collision cluster
+    # of collision_clusters is measured on its own cell grid instead
+    target = tg.StableSection(d=4, T=1.0, eps=eps)
+    lo, hi = np.zeros(3), np.ones(3)
+    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, t)
+    _sources, centers, w = ex._stable_window_centers(target, None, lo, hi, t)
+    clusters = farey.collision_clusters(centers, w)
+    oracle = float(ex._clipped_box_volumes(centers, w, lo, hi).sum())
+    for c in clusters:
+        oracle += _cell_union(centers[c], w, lo, hi) - float(ex._clipped_box_volumes(centers[c], w, lo, hi).sum())
+    assert clusters and count == want_count and count == centers.shape[0]
+    assert abs(val - oracle) <= 1e-12 * oracle
+    assert abs(val - want) <= 1e-15 * want
 
 
 def test_window_sum_checks_the_predicted_count_before_the_strip_edges():
@@ -708,44 +716,33 @@ def test_collision_clusters():
 
 def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
     # the row's sum with np.matmul unavailable is the one the matmul union
-    # gave.  Its 384 collision clusters (600 pairs) are all trees, so none
-    # reaches the union; at t = 2.6 the 1,116 clusters with a cycle (9,624
-    # members, the largest 72) do, beside 14,732 trees holding 27,736 pairs
+    # gave.  Its 600 collision pairs reach the union in one call, and so do
+    # the 38,560 at t = 2.6
     def refuse(*args, **kwargs):
         raise AssertionError("np.matmul called")
 
-    unions, graphs, cluster_union, component_labels = [], [], ex._cluster_union_volume, farey._component_labels
+    unions, cluster_union = [], ex._cluster_union_volume
 
-    def sized(centers, w, lo, hi, *, sizes=None):
-        unions.append(sizes)
-        return cluster_union(centers, w, lo, hi, sizes=sizes)
-
-    def labelled(n, u, v):
-        graphs.append((component_labels(n, u, v), u))
-        return graphs[-1][0]
-
-    def trees():
-        pairs, _members, tree = cluster_shapes(*graphs.pop())
-        return int(tree.sum()), int(pairs[tree].sum())
+    def counted(centers, w, lo, hi, *, pairs):
+        unions.append(pairs[0].size)
+        return cluster_union(centers, w, lo, hi, pairs=pairs)
 
     monkeypatch.setattr(np, "matmul", refuse)
-    monkeypatch.setattr(ex, "_cluster_union_volume", sized)
-    monkeypatch.setattr(farey, "_component_labels", labelled)
+    monkeypatch.setattr(ex, "_cluster_union_volume", counted)
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     val, count = ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.0, "window-sum")
     assert count == 46489
     assert abs(val - 0.010975701480163833) <= 1e-15 * val
-    assert unions == [] and trees() == (384, 600)
+    assert unions == [600]
     ex.exact_integral(target, None, np.zeros(2), np.ones(2), 2.6, "window-sum")
-    (sizes,) = unions
-    assert (sizes.size, int(sizes.sum()), int(sizes.max())) == (1116, 9624, 72)
-    assert trees() == (14732, 27736)
+    assert unions == [600, 38_560]
 
 
 def test_cluster_union_volume():
     centers = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.25]])
     w = 1.0
-    got = ex._cluster_union_volume(centers, w, np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
+    pairs = np.array([0, 0, 1]), np.array([1, 2, 2])
+    got = ex._cluster_union_volume(centers, w, np.array([-5.0, -5.0]), np.array([5.0, 5.0]), pairs=pairs)
     # hand inclusion-exclusion: 3 - (0.5 + 0.5625 + 0.5625) + 0.375
     assert abs(got - 1.75) <= 1e-12
 
@@ -771,12 +768,113 @@ def _sweep_union(centers, w, lo, hi):
     return float(total)
 
 
+def _cell_union(centers, w, lo, hi):
+    """Reference union of congruent clipped boxes in any dimension: their
+    edges cut A into cells on every axis, each box covers a block of cells,
+    and the covered cells' volumes are summed."""
+    los = np.maximum(centers - w / 2.0, lo)
+    his = np.minimum(centers + w / 2.0, hi)
+    keep = np.all(his > los, axis=1)
+    los, his = los[keep], his[keep]
+    if los.shape[0] == 0:
+        return 0.0
+    edges = [np.unique(np.concatenate([los[:, a], his[:, a]])) for a in range(los.shape[1])]
+    covered = np.zeros([e.size - 1 for e in edges], bool)
+    for box_lo, box_hi in zip(los, his):
+        covered[tuple(slice(np.searchsorted(e, a), np.searchsorted(e, b)) for e, a, b in zip(edges, box_lo, box_hi))] = True
+    cells = functools.reduce(np.multiply.outer, [np.diff(e) for e in edges])
+    return float(cells[covered].sum())
+
+
 # grid values make shared and touching edges common (decimal ones touch only
 # up to rounding, 0.9 + 0.1 == 1.0); the range reaches past A = [0, 1]^dim,
 # so some boxes are clipped or empty
 grid = [-0.25, 0.0, 0.1, 0.125, 0.25, 0.3, 0.5, 0.7, 0.75, 0.9, 1.0, 1.25]
 coordinate = st.one_of(st.sampled_from(grid), st.floats(-0.3, 1.3))
 radius = st.one_of(st.sampled_from([0.0, 0.1, 0.125, 0.25, 0.3]), st.floats(1e-6, 0.7))
+
+
+@st.composite
+def interval_clusters(draw):
+    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    centers = np.array(draw(st.lists(coordinate, min_size=sum(sizes), max_size=sum(sizes))))[:, None]
+    return centers, w, sizes, np.zeros(1), np.ones(1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(interval_clusters())
+def test_cover_count_union_matches_the_oracles_bitwise(case):
+    centers, w, sizes, lo, hi = case
+    los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
+    for part_lo, part_hi in zip(np.split(los, np.cumsum(sizes)[:-1]), np.split(his, np.cumsum(sizes)[:-1])):
+        intervals = np.concatenate([part_lo, part_hi], axis=1)
+        assert ex._coverage_union(part_lo[:, 0], part_hi[:, 0]) == _merge_length_loop(intervals)
+
+
+@st.composite
+def pair_sets(draw):
+    """Boxes of width w in one, two or three dimensions.  Each after the
+    first is drawn free, within w of an earlier one on every axis, or
+    within w/2 of it, so that boxes drawn around one center overlap
+    pairwise and cliques of up to six occur beside trees, cycles and pairs
+    that only touch (on the grid values)."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
+    centers = [draw(st.tuples(*[coordinate] * dim))]
+    for _ in range(draw(st.integers(1, 11))):
+        reach = draw(st.sampled_from([None, w, w / 2.0]))
+        if reach is None:
+            centers.append(draw(st.tuples(*[coordinate] * dim)))
+        else:
+            base = centers[draw(st.integers(0, len(centers) - 1))]
+            centers.append(tuple(b + draw(st.floats(-reach, reach)) for b in base))
+    return np.array(centers), w
+
+
+CLIQUE = np.array([[0.5, 0.5, 0.5], [0.55, 0.45, 0.5], [0.45, 0.6, 0.52], [0.6, 0.55, 0.4], [0.42, 0.4, 0.6], [0.5, 0.62, 0.45]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair_sets(), st.integers(0, 2**32 - 1))
+@example((np.array([[0.1, 0.1], [0.3, 0.25], [0.5, 0.1], [0.7, 0.3]]), 0.25), 0)  # a tree, on no line
+@example((np.array([[0.4, 0.4], [0.5, 0.45], [0.45, 0.55], [0.9, 0.9]]), 0.25), 0)  # a triangle
+@example((np.array([[0.1], [0.2], [0.3]]), 0.25), 0)  # a triangle of intervals
+@example((np.array([[0.2, 0.5], [0.5, 0.8], [0.8, 0.5], [0.5, 0.2]]), 0.5), 0)  # a 4-cycle with no triangle
+@example((np.array([[0.0, 0.5], [0.25, 0.5], [0.5, 0.5], [0.5, 0.7], [0.75, 0.75]]), 0.25), 0)  # touching edges
+@example((np.array([[-0.25, 0.5], [-0.1, 0.6], [1.25, 1.25], [1.1, 1.3]]), 0.25), 0)  # clipped and empty outside A
+@example((CLIQUE, 0.25), 1)  # a 6-clique of cubes
+@example((CLIQUE[:, :2], 0.25), 0)  # a 6-clique of squares
+@example((np.vstack([CLIQUE - 0.55, [[1.2, 1.2, 1.2], [1.1, 1.3, 1.25]]]), 0.25), 1)  # clipped and empty in 3-D
+def test_clique_union_matches_the_oracles(case, seed):
+    # inclusion-exclusion over the cliques of the strict sup-norm pairs,
+    # found by brute force and each turned round at random, measures the union
+    centers, w = case
+    lo, hi = np.zeros(centers.shape[1]), np.ones(centers.shape[1])
+    i, j = np.triu_indices(centers.shape[0], 1)
+    close = np.abs(centers[i] - centers[j]).max(axis=1) < w
+    i, j = i[close], j[close]
+    turn = np.random.default_rng(seed).random(i.size) < 0.5
+    pairs = np.where(turn, j, i), np.where(turn, i, j)
+    got = ex._cluster_union_volume(centers, w, lo, hi, pairs=pairs)
+    assert abs(got - _cell_union(centers, w, lo, hi)) <= 1e-12
+    if centers.shape[1] < 3:
+        assert abs(got - _sweep_union(centers, w, lo, hi)) <= 1e-12
+
+
+def _close_pairs(centers, w, start=0):
+    """Brute-force strict sup-norm pairs of the boxes at the centers, as
+    rows shifted by start."""
+    i, j = np.triu_indices(centers.shape[0], 1)
+    close = np.abs(centers[i] - centers[j]).max(axis=1) < w
+    return i[close] + start, j[close] + start
+
+
+def _part_pairs(centers, w, sizes):
+    """The pairs within each part of the given sizes, none between parts."""
+    starts = np.cumsum(sizes) - np.asarray(sizes)
+    found = [_close_pairs(centers[s : s + k], w, s) for s, k in zip(starts, sizes)]
+    return np.concatenate([u for u, _ in found]), np.concatenate([v for _, v in found])
 
 
 @st.composite
@@ -791,47 +889,17 @@ def box_clusters(draw):
 @settings(deadline=None)
 @given(box_clusters())
 def test_batched_union_matches_per_cluster_and_sweep(case):
+    # pairs only within each cluster make one call measure the clusters'
+    # unions summed, even where boxes of two clusters overlap
     centers, w, sizes, lo, hi = case
-    batched = ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes)
+    batched = ex._cluster_union_volume(centers, w, lo, hi, pairs=_part_pairs(centers, w, sizes))
     parts = np.split(centers, np.cumsum(sizes)[:-1])
-    unions = [ex._cluster_union_volume(p, w, lo, hi) for p in parts]
+    unions = [ex._cluster_union_volume(p, w, lo, hi, pairs=_close_pairs(p, w)) for p in parts]
     assert abs(batched - sum(unions)) <= 1e-12
     assert abs(batched - sum(_sweep_union(p, w, lo, hi) for p in parts)) <= 1e-12
     for part, union in zip(parts, unions):
         volumes = ex._clipped_box_volumes(part, w, lo, hi)
         assert volumes.max() - 1e-12 <= union <= volumes.sum() + 1e-12
-
-
-def _grid_union(los: np.ndarray, his: np.ndarray) -> float:
-    """The batched 0/1 matrix product the cover counts replaced, kept as their
-    bitwise oracle: summed union measure of m clusters of k boxes, given as
-    (m, k, dim) corner arrays; a box with his < los on some axis is empty."""
-    edges = np.sort(np.concatenate([los, his], axis=1), axis=1)
-    widths = np.diff(edges, axis=1)
-    # inside[c, i, b, a]: cell i of axis a in cluster c lies within box b on that axis
-    inside = (los[:, None] <= edges[:, :-1, None]) & (edges[:, 1:, None] <= his[:, None])
-    if los.shape[2] == 1:
-        return float((widths[..., 0] * inside[..., 0].any(axis=2)).sum())
-    cover = np.matmul(inside[..., 0].astype(float), inside[..., 1].astype(float).transpose(0, 2, 1)) > 0
-    return float(np.einsum("ci,cij,cj->", widths[..., 0], cover, widths[..., 1]))
-
-
-@settings(deadline=None, max_examples=300)
-@given(box_clusters())
-def test_cover_count_union_matches_the_oracles_bitwise(case):
-    centers, w, sizes, lo, hi = case
-    los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
-    if centers.shape[1] == 2:
-        # the clusters of one size make one batched step, as they do at A3
-        sizes = np.asarray(sizes)
-        starts = np.cumsum(sizes) - sizes
-        for k in np.unique(sizes):
-            rows = starts[sizes == k, None] + np.arange(k)
-            assert ex._coverage_union(los[rows], his[rows]) == _grid_union(los[rows], his[rows])
-    else:
-        for part_lo, part_hi in zip(np.split(los, np.cumsum(sizes)[:-1]), np.split(his, np.cumsum(sizes)[:-1])):
-            intervals = np.concatenate([part_lo, part_hi], axis=1)
-            assert ex._coverage_union(part_lo[None], part_hi[None]) == _merge_length_loop(intervals)
 
 
 @st.composite
@@ -857,30 +925,21 @@ def line_clusters(draw):
 @given(line_clusters())
 @example((np.array([[0.5, 0.1], [0.5, 0.3], [0.5, 0.2], [0.2, 0.7], [0.3, 0.7], [1.1, 0.7]]), 0.25, [3, 3], np.zeros(2), np.ones(2)))
 def test_line_clusters_match_the_cover_count_union(case):
-    # the one-dimensional pass over the clusters on a line and the
-    # cover-count grid measure the same unions
+    # a cluster on a line is the clipped width across the line times the
+    # cover-count union of its intervals along it; a free one is measured
+    # on its cells
     centers, w, sizes, lo, hi = case
-    los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
-    parts = np.cumsum(sizes)[:-1]
-    want = sum(ex._coverage_union(a[None], b[None]) for a, b in zip(np.split(los, parts), np.split(his, parts)))
-    assert abs(ex._cluster_union_volume(centers, w, lo, hi, sizes=sizes) - want) <= 1e-12
-
-
-@st.composite
-def pair_sets(draw):
-    """Boxes of width w in one or two dimensions, about half of them within w
-    of an earlier one on every axis, so that trees, cycles and pairs that
-    only touch (on the grid values) all occur."""
-    dim = draw(st.sampled_from([1, 2]))
-    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
-    centers = [draw(st.tuples(*[coordinate] * dim))]
-    for _ in range(draw(st.integers(1, 11))):
-        if draw(st.booleans()):
-            base = centers[draw(st.integers(0, len(centers) - 1))]
-            centers.append(tuple(b + draw(st.floats(-w, w)) for b in base))
+    want = 0.0
+    for part in np.split(centers, np.cumsum(sizes)[:-1]):
+        los, his = np.maximum(part - w / 2.0, lo), np.minimum(part + w / 2.0, hi)
+        on_line = [a for a in (0, 1) if np.all(part[:, a] == part[0, a])]
+        if on_line:
+            a, b = on_line[0], 1 - on_line[0]
+            want += max(his[0, a] - los[0, a], 0.0) * ex._coverage_union(los[:, b], his[:, b])
         else:
-            centers.append(draw(st.tuples(*[coordinate] * dim)))
-    return np.array(centers), w
+            want += _cell_union(part, w, lo, hi)
+    got = ex._cluster_union_volume(centers, w, lo, hi, pairs=_part_pairs(centers, w, sizes))
+    assert abs(got - want) <= 1e-12
 
 
 @settings(deadline=None, max_examples=300)
@@ -892,28 +951,27 @@ def pair_sets(draw):
 @example((np.array([[0.0, 0.5], [0.25, 0.5], [0.5, 0.5], [0.5, 0.7], [0.75, 0.75]]), 0.25))  # touching edges
 @example((np.array([[-0.25, 0.5], [-0.1, 0.6], [1.25, 1.25], [1.1, 1.3]]), 0.25))  # clipped and empty outside A
 def test_collision_correction_matches_the_cluster_unions(case):
-    # trees subtract their pair overlaps and the clusters with a cycle take
-    # the union: the sum is union - raw per cluster, by the batched union
-    # and by the sweep, over the strict sup-norm pairs found by brute force
+    # the window sum's correction, the union of all boxes on some pair less
+    # their clipped volumes, is union - raw summed over the collision
+    # clusters, by the clique union per cluster and by the cell oracle
     centers, w = case
     lo, hi = np.zeros(centers.shape[1]), np.ones(centers.shape[1])
-    i, j = np.triu_indices(centers.shape[0], 1)
-    close = np.abs(centers[i] - centers[j]).max(axis=1) < w
-    assume(close.any())
-    rows, ends = np.unique(np.concatenate([i[close], j[close]]), return_inverse=True)
-    centers, u, v = centers[rows], ends[: close.sum()], ends[close.sum() :]
-    got = ex._collision_correction(centers, u, v, w, lo, hi)
+    i, j = _close_pairs(centers, w)
+    rows, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
+    centers, u, v = centers[rows], ends[: i.size], ends[i.size :]
+    got = ex._cluster_union_volume(centers, w, lo, hi, pairs=(u, v)) - float(ex._clipped_box_volumes(centers, w, lo, hi).sum())
     members, sizes = farey.component_clusters(u, v)
-    parts = np.split(centers[members], np.cumsum(sizes)[:-1])
+    parts = np.split(centers[members], np.cumsum(sizes)[:-1]) if members.size else []
     raw = [float(ex._clipped_box_volumes(p, w, lo, hi).sum()) for p in parts]
-    assert abs(got - sum(ex._cluster_union_volume(p, w, lo, hi) - r for p, r in zip(parts, raw))) <= 1e-12
-    assert abs(got - sum(_sweep_union(p, w, lo, hi) - r for p, r in zip(parts, raw))) <= 1e-12
+    unions = [ex._cluster_union_volume(p, w, lo, hi, pairs=_close_pairs(p, w)) for p in parts]
+    assert abs(got - sum(union - r for union, r in zip(unions, raw))) <= 1e-12
+    assert abs(got - sum(_cell_union(p, w, lo, hi) - r for p, r in zip(parts, raw))) <= 1e-12
 
 
 def _union_length(intervals: np.ndarray) -> float:
     """The one-cluster dim-1 call of the cover-count union, as the d = 2
     spherical window sum makes it."""
-    return ex._coverage_union(intervals[None, :, :1], intervals[None, :, 1:])
+    return ex._coverage_union(intervals[:, 0], intervals[:, 1])
 
 
 def _merge_length_loop(intervals: np.ndarray) -> float:
