@@ -3,15 +3,16 @@
 Mertens values and floor sums (also over the unit cell), the d = 2
 exact-window row at t = 15.5, the d = 4 Farey
 enumeration, the primitive points of a box and the translated sequence of
-the d = 3 translated window sum at t = 2.4, the A3 collision searches, the
-ranking of their pair ends, the clipped window volumes and their Moebius
-raw sum, the whole A3 window sum, the d = 3 spherical window
-sum of perfbench's d3-window
-workload with its clipped disk areas, the clique union of the A3 windows
-on some collision pair, the cover-count union of one set of intervals (the
-d = 2 spherical window sum's call), and the index build over the alpha window,
-the one batched candidate query, the batched dual predicate and the whole
-sampled estimate of perfbench's d3-membership row.
+the d = 3 translated window sum at t = 2.4, the A3 collision searches (the
+integer pair search and the float grid search collision_pairs, which the
+general-L and d >= 4 window sums call), the ranking of their pair ends,
+the clipped window volumes and their Moebius raw sum, the whole A3 window
+sum, the d = 3 spherical window sum of perfbench's d3-window workload with
+its clipped disk areas and its lens step, the clique union of the A3
+windows on some collision pair, the cover-count union of one set of
+intervals (the d = 2 spherical window sum's call), and the index build
+over the alpha window, the one batched candidate query, the batched dual
+predicate and the whole sampled estimate of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -193,13 +194,14 @@ CASES = [
     ("exact_window_stable_d2(t = 15.5)", "exact_window_stable_d2", (StableSection(d=2, T=2.0, eps=0.2), None, 0.1, 0.7, 15.5)),
     # the A3 collision searches and window volumes; a callable builds its arguments when the case runs
     ("farey_window_pairs(A3)", "farey_window_pairs", a3_pair_search),
-    ("collision_clusters(A3)", "collision_clusters", a3_centers),
+    ("collision_pairs(A3)", "collision_pairs", a3_centers),
     ("pair_graph(A3)", "pair_graph", a3_pair_ends),
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
     ("_stable_raw_sum(A3)", "_stable_raw_sum", a3_raw_sum),
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
+    ("_inside_lenses(d3-window)", "_inside_lenses", d3_spherical_disks),
     (
         "_cluster_union_volume(A3)",
         lambda centers, u, v, w, lo, hi: experiments._cluster_union_volume(centers, w, lo, hi, pairs=(u, v)),

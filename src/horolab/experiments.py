@@ -335,8 +335,7 @@ def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
 
 
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
-    """Exact integral: clipped window volumes, corrected by the union of the
-    windows on some overlapping pair less their own clipped volumes.
+    """Exact integral: the measure of the union of the windows clipped to A.
 
     For identity L and d <= 3 the predicted vol(box) Q^d / (d zeta(d))
     windows of the box A plus the margin of _stable_window_centers are
@@ -345,12 +344,13 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     point, center or volume array; the count is checked against the budget
     too.  The overlapping window pairs come from one integer search over
     the box (farey.farey_window_pairs), ranked in the kernel's row order
-    (farey.pair_graph), and centers are formed for their integer ends only.
+    (farey.pair_graph), and centers are formed for their integer ends only;
+    the sum adds the union of those windows less their own clipped volumes.
     A general L, and d >= 4, take all centers from _stable_window_centers,
     one fy.sequence_arrays enumeration, search them with
-    farey.collision_pairs, and keep the centers on some pair, in row order.
-    Either way _cluster_union_volume measures those windows' union from
-    their pairs, by inclusion-exclusion over the cliques, in any dimension.
+    farey.collision_pairs, and the sum is the union of all their windows.
+    Either way _cluster_union_volume measures the union from the pairs, by
+    inclusion-exclusion over the cliques, in any dimension.
 
     For d = 2 below the disjointness budget collisions cannot happen (a
     Farey-neighbor gap argument), so any detected pair is an internal error.
@@ -363,10 +363,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         sources, centers, _w = _stable_window_centers(target, L, lo, hi, t)
         count = int(sources.shape[0])
         del sources  # only the count is needed; free it before the collision search
-        total = float(_clipped_box_volumes(centers, w, lo, hi).sum())
-        first, second = fy.collision_pairs(centers, w)
-        rows, ends = np.unique(np.concatenate([first, second]), return_inverse=True)
-        centers, u, v = centers[rows], ends[: first.size], ends[first.size :]
+        u, v = fy.collision_pairs(centers, w)
+        total = raw = 0.0  # the union below measures every window; adding 0.0 keeps its bits
     else:
         q_cap = target.denominator_cap(t)
         predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
@@ -376,12 +374,10 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w))
         centers = nodes[:, : d - 1] / nodes[:, d - 1 :]
         centers -= c_off
+        raw = float(_clipped_box_volumes(centers, w, lo, hi).sum())
     if u.size and d == 2:
         raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
-    if u.size:
-        union = _cluster_union_volume(centers, w, lo, hi, pairs=(u, v))
-        total += union - float(_clipped_box_volumes(centers, w, lo, hi).sum())
-    return total, count
+    return total + (_cluster_union_volume(centers, w, lo, hi, pairs=(u, v)) - raw), count
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +442,8 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
 def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi) -> float:
     """Area of the disks inside the box less the lens of every meeting pair
     that lies inside it: the disk areas added left to right from 0.0, then
-    the lenses subtracted in the order of _inside_lenses (cumsum adds
-    strictly left to right; np.sum adds pairwise)."""
+    the lenses subtracted in the (i, j) pair order of _inside_lenses (cumsum
+    adds strictly left to right; np.sum adds pairwise)."""
     lenses = _inside_lenses(centers, radii, lo, hi)
     return float(np.cumsum(np.concatenate(([0.0], _disk_box_areas(centers, radii, lo, hi), -lenses)))[-1])
 
@@ -455,20 +451,13 @@ def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi) -> float:
 def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarray:
     """Lens area of each pair of meeting disks that both lie inside the box.
 
-    The pairs are those of the collision clusters of the diameters, cluster
-    by cluster and within a cluster the (a, b), a < b, of its sorted members
-    in a-major order, which is triu_indices order.  The distance is the BLAS
-    dot of the difference with itself, the bits np.linalg.norm gives one
-    pair."""
-    clusters = fy.collision_clusters(centers, 2.0 * radii)
-    if not clusters:
-        return np.empty(0)
-    sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
-    members = np.concatenate(clusters)
-    starts = np.cumsum(sizes) - sizes
-    a, b = fy._block_pairs(starts, sizes, starts, sizes)
-    upper = a < b
-    first, second = members[a[upper]], members[b[upper]]
+    The candidates are the close pairs of farey.collision_pairs on the
+    diameters (every meeting pair is one), each as (i, j) with i < j, in
+    (i, j) order.  The distance is the BLAS dot of the difference with
+    itself, the bits np.linalg.norm gives one pair."""
+    n = centers.shape[0]
+    i, j = fy.collision_pairs(centers, 2.0 * radii)
+    first, second = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
     inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
     keep = inside[first] & inside[second]
     first, second = first[keep], second[keep]

@@ -654,9 +654,10 @@ def collision_clusters(points: np.ndarray, w) -> list[np.ndarray]:
     of collision_pairs (component_clusters).  Each cluster is sorted, and
     the clusters are ordered by their smallest member.
 
-    The spherical lenses and the A8 disjointness check take the clusters.
-    The stable window sum needs no clusters: its union takes the pairs
-    themselves and sums over their cliques.
+    No window sum needs clusters: the stable union and the spherical
+    lenses read the pairs of collision_pairs themselves.  The A8
+    disjointness checks take the clusters, and perfbench's tracer times
+    this function by name.
     """
     pi, pj = collision_pairs(points, w)
     if pi.size == 0:
@@ -933,13 +934,12 @@ def pair_graph(first: np.ndarray, second: np.ndarray):
     sources, ranked by (q, p_1, ..., p_{d-1}), and the two ranks of each
     pair.
 
-    The ranks follow the row order of the enumeration kernels, so on any
-    subset of the pairs component_clusters gives the clusters, and their
-    members, in the order collision_clusters gives for the kernel's rows of
-    the same points.  Each end is one int64 key, its offsets from the
-    smallest q, p_1, ... in mixed radix, so one np.unique sorts and ranks
-    them, and each end is scattered to its rank; a key range past int64 is
-    refused before the keys are built.
+    The ranks follow the row order of the enumeration kernels: the window
+    union sums the clipped volumes in rank order, so it adds them in the
+    kernels' order, and that order keeps A3's bits.  Each end is one int64
+    key, its offsets from the smallest q, p_1, ... in mixed radix, so one
+    np.unique sorts and ranks them, and each end is scattered to its rank;
+    a key range past int64 is refused before the keys are built.
     """
     n, d = first.shape
     if n == 0:

@@ -738,6 +738,31 @@ def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
     assert unions == [600, 38_560]
 
 
+def test_window_sums_read_the_pair_list_only(monkeypatch):
+    # no window sum builds clusters: the d3-window spherical row at t = 2.6
+    # and the translated d = 3 sum at t = 2.0 keep their values with the
+    # cluster builders refused, each from one call of collision_pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("clusters built")
+
+    searches, collision_pairs = [], farey.collision_pairs
+
+    def counted(points, w):
+        searches.append(points.shape[0])
+        return collision_pairs(points, w)
+
+    monkeypatch.setattr(farey, "collision_clusters", refuse)
+    monkeypatch.setattr(farey, "component_clusters", refuse)
+    monkeypatch.setattr(farey, "collision_pairs", counted)
+    spherical = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
+    assert ex.window_sum_spherical(spherical, None, np.zeros(2), np.ones(2), 2.6) == (0.023661368622645552, 190609)
+    assert len(searches) == 1
+    L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, 1.0]])
+    stable = tg.StableSection(d=3, T=1.0, eps=0.2)
+    assert ex._window_sum_stable_enumerated(stable, L, np.zeros(2), np.ones(2), 2.0) == (0.01108804823721582, 46_060)
+    assert searches[1:] == [46_060]
+
+
 def test_cluster_union_volume():
     centers = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.25]])
     w = 1.0
@@ -1101,8 +1126,8 @@ def _circle_box_area(cx: float, cy: float, r: float, lo, hi) -> float:
 def _pairwise_disk_window_sum(centers, radii, lo, hi):
     """The per-pair loop the batched lens correction replaced: the disk
     areas added left to right, then the lens of each pair inside A
-    subtracted, cluster by cluster.  Also returns the lenses of the pairs
-    that meet (dist < r1 + r2), in that order."""
+    subtracted, cluster by cluster.  Also returns each pair (i, j), i < j,
+    that meets (dist < r1 + r2) with its lens, in that order."""
     total = np.cumsum(np.append(0.0, ex._disk_box_areas(centers, radii, lo, hi)))[-1]
     inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
     lenses = []
@@ -1114,7 +1139,7 @@ def _pairwise_disk_window_sum(centers, radii, lo, hi):
                 lens = _lens_area(dist, radii[i], radii[j])
                 total -= lens
                 if dist < radii[i] + radii[j]:
-                    lenses.append(lens)
+                    lenses.append(((int(i), int(j)), lens))
     return float(total), lenses
 
 
@@ -1148,19 +1173,25 @@ def test_batched_lenses_match_pairwise_loop(case):
     want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
     got = ex._disk_window_sum(centers, radii, lo, hi)
     assert abs(got - want) <= 1e-15 * abs(want)
-    assert ex._inside_lenses(centers, radii, lo, hi).size == len(lenses)
+    # the batched lenses come in (i, j) order
+    want_lenses = [lens for _pair, lens in sorted(lenses)]
+    got_lenses = ex._inside_lenses(centers, radii, lo, hi)
+    assert got_lenses.size == len(want_lenses)
+    assert np.allclose(got_lenses, want_lenses, rtol=1e-15, atol=0.0)
 
 
 def test_batched_lenses_match_pairwise_loop_bitwise():
-    # the disks of the d = 3 spherical row at t = 2.4: 57,329 disks and 456
-    # meeting pairs inside A.  Each lens, in order, and the total keep the bits
+    # the disks of the d = 3 spherical row at t = 2.4 (57,329 disks) and at
+    # perfbench's d3-window t = 2.6 (190,609).  Each lens, in (i, j) order,
+    # and the total keep the bits
     target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
     lo, hi = np.zeros(2), np.ones(2)
-    centers, radii = ex._spherical_windows(target, None, lo, hi, 2.4)
-    want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
-    assert len(lenses) == 456
-    assert ex._inside_lenses(centers, radii, lo, hi).tolist() == lenses
-    assert ex._disk_window_sum(centers, radii, lo, hi) == want
+    for t, n_lenses in [(2.4, 456), (2.6, 2_460)]:
+        centers, radii = ex._spherical_windows(target, None, lo, hi, t)
+        want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
+        assert len(lenses) == n_lenses
+        assert ex._inside_lenses(centers, radii, lo, hi).tolist() == [lens for _pair, lens in sorted(lenses)]
+        assert ex._disk_window_sum(centers, radii, lo, hi) == want
 
 
 def test_disk_areas_match_scalar_loop_bitwise_in_bulk(rng):
