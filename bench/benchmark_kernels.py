@@ -16,12 +16,15 @@ predicate and the whole sampled estimate of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
-Each case prints the best of N wall-clock runs.
+Each case prints the best of N wall-clock runs and, from one more run under
+tracemalloc, the peak of the memory it allocates (MiB; its arguments are
+built before tracing starts).
 """
 
 import argparse
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -66,12 +69,14 @@ def a3_pairs():
     nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
     _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
     centers = nodes[:, :2] / nodes[:, 2:]
+    del nodes
     centers -= c_off
     return centers, u, v, w, np.zeros(2), np.ones(2)
 
 
 def a3_pair_ends():
-    """The A3 pair search's two arrays of pair ends, as pair_graph takes them."""
+    """The A3 pair search's two arrays of pair-end keys and their radix, as
+    pair_graph takes them."""
     return farey.farey_window_pairs(*a3_pair_search())
 
 
@@ -170,6 +175,16 @@ def timed(fn, *args, repeat=3):
     return best
 
 
+def peak_mib(fn, *args):
+    """Peak MiB that one call of fn allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 CASES = [
     ("phi_sieve(5e6)", "phi_sieve", (5_000_000,)),
     ("mobius_sieve(5e6)", "mobius_sieve", (5_000_000,)),
@@ -230,11 +245,11 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'case':40s} {'seconds':>10s}")
+    print(f"{'case':40s} {'seconds':>10s} {'peak MiB':>10s}")
     for label, name, fargs in CASES:
         fn = resolve(name)
         fargs = fargs() if callable(fargs) else fargs
-        print(f"{label:40s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s")
+        print(f"{label:40s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s {peak_mib(fn, *fargs):10.1f}")
 
 
 if __name__ == "__main__":

@@ -40,13 +40,23 @@ def _scalar(value):
     return value
 
 
+def load_yaml(path: str):
+    """The YAML document in the file at path, parsed by libyaml where PyYAML
+    has it (its pure-Python SafeLoader otherwise); a file that cannot be
+    read or parsed is a ConfigError."""
+    try:
+        return yaml.load(Path(path).read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from exc
+
+
 def parse_vector(text: str) -> list:
     return [_scalar(v.strip()) for v in text.split(",") if v.strip()]
 
 
 def parse_matrix(text: str) -> np.ndarray:
     if text.startswith("@"):
-        doc = yaml.safe_load(Path(text[1:]).read_text())
+        doc = load_yaml(text[1:])
         rows = [[_scalar(v) for v in row] for row in doc]
     else:
         rows = [parse_vector(row) for row in text.split(";")]
@@ -284,7 +294,7 @@ def _cmd_cholesky(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    doc = yaml.safe_load(Path(args.target).read_text())
+    doc = load_yaml(args.target)
     target = target_from_dict(args.d, doc)
     L = _translation(args)
     x = [float(v) for v in parse_vector(args.x)]
@@ -334,7 +344,7 @@ def _sha256(path: Path) -> str:
 
 
 def _cmd_sthe_run(args) -> int:
-    doc = yaml.safe_load(Path(args.config).read_text())
+    doc = load_yaml(args.config)
     config = config_from_dict(doc)
     results = experiments.sthe_run(config, jobs=args.jobs)
     outdir = Path(args.out)

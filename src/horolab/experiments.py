@@ -224,10 +224,12 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     return sources, centers, w
 
 
-def _clipped_sides(centers: np.ndarray, w: float, lo: float, hi: float) -> np.ndarray:
+def _clipped_sides(centers: np.ndarray, w: float, lo: float, hi: float, top: np.ndarray | None = None) -> np.ndarray:
     """Side of each interval of width w at the one-axis centers, clipped to
-    [lo, hi]: min(c + w/2, hi) - max(c - w/2, lo), or 0 when negative."""
-    side = centers + w / 2.0
+    [lo, hi]: min(c + w/2, hi) - max(c - w/2, lo), or 0 when negative.
+    With top, the common part of intervals centered from centers to top:
+    min(top + w/2, hi) - max(centers - w/2, lo)."""
+    side = (centers if top is None else top) + w / 2.0
     np.minimum(side, hi, out=side)
     low = centers - w / 2.0
     np.maximum(low, lo, out=low)
@@ -235,13 +237,15 @@ def _clipped_sides(centers: np.ndarray, w: float, lo: float, hi: float) -> np.nd
     return np.clip(side, 0.0, None, out=side)
 
 
-def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
     """Volume of each box of width w at the centers, clipped to [lo, hi]:
     the product of the clipped sides, axis by axis, for one or two sides
-    the same bits as np.prod along the rows."""
-    vol = _clipped_sides(centers[:, 0], w, lo[0], hi[0])
+    the same bits as np.prod along the rows.  With top, rows like the
+    centers', the common box of boxes centered from centers to top."""
+    top = centers if top is None else top
+    vol = _clipped_sides(centers[:, 0], w, lo[0], hi[0], top[:, 0])
     for a in range(1, centers.shape[1]):
-        vol *= _clipped_sides(centers[:, a], w, lo[a], hi[a])
+        vol *= _clipped_sides(centers[:, a], w, lo[a], hi[a], top[:, a])
     return vol
 
 
@@ -284,27 +288,38 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     """
     n = centers.shape[0]
     u, v = pairs
-    first, later = np.divmod(np.sort(np.minimum(u, v) * n + np.maximum(u, v)), n)
+    key = np.minimum(u, v)
+    key *= n
+    key += np.maximum(u, v)
+    key.sort()
+    first, later = np.divmod(key, n)
+    del key
     # row a's later neighbours are later[starts[a] : starts[a + 1]], ascending
     starts = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
     union = float(_clipped_box_volumes(centers, w, lo, hi).sum())
-    axes = [centers[:, a] for a in range(centers.shape[1])]
     last = later  # the largest member of each listed set
-    bottom = [np.maximum(x[first], x[later]) for x in axes]
-    top = [np.minimum(x[first], x[later]) for x in axes]
+    # each set's common box, from bottom - w/2 to top + w/2: the max and min of its centers
+    # (take gathers rows several times faster than fancy indexing does)
+    top = centers.take(later, axis=0)
+    bottom = np.maximum(centers.take(first, axis=0), top)
+    np.minimum(centers.take(first, axis=0), top, out=top)
+    del first
     sign = -1.0
     while last.size:
-        vol = 1.0
-        for b, t, a0, a1 in zip(bottom, top, lo, hi):
-            vol = vol * np.clip(np.minimum(t + w / 2.0, a1) - np.maximum(b - w / 2.0, a0), 0.0, None)
+        vol = _clipped_box_volumes(bottom, w, lo, hi, top=top)
         union += sign * float(vol.sum())
-        meets = np.flatnonzero(vol > 0)
-        tail = last[meets]
-        n_next = starts[tail + 1] - starts[tail]
-        grown = np.repeat(meets, n_next)
-        last = later[np.repeat(starts[tail], n_next) + fy._ramp(n_next)]
-        bottom = [np.maximum(b[grown], x[last]) for b, x in zip(bottom, axes)]
-        top = [np.minimum(t[grown], x[last]) for t, x in zip(top, axes)]
+        # only a set that meets A and whose largest member has later neighbours
+        # grows: keep those first, so the next level is built from fewer
+        grow = np.flatnonzero((vol > 0) & (starts[last + 1] > starts[last]))
+        del vol
+        bottom, top, last = bottom.take(grow, axis=0), top.take(grow, axis=0), last[grow]
+        n_next = starts[last + 1] - starts[last]
+        fy.check_budget(int(n_next.sum()), "clique sets")  # c coincident boxes list 2^c - c - 1 sets
+        grown = np.repeat(np.arange(last.size), n_next)
+        last = later[np.repeat(starts[last], n_next) + fy._ramp(n_next)]
+        at_last = centers.take(last, axis=0)
+        bottom = np.maximum(bottom.take(grown, axis=0), at_last)
+        top = np.minimum(top.take(grown, axis=0), at_last, out=at_last)
         sign = -sign
     return union
 
@@ -373,6 +388,7 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         fy.check_budget(count, "window enumeration")
         nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w))
         centers = nodes[:, : d - 1] / nodes[:, d - 1 :]
+        del nodes
         centers -= c_off
         raw = float(_clipped_box_volumes(centers, w, lo, hi).sum())
     if u.size and d == 2:
@@ -434,9 +450,12 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
     q_cap = target.denominator_cap(t)
     margin = target.candidate_radius(t)
     _sources, alpha = fy.sequence_arrays(d, q_cap, L, (lo - margin, hi + margin))
-    alpha = alpha[alpha[:, d - 1] < q_cap]
-    ad = alpha[:, d - 1]
-    return alpha[:, : d - 1] / ad[:, None], _spherical_radii(ad, q_cap, target.chart.radius, d, t)
+    rows = np.flatnonzero(alpha[:, d - 1] < q_cap)
+    ad = alpha[rows, d - 1]
+    centers = np.empty((rows.size, d - 1))
+    for a in range(d - 1):
+        np.divide(alpha[rows, a], ad, out=centers[:, a])
+    return centers, _spherical_radii(ad, q_cap, target.chart.radius, d, t)
 
 
 def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi) -> float:
@@ -458,7 +477,10 @@ def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarray
     n = centers.shape[0]
     i, j = fy.collision_pairs(centers, 2.0 * radii)
     first, second = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
-    inside = np.all(centers - radii[:, None] >= lo, axis=1) & np.all(centers + radii[:, None] <= hi, axis=1)
+    inside = np.ones(n, dtype=bool)
+    for c, a0, a1 in zip(centers.T, lo, hi):
+        inside &= c - radii >= a0
+        inside &= c + radii <= a1
     keep = inside[first] & inside[second]
     first, second = first[keep], second[keep]
     diff = centers[first] - centers[second]
@@ -496,9 +518,11 @@ def _disk_box_areas(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarra
     r * r * pi.  Any other disk scales to the unit disk, whose part in the
     box is the signed sum of its four corner quadrants (_unit_corners),
     clamped at 0 and scaled back by r * r."""
+    whole = radii > 0
     with np.errstate(all="ignore"):
-        scaled = np.concatenate([lo - centers, centers - hi], axis=1) / radii[:, None]
-    whole = (radii > 0) & np.all(scaled <= -1.0, axis=1)
+        for c, a0, a1 in zip(centers.T, lo, hi):
+            whole &= (a0 - c) / radii <= -1.0
+            whole &= (c - a1) / radii <= -1.0
     areas = np.where(whole, radii * radii * math.pi, 0.0)
     edge = np.flatnonzero(~whole & (radii > 0))
     c, r = centers[edge], radii[edge]

@@ -301,10 +301,12 @@ def translated_arrays(L, Q: float, box) -> tuple[np.ndarray, np.ndarray]:
     ahi = np.append(np.maximum(hi + 1e-12, 0.0) * (Q + 1e-12), Q + 1e-12)
     sources, alpha = _lattice_images(L, alo, ahi)
     ad = alpha[:, d - 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pts = alpha[:, : d - 1] / ad[:, None]
     keep = (ad > 0) & (ad <= Q + 1e-12)
-    keep &= np.all(pts >= lo - 1e-12, axis=1) & np.all(pts <= hi + 1e-12, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in range(d - 1):
+            x = alpha[:, a] / ad
+            keep &= x >= lo[a] - 1e-12
+            keep &= x <= hi[a] + 1e-12
     return sources[keep], alpha[keep]
 
 
@@ -840,14 +842,36 @@ def _axis_solutions(q, q2, g, inv, kmax, lo: float, hi: float):
     return pair[link], k, p, (b[link] * p - k) // a[link]
 
 
-def farey_window_pairs(m: int, lo, hi, w: float) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_rows(axes, n_pairs: int):
+    """Rows into each axis' solutions of every candidate of
+    farey_window_pairs: per (q, q'), the combinations with some k != 0."""
+    if len(axes) == 1:
+        return (np.flatnonzero(axes[0][1] != 0),)
+    # per (q, q'), the products (k_1 != 0) x (any k_2) and (k_1 == 0) x (k_2 != 0)
+    (pair1, k1, *_), (pair2, k2, *_) = axes
+    halves = [(np.flatnonzero(k1 != 0), np.arange(k2.size)), (np.flatnonzero(k1 == 0), np.flatnonzero(k2 != 0))]
+    blocks = [(_pair_blocks(r1, pair1, n_pairs), _pair_blocks(r2, pair2, n_pairs)) for r1, r2 in halves]
+    check_budget(int(sum(np.dot(b1[1], b2[1]) for b1, b2 in blocks)), "window pair candidates")
+    i1, i2 = [], []
+    for (r1, r2), (b1, b2) in zip(halves, blocks):
+        a, b = _block_pairs(*b1, *b2)
+        i1.append(r1[a])
+        i2.append(r2[b])
+        del a, b
+    return np.concatenate(i1), np.concatenate(i2)
+
+
+def farey_window_pairs(m: int, lo, hi, w: float):
     """Pairs of primitive sources whose windows of width w overlap: (p, q)
     and (p', q') with 0 < q <= q' <= m, each p_i in the kernel's range
     ceil(lo_i q) .. floor(hi_i q), and |q' p_i - q p'_i| < w q q' on every
     axis, i.e. sup |p/q - p'/q'| < w.  One or two parameter axes.
 
-    Returned as two (n, d) int64 arrays of sources (p_1, ..., p_{d-1}, q),
-    the first of each pair the smaller in (q, p) order.
+    Returned as (first, second, radix): each source (p_1, ..., p_{d-1}, q)
+    is one int64 key, its offsets from the lows of q, p_1, ... in mixed
+    radix, radix = ((low, span) of q, of p_1, ...), so keys ascend in
+    (q, p) order and pair_rows decodes them.  first and second hold the
+    keys of the two ends, the first of each pair the smaller.
 
     The search follows the pairs, not the points.  The cross differences
     D_i = q' p_i - q p'_i are integers and some D_i is nonzero, so only
@@ -858,7 +882,8 @@ def farey_window_pairs(m: int, lo, hi, w: float) -> tuple[np.ndarray, np.ndarray
     congruence for p_i (_axis_solutions).  The axes combine as a product
     per (q, q') over the combinations with some k != 0; both ends must be
     primitive.  Each array's size is checked against ENUM_BUDGET before it
-    is allocated.
+    is allocated, and the radix, from the solutions' own q and p ranges,
+    is refused past int64 before any key is built.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -867,10 +892,11 @@ def farey_window_pairs(m: int, lo, hi, w: float) -> tuple[np.ndarray, np.ndarray
         raise InvalidDimensionError(f"window pairs are implemented for one and two axes, got {dim}")
     m = int(m)
     check_budget(m, "denominator bound")
+    empty = np.empty(0, np.int64), np.empty(0, np.int64), ((0, 1),) * (dim + 1)
     # w q q' <= w m^2 <= 1 leaves no pair (for w m^2 a hair above 1 in exact
     # arithmetic, only q = q' = m >= 2 passes, and it needs w m > 1)
     if m < 1 or not w * m * m > 1:
-        return np.empty((0, dim + 1), np.int64), np.empty((0, dim + 1), np.int64)
+        return empty
     qs = np.arange(1, m + 1, dtype=np.int64)
     # q' > 1/(w q); the floor of the float quotient may admit one q' too many
     start = np.maximum(qs, np.floor(np.minimum(1.0 / (w * qs), m + 1.0)).astype(np.int64))
@@ -895,70 +921,80 @@ def farey_window_pairs(m: int, lo, hi, w: float) -> tuple[np.ndarray, np.ndarray
     del quot, near, live
     axes = [_axis_solutions(q, q2, g, inv, kmax, float(lo[i]), float(hi[i])) for i in range(dim)]
     del g, inv, kmax
-    if dim == 1:
-        rows = (np.flatnonzero(axes[0][1] != 0),)
-    else:
-        # per (q, q'), the products (k_1 != 0) x (any k_2) and (k_1 == 0) x (k_2 != 0)
-        (pair1, k1, *_), (pair2, k2, *_) = axes
-        halves = [(np.flatnonzero(k1 != 0), np.arange(k2.size)), (np.flatnonzero(k1 == 0), np.flatnonzero(k2 != 0))]
-        blocks = [(_pair_blocks(r1, pair1, q.size), _pair_blocks(r2, pair2, q.size)) for r1, r2 in halves]
-        check_budget(int(sum(np.dot(b1[1], b2[1]) for b1, b2 in blocks)), "window pair candidates")
-        i1, i2 = [], []
-        for (r1, r2), (b1, b2) in zip(halves, blocks):
-            a, b = _block_pairs(*b1, *b2)
-            i1.append(r1[a])
-            i2.append(r2[b])
-        rows = np.concatenate(i1), np.concatenate(i2)
+    rows = _candidate_rows(axes, q.size)
+    if rows[0].size == 0:
+        return empty
     pair = axes[0][0][rows[0]]
-    cols = [ax[2][r] for ax, r in zip(axes, rows)], [ax[3][r] for ax, r in zip(axes, rows)]
-    cols[0].append(q[pair])
-    cols[1].append(q2[pair])
-    keep = np.ones(pair.size, dtype=bool)
-    del axes, rows, pair  # the candidates' solutions: free them before the kept ends are stacked
-    for end in cols:
-        g = end[-1]
-        for c in end[:-1]:
-            g = np.gcd(g, c)
+    # each end's solution columns q, p_1, ...: p and p' of every axis
+    solutions = [[q, *(ax[2] for ax in axes)], [q2, *(ax[3] for ax in axes)]]
+    del axes, q, q2
+    lows = [int(min(a.min(), b.min())) for a, b in zip(*solutions)]
+    spans = [int(max(a.max(), b.max())) - low + 1 for (a, b), low in zip(zip(*solutions), lows)]
+    if math.prod(spans) > 2**63:
+        raise ResourceLimitError(f"pair end keys span {math.prod(spans)} values, over int64", 2**63)
+    radix = tuple(zip(lows, spans))
+    keys, keep = [], np.ones(pair.size, dtype=bool)
+    for end in solutions:
+        # one column at a time: gather it, fold it into the gcd and the key, free it
+        g = end[0][pair]
+        key = g - radix[0][0]
+        for column, r, (low, span) in zip(end[1:], rows, radix[1:]):
+            c = column[r]
+            np.gcd(g, c, out=g)
+            key *= span
+            c -= low
+            key += c
+            del c
         keep &= g == 1
-    # for q == q' each pair comes in both orders: keep the one with p < p'
-    ahead, tie = cols[0][-1] < cols[1][-1], cols[0][-1] == cols[1][-1]
-    for x, y in zip(cols[0][:-1], cols[1][:-1]):
-        ahead |= tie & (x < y)
-        tie &= x == y
-    keep &= ahead
-    return tuple(np.stack([c[keep] for c in end], axis=1) for end in cols)
+        keys.append(key)
+        del g, end[:]
+    del pair, rows
+    # q <= q' by construction, so key order is the (q, p) order: for q == q'
+    # each pair comes in both orders, and this keeps the one with p < p'
+    keep &= keys[0] < keys[1]
+    return keys[0][keep], keys[1][keep], radix
 
 
-def pair_graph(first: np.ndarray, second: np.ndarray):
-    """The source pairs (first[k], second[k]) as a graph: the distinct
-    sources, ranked by (q, p_1, ..., p_{d-1}), and the two ranks of each
-    pair.
+def pair_rows(keys: np.ndarray, radix) -> np.ndarray:
+    """The sources (p_1, ..., p_{d-1}, q) of pair-end keys in the mixed
+    radix of farey_window_pairs, as an (n, d) int64 array."""
+    d = len(radix)
+    rows = np.empty((keys.size, d), np.int64)
+    rest = keys.copy()
+    for j in range(d - 1, 0, -1):
+        low, span = radix[j]
+        np.remainder(rest, span, out=rows[:, j - 1])
+        rows[:, j - 1] += low
+        rest //= span
+    rest += radix[0][0]
+    rows[:, d - 1] = rest
+    return rows
+
+
+def pair_graph(first: np.ndarray, second: np.ndarray, radix):
+    """The pairs of pair-end keys (first[k], second[k]) of
+    farey_window_pairs as a graph: the distinct sources
+    (p_1, ..., p_{d-1}, q), ranked by (q, p_1, ..., p_{d-1}), and the two
+    ranks of each pair.
 
     The ranks follow the row order of the enumeration kernels: the window
     union sums the clipped volumes in rank order, so it adds them in the
-    kernels' order, and that order keeps A3's bits.  Each end is one int64
-    key, its offsets from the smallest q, p_1, ... in mixed radix, so one
-    np.unique sorts and ranks them, and each end is scattered to its rank;
-    a key range past int64 is refused before the keys are built.
+    kernels' order, and that order keeps A3's bits.  One argsort ranks the
+    keys, as np.unique would with return_inverse but with fewer copies
+    alive at once, and only the distinct keys are decoded.
     """
-    n, d = first.shape
-    if n == 0:
-        return np.empty((0, d), np.int64), np.empty(0, np.int64), np.empty(0, np.int64)
-    ends = np.concatenate([first, second])
-    cols = [ends[:, d - 1], *(ends[:, j] for j in range(d - 1))]
-    lows = [int(c.min()) for c in cols]
-    spans = [int(c.max()) - low + 1 for c, low in zip(cols, lows)]
-    if math.prod(spans) > 2**63:
-        raise ResourceLimitError(f"pair end keys span {math.prod(spans)} values, over int64", 2**63)
-    key = np.zeros(2 * n, np.int64)
-    for c, low, span in zip(cols, lows, spans):
-        key *= span
-        key += c - low
-    # no return_index: it would force a stable sort, and equal keys are equal ends
-    distinct, rank = np.unique(key, return_inverse=True)
-    nodes = np.empty((distinct.size, d), ends.dtype)
-    nodes[rank] = ends
-    return nodes, rank[:n], rank[n:]
+    n = first.size
+    keys = np.concatenate([first, second])
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(2 * n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new]
+    del keys
+    rank = np.empty(2 * n, np.int64)
+    rank[order] = np.cumsum(new) - 1
+    del order, new
+    return pair_rows(distinct, radix), rank[:n], rank[n:]
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

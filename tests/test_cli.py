@@ -220,6 +220,37 @@ def test_readme_and_benchmark_configs_parse():
                 cli.config_from_dict(config)
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_libyaml_and_python_loaders_agree_on_the_configs(tmp_path):
+    # the README example and every perfbench seed-0 config, written as
+    # perfbench writes them (JSON, which is YAML)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = [re.search(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)]
+    texts += [json.dumps(doc) for workload in workloads.WORKLOADS for doc in workloads.configs(workload, 0, "full")]
+    path = tmp_path / "config.yaml"
+    for text in texts:
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == want
+        path.write_text(text)
+        assert cli.load_yaml(str(path)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["sthe-run", "--config", "{path}", "--out", "{out}"],
+    ["membership", "--d", "2", "--target", "{path}", "--x", "0.5", "--t", "1"],
+    ["farey", "--d", "2", "--Q", "3", "--L", "@{path}"],
+], ids=["sthe-run", "membership", "matrix"])
+def test_malformed_or_missing_config_file_is_usage_error(argv, capsys, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("target: {kind: stable\n")
+    for path in (bad, tmp_path / "missing.yaml"):
+        assert run_cli([a.format(path=path, out=tmp_path / "o") for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+
 CHART2, CHART3 = coords.Chart(dim=2, radius=0.5), coords.Chart(dim=3, radius=0.5)
 
 

@@ -464,8 +464,8 @@ def test_a3_window_pairs_and_clusters():
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     t = 2.85
     w, _c_off, margin = ex._stable_window_shape(target, t)
-    first, second = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), np.full(2, -margin), np.full(2, 1.0 + margin), w)
-    nodes, u, v = farey.pair_graph(first, second)
+    first, second, radix = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), np.full(2, -margin), np.full(2, 1.0 + margin), w)
+    nodes, u, v = farey.pair_graph(first, second, radix)
     _members, sizes = farey.component_clusters(u, v)
     assert first.shape[0] == 171_680
     assert (sizes.size, int(sizes.sum()), int(sizes.max())) == (52_020, 205_040, 138)
@@ -473,6 +473,21 @@ def test_a3_window_pairs_and_clusters():
     pairs, members, tree = cluster_shapes(farey._component_labels(nodes.shape[0], u, v), u)
     assert (int(tree.sum()), int(pairs[tree].sum())) == (43_380, 93_860)
     assert (int((~tree).sum()), int(members[~tree].sum()), int(members[~tree].max())) == (8_640, 67_800, 138)
+
+
+def test_a3_window_sum_memory_guard():
+    # the A3 row with each pair end one int64 key from the pair search to
+    # the union: its measured tracemalloc peak is 19,007,013 bytes, bounded
+    # here 10% above that (pair ends held as (n, 3) rows peaked at 34,954,520)
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    tracemalloc.start()
+    try:
+        got = ex._window_sum_stable_enumerated(target, None, np.zeros(2), np.ones(2), 2.85)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.011006886261232631, 7_424_077)
+    assert peak < 20 << 20
 
 
 def test_d4_window_sum_without_collisions_is_unchanged():
@@ -770,6 +785,23 @@ def test_cluster_union_volume():
     got = ex._cluster_union_volume(centers, w, np.array([-5.0, -5.0]), np.array([5.0, 5.0]), pairs=pairs)
     # hand inclusion-exclusion: 3 - (0.5 + 0.5625 + 0.5625) + 0.375
     assert abs(got - 1.75) <= 1e-12
+
+
+def test_cluster_union_budgets_each_clique_level(monkeypatch):
+    # 40 coincident boxes form one 40-clique: C(40, k) sets at level k, 2^40 - 41
+    # in all; the 658,008 5-sets are refused before they are grown (their
+    # common boxes alone would take 21 MB)
+    monkeypatch.setattr(farey, "ENUM_BUDGET", 100_000)
+    centers = np.full((40, 2), 0.5)
+    u, v = np.triu_indices(40, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="clique sets 658008"):
+            ex._cluster_union_volume(centers, 0.01, np.zeros(2), np.ones(2), pairs=(u, v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def _sweep_union(centers, w, lo, hi):

@@ -543,6 +543,20 @@ def lexsort_pair_graph(first, second):
     return ends[new], rank[:n], rank[n:]
 
 
+def pair_keys(first, second):
+    """Rows (p_1, ..., p_{d-1}, q) of pair ends as farey_window_pairs' keys:
+    offsets from the lows of q, p_1, ... over both arrays, in mixed radix."""
+    n, d = first.shape
+    ends = np.concatenate([first, second])
+    cols = [ends[:, d - 1], *(ends[:, j] for j in range(d - 1))]
+    radix = tuple((int(c.min()), int(c.max()) - int(c.min()) + 1) for c in cols)
+    key = np.zeros(2 * n, np.int64)
+    for c, (low, span) in zip(cols, radix):
+        key *= span
+        key += c - low
+    return key[:n], key[n:], radix
+
+
 @st.composite
 def pair_ends(draw):
     d = draw(st.sampled_from([2, 3]))
@@ -557,19 +571,30 @@ def pair_ends(draw):
 @given(pair_ends())
 @example((np.array([[0, 0, 0], [5, 5, 5]]), np.array([[2**21 - 1] * 3, [5, 5, 5]])))
 def test_pair_graph_matches_the_lexsort_ranking_bitwise(case):
+    # three spans of 2^21 in the example make keys up to 2^63 - 1
     first, second = case
-    got, want = farey.pair_graph(first, second), lexsort_pair_graph(first, second)
+    keys = pair_keys(first, second)
+    assert farey.pair_rows(keys[0], keys[2]).tolist() == first.tolist()
+    got, want = farey.pair_graph(*keys), lexsort_pair_graph(first, second)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_pair_graph_refuses_keys_past_int64():
-    # three spans of 2^21 make keys up to 2^63 - 1; one more value does not fit
-    first, second = np.zeros((1, 3), np.int64), np.full((1, 3), 2**21 - 1)
-    assert farey.pair_graph(first, second)[0].tolist() == [[0, 0, 0], [2**21 - 1] * 3]
-    second[0, 2] += 1
+def test_window_pairs_refuse_keys_past_int64():
+    # the unit square's pairs shifted by an integer offset o on both axes
+    # are the same pairs, p_i + o q; past o of about 1.2e7 the keys of
+    # q <= 40 and p_i up to 40 o span more than int64, and the search
+    # refuses them before building any
+    def rows(offset):
+        first, second, radix = farey.farey_window_pairs(40, [offset] * 2, [offset + 0.5] * 2, 0.01)
+        return [farey.pair_rows(end, radix) for end in (first, second)]
+
+    base = rows(0.0)
+    assert base[0].shape[0] > 0
+    for got, want in zip(rows(1000.0), base):
+        assert got.tolist() == (want + 1000 * want[:, 2:] * [1, 1, 0]).tolist()
     with pytest.raises(ResourceLimitError, match="int64"):
-        farey.pair_graph(first, second)
+        rows(1e12)
 
 
 def test_farey_sources_budget_only_their_own_denominators(monkeypatch):
@@ -809,7 +834,9 @@ def pair_search_cases(draw):
 @given(pair_search_cases())
 def test_window_pairs_match_brute_force(case):
     d, m, lo, hi, w = case
-    first, second = farey.farey_window_pairs(m, lo, hi, w)
+    first, second, radix = farey.farey_window_pairs(m, lo, hi, w)
+    assert np.all(first < second)
+    first, second = farey.pair_rows(first, radix), farey.pair_rows(second, radix)
     got = [(tuple(a), tuple(b)) for a, b in zip(first.tolist(), second.tolist())]
     assert len(got) == len(set(got))
     assert set(got) == brute_window_pairs(d, m, lo, hi, w)
@@ -831,12 +858,13 @@ def test_pair_graph_ranks_sources_in_kernel_row_order():
     # the chain (0,1,3) - (1,1,2) - (0,0,1) and the pair (1,0,2) - (0,1,4)
     first = np.array([[0, 1, 3], [1, 0, 2], [0, 0, 1]])
     second = np.array([[1, 1, 2], [0, 1, 4], [1, 1, 2]])
-    nodes, u, v = farey.pair_graph(first, second)
+    keys = pair_keys(first, second)
+    nodes, u, v = farey.pair_graph(*keys)
     assert nodes.tolist() == [[0, 0, 1], [1, 0, 2], [1, 1, 2], [0, 1, 3], [0, 1, 4]]
     assert (u.tolist(), v.tolist()) == ([3, 1, 0], [2, 4, 2])
     members, sizes = farey.component_clusters(u, v)
     assert nodes[members].tolist() == [[0, 0, 1], [1, 1, 2], [0, 1, 3], [1, 0, 2], [0, 1, 4]]
     assert sizes.tolist() == [3, 2]
-    empty = farey.pair_graph(first[:0], second[:0])
+    empty = farey.pair_graph(keys[0][:0], keys[1][:0], keys[2])
     assert [a.shape for a in empty] == [(0, 3), (0,), (0,)]
     assert [a.size for a in farey.component_clusters(*empty[1:])] == [0, 0]
