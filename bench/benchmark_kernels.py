@@ -8,7 +8,8 @@ integer pair search and the float grid search collision_pairs, which the
 general-L and d >= 4 window sums call), the ranking of their pair ends,
 the clipped window volumes and their Moebius raw sum, the whole A3 window
 sum, the d = 3 spherical window sum of perfbench's d3-window workload with
-its clipped disk areas and its lens step, the clique union of the A3
+its clipped disk areas, the integer search for its lens pairs and its lens
+step, the clique union of the A3
 windows on some collision pair, the cover-count union of one set of
 intervals (the d = 2 spherical window sum's call), and the index build
 over the alpha window, the one batched candidate query, the batched dual
@@ -117,7 +118,28 @@ def d3_spherical_row():
 def d3_spherical_disks():
     """That row's 190,609 disks, clipped to the unit square."""
     target, L, lo, hi, t = d3_spherical_row()
-    return (*experiments._spherical_windows(target, L, lo, hi, t), lo, hi)
+    centers, radii, _pairs = experiments._spherical_windows(target, L, lo, hi, t)
+    return centers, radii, lo, hi
+
+
+def d3_spherical_lenses():
+    """Those disks and the unit square, with the candidate pairs of their
+    lens step."""
+    target, L, lo, hi, t = d3_spherical_row()
+    centers, radii, pairs = experiments._spherical_windows(target, L, lo, hi, t)
+    return centers, radii, lo, hi, pairs
+
+
+def d3_spherical_pair_search():
+    """_lens_pairs' arguments on that row: the identity-L sources below the
+    cutoff over the unit square grown by the largest radius, the cutoff,
+    that box and the radii."""
+    target, L, lo, hi, t = d3_spherical_row()
+    q_cap, margin = target.denominator_cap(t), target.candidate_radius(t)
+    box = (lo - margin, hi + margin)
+    sources, _alpha = farey.sequence_arrays(3, q_cap, L, box)
+    _centers, radii, _pairs = experiments._spherical_windows(target, L, lo, hi, t)
+    return sources[: radii.size], q_cap, box, radii
 
 
 def random_intervals(n=400_000):
@@ -216,7 +238,12 @@ CASES = [
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
-    ("_inside_lenses(d3-window)", "_inside_lenses", d3_spherical_disks),
+    ("spherical pairs(d3-window)", "_lens_pairs", d3_spherical_pair_search),
+    (
+        "_inside_lenses(d3-window)",
+        lambda centers, radii, lo, hi, pairs: experiments._inside_lenses(centers, radii, lo, hi, pairs=pairs),
+        d3_spherical_lenses,
+    ),
     (
         "_cluster_union_volume(A3)",
         lambda centers, u, v, w, lo, hi: experiments._cluster_union_volume(centers, w, lo, hi, pairs=(u, v)),

@@ -203,51 +203,72 @@ def _farey_ends(q: np.ndarray, lo, hi):
     return q[keep], [(a[keep], b[keep]) for a, b in ends]
 
 
-def farey_ranges(qmax: int, lo, hi):
-    """For each 1 <= q <= qmax of _farey_ends, taken 4096 at a time, yield
-    (q, axes, primes): its ranges as int64 arrays and the distinct primes
-    of q in increasing order (the small primes of _small_primes_and_rest
-    that divide q, then its rest).  A point of the ranges is primitive
-    exactly when no prime of q divides every p_i, and the multiples of a
-    prime r on an axis form the slice slice(-p_first % r, None, r)."""
-    small, rest = _small_primes_and_rest(max(qmax, 1))
-    for start in range(1, qmax + 1, 4096):
-        qs, ends = _farey_ends(np.arange(start, min(start + 4096, qmax + 1), dtype=np.int64), lo, hi)
-        ends = [(a.tolist(), b.tolist()) for a, b in ends]
-        for k, q in enumerate(qs.tolist()):
-            axes = [np.arange(a[k], b[k] + 1, dtype=np.int64) for a, b in ends]
-            primes = [p for p in small if q % p == 0]
-            if rest[q] > 1:
-                primes.append(int(rest[q]))
-            yield q, axes, primes
+_SIDE_BLOCK = 1 << 13  # points per block of farey_mobius_sums' sides: arrays of 64 KiB stay in cache
 
 
 def farey_mobius_sums(qmax: int, lo, hi, sides=None) -> tuple[float, int]:
-    """Sum over the primitive points (p, q) of the farey_ranges of the
-    product prod_i sides(q, axes)[i][p_i], and their number, with no grid.
+    """Sum over the primitive points (p, q), 1 <= q <= qmax, with p_i in the
+    ranges ceil(lo_i q)..floor(hi_i q) of _farey_ends, of the product
+    prod_i side_i(p_i), and their number, with no grid.
 
     Summed over the divisors e of gcd(p_1, ..., p_{d-1}, q), mu(e) is 1 for
     a primitive point and 0 otherwise, so each q gives
     sum_{e | q squarefree} mu(e) prod_i sum_{e | p_i} side_i(p_i): one
     strided sum per axis and squarefree divisor, over the multiples of e in
-    the range.  The count is the same sum with every side 1, in integers.
-    sides=None counts only.  The q are added in increasing order, and each
-    q's divisors in a fixed order, from 0.0.
+    the range, the first at offset -p_first % e.  The divisors come from the
+    distinct primes of q: the small primes of _small_primes_and_rest that
+    divide it, then its rest.  The count is the same sum with every side 1,
+    in integers.
+
+    sides(q, p) gives the sides of a block of denominators at once: q and p
+    are lists of int64 arrays, one per axis, holding every (q, p_i) of the
+    block in (q, p_i) order, and it returns one array of sides per axis,
+    elementwise in (q, p_i).  A block holds about _SIDE_BLOCK points over
+    all axes, or one q, so the arrays held do not grow with qmax.  sides=None
+    counts only and builds no point array.  The q are added in increasing
+    order, and each q's divisors in a fixed order, from 0.0.
     """
+    small, rest = _small_primes_and_rest(max(qmax, 1))
     total, count = 0.0, 0
-    for q, axes, primes in farey_ranges(qmax, lo, hi):
-        vals = sides(q, axes) if sides is not None else None
-        ends = [(int(a[0]) - 1, int(a[-1])) for a in axes]
-        divisors = [(1, 1)]
-        for r in primes:
-            divisors += [(e * r, -mu) for e, mu in divisors]
-        part = 0.0
-        for e, mu in divisors:
-            count += mu * math.prod(b // e - a // e for a, b in ends)
-            if vals is not None:
-                part += mu * math.prod(float(v[-int(a[0]) % e :: e].sum()) for v, a in zip(vals, axes))
-        total += part
+    for start in range(1, qmax + 1, 4096):
+        qs, ends = _farey_ends(np.arange(start, min(start + 4096, qmax + 1), dtype=np.int64), lo, hi)
+        sizes = [b - a + 1 for a, b in ends]
+        edges = [np.concatenate(([0], np.cumsum(n))) for n in sizes]  # where each q's points start, per axis
+        cuts = [0, qs.size]
+        if sides is not None:
+            points = sum(edges)
+            cuts[1:1] = points.searchsorted(np.arange(_SIDE_BLOCK, int(points[-1]), _SIDE_BLOCK)).tolist()
+        firsts, lasts, offsets = [a.tolist() for a, _b in ends], [b.tolist() for _a, b in ends], [e.tolist() for e in edges]
+        for k0, k1 in zip(cuts[:-1], cuts[1:]):
+            if k0 == k1:
+                continue
+            block = qs[k0:k1]
+            if sides is not None:
+                vals = sides(*_block_points(block, ends, sizes, edges, k0))
+            for k, (q, r) in enumerate(zip(block.tolist(), rest[block].tolist()), start=k0):
+                divisors = [(1, 1)]
+                for prime in [p for p in small if q % p == 0] + ([r] if r > 1 else []):
+                    divisors += [(e * prime, -mu) for e, mu in divisors]
+                ranges = [(a[k], b[k], e[k] - e[k0]) for a, b, e in zip(firsts, lasts, offsets)]
+                part = 0.0
+                for e, mu in divisors:
+                    count += mu * math.prod(b // e - (a - 1) // e for a, b, _o in ranges)
+                    if sides is not None:
+                        part += mu * math.prod(float(v[o + -a % e : o + b - a + 1 : e].sum()) for v, (a, b, o) in zip(vals, ranges))
+                total += part
     return total, count
+
+
+def _block_points(block, ends, sizes, edges, k0):
+    """farey_mobius_sums' arguments to sides for the denominators
+    block = qs[k0:k0 + len(block)]: per axis, the q and p_i of each point,
+    in (q, p_i) order.  A block of one q gives it as a number."""
+    k1 = k0 + block.size
+    if block.size == 1:
+        return [block[0]] * len(ends), [np.arange(a[k0], b[k0] + 1) for a, b in ends]
+    # point j of an axis' block has p_i = j + first - edge of its q
+    shifts = [np.repeat(a[k0:k1] - e[k0:k1], n[k0:k1]) for (a, _b), e, n in zip(ends, edges, sizes)]
+    return [np.repeat(block, n[k0:k1]) for n in sizes], [np.arange(e[k0], e[k1]) + s for e, s in zip(edges, shifts)]
 
 
 _BOX_CHUNK = 1 << 19  # candidates per step of _primitive_rows

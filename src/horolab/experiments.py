@@ -263,8 +263,8 @@ def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t:
     qmax = math.floor(target.denominator_cap(t))
     fy.check_budget(qmax, "denominator bound")  # however narrow the box, every q <= qmax is walked
 
-    def sides(q, axes):
-        return [_clipped_sides(p / q - c, w, a, b) for p, c, a, b in zip(axes, c_off, lo, hi)]
+    def sides(q, p):
+        return [_clipped_sides(pi / qi - c, w, a, b) for qi, pi, c, a, b in zip(q, p, c_off, lo, hi)]
 
     return K.farey_mobius_sums(qmax, lo - margin, hi + margin, sides)
 
@@ -387,7 +387,9 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         total, count = _stable_raw_sum(target, lo, hi, t)
         fy.check_budget(count, "window enumeration")
         nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w))
-        centers = nodes[:, : d - 1] / nodes[:, d - 1 :]
+        centers = np.empty((nodes.shape[0], d - 1))
+        for a in range(d - 1):  # column by column: a broadcast divide of (n, 2) by (n, 1) is slow
+            np.divide(nodes[:, a], nodes[:, d - 1], out=centers[:, a])
         del nodes
         centers -= c_off
         raw = float(_clipped_box_volumes(centers, w, lo, hi).sum())
@@ -417,6 +419,9 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     corrected only pairwise, by the lens area, and only when both sit
     inside A; triple overlaps are ignored.  That is not exact: at T = 3,
     radius 0.5, t = 2.6 on the unit square the sum is about 0.38% high.
+    The lens step's candidate pairs come from _spherical_windows: from the
+    exact integer search for identity L, from the float grid search on the
+    centers for any other L.
     """
     d = target.d
     if d not in (2, 3):
@@ -433,49 +438,72 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         counts = K.phi_sieve(qmax)[1:].astype(float)
         radii = _spherical_radii(np.arange(1, qmax + 1, dtype=float), q_cap, target.chart.radius, d, t)
         return float(np.dot(counts, 2.0 * radii)), int(counts.sum())
-    centers, radii = _spherical_windows(target, L, lo, hi, t)
+    centers, radii, pairs = _spherical_windows(target, L, lo, hi, t)
     if centers.shape[0] == 0:
         return 0.0, 0
     if d == 2:
         los, his = np.maximum(centers - radii[:, None], lo), np.minimum(centers + radii[:, None], hi)
         return _coverage_union(los[:, 0], his[:, 0]), int(centers.shape[0])
-    return _disk_window_sum(centers, radii, lo, hi), int(centers.shape[0])
+    return _disk_window_sum(centers, radii, lo, hi, pairs=pairs), int(centers.shape[0])
 
 
 def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
     """Centers and radii of the windows that can reach the box: the points
     with alpha_d below the cutoff whose projection lies within the largest
-    radius of it."""
+    radius of it.  For d = 3 also the lens step's candidate pairs of rows,
+    which hold every pair of meeting disks (None for d = 2): for identity L
+    from the exact integer search of _lens_pairs, for any other L from the
+    float search of the centers on the diameters (farey.collision_pairs)."""
     d = target.d
     q_cap = target.denominator_cap(t)
     margin = target.candidate_radius(t)
-    _sources, alpha = fy.sequence_arrays(d, q_cap, L, (lo - margin, hi + margin))
+    box = (lo - margin, hi + margin)
+    sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
     rows = np.flatnonzero(alpha[:, d - 1] < q_cap)
     ad = alpha[rows, d - 1]
     centers = np.empty((rows.size, d - 1))
     for a in range(d - 1):
         np.divide(alpha[rows, a], ad, out=centers[:, a])
-    return centers, _spherical_radii(ad, q_cap, target.chart.radius, d, t)
+    radii = _spherical_radii(ad, q_cap, target.chart.radius, d, t)
+    if d == 2 or rows.size == 0:
+        return centers, radii, None
+    if L is not None:
+        return centers, radii, fy.collision_pairs(centers, 2.0 * radii)
+    # identity L lists q ascending, so the rows with q < q_cap come first
+    return centers, radii, _lens_pairs(sources[: rows.size], q_cap, box, radii)
 
 
-def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi) -> float:
+def _lens_pairs(sources: np.ndarray, q_cap: float, box, radii: np.ndarray):
+    """Rows (i, j) of the identity-L sources, in the kernels' (q, p) order,
+    whose sup-norm gap is below the largest diameter 2 max(radii): every
+    pair of meeting disks is one.  The sources are those with q < q_cap
+    over the box, so the exact integer search (farey.farey_window_pairs)
+    runs up to the largest integer below q_cap, and farey.source_rows finds
+    the rows of the pair ends."""
+    first, second, radix = fy.farey_window_pairs(math.ceil(q_cap) - 1, *box, 2.0 * float(radii.max()))
+    return fy.source_rows(sources, (first, second), radix)
+
+
+def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi, *, pairs) -> float:
     """Area of the disks inside the box less the lens of every meeting pair
     that lies inside it: the disk areas added left to right from 0.0, then
     the lenses subtracted in the (i, j) pair order of _inside_lenses (cumsum
-    adds strictly left to right; np.sum adds pairwise)."""
-    lenses = _inside_lenses(centers, radii, lo, hi)
+    adds strictly left to right; np.sum adds pairwise).  pairs holds the
+    candidate rows, as _inside_lenses takes them."""
+    lenses = _inside_lenses(centers, radii, lo, hi, pairs=pairs)
     return float(np.cumsum(np.concatenate(([0.0], _disk_box_areas(centers, radii, lo, hi), -lenses)))[-1])
 
 
-def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi) -> np.ndarray:
+def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi, *, pairs) -> np.ndarray:
     """Lens area of each pair of meeting disks that both lie inside the box.
 
-    The candidates are the close pairs of farey.collision_pairs on the
-    diameters (every meeting pair is one), each as (i, j) with i < j, in
-    (i, j) order.  The distance is the BLAS dot of the difference with
-    itself, the bits np.linalg.norm gives one pair."""
+    pairs holds the candidate rows (u, v), each pair once, either way
+    round, among them every pair of meeting disks (as _spherical_windows
+    gives them).  They are tested as (i, j) with i < j, in (i, j) order.
+    The distance is the BLAS dot of the difference with itself, the bits
+    np.linalg.norm gives one pair."""
     n = centers.shape[0]
-    i, j = fy.collision_pairs(centers, 2.0 * radii)
+    i, j = pairs
     first, second = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
     inside = np.ones(n, dtype=bool)
     for c, a0, a1 in zip(centers.T, lo, hi):

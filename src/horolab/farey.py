@@ -67,7 +67,7 @@ class FareyIndex:
         cols = [alpha[:, d - 1], *(sources[:, j] for j in range(d - 1))]
         if not _rows_ascend(cols):
             order = np.lexsort(cols[::-1])
-            sources, alpha = sources[order], alpha[order]
+            sources, alpha = sources.take(order, axis=0), alpha.take(order, axis=0)
         self.d = d
         self.sources = sources
         self.alpha = alpha
@@ -230,7 +230,7 @@ def enumerate_farey(d: int, Q: float) -> list[TranslatedFareyPoint]:
     _check_q(Q)
     sources, alpha = sequence_arrays(d, Q)
     keep = np.all(sources[:, : d - 1] < sources[:, d - 1 :], axis=1)  # half-open: p_i < q
-    idx = FareyIndex(d, sources[keep], alpha[keep])
+    idx = FareyIndex(d, sources.compress(keep, axis=0), alpha.compress(keep, axis=0))
     return [idx.record(i) for i in range(len(idx))]
 
 
@@ -307,7 +307,7 @@ def translated_arrays(L, Q: float, box) -> tuple[np.ndarray, np.ndarray]:
             x = alpha[:, a] / ad
             keep &= x >= lo[a] - 1e-12
             keep &= x <= hi[a] + 1e-12
-    return sources[keep], alpha[keep]
+    return sources.compress(keep, axis=0), alpha.compress(keep, axis=0)
 
 
 def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +318,7 @@ def translated_alpha_box_arrays(L, Q: float) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(L).shape[0]
     sources, alpha = _lattice_images(L, np.full(d, -1e-9), np.full(d, Q + 1e-9))
     keep = (alpha[:, d - 1] > 0) & np.all(alpha <= Q + 1e-9, axis=1) & np.all(alpha >= -1e-9, axis=1)
-    return sources[keep], alpha[keep]
+    return sources.compress(keep, axis=0), alpha.compress(keep, axis=0)
 
 
 def sequence_arrays(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +331,7 @@ def sequence_arrays(d: int, Q: float, L=None, box=None, alpha_lo: float = 0.0) -
         sources, alpha = translated_arrays(L, Q, _unit_box(d) if box is None else box)
         if alpha_lo > 0:
             keep = alpha[:, d - 1] >= alpha_lo
-            sources, alpha = sources[keep], alpha[keep]
+            sources, alpha = sources.compress(keep, axis=0), alpha.compress(keep, axis=0)
     elif Q < 1:
         sources = alpha = np.empty((0, d), np.int64)
     else:
@@ -366,7 +366,7 @@ def window_index(d: int, Q: float, window, L=None, box=None) -> tuple[FareyIndex
         return farey_index(d, min(hi, Q), box=box, alpha_lo=lo), count
     sources, alpha = sequence_arrays(d, Q, L=L, box=box)
     keep = (alpha[:, d - 1] >= lo) & (alpha[:, d - 1] <= hi)
-    return FareyIndex(d, sources[keep], alpha[keep]), sources.shape[0]
+    return FareyIndex(d, sources.compress(keep, axis=0), alpha.compress(keep, axis=0)), sources.shape[0]
 
 
 def count_farey(d: int, Q: float) -> tuple[int, float]:
@@ -676,9 +676,11 @@ def collision_pairs(points: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
 
     For boxes of width w this is exactly "the boxes overlap", so box callers
     pass the box width; the pairs are then the edges of the graph whose
-    cliques are the sets of boxes with a common point.  Disk callers must
-    pass diameters: two disks meet only if their centers are this close,
-    and the caller checks the exact disk test on the pairs.
+    cliques are the sets of boxes with a common point.  The one disk
+    caller, the lens step of a spherical window sum under L != I, passes
+    diameters: two disks meet only if their centers are this close, and it
+    checks the exact disk test on the pairs (identity L takes its lens
+    pairs from farey_window_pairs instead).
 
     Single-grid search: every gap of a close pair is below max w, so on a
     grid of cells a hair wider than that its two points share a cell or lie
@@ -881,9 +883,13 @@ def farey_window_pairs(m: int, lo, hi, w: float):
     near an integer is settled with Fraction(w)), and each k is a linear
     congruence for p_i (_axis_solutions).  The axes combine as a product
     per (q, q') over the combinations with some k != 0; both ends must be
-    primitive.  Each array's size is checked against ENUM_BUDGET before it
-    is allocated, and the radix, from the solutions' own q and p ranges,
-    is refused past int64 before any key is built.
+    primitive.  The integer work is done once per axis solution, not per
+    candidate: g_i = gcd(q, p_i) and the key's digit term of p_i (q's goes
+    with the first axis).  gcd(q, p_1, p_2) = gcd(g_1, g_2), so a
+    candidate gathers whether g_i = 1 and one key term per axis, and
+    np.gcd runs only where both g_i exceed 1.  Each array's size is checked against
+    ENUM_BUDGET before it is allocated, and the radix, from the solutions'
+    own q and p ranges, is refused past int64 before any key is built.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -924,31 +930,47 @@ def farey_window_pairs(m: int, lo, hi, w: float):
     rows = _candidate_rows(axes, q.size)
     if rows[0].size == 0:
         return empty
-    pair = axes[0][0][rows[0]]
-    # each end's solution columns q, p_1, ...: p and p' of every axis
-    solutions = [[q, *(ax[2] for ax in axes)], [q2, *(ax[3] for ax in axes)]]
-    del axes, q, q2
-    lows = [int(min(a.min(), b.min())) for a, b in zip(*solutions)]
-    spans = [int(max(a.max(), b.max())) - low + 1 for (a, b), low in zip(zip(*solutions), lows)]
+    # each end's columns q, p_1, ...: q over the (q, q'), p_i over axis i's solutions
+    ends = [[q, *(ax[2] for ax in axes)], [q2, *(ax[3] for ax in axes)]]
+    lows = [int(min(a.min(), b.min())) for a, b in zip(*ends)]
+    spans = [int(max(a.max(), b.max())) - low + 1 for (a, b), low in zip(zip(*ends), lows)]
     if math.prod(spans) > 2**63:
         raise ResourceLimitError(f"pair end keys span {math.prod(spans)} values, over int64", 2**63)
     radix = tuple(zip(lows, spans))
-    keys, keep = [], np.ones(pair.size, dtype=bool)
-    for end in solutions:
-        # one column at a time: gather it, fold it into the gcd and the key, free it
-        g = end[0][pair]
-        key = g - radix[0][0]
-        for column, r, (low, span) in zip(end[1:], rows, radix[1:]):
-            c = column[r]
-            np.gcd(g, c, out=g)
-            key *= span
-            c -= low
-            key += c
-            del c
-        keep &= g == 1
+    solution_pair = [ax[0] for ax in axes]
+    del axes, q, q2
+    keep, terms = np.ones(rows[0].size, dtype=bool), []
+    for q_end, *ps in ends:
+        # once per axis solution: g_i = gcd(q, p_i) and the key's digit term
+        # of p_i (and of q, on the first axis)
+        gs, parts = [], []
+        for i, (pair, p) in enumerate(zip(solution_pair, ps)):
+            qa = q_end[pair]
+            gs.append(np.gcd(qa, p))
+            term = p - lows[i + 1]
+            if i == 0:
+                qa -= lows[0]
+                qa *= spans[1]
+                term += qa
+            term *= math.prod(spans[i + 2 :])
+            parts.append(term)
+        terms.append(parts)
+        # gcd(q, p_1, p_2) = gcd(g_1, g_2): primitive where either is 1, else by their gcd
+        primitive = (gs[0] == 1).take(rows[0])
+        if len(rows) == 2:
+            primitive |= (gs[1] == 1).take(rows[1])
+            both = np.flatnonzero(~primitive)
+            primitive[both] = np.gcd(gs[0].take(rows[0][both]), gs[1].take(rows[1][both])) == 1
+        keep &= primitive
+    del ends, q_end, ps, gs, primitive
+    # the key of each candidate's ends: one gathered term per axis
+    keys = []
+    for parts in terms:
+        key = parts[0].take(rows[0])
+        for part, r in zip(parts[1:], rows[1:]):
+            key += part.take(r)
         keys.append(key)
-        del g, end[:]
-    del pair, rows
+    del rows, terms
     # q <= q' by construction, so key order is the (q, p) order: for q == q'
     # each pair comes in both orders, and this keeps the one with p < p'
     keep &= keys[0] < keys[1]
@@ -969,6 +991,41 @@ def pair_rows(keys: np.ndarray, radix) -> np.ndarray:
     rest += radix[0][0]
     rows[:, d - 1] = rest
     return rows
+
+
+def source_rows(sources: np.ndarray, ends, radix) -> list[np.ndarray]:
+    """The row in sources of each pair-end key of farey_window_pairs, for
+    each key array in ends.  sources are identity-L rows
+    (p_1, ..., p_{d-1}, q) in the kernels' (q, p) order that hold every end.
+
+    The sources and the decoded ends are keyed again in one mixed radix that
+    covers both, q first, so the sources' keys ascend and one searchsorted
+    per key array finds the rows; an end that no row holds is an error."""
+    d = sources.shape[1]
+    columns = [sources[:, d - 1], *(sources[:, j] for j in range(d - 1))]
+    lows = [min(low, int(c.min())) for (low, _span), c in zip(radix, columns)]
+    spans = [max(low + span, int(c.max()) + 1) - new for (low, span), c, new in zip(radix, columns, lows)]
+    if math.prod(spans) > 2**63:
+        raise ResourceLimitError(f"source keys span {math.prod(spans)} values, over int64", 2**63)
+
+    def keyed(cols):
+        key = cols[0] - lows[0]
+        for c, low, span in zip(cols[1:], lows[1:], spans[1:]):
+            key *= span
+            key += c
+            key -= low
+        return key
+
+    source_keys = keyed(columns)
+    out = []
+    for keys in ends:
+        rows = pair_rows(keys, radix)
+        keys = keyed([rows[:, d - 1], *(rows[:, j] for j in range(d - 1))])
+        at = np.searchsorted(source_keys, keys)
+        if not np.array_equal(source_keys.take(at, mode="clip"), keys):
+            raise HorolabError("a pair end is not among the sources")
+        out.append(at)
+    return out
 
 
 def pair_graph(first: np.ndarray, second: np.ndarray, radix):

@@ -756,26 +756,35 @@ def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
 def test_window_sums_read_the_pair_list_only(monkeypatch):
     # no window sum builds clusters: the d3-window spherical row at t = 2.6
     # and the translated d = 3 sum at t = 2.0 keep their values with the
-    # cluster builders refused, each from one call of collision_pairs
+    # cluster builders refused.  The identity-L spherical row takes its lens
+    # pairs from one integer search and never calls collision_pairs; the
+    # translated sum takes its pairs from one call of collision_pairs
     def refuse(*args, **kwargs):
         raise AssertionError("clusters built")
 
     searches, collision_pairs = [], farey.collision_pairs
+    integer_searches, window_pairs = [], farey.farey_window_pairs
 
     def counted(points, w):
         searches.append(points.shape[0])
         return collision_pairs(points, w)
 
+    def counted_integer(m, lo, hi, w):
+        integer_searches.append(m)
+        return window_pairs(m, lo, hi, w)
+
     monkeypatch.setattr(farey, "collision_clusters", refuse)
     monkeypatch.setattr(farey, "component_clusters", refuse)
     monkeypatch.setattr(farey, "collision_pairs", counted)
+    monkeypatch.setattr(farey, "farey_window_pairs", counted_integer)
     spherical = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
     assert ex.window_sum_spherical(spherical, None, np.zeros(2), np.ones(2), 2.6) == (0.023661368622645552, 190609)
-    assert len(searches) == 1
+    assert (searches, integer_searches) == ([], [math.ceil(spherical.denominator_cap(2.6)) - 1])
     L = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0, 1.0]])
     stable = tg.StableSection(d=3, T=1.0, eps=0.2)
     assert ex._window_sum_stable_enumerated(stable, L, np.zeros(2), np.ones(2), 2.0) == (0.01108804823721582, 46_060)
-    assert searches[1:] == [46_060]
+    assert searches == [46_060]
+    assert len(integer_searches) == 1
 
 
 def test_cluster_union_volume():
@@ -1200,30 +1209,62 @@ def disk_clusters(draw):
 # tangent: the disks at x = 0.25 and 0.5 touch (dist == r1 + r2), clustered through the one between
 @example((np.array([[0.25, 0.5], [0.5, 0.5], [0.375, 0.5]]), np.array([0.125, 0.125, 0.0625])))
 def test_batched_lenses_match_pairwise_loop(case):
+    # these disks are not Farey windows: their candidate pairs come from the
+    # float search on the diameters, as a general L's do
     centers, radii = case
     lo, hi = np.zeros(2), np.ones(2)
+    pairs = farey.collision_pairs(centers, 2.0 * radii)
     want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
-    got = ex._disk_window_sum(centers, radii, lo, hi)
+    got = ex._disk_window_sum(centers, radii, lo, hi, pairs=pairs)
     assert abs(got - want) <= 1e-15 * abs(want)
     # the batched lenses come in (i, j) order
     want_lenses = [lens for _pair, lens in sorted(lenses)]
-    got_lenses = ex._inside_lenses(centers, radii, lo, hi)
+    got_lenses = ex._inside_lenses(centers, radii, lo, hi, pairs=pairs)
     assert got_lenses.size == len(want_lenses)
     assert np.allclose(got_lenses, want_lenses, rtol=1e-15, atol=0.0)
 
 
 def test_batched_lenses_match_pairwise_loop_bitwise():
     # the disks of the d = 3 spherical row at t = 2.4 (57,329 disks) and at
-    # perfbench's d3-window t = 2.6 (190,609).  Each lens, in (i, j) order,
-    # and the total keep the bits
+    # perfbench's d3-window t = 2.6 (190,609), with the lens pairs of the
+    # integer search.  Each lens, in (i, j) order, and the total keep the bits
     target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
     lo, hi = np.zeros(2), np.ones(2)
     for t, n_lenses in [(2.4, 456), (2.6, 2_460)]:
-        centers, radii = ex._spherical_windows(target, None, lo, hi, t)
+        centers, radii, pairs = ex._spherical_windows(target, None, lo, hi, t)
         want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
         assert len(lenses) == n_lenses
-        assert ex._inside_lenses(centers, radii, lo, hi).tolist() == [lens for _pair, lens in sorted(lenses)]
-        assert ex._disk_window_sum(centers, radii, lo, hi) == want
+        assert ex._inside_lenses(centers, radii, lo, hi, pairs=pairs).tolist() == [lens for _pair, lens in sorted(lenses)]
+        assert ex._disk_window_sum(centers, radii, lo, hi, pairs=pairs) == want
+
+
+@st.composite
+def spherical_lens_cases(draw):
+    """A d = 3 identity-L spherical target, a flow time and a sub-box of the
+    unit square; grid radii and boxes put disks on the box edges."""
+    T = draw(st.one_of(st.sampled_from([2.5, 3.0]), st.floats(2.35, 5.0)))
+    radius = draw(st.one_of(st.sampled_from([0.5, 0.9, 1.2]), st.floats(0.2, 1.4)))
+    t = draw(st.floats(1.4, 2.3))
+    lo = np.array([draw(st.sampled_from([0.0, 0.25])) for _ in range(2)])
+    hi = lo + np.array([draw(st.one_of(st.sampled_from([0.5, 0.75]), st.floats(0.1, 0.75))) for _ in range(2)])
+    return tg.SphericalSection(d=3, T=T, chart=coords.Chart(dim=3, radius=radius)), t, lo, hi
+
+
+@settings(deadline=None, max_examples=80)
+@given(spherical_lens_cases())
+# q_cap = 21 exactly: the rows stop at q = 20, and so must the pair search
+@example((tg.SphericalSection(d=3, T=2.5, chart=coords.Chart(dim=3, radius=0.9)), 1.8276914628197631, np.zeros(2), np.ones(2)))
+def test_integer_lens_pairs_match_the_float_search_bitwise(case):
+    # the lens step on the integer pairs of _spherical_windows against the
+    # same step on the independent float candidates of collision_pairs
+    target, t, lo, hi = case
+    centers, radii, pairs = ex._spherical_windows(target, None, lo, hi, t)
+    if centers.shape[0] == 0:
+        assert pairs is None
+        return
+    want = ex._inside_lenses(centers, radii, lo, hi, pairs=farey.collision_pairs(centers, 2.0 * radii))
+    got = ex._inside_lenses(centers, radii, lo, hi, pairs=pairs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_disk_areas_match_scalar_loop_bitwise_in_bulk(rng):

@@ -832,6 +832,9 @@ def pair_search_cases(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(pair_search_cases())
+# q = 6 splits its gcd over the axes: (2, 3, 6) is primitive, (2, 4, 6) is not
+@example((3, 7, np.array([0.3, 0.45]), np.array([0.35, 0.7]), 0.5))
+@example((3, 12, np.array([0.3, 0.45]), np.array([0.4, 0.7]), 0.3))
 def test_window_pairs_match_brute_force(case):
     d, m, lo, hi, w = case
     first, second, radix = farey.farey_window_pairs(m, lo, hi, w)
@@ -840,6 +843,19 @@ def test_window_pairs_match_brute_force(case):
     got = [(tuple(a), tuple(b)) for a, b in zip(first.tolist(), second.tolist())]
     assert len(got) == len(set(got))
     assert set(got) == brute_window_pairs(d, m, lo, hi, w)
+
+
+def test_window_pairs_split_primitivity_across_axes():
+    # at q = 6 the box holds p = (2, 3), primitive though gcd(6, 2) = 2 and
+    # gcd(6, 3) = 3, and p = (2, 4) = 2 (1, 2, 3), which is not: a search
+    # that tests one axis alone drops the only pair, one that skips the
+    # gcd of the two keeps (2, 4, 6)
+    lo, hi, w = np.array([0.3, 0.45]), np.array([0.35, 0.7]), 0.5
+    assert farey.farey_arrays(3, 7, (lo, hi))[0].tolist() == [[1, 2, 3], [2, 3, 6]]
+    first, second, radix = farey.farey_window_pairs(7, lo, hi, w)
+    got = [(tuple(a), tuple(b)) for a, b in zip(farey.pair_rows(first, radix).tolist(), farey.pair_rows(second, radix).tolist())]
+    assert got == [((1, 2, 3), (2, 3, 6))]
+    assert set(got) == brute_window_pairs(3, 7, lo, hi, w)
 
 
 def test_window_pairs_check_the_budget_before_allocating():

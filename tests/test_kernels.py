@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from horolab import _kernels as K
+from horolab.experiments import _clipped_sides
 
 
 def brute_phi(n):
@@ -278,3 +280,66 @@ def test_benchmark_kernel_cases_resolve():
     for label, name, fargs in bench.CASES:
         assert callable(bench.resolve(name)), label
         assert callable(fargs) or isinstance(fargs, tuple), label
+
+
+def per_q_mobius_sums(qmax, lo, hi, sides):
+    """The loop the blocked sums replaced, one q at a time with q as a
+    number, kept as their bitwise oracle."""
+    small, rest = K._small_primes_and_rest(max(qmax, 1))
+    qs, ends = K._farey_ends(np.arange(1, qmax + 1, dtype=np.int64), lo, hi)
+    total, count = 0.0, 0
+    for k, q in enumerate(qs.tolist()):
+        axes = [np.arange(a[k], b[k] + 1, dtype=np.int64) for a, b in ends]
+        vals = sides([q] * len(axes), axes)
+        divisors = [(1, 1)]
+        for p in [p for p in small if q % p == 0] + ([int(rest[q])] if rest[q] > 1 else []):
+            divisors += [(e * p, -mu) for e, mu in divisors]
+        part = 0.0
+        for e, mu in divisors:
+            count += mu * math.prod(int(a[-1]) // e - (int(a[0]) - 1) // e for a in axes)
+            part += mu * math.prod(float(v[-int(a[0]) % e :: e].sum()) for v, a in zip(vals, axes))
+        total += part
+    return total, count
+
+
+def clipped_sides(c_off, w, lo, hi):
+    """Sides as the stable raw sum takes them: the window sides at p/q - c."""
+    return lambda q, p: [_clipped_sides(pi / qi - c, w, a, b) for qi, pi, c, a, b in zip(q, p, c_off, lo, hi)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 120),
+    st.lists(st.tuples(st.sampled_from([0.0, -0.5, 1 / 3, -2.0]), st.sampled_from([0.5, 1.0, 4.0])), min_size=2, max_size=2),
+    st.sampled_from([1, 5, 64, K._SIDE_BLOCK]),
+    st.floats(1e-4, 0.2),
+)
+@example(3, 120, [(-2.0, 4.0), (-2.0, 4.0)], K._SIDE_BLOCK, 0.05)
+def test_blocked_mobius_sums_match_the_per_q_loop_bitwise(d, qmax, box, block, w):
+    # blocks of one q, of many, and cut anywhere give the sums and counts of
+    # the per-q loop, bit for bit
+    lo = np.array([a for a, _width in box[: d - 1]])
+    hi = lo + [width for _a, width in box[: d - 1]]
+    inner_lo, inner_hi, c_off = lo + 0.1, hi - 0.1, np.full(d - 1, 0.01)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(K, "_SIDE_BLOCK", block)
+        got = K.farey_mobius_sums(qmax, lo, hi, clipped_sides(c_off, w, inner_lo, inner_hi))
+    assert got == per_q_mobius_sums(qmax, lo, hi, clipped_sides(c_off, w, inner_lo, inner_hi))
+    assert K.farey_mobius_sums(qmax, lo, hi)[1] == got[1]
+
+
+def test_mobius_side_blocks_bound_the_memory():
+    # the box [-1, 1]^2 up to qmax = 2000 holds about 8M points over its two
+    # axes, 64 MB per array if a chunk of denominators were held at once; in
+    # blocks of _SIDE_BLOCK points the peak is the same at qmax = 500
+    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+    peaks = []
+    for qmax in (500, 2000):
+        tracemalloc.start()
+        try:
+            K.farey_mobius_sums(qmax, lo, hi, clipped_sides(np.zeros(2), 1e-6, lo, hi))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 << 20
