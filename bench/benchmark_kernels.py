@@ -10,10 +10,12 @@ the clipped window volumes and their Moebius raw sum, the whole A3 window
 sum, the d = 3 spherical window sum of perfbench's d3-window workload with
 its clipped disk areas, the integer search for its lens pairs and its lens
 step, the clique union of the A3
-windows on some collision pair, the cover-count union of one set of
-intervals (the d = 2 spherical window sum's call), and the index build
-over the alpha window, the one batched candidate query, the batched dual
-predicate and the whole sampled estimate of perfbench's d3-membership row.
+windows on some collision pair (given their summed clipped volume, as the
+window sum passes it), the cover-count union of one set of intervals (the
+d = 2 spherical window sum's call), and the Moebius count of the sources
+up to the cutoff, the index build over the alpha window, the one batched
+candidate query, the batched dual predicate and the whole sampled estimate
+of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -65,14 +67,15 @@ def a3_pair_search():
 def a3_pairs():
     """The A3 collision pairs as the window sum passes them to the union:
     the centers of the pair ends in rank order, the two ranks of each pair,
-    w and the unit square."""
+    w, the unit square and the summed clipped volume of those windows."""
     m, box_lo, box_hi, w = a3_pair_search()
     nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
     _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
     centers = nodes[:, :2] / nodes[:, 2:]
     del nodes
     centers -= c_off
-    return centers, u, v, w, np.zeros(2), np.ones(2)
+    lo, hi = np.zeros(2), np.ones(2)
+    return centers, u, v, w, lo, hi, float(experiments._clipped_box_volumes(centers, w, lo, hi).sum())
 
 
 def a3_pair_ends():
@@ -166,6 +169,15 @@ def d3_membership_points():
     return np.random.default_rng((0, 0)).uniform(0.0, 1.0, size=(4000, 2))
 
 
+def d3_membership_count():
+    """count_farey_arrays' arguments on that row: d, the alpha cutoff and
+    the unit square grown by the candidate radius, as _build_index passes
+    them."""
+    target, t = D3_MEMBERSHIP
+    radius = target.candidate_radius(t)
+    return target.d, target.alpha_cutoff(t), (np.full(2, -radius - 1e-12), np.full(2, 1.0 + radius + 1e-12))
+
+
 def d3_membership_query():
     """That row's index, its samples, the candidate radius and the top of
     the alpha window."""
@@ -246,10 +258,11 @@ CASES = [
     ),
     (
         "_cluster_union_volume(A3)",
-        lambda centers, u, v, w, lo, hi: experiments._cluster_union_volume(centers, w, lo, hi, pairs=(u, v)),
+        lambda centers, u, v, w, lo, hi, raw: experiments._cluster_union_volume(centers, w, lo, hi, pairs=(u, v), raw=raw),
         a3_pairs,
     ),
     ("_coverage_union(400k)", "_coverage_union", random_intervals),
+    ("count_farey_arrays(d3-membership)", "count_farey_arrays", d3_membership_count),
     ("_build_index(d3-membership)", "_build_index", d3_membership_build),
     (
         "FareyIndex.near(d3-membership)",

@@ -9,8 +9,12 @@ farey.lattice_points), farey_points the identity-L Farey rows
 (q, p_1, ..., p_{d-2}) for every d; farey_d2 and farey_d3 stay as entry
 points to it because perfbench traces the kernels by name.  Every counted
 or summed Farey set comes from farey_mobius_sums, by Moebius inversion
-over the squarefree divisors of each q, with no grid.  The listing and the
-sums read the same ranges ceil(lo_i q)..floor(hi_i q), from _farey_ends.
+over the squarefree divisors of each q, with no grid: the divisors of a
+chunk of denominators come as arrays (_squarefree_divisors), and the
+strided side sums over their multiples are gathered per block and axis and
+reduced at once (_strided_sums), each with the bits of its own .sum().  The
+listing and the sums read the same ranges ceil(lo_i q)..floor(hi_i q),
+from _farey_ends.
 
 The sieves (Moebius, Euler phi, Jordan) are small-prime sieves: a Python
 loop over the primes up to sqrt(n) only, each step one strided array
@@ -29,6 +33,7 @@ the benchmark.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -206,6 +211,11 @@ def _farey_ends(q: np.ndarray, lo, hi):
 _SIDE_BLOCK = 1 << 13  # points per block of farey_mobius_sums' sides: arrays of 64 KiB stay in cache
 
 
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def farey_mobius_sums(qmax: int, lo, hi, sides=None) -> tuple[float, int]:
     """Sum over the primitive points (p, q), 1 <= q <= qmax, with p_i in the
     ranges ceil(lo_i q)..floor(hi_i q) of _farey_ends, of the product
@@ -215,48 +225,111 @@ def farey_mobius_sums(qmax: int, lo, hi, sides=None) -> tuple[float, int]:
     a primitive point and 0 otherwise, so each q gives
     sum_{e | q squarefree} mu(e) prod_i sum_{e | p_i} side_i(p_i): one
     strided sum per axis and squarefree divisor, over the multiples of e in
-    the range, the first at offset -p_first % e.  The divisors come from the
-    distinct primes of q: the small primes of _small_primes_and_rest that
-    divide it, then its rest.  The count is the same sum with every side 1,
-    in integers.
+    the range (_squarefree_divisors lists the divisors).  The count is the
+    same sum with every side 1: the number of multiples of e in each range,
+    in integer arrays over all the divisors at once.
 
     sides(q, p) gives the sides of a block of denominators at once: q and p
     are lists of int64 arrays, one per axis, holding every (q, p_i) of the
     block in (q, p_i) order, and it returns one array of sides per axis,
     elementwise in (q, p_i).  A block holds about _SIDE_BLOCK points over
-    all axes, or one q, so the arrays held do not grow with qmax.  sides=None
-    counts only and builds no point array.  The q are added in increasing
-    order, and each q's divisors in a fixed order, from 0.0.
+    all axes, or one q, so the arrays held do not grow with qmax.  All the
+    strided sums of a block are taken at once per axis (_strided_sums), each
+    with the bits of its own .sum(); only the per-q sum of mu(e) times their
+    product is added in Python, q by q in increasing order and each q's
+    divisors in a fixed order, from 0.0.  sides=None counts only and builds
+    no point array.
     """
     small, rest = _small_primes_and_rest(max(qmax, 1))
+    small = np.array(small, dtype=np.int64)
     total, count = 0.0, 0
     for start in range(1, qmax + 1, 4096):
         qs, ends = _farey_ends(np.arange(start, min(start + 4096, qmax + 1), dtype=np.int64), lo, hi)
+        if qs.size == 0:
+            continue
+        at, e, mu, n_div = _squarefree_divisors(qs, small, rest)
+        # per divisor and axis: the first point of its q's range and the multiples of e in that range
+        firsts = [a[at] for a, _b in ends]
+        mults = [b[at] // e - (a - 1) // e for a, (_a, b) in zip(firsts, ends)]
+        count += int(np.dot(mu, functools.reduce(np.multiply, mults)))
+        if sides is None:
+            continue
         sizes = [b - a + 1 for a, b in ends]
         edges = [np.concatenate(([0], np.cumsum(n))) for n in sizes]  # where each q's points start, per axis
-        cuts = [0, qs.size]
-        if sides is not None:
-            points = sum(edges)
-            cuts[1:1] = points.searchsorted(np.arange(_SIDE_BLOCK, int(points[-1]), _SIDE_BLOCK)).tolist()
-        firsts, lasts, offsets = [a.tolist() for a, _b in ends], [b.tolist() for _a, b in ends], [e.tolist() for e in edges]
+        points = sum(edges)
+        cuts = [0, *points.searchsorted(np.arange(_SIDE_BLOCK, int(points[-1]), _SIDE_BLOCK)).tolist(), qs.size]
+        rows = np.concatenate(([0], np.cumsum(n_div)))  # q k's divisors are rows[k] <= r < rows[k + 1]
         for k0, k1 in zip(cuts[:-1], cuts[1:]):
             if k0 == k1:
                 continue
-            block = qs[k0:k1]
-            if sides is not None:
-                vals = sides(*_block_points(block, ends, sizes, edges, k0))
-            for k, (q, r) in enumerate(zip(block.tolist(), rest[block].tolist()), start=k0):
-                divisors = [(1, 1)]
-                for prime in [p for p in small if q % p == 0] + ([r] if r > 1 else []):
-                    divisors += [(e * prime, -mu) for e, mu in divisors]
-                ranges = [(a[k], b[k], e[k] - e[k0]) for a, b, e in zip(firsts, lasts, offsets)]
+            vals = sides(*_block_points(qs[k0:k1], ends, sizes, edges, k0))
+            r = slice(rows[k0], rows[k1])
+            # the first multiple of e in the range is -first % e past the range's start
+            sums = [
+                _strided_sums(v, edge[at[r]] - edge[k0] + -first[r] % e[r], e[r], n[r])
+                for v, edge, first, n in zip(vals, edges, firsts, mults)
+            ]
+            # the product left to right, as math.prod takes it
+            terms = (mu[r] * functools.reduce(np.multiply, sums)).tolist()
+            bounds = (rows[k0 : k1 + 1] - rows[k0]).tolist()
+            for r0, r1 in zip(bounds[:-1], bounds[1:]):
                 part = 0.0
-                for e, mu in divisors:
-                    count += mu * math.prod(b // e - (a - 1) // e for a, b, _o in ranges)
-                    if sides is not None:
-                        part += mu * math.prod(float(v[o + -a % e : o + b - a + 1 : e].sum()) for v, (a, b, o) in zip(vals, ranges))
+                for term in terms[r0:r1]:
+                    part += term
                 total += part
     return total, count
+
+
+def _squarefree_divisors(q: np.ndarray, small: np.ndarray, rest: np.ndarray):
+    """Every squarefree divisor e of each entry of the nonempty ascending
+    int64 array q, with mu(e), as int64 arrays (at, e, mu) over all of them,
+    at the index of e's q in q, and the number 2^omega(q) of each q's.
+
+    The distinct primes p_0 < p_1 < ... of q are the small primes of
+    _small_primes_and_rest that divide it, then rest[q] when it is above 1.
+    Divisor i of q, 0 <= i < 2^omega(q), is the product of the p_j with bit
+    j of i set: q by q, the order in which listing 1 and then, prime by
+    prime, each divisor so far times that prime gives them.
+    """
+    low, high = int(q[0]), int(q[-1])
+    # the multiples of each small prime from low to high, those that are in q
+    n = high // small - (low - 1) // small
+    prime = np.repeat(small, n)
+    multiple = np.repeat(((low - 1) // small + 1) * small, n) + prime * _ramp(n)
+    holder = q.searchsorted(multiple)
+    hit = q[holder] == multiple
+    big = np.flatnonzero(rest[q] > 1)
+    holder = np.concatenate((holder[hit], big))
+    prime = np.concatenate((prime[hit], rest[q[big]]))
+    # q by q, small primes ascending and the rest last: a stable sort keeps both orders
+    prime = prime[np.argsort(holder, kind="stable")]
+    omega = np.bincount(holder, minlength=q.size)
+    n_div = np.left_shift(1, omega)
+    at = np.repeat(np.arange(q.size), n_div)
+    bits = _ramp(n_div)
+    first = np.repeat(np.cumsum(omega) - omega, n_div)  # where each divisor's q lists its primes
+    e = np.ones(bits.size, np.int64)
+    mu = np.ones(bits.size, np.int64)
+    for j in range(int(omega.max())):
+        has = np.flatnonzero((bits >> j) & 1)
+        e[has] *= prime[first[has] + j]
+        mu[has] *= -1
+    return at, e, mu, n_div
+
+
+def _strided_sums(v: np.ndarray, start: np.ndarray, step: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """v[start[r] :: step[r]][: n[r]].sum() for each r, bit for bit, from
+    one gather and one np.add.reduceat.
+
+    reduceat adds a segment's first entry to the pairwise sum of the rest,
+    and .sum() adds 0.0 to the pairwise sum of all its entries, so each run
+    is gathered behind a 0.0."""
+    n = n + 1
+    at = np.cumsum(n) - n  # where each run's 0.0 goes
+    # the index at each 0.0 is start - step, which clip keeps in bounds
+    gathered = v.take(np.repeat(start - step, n) + np.repeat(step, n) * _ramp(n), mode="clip")
+    gathered[at] = 0.0
+    return np.add.reduceat(gathered, at)
 
 
 def _block_points(block, ends, sizes, edges, k0):

@@ -269,10 +269,13 @@ def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t:
     return K.farey_mobius_sums(qmax, lo - margin, hi + margin, sides)
 
 
-def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, *, pairs) -> float:
+def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, *, pairs, raw: float | None = None) -> float:
     """Exact measure of the union of the boxes of width w at the centers,
     clipped to [lo, hi], in any dimension.  ``pairs`` holds the rows (u, v)
     of every two boxes that overlap, each pair once, either way round.
+    ``raw``, when given, is the caller's float sum of their clipped volumes
+    (_clipped_box_volumes(centers, w, lo, hi).sum()), the union's first
+    term, which is then not computed again.
 
     Boxes have Helly number 2: some of them share a point exactly when each
     two of them overlap, that is when they form a clique of the pair graph,
@@ -296,14 +299,15 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     del key
     # row a's later neighbours are later[starts[a] : starts[a + 1]], ascending
     starts = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
-    union = float(_clipped_box_volumes(centers, w, lo, hi).sum())
+    union = float(_clipped_box_volumes(centers, w, lo, hi).sum()) if raw is None else raw
     last = later  # the largest member of each listed set
     # each set's common box, from bottom - w/2 to top + w/2: the max and min of its centers
     # (take gathers rows several times faster than fancy indexing does)
     top = centers.take(later, axis=0)
-    bottom = np.maximum(centers.take(first, axis=0), top)
-    np.minimum(centers.take(first, axis=0), top, out=top)
-    del first
+    at_first = centers.take(first, axis=0)
+    bottom = np.maximum(at_first, top)
+    np.minimum(at_first, top, out=top)
+    del first, at_first
     sign = -1.0
     while last.size:
         vol = _clipped_box_volumes(bottom, w, lo, hi, top=top)
@@ -360,7 +364,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     too.  The overlapping window pairs come from one integer search over
     the box (farey.farey_window_pairs), ranked in the kernel's row order
     (farey.pair_graph), and centers are formed for their integer ends only;
-    the sum adds the union of those windows less their own clipped volumes.
+    the sum adds the union of those windows less their own clipped volumes,
+    summed once and passed to the union as its first term.
     A general L, and d >= 4, take all centers from _stable_window_centers,
     one fy.sequence_arrays enumeration, search them with
     farey.collision_pairs, and the sum is the union of all their windows.
@@ -379,7 +384,7 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         count = int(sources.shape[0])
         del sources  # only the count is needed; free it before the collision search
         u, v = fy.collision_pairs(centers, w)
-        total = raw = 0.0  # the union below measures every window; adding 0.0 keeps its bits
+        total, raw = 0.0, None  # the union below measures every window
     else:
         q_cap = target.denominator_cap(t)
         predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
@@ -395,7 +400,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         raw = float(_clipped_box_volumes(centers, w, lo, hi).sum())
     if u.size and d == 2:
         raise DisjointnessError("stable windows overlap below the d=2 budget; this cannot happen")
-    return total + (_cluster_union_volume(centers, w, lo, hi, pairs=(u, v)) - raw), count
+    union = _cluster_union_volume(centers, w, lo, hi, pairs=(u, v), raw=raw)
+    return (union if raw is None else total + (union - raw)), count
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +410,9 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
 
 
 def _spherical_radii(alpha_d: np.ndarray, q_cap: float, chart_radius: float, d: int, t: float) -> np.ndarray:
-    """Per-point window radius e^{-dt} tan(theta_max) in parameter space."""
+    """Window radius e^{-dt} tan(theta_max) in parameter space at each
+    alpha_d, elementwise: the callers pass each distinct alpha_d of a run
+    once and repeat its radius over the points that share it."""
     u = np.clip(alpha_d / q_cap, 0.0, 1.0)
     theta = np.minimum(np.arccos(u), chart_radius)
     return math.exp(-d * t) * np.tan(theta)
@@ -453,24 +461,33 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
     radius of it.  For d = 3 also the lens step's candidate pairs of rows,
     which hold every pair of meeting disks (None for d = 2): for identity L
     from the exact integer search of _lens_pairs, for any other L from the
-    float search of the centers on the diameters (farey.collision_pairs)."""
+    float search of the centers on the diameters (farey.collision_pairs).
+
+    Identity L lists q ascending, so its rows with q < q_cap are a prefix,
+    taken as a slice (any other L keeps its rows by a mask).  Equal alpha_d
+    come in runs, one per q for identity L: _spherical_radii runs once per
+    run, found where the column changes (np.unique would import numpy.ma),
+    and each radius is repeated over its run."""
     d = target.d
     q_cap = target.denominator_cap(t)
     margin = target.candidate_radius(t)
     box = (lo - margin, hi + margin)
     sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
-    rows = np.flatnonzero(alpha[:, d - 1] < q_cap)
-    ad = alpha[rows, d - 1]
-    centers = np.empty((rows.size, d - 1))
+    if L is None:
+        alpha = alpha[: alpha[:, d - 1].searchsorted(q_cap)]
+    else:
+        alpha = alpha.compress(alpha[:, d - 1] < q_cap, axis=0)
+    ad = alpha[:, d - 1]
+    runs = np.flatnonzero(np.diff(ad, prepend=0))  # where each run starts: every alpha_d is positive
+    radii = np.repeat(_spherical_radii(ad[runs], q_cap, target.chart.radius, d, t), np.diff(runs, append=ad.size))
+    centers = np.empty((ad.size, d - 1))
     for a in range(d - 1):
-        np.divide(alpha[rows, a], ad, out=centers[:, a])
-    radii = _spherical_radii(ad, q_cap, target.chart.radius, d, t)
-    if d == 2 or rows.size == 0:
+        np.divide(alpha[:, a], ad, out=centers[:, a])
+    if d == 2 or ad.size == 0:
         return centers, radii, None
     if L is not None:
         return centers, radii, fy.collision_pairs(centers, 2.0 * radii)
-    # identity L lists q ascending, so the rows with q < q_cap come first
-    return centers, radii, _lens_pairs(sources[: rows.size], q_cap, box, radii)
+    return centers, radii, _lens_pairs(sources[: ad.size], q_cap, box, radii)
 
 
 def _lens_pairs(sources: np.ndarray, q_cap: float, box, radii: np.ndarray):

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
+from ._kernels import _ramp
 from .algebra import TOL, as_fraction_matrix, as_fraction_scalar, fraction_matrix_inverse, integer_det, swap_element, zeta
 from .errors import HorolabError, InvalidDimensionError, ResourceLimitError
 
@@ -631,11 +632,6 @@ def _rows_ascend(keys: list) -> bool:
     return True
 
 
-def _ramp(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each count c, concatenated."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _block_pairs(start_i, n_i, start_j, n_j):
     """Index pairs (start_i[k] + a, start_j[k] + b), a < n_i[k], b < n_j[k],
     block by block, a major."""
@@ -912,7 +908,6 @@ def farey_window_pairs(m: int, lo, hi, w: float):
     q2 = np.repeat(start, n_q2) + _ramp(n_q2)
     del qs, start, n_q2
     g = np.gcd(q, q2)
-    inv = _inverse_mod(q2 // g, q // g)
     quot = w * (q * q2).astype(float) / g
     kmax = np.floor(quot)
     near = np.abs(quot - np.rint(quot)) <= 1e-15 * quot
@@ -923,8 +918,9 @@ def farey_window_pairs(m: int, lo, hi, w: float):
             kmax[i] = n if int(g[i]) * n < wf * (int(q[i]) * int(q2[i])) else n - 1
     # k = 0 on every axis is no pair: a (q, q') with K = 0 holds none
     live = kmax > 0
-    q, q2, g, inv, kmax = q[live], q2[live], g[live], inv[live], kmax[live].astype(np.int64)
+    q, q2, g, kmax = q[live], q2[live], g[live], kmax[live].astype(np.int64)
     del quot, near, live
+    inv = _inverse_mod(q2 // g, q // g)
     axes = [_axis_solutions(q, q2, g, inv, kmax, float(lo[i]), float(hi[i])) for i in range(dim)]
     del g, inv, kmax
     rows = _candidate_rows(axes, q.size)

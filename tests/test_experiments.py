@@ -473,6 +473,12 @@ def test_a3_window_pairs_and_clusters():
     pairs, members, tree = cluster_shapes(farey._component_labels(nodes.shape[0], u, v), u)
     assert (int(tree.sum()), int(pairs[tree].sum())) == (43_380, 93_860)
     assert (int((~tree).sum()), int(members[~tree].sum()), int(members[~tree].max())) == (8_640, 67_800, 138)
+    # the union given the caller's sum of the clipped volumes, as the window
+    # sum passes it, is the union that sums them itself, bit for bit
+    centers, lo, hi = nodes[:, :2] / nodes[:, 2:], np.zeros(2), np.ones(2)
+    raw = float(ex._clipped_box_volumes(centers, w, lo, hi).sum())
+    union = ex._cluster_union_volume(centers, w, lo, hi, pairs=(u, v))
+    assert ex._cluster_union_volume(centers, w, lo, hi, pairs=(u, v), raw=raw) == union
 
 
 def test_a3_window_sum_memory_guard():
@@ -488,6 +494,16 @@ def test_a3_window_sum_memory_guard():
         tracemalloc.stop()
     assert got == (0.011006886261232631, 7_424_077)
     assert peak < 20 << 20
+
+
+def test_a3_window_sum_with_a_center_offset_keeps_its_bits():
+    # the stable row of perfbench's d3-window workload at seed 5, whose
+    # ytilde moves every window center (c_off != 0) through the raw sum, the
+    # pair centers and the union; frozen before the raw sum gathered its
+    # strided sums per block and the union took the caller's level-1 sum
+    target = tg.StableSection(d=3, T=1.0, eps=0.2, ytilde=(0.012290169488970194, 0.02417869892607294))
+    got = ex._window_sum_stable_enumerated(target, None, np.zeros(2), np.ones(2), 2.85)
+    assert got == (0.011006886261232548, 7_424_077)
 
 
 def test_d4_window_sum_without_collisions_is_unchanged():
@@ -738,9 +754,9 @@ def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
 
     unions, cluster_union = [], ex._cluster_union_volume
 
-    def counted(centers, w, lo, hi, *, pairs):
+    def counted(centers, w, lo, hi, *, pairs, raw=None):
         unions.append(pairs[0].size)
-        return cluster_union(centers, w, lo, hi, pairs=pairs)
+        return cluster_union(centers, w, lo, hi, pairs=pairs, raw=raw)
 
     monkeypatch.setattr(np, "matmul", refuse)
     monkeypatch.setattr(ex, "_cluster_union_volume", counted)
@@ -1250,16 +1266,36 @@ def spherical_lens_cases(draw):
     return tg.SphericalSection(d=3, T=T, chart=coords.Chart(dim=3, radius=radius)), t, lo, hi
 
 
+def per_row_windows(target, lo, hi, t):
+    """Centers and radii of the identity-L spherical windows from a mask over
+    every row and one radius per row: what the q-prefix and the radii per
+    run of q replaced."""
+    d, q_cap, margin = target.d, target.denominator_cap(t), target.candidate_radius(t)
+    _sources, alpha = farey.sequence_arrays(d, q_cap, None, (lo - margin, hi + margin))
+    rows = np.flatnonzero(alpha[:, d - 1] < q_cap)
+    ad = alpha[rows, d - 1]
+    centers = np.empty((rows.size, d - 1))
+    for a in range(d - 1):
+        np.divide(alpha[rows, a], ad, out=centers[:, a])
+    return centers, ex._spherical_radii(ad, q_cap, target.chart.radius, d, t)
+
+
 @settings(deadline=None, max_examples=80)
 @given(spherical_lens_cases())
 # q_cap = 21 exactly: the rows stop at q = 20, and so must the pair search
 @example((tg.SphericalSection(d=3, T=2.5, chart=coords.Chart(dim=3, radius=0.9)), 1.8276914628197631, np.zeros(2), np.ones(2)))
+# d = 2 on a box that is not the unit cell, so no closed per-q sum applies
+@example((tg.SphericalSection(d=2, T=1.5, chart=coords.Chart(dim=2, radius=0.7)), 3.0, np.full(1, -0.3), np.full(1, 2.2)))
 def test_integer_lens_pairs_match_the_float_search_bitwise(case):
-    # the lens step on the integer pairs of _spherical_windows against the
+    # the windows of the q-prefix are those of the per-row mask, bit for bit;
+    # the lens step on the integer pairs of _spherical_windows matches the
     # same step on the independent float candidates of collision_pairs
     target, t, lo, hi = case
     centers, radii, pairs = ex._spherical_windows(target, None, lo, hi, t)
-    if centers.shape[0] == 0:
+    want_centers, want_radii = per_row_windows(target, lo, hi, t)
+    assert centers.shape == want_centers.shape and centers.tobytes() == want_centers.tobytes()
+    assert radii.shape == want_radii.shape and radii.tobytes() == want_radii.tobytes()
+    if target.d == 2 or centers.shape[0] == 0:
         assert pairs is None
         return
     want = ex._inside_lenses(centers, radii, lo, hi, pairs=farey.collision_pairs(centers, 2.0 * radii))

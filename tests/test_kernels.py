@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from horolab import _kernels as K
-from horolab.experiments import _clipped_sides
+from horolab.experiments import _clipped_sides, _stable_window_shape
+from horolab.targets import StableSection
 
 
 def brute_phi(n):
@@ -307,6 +308,10 @@ def clipped_sides(c_off, w, lo, hi):
     return lambda q, p: [_clipped_sides(pi / qi - c, w, a, b) for qi, pi, c, a, b in zip(q, p, c_off, lo, hi)]
 
 
+# the A3 row's window width and margin (T = 1, eps = 0.2, t = 2.85, so q <= 298)
+A3_W, _A3_C_OFF, A3_MARGIN = _stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.sampled_from([2, 3]),
@@ -316,9 +321,16 @@ def clipped_sides(c_off, w, lo, hi):
     st.floats(1e-4, 0.2),
 )
 @example(3, 120, [(-2.0, 4.0), (-2.0, 4.0)], K._SIDE_BLOCK, 0.05)
+# q = 210 = 2 3 5 7 has 16 squarefree divisors, and its strided sums reach
+# hundreds of terms, past the 8 where .sum() starts adding in pairwise blocks
+@example(3, 210, [(-2.0, 4.0), (1 / 3, 4.0)], 64, 0.2)
+@example(2, 210, [(-0.5, 4.0), (0.0, 1.0)], K._SIDE_BLOCK, 0.2)
+# the box of the A3 raw sum: the unit square grown by the window margin, q <= 298
+@example(3, 298, [(-A3_MARGIN, 1.0 + 2.0 * A3_MARGIN)] * 2, K._SIDE_BLOCK, A3_W)
 def test_blocked_mobius_sums_match_the_per_q_loop_bitwise(d, qmax, box, block, w):
     # blocks of one q, of many, and cut anywhere give the sums and counts of
-    # the per-q loop, bit for bit
+    # the per-q loop, bit for bit: the strided sums gathered per block and
+    # reduced at once, and the counts taken in integer arrays
     lo = np.array([a for a, _width in box[: d - 1]])
     hi = lo + [width for _a, width in box[: d - 1]]
     inner_lo, inner_hi, c_off = lo + 0.1, hi - 0.1, np.full(d - 1, 0.01)
