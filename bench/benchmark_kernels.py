@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Time the hot kernels, the d = 2 interval count built on them with its
 Mertens values and floor sums (also over the unit cell), the d = 2
-exact-window row at t = 15.5, the d = 4 Farey
-enumeration, the primitive points of a box and the translated sequence of
-the d = 3 translated window sum at t = 2.4, the A3 collision searches (the
-integer pair search and the float grid search collision_pairs, which the
-general-L and d >= 4 window sums call), the ranking of their pair ends,
-the clipped window volumes and their Moebius raw sum, the whole A3 window
-sum, the d = 3 spherical window sum of perfbench's d3-window workload with
-its clipped disk areas, the integer search for its lens pairs and its lens
-step, the clique union of the A3
-windows on some collision pair (given their summed clipped volume, as the
-window sum passes it), the cover-count union of one set of intervals (the
-d = 2 spherical window sum's call), and the Moebius count of the sources
-up to the cutoff, the index build over the alpha window, the one batched
-candidate query, the batched dual predicate and the whole sampled estimate
-of perfbench's d3-membership row.
+exact-window row at t = 15.5, the d = 4 Farey enumeration, the primitive
+points of a box and the translated sequence of the d = 3 translated
+window sum at t = 2.4, the A3 collision searches (the integer pair
+search, which every identity-L window sum calls, and the float grid
+search collision_pairs, which the general-L window sums call), the
+ranking of their pair ends, the clipped window volumes and their Moebius
+raw sum, the whole A3 window sum, the d = 4 pair search and window sum
+at t = 1.5 (no perfbench workload reaches d = 4), the d = 3 spherical
+window sum of perfbench's d3-window workload with its clipped disk
+areas, the integer search for its lens pairs and its lens step, the
+clique union of the A3 windows on some collision pair (given their
+summed clipped volume, as the window sum passes it), the cover-count
+union of one set of intervals (the d = 2 spherical window sum's call),
+and the Moebius count of the sources up to the cutoff, the index build
+over the alpha window, the one batched candidate query, the batched dual
+predicate and the whole sampled estimate of perfbench's d3-membership
+row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -82,6 +84,20 @@ def a3_pair_ends():
     """The A3 pair search's two arrays of pair-end keys and their radix, as
     pair_graph takes them."""
     return farey.farey_window_pairs(*a3_pair_search())
+
+
+def d4_window_sum():
+    """The d = 4 row's arguments to the enumerated stable window sum (T = 1,
+    eps = 0.2, t = 1.5, unit cube)."""
+    return StableSection(d=4, T=1.0, eps=0.2), None, np.zeros(3), np.ones(3), 1.5
+
+
+def d4_pair_search():
+    """That row's integer pair search: the denominator cap, the unit cube
+    grown by the window margin, and w, as the window sum passes them."""
+    target, _L, lo, hi, t = d4_window_sum()
+    w, _c_off, margin = experiments._stable_window_shape(target, t)
+    return math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w
 
 
 def a3_clipped():
@@ -248,6 +264,8 @@ CASES = [
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
     ("_stable_raw_sum(A3)", "_stable_raw_sum", a3_raw_sum),
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
+    ("farey_window_pairs(d = 4, t = 1.5)", "farey_window_pairs", d4_pair_search),
+    ("window_sum(d = 4, t = 1.5)", "_window_sum_stable_enumerated", d4_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
     ("spherical pairs(d3-window)", "_lens_pairs", d3_spherical_pair_search),

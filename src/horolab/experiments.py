@@ -356,7 +356,7 @@ def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
     """Exact integral: the measure of the union of the windows clipped to A.
 
-    For identity L and d <= 3 the predicted vol(box) Q^d / (d zeta(d))
+    For identity L, in any d, the predicted vol(box) Q^d / (d zeta(d))
     windows of the box A plus the margin of _stable_window_centers are
     checked against ENUM_BUDGET before any work, and the clipped volumes are
     summed per denominator by Moebius inversion (_stable_raw_sum), with no
@@ -366,8 +366,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     (farey.pair_graph), and centers are formed for their integer ends only;
     the sum adds the union of those windows less their own clipped volumes,
     summed once and passed to the union as its first term.
-    A general L, and d >= 4, take all centers from _stable_window_centers,
-    one fy.sequence_arrays enumeration, search them with
+    A general L takes all centers from _stable_window_centers, one
+    fy.sequence_arrays enumeration, searches them with
     farey.collision_pairs, and the sum is the union of all their windows.
     Either way _cluster_union_volume measures the union from the pairs, by
     inclusion-exclusion over the cliques, in any dimension.
@@ -379,7 +379,7 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     """
     d = target.d
     w, c_off, margin = _stable_window_shape(target, t)
-    if L is not None or d > 3:  # the integer pair search covers one and two parameter axes
+    if L is not None:
         sources, centers, _w = _stable_window_centers(target, L, lo, hi, t)
         count = int(sources.shape[0])
         del sources  # only the count is needed; free it before the collision search

@@ -670,9 +670,11 @@ def collision_pairs(points: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     sup-norm gap is below (w_i + w_j)/2, with w one width for all points or
     one per point.
 
-    For boxes of width w this is exactly "the boxes overlap", so box callers
-    pass the box width; the pairs are then the edges of the graph whose
-    cliques are the sets of boxes with a common point.  The one disk
+    For boxes of width w this is exactly "the boxes overlap", so the box
+    caller, the stable window sum under L != I (identity L takes its pairs
+    from farey_window_pairs), passes the box width; the pairs are then the
+    edges of the graph whose cliques are the sets of boxes with a common
+    point.  The one disk
     caller, the lens step of a spherical window sum under L != I, passes
     diameters: two disks meet only if their centers are this close, and it
     checks the exact disk test on the pairs (identity L takes its lens
@@ -842,28 +844,42 @@ def _axis_solutions(q, q2, g, inv, kmax, lo: float, hi: float):
 
 def _candidate_rows(axes, n_pairs: int):
     """Rows into each axis' solutions of every candidate of
-    farey_window_pairs: per (q, q'), the combinations with some k != 0."""
-    if len(axes) == 1:
-        return (np.flatnonzero(axes[0][1] != 0),)
-    # per (q, q'), the products (k_1 != 0) x (any k_2) and (k_1 == 0) x (k_2 != 0)
-    (pair1, k1, *_), (pair2, k2, *_) = axes
-    halves = [(np.flatnonzero(k1 != 0), np.arange(k2.size)), (np.flatnonzero(k1 == 0), np.flatnonzero(k2 != 0))]
-    blocks = [(_pair_blocks(r1, pair1, n_pairs), _pair_blocks(r2, pair2, n_pairs)) for r1, r2 in halves]
-    check_budget(int(sum(np.dot(b1[1], b2[1]) for b1, b2 in blocks)), "window pair candidates")
-    i1, i2 = [], []
-    for (r1, r2), (b1, b2) in zip(halves, blocks):
-        a, b = _block_pairs(*b1, *b2)
-        i1.append(r1[a])
-        i2.append(r2[b])
-        del a, b
-    return np.concatenate(i1), np.concatenate(i2)
+    farey_window_pairs: per (q, q'), the combinations with some k != 0.
+
+    Part j holds k = 0 on the axes before j, k != 0 on axis j and any k on
+    the axes after it; the parts come in order of j.  A part is grown one
+    axis at a time, block by block of (q, q'), so its rows stay grouped by
+    pair; a pair that some axis leaves empty joins nothing, so no stage
+    outgrows the part.  All parts' sizes are checked against ENUM_BUDGET
+    before any is built."""
+    parts = []
+    for j, (_pair, k, *_) in enumerate(axes):
+        rows = [np.flatnonzero(ax[1] == 0) for ax in axes[:j]] + [np.flatnonzero(k != 0)]
+        rows += [np.arange(ax[1].size) for ax in axes[j + 1 :]]
+        parts.append((rows, [_pair_blocks(r, ax[0], n_pairs) for r, ax in zip(rows, axes)]))
+    sizes = (np.prod([c for _start, c in blocks], axis=0, dtype=float).sum() for _rows, blocks in parts)
+    check_budget(float(sum(sizes)), "window pair candidates")
+    out = [[] for _ in axes]
+    for rows, blocks in parts:
+        (start, n), idx = blocks[0], [rows[0]]
+        n = n * np.logical_and.reduce([c > 0 for _start, c in blocks])
+        for r, (start_r, n_r) in zip(rows[1:], blocks[1:]):
+            a, b = _block_pairs(start, n, start_r, n_r)
+            idx = [i[a] for i in idx] + [r[b]]
+            del a, b
+            n = n * n_r
+            start = np.cumsum(n) - n
+        for o, i in zip(out, idx):
+            o.append(i)
+    del n, start  # the last part's counts: freed before the concatenation peaks
+    return tuple(np.concatenate(o) for o in out)
 
 
 def farey_window_pairs(m: int, lo, hi, w: float):
     """Pairs of primitive sources whose windows of width w overlap: (p, q)
     and (p', q') with 0 < q <= q' <= m, each p_i in the kernel's range
     ceil(lo_i q) .. floor(hi_i q), and |q' p_i - q p'_i| < w q q' on every
-    axis, i.e. sup |p/q - p'/q'| < w.  One or two parameter axes.
+    axis, i.e. sup |p/q - p'/q'| < w, on any number d - 1 >= 1 of parameter axes.
 
     Returned as (first, second, radix): each source (p_1, ..., p_{d-1}, q)
     is one int64 key, its offsets from the lows of q, p_1, ... in mixed
@@ -878,20 +894,19 @@ def farey_window_pairs(m: int, lo, hi, w: float):
     |k| <= K, the largest k with g k < w q q' (exactly: a float quotient
     near an integer is settled with Fraction(w)), and each k is a linear
     congruence for p_i (_axis_solutions).  The axes combine as a product
-    per (q, q') over the combinations with some k != 0; both ends must be
-    primitive.  The integer work is done once per axis solution, not per
-    candidate: g_i = gcd(q, p_i) and the key's digit term of p_i (q's goes
-    with the first axis).  gcd(q, p_1, p_2) = gcd(g_1, g_2), so a
-    candidate gathers whether g_i = 1 and one key term per axis, and
-    np.gcd runs only where both g_i exceed 1.  Each array's size is checked against
+    per (q, q') over the combinations with some k != 0 (_candidate_rows);
+    both ends must be primitive.  The integer work is done once per axis
+    solution, not per candidate: g_i = gcd(q, p_i) and the key's digit
+    term of p_i (q's goes with the first axis).  gcd(q, p_1, ..., p_{d-1})
+    = gcd(g_1, ..., g_{d-1}), so a candidate gathers whether each g_i is 1
+    and one key term per axis, and np.gcd runs only where every g_i
+    exceeds 1.  Each array's size is checked against
     ENUM_BUDGET before it is allocated, and the radix, from the solutions'
     own q and p ranges, is refused past int64 before any key is built.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     dim = lo.size
-    if dim not in (1, 2):
-        raise InvalidDimensionError(f"window pairs are implemented for one and two axes, got {dim}")
     m = int(m)
     check_budget(m, "denominator bound")
     empty = np.empty(0, np.int64), np.empty(0, np.int64), ((0, 1),) * (dim + 1)
@@ -951,12 +966,17 @@ def farey_window_pairs(m: int, lo, hi, w: float):
             term *= math.prod(spans[i + 2 :])
             parts.append(term)
         terms.append(parts)
-        # gcd(q, p_1, p_2) = gcd(g_1, g_2): primitive where either is 1, else by their gcd
+        # gcd(q, p_1, ..., p_{d-1}) = gcd(g_1, ..., g_{d-1}): primitive where
+        # some g_i is 1, else by the gcd of them all
         primitive = (gs[0] == 1).take(rows[0])
-        if len(rows) == 2:
-            primitive |= (gs[1] == 1).take(rows[1])
-            both = np.flatnonzero(~primitive)
-            primitive[both] = np.gcd(gs[0].take(rows[0][both]), gs[1].take(rows[1][both])) == 1
+        for i in range(1, dim):
+            primitive |= (gs[i] == 1).take(rows[i])
+        rest = np.flatnonzero(~primitive)
+        g = gs[0].take(rows[0][rest])
+        for i in range(1, dim):
+            g = np.gcd(g, gs[i].take(rows[i][rest]))
+        primitive[rest] = g == 1
+        del g, rest
         keep &= primitive
     del ends, q_end, ps, gs, primitive
     # the key of each candidate's ends: one gathered term per axis

@@ -378,6 +378,8 @@ def test_window_sum_unit_cell_matches_enumeration_d3():
     ([0.0], [1.0], 5.0),
     ([0.0, 0.0], [1.0, 1.0], 1.8),
     ([-0.5, 0.0], [0.5, 1.0], 1.8),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0),
+    ([-0.5, 0.0, 1 / 3], [0.5, 1.0, 1.0], 1.2),
 ])
 def test_window_sum_with_edges_on_rationals_matches_collision_search(lo, hi, t):
     # boxes with Farey points on their edges; at x_1 = 0 the d = 3 cusp
@@ -496,6 +498,26 @@ def test_a3_window_sum_memory_guard():
     assert peak < 20 << 20
 
 
+def test_d4_window_sum_memory_guard():
+    # identity L at d = 4 takes the Moebius raw sum and the integer pair
+    # search (159,492 pairs at t = 1.5): its measured tracemalloc peak is
+    # 23,200,050 bytes, bounded here under 32 MiB.  The float grid search
+    # over all 16,083,513 centers held about 1.4 GB and gave the same bits;
+    # at t = 1.4 it gave 0.0018207812193679457, one ulp away
+    target = tg.StableSection(d=4, T=1.0, eps=0.2)
+    lo, hi = np.zeros(3), np.ones(3)
+    tracemalloc.start()
+    try:
+        got = ex._window_sum_stable_enumerated(target, None, lo, hi, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.0018825471437057197, 16_083_513)
+    assert peak < 32 << 20
+    val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, 1.4)
+    assert count == 4_751_073 and abs(val - 0.0018207812193679457) <= 1e-15 * val
+
+
 def test_a3_window_sum_with_a_center_offset_keeps_its_bits():
     # the stable row of perfbench's d3-window workload at seed 5, whose
     # ytilde moves every window center (c_off != 0) through the raw sum, the
@@ -507,10 +529,15 @@ def test_a3_window_sum_with_a_center_offset_keeps_its_bits():
 
 
 def test_d4_window_sum_without_collisions_is_unchanged():
-    # the pair search covers d = 2, 3; a d = 4 sum whose windows do not meet
-    # needs no union and gives the value it gave before the pair search
+    # a d = 4 sum whose windows do not meet is its Moebius raw sum; it reads
+    # one ulp above the sum of the enumerated clipped volumes that the float
+    # path gave, 0.0002956479801171616
     target = tg.StableSection(d=4, T=1.0, eps=0.1)
-    assert ex._window_sum_stable_enumerated(target, None, np.zeros(3), np.ones(3), 0.6) == (0.0002956479801171616, 649)
+    lo, hi = np.zeros(3), np.ones(3)
+    assert ex._window_sum_stable_enumerated(target, None, lo, hi, 0.6) == (0.00029564798011716165, 649)
+    _sources, centers, w = ex._stable_window_centers(target, None, lo, hi, 0.6)
+    enumerated = float(ex._clipped_box_volumes(centers, w, lo, hi).sum())
+    assert abs(0.00029564798011716165 - enumerated) <= 1e-15 * enumerated
 
 
 @pytest.mark.parametrize("eps, t, want, want_count", [
@@ -770,11 +797,12 @@ def test_d3_stable_window_sum_needs_no_matrix_product(monkeypatch):
 
 
 def test_window_sums_read_the_pair_list_only(monkeypatch):
-    # no window sum builds clusters: the d3-window spherical row at t = 2.6
-    # and the translated d = 3 sum at t = 2.0 keep their values with the
-    # cluster builders refused.  The identity-L spherical row takes its lens
-    # pairs from one integer search and never calls collision_pairs; the
-    # translated sum takes its pairs from one call of collision_pairs
+    # no window sum builds clusters: the d3-window spherical row at t = 2.6,
+    # the translated d = 3 sum at t = 2.0 and the d = 4 sum at t = 1.0 keep
+    # their values with the cluster builders refused.  The identity-L spherical row and the
+    # identity-L d = 4 sum take their pairs from one integer search each and
+    # never call collision_pairs; the translated sum takes its pairs from
+    # one call of collision_pairs
     def refuse(*args, **kwargs):
         raise AssertionError("clusters built")
 
@@ -801,6 +829,11 @@ def test_window_sums_read_the_pair_list_only(monkeypatch):
     assert ex._window_sum_stable_enumerated(stable, L, np.zeros(2), np.ones(2), 2.0) == (0.01108804823721582, 46_060)
     assert searches == [46_060]
     assert len(integer_searches) == 1
+    # identity L at d = 4 takes its pairs from one integer search as well
+    d4 = tg.StableSection(d=4, T=1.0, eps=0.2)
+    assert ex._window_sum_stable_enumerated(d4, None, np.zeros(3), np.ones(3), 1.0) == (0.0019936072690676892, 48_081)
+    assert searches == [46_060]
+    assert integer_searches[1:] == [math.floor(d4.denominator_cap(1.0))]
 
 
 def test_cluster_union_volume():

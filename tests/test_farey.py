@@ -808,7 +808,8 @@ def brute_window_pairs(d, m, lo, hi, w):
 
 @st.composite
 def pair_search_cases(draw):
-    d = draw(st.sampled_from([2, 3]))
+    # d = 4 draws stay small (t <= 1, m <= 12) so that the brute force stays fast
+    d = draw(st.sampled_from([2, 3, 4]))
     # edges on 0 and on rationals put Farey points on the box edges
     edge = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, -0.5]), st.floats(-0.6, 0.8))
     side = st.one_of(st.sampled_from([0.25, 0.4, 1 / 3]), st.floats(0.02, 0.4))
@@ -819,13 +820,13 @@ def pair_search_cases(draw):
         T = draw(st.floats(1.0, 2.0))
         eps = draw(st.floats(0.05, 0.95)) * tg.disjointness_budget(d, T)
         ytilde = tuple(draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0))) for _ in range(d - 1))
-        t = draw(st.floats(0.3, 4.0 if d == 2 else 1.9))
+        t = draw(st.floats(0.3, {2: 4.0, 3: 1.9, 4: 1.0}[d]))
         target = tg.StableSection(d=d, T=T, eps=eps, ytilde=ytilde)
         w = eps * math.exp(-d * t)
         margin = w / 2.0 + float(np.abs(np.asarray(ytilde)).max()) * math.exp(-d * t) + 1e-15
         return d, math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w
     # dyadic widths make w q q' an integer for many pairs: the gap test is strict there
-    m = draw(st.integers(0, 60 if d == 2 else 25))
+    m = draw(st.integers(0, {2: 60, 3: 25, 4: 12}[d]))
     w = draw(st.one_of(st.sampled_from([0.0625, 0.125, 0.25, 0.375, 1.0]), st.floats(1e-3, 1.5)))
     return d, m, lo, hi, w
 
@@ -835,6 +836,8 @@ def pair_search_cases(draw):
 # q = 6 splits its gcd over the axes: (2, 3, 6) is primitive, (2, 4, 6) is not
 @example((3, 7, np.array([0.3, 0.45]), np.array([0.35, 0.7]), 0.5))
 @example((3, 12, np.array([0.3, 0.45]), np.array([0.4, 0.7]), 0.3))
+# three axes, edges on 0, -1/2 and 1/3 and a dyadic w: 46,698 pairs
+@example((4, 12, np.array([-0.5, 0.0, 1 / 3]), np.array([0.0, 0.4, 0.6]), 0.25))
 def test_window_pairs_match_brute_force(case):
     d, m, lo, hi, w = case
     first, second, radix = farey.farey_window_pairs(m, lo, hi, w)
@@ -856,6 +859,13 @@ def test_window_pairs_split_primitivity_across_axes():
     got = [(tuple(a), tuple(b)) for a, b in zip(farey.pair_rows(first, radix).tolist(), farey.pair_rows(second, radix).tolist())]
     assert got == [((1, 2, 3), (2, 3, 6))]
     assert set(got) == brute_window_pairs(3, 7, lo, hi, w)
+    # on three axes, (6, 10, 15, 30) is primitive though gcd(30, 6, 10) = 2:
+    # a search that reduces only the first two axes drops the one pair
+    lo, hi, w = np.array([6, 10, 15]) / 30 - 0.01, np.array([6, 10, 15]) / 30 + 0.01, 0.05
+    first, second, radix = farey.farey_window_pairs(30, lo, hi, w)
+    got = [(tuple(a), tuple(b)) for a, b in zip(farey.pair_rows(first, radix).tolist(), farey.pair_rows(second, radix).tolist())]
+    assert got == [((5, 8, 12, 24), (6, 10, 15, 30))]
+    assert set(got) == brute_window_pairs(4, 30, lo, hi, w)
 
 
 def test_window_pairs_check_the_budget_before_allocating():
