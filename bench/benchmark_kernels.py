@@ -10,14 +10,14 @@ ranking of their pair ends, the clipped window volumes and their Moebius
 raw sum, the whole A3 window sum, the d = 4 pair search and window sum
 at t = 1.5 (no perfbench workload reaches d = 4), the d = 3 spherical
 window sum of perfbench's d3-window workload with its clipped disk
-areas, the integer search for its lens pairs and its lens step, the
-clique union of the A3 windows on some collision pair (given their
-summed clipped volume, as the window sum passes it), the cover-count
-union of one set of intervals (the d = 2 spherical window sum's call),
-and the Moebius count of the sources up to the cutoff, the index build
-over the alpha window, the one batched candidate query, the batched dual
-predicate and the whole sampled estimate of perfbench's d3-membership
-row.
+areas, the integer search for its lens pairs and its lens step on the
+disks at their ends, the clique union of the A3 windows on some
+collision pair (given their summed clipped volume, as the window sum
+passes it), the cover-count union of one set of intervals (the d = 2
+spherical window sum's call), and the Moebius count of the sources up
+to the cutoff, the index build over the alpha window, the one batched
+candidate query, the batched dual predicate and the whole sampled
+estimate of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -137,28 +137,27 @@ def d3_spherical_row():
 def d3_spherical_disks():
     """That row's 190,609 disks, clipped to the unit square."""
     target, L, lo, hi, t = d3_spherical_row()
-    centers, radii, _pairs = experiments._spherical_windows(target, L, lo, hi, t)
+    centers, radii, _lenses = experiments._spherical_windows(target, L, lo, hi, t)
     return centers, radii, lo, hi
 
 
-def d3_spherical_lenses():
-    """Those disks and the unit square, with the candidate pairs of their
-    lens step."""
-    target, L, lo, hi, t = d3_spherical_row()
-    centers, radii, pairs = experiments._spherical_windows(target, L, lo, hi, t)
-    return centers, radii, lo, hi, pairs
-
-
 def d3_spherical_pair_search():
-    """_lens_pairs' arguments on that row: the identity-L sources below the
-    cutoff over the unit square grown by the largest radius, the cutoff,
-    that box and the radii."""
+    """farey_window_pairs' arguments on that row: the largest integer below
+    the cutoff, the unit square grown by the candidate radius, and the
+    largest diameter."""
     target, L, lo, hi, t = d3_spherical_row()
-    q_cap, margin = target.denominator_cap(t), target.candidate_radius(t)
-    box = (lo - margin, hi + margin)
-    sources, _alpha = farey.sequence_arrays(3, q_cap, L, box)
-    _centers, radii, _pairs = experiments._spherical_windows(target, L, lo, hi, t)
-    return sources[: radii.size], q_cap, box, radii
+    margin = target.candidate_radius(t)
+    _centers, radii, _lenses = experiments._spherical_windows(target, L, lo, hi, t)
+    return math.ceil(target.denominator_cap(t)) - 1, lo - margin, hi + margin, 2.0 * float(radii.max())
+
+
+def d3_spherical_lenses():
+    """The disks at the ranked ends of that search, the unit square and the
+    pairs of ranks, as the lens step takes them."""
+    target, _L, lo, hi, t = d3_spherical_row()
+    nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(*d3_spherical_pair_search()))
+    centers, radii = experiments._spherical_disks(nodes, target.denominator_cap(t), target.chart.radius, 3, t)
+    return centers, radii, lo, hi, (u, v)
 
 
 def random_intervals(n=400_000):
@@ -268,7 +267,7 @@ CASES = [
     ("window_sum(d = 4, t = 1.5)", "_window_sum_stable_enumerated", d4_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
     ("_disk_box_areas(d3-window)", "_disk_box_areas", d3_spherical_disks),
-    ("spherical pairs(d3-window)", "_lens_pairs", d3_spherical_pair_search),
+    ("spherical pairs(d3-window)", "farey_window_pairs", d3_spherical_pair_search),
     (
         "_inside_lenses(d3-window)",
         lambda centers, radii, lo, hi, pairs: experiments._inside_lenses(centers, radii, lo, hi, pairs=pairs),

@@ -427,7 +427,7 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     corrected only pairwise, by the lens area, and only when both sit
     inside A; triple overlaps are ignored.  That is not exact: at T = 3,
     radius 0.5, t = 2.6 on the unit square the sum is about 0.38% high.
-    The lens step's candidate pairs come from _spherical_windows: from the
+    The lenses come from _spherical_windows: their candidate pairs from the
     exact integer search for identity L, from the float grid search on the
     centers for any other L.
     """
@@ -446,68 +446,65 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         counts = K.phi_sieve(qmax)[1:].astype(float)
         radii = _spherical_radii(np.arange(1, qmax + 1, dtype=float), q_cap, target.chart.radius, d, t)
         return float(np.dot(counts, 2.0 * radii)), int(counts.sum())
-    centers, radii, pairs = _spherical_windows(target, L, lo, hi, t)
+    centers, radii, lenses = _spherical_windows(target, L, lo, hi, t)
     if centers.shape[0] == 0:
         return 0.0, 0
     if d == 2:
         los, his = np.maximum(centers - radii[:, None], lo), np.minimum(centers + radii[:, None], hi)
         return _coverage_union(los[:, 0], his[:, 0]), int(centers.shape[0])
-    return _disk_window_sum(centers, radii, lo, hi, pairs=pairs), int(centers.shape[0])
+    return _disk_window_sum(centers, radii, lo, hi, lenses), int(centers.shape[0])
 
 
 def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.ndarray, t: float):
     """Centers and radii of the windows that can reach the box: the points
     with alpha_d below the cutoff whose projection lies within the largest
-    radius of it.  For d = 3 also the lens step's candidate pairs of rows,
-    which hold every pair of meeting disks (None for d = 2): for identity L
-    from the exact integer search of _lens_pairs, for any other L from the
-    float search of the centers on the diameters (farey.collision_pairs).
+    radius of it, and for d = 3 the lenses of _inside_lenses (None for
+    d = 2).  Identity L takes the candidate pairs from the exact integer
+    search (farey.farey_window_pairs) up to the largest integer below the
+    cutoff, on the largest diameter; farey.pair_graph ranks their ends in
+    the rows' (q, p) order, and the lenses are measured on the end disks
+    only.  Any other L searches the float centers on the diameters
+    (farey.collision_pairs).
 
     Identity L lists q ascending, so its rows with q < q_cap are a prefix,
-    taken as a slice (any other L keeps its rows by a mask).  Equal alpha_d
-    come in runs, one per q for identity L: _spherical_radii runs once per
-    run, found where the column changes (np.unique would import numpy.ma),
-    and each radius is repeated over its run."""
+    taken as a slice (any other L keeps its rows by a mask)."""
     d = target.d
     q_cap = target.denominator_cap(t)
     margin = target.candidate_radius(t)
     box = (lo - margin, hi + margin)
-    sources, alpha = fy.sequence_arrays(d, q_cap, L, box)
+    alpha = fy.sequence_arrays(d, q_cap, L, box)[1]
     if L is None:
         alpha = alpha[: alpha[:, d - 1].searchsorted(q_cap)]
     else:
         alpha = alpha.compress(alpha[:, d - 1] < q_cap, axis=0)
+    centers, radii = _spherical_disks(alpha, q_cap, target.chart.radius, d, t)
+    if d == 2 or radii.size == 0:
+        return centers, radii, None
+    if L is not None:
+        return centers, radii, _inside_lenses(centers, radii, lo, hi, pairs=fy.collision_pairs(centers, 2.0 * radii))
+    nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.ceil(q_cap) - 1, *box, 2.0 * float(radii.max())))
+    return centers, radii, _inside_lenses(*_spherical_disks(nodes, q_cap, target.chart.radius, d, t), lo, hi, pairs=(u, v))
+
+
+def _spherical_disks(alpha: np.ndarray, q_cap: float, chart_radius: float, d: int, t: float):
+    """Centers alpha' / alpha_d and radii of the windows at the rows of
+    alpha (p_1, ..., p_{d-1}, alpha_d).  Equal alpha_d come in runs (one
+    per q for identity L, whose rows are in (q, p) order): _spherical_radii
+    runs once per run, found where the column changes (np.unique would
+    import numpy.ma), and each radius is repeated over its run."""
     ad = alpha[:, d - 1]
     runs = np.flatnonzero(np.diff(ad, prepend=0))  # where each run starts: every alpha_d is positive
-    radii = np.repeat(_spherical_radii(ad[runs], q_cap, target.chart.radius, d, t), np.diff(runs, append=ad.size))
+    radii = np.repeat(_spherical_radii(ad[runs], q_cap, chart_radius, d, t), np.diff(runs, append=ad.size))
     centers = np.empty((ad.size, d - 1))
     for a in range(d - 1):
         np.divide(alpha[:, a], ad, out=centers[:, a])
-    if d == 2 or ad.size == 0:
-        return centers, radii, None
-    if L is not None:
-        return centers, radii, fy.collision_pairs(centers, 2.0 * radii)
-    return centers, radii, _lens_pairs(sources[: ad.size], q_cap, box, radii)
+    return centers, radii
 
 
-def _lens_pairs(sources: np.ndarray, q_cap: float, box, radii: np.ndarray):
-    """Rows (i, j) of the identity-L sources, in the kernels' (q, p) order,
-    whose sup-norm gap is below the largest diameter 2 max(radii): every
-    pair of meeting disks is one.  The sources are those with q < q_cap
-    over the box, so the exact integer search (farey.farey_window_pairs)
-    runs up to the largest integer below q_cap, and farey.source_rows finds
-    the rows of the pair ends."""
-    first, second, radix = fy.farey_window_pairs(math.ceil(q_cap) - 1, *box, 2.0 * float(radii.max()))
-    return fy.source_rows(sources, (first, second), radix)
-
-
-def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi, *, pairs) -> float:
-    """Area of the disks inside the box less the lens of every meeting pair
-    that lies inside it: the disk areas added left to right from 0.0, then
-    the lenses subtracted in the (i, j) pair order of _inside_lenses (cumsum
-    adds strictly left to right; np.sum adds pairwise).  pairs holds the
-    candidate rows, as _inside_lenses takes them."""
-    lenses = _inside_lenses(centers, radii, lo, hi, pairs=pairs)
+def _disk_window_sum(centers: np.ndarray, radii: np.ndarray, lo, hi, lenses: np.ndarray) -> float:
+    """Area of the disks inside the box less the lenses: the disk areas
+    added left to right from 0.0, then the lenses subtracted in their order
+    (cumsum adds strictly left to right; np.sum adds pairwise)."""
     return float(np.cumsum(np.concatenate(([0.0], _disk_box_areas(centers, radii, lo, hi), -lenses)))[-1])
 
 
@@ -515,8 +512,9 @@ def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi, *, pairs) -> 
     """Lens area of each pair of meeting disks that both lie inside the box.
 
     pairs holds the candidate rows (u, v), each pair once, either way
-    round, among them every pair of meeting disks (as _spherical_windows
-    gives them).  They are tested as (i, j) with i < j, in (i, j) order.
+    round, among them every pair of meeting disks (from _spherical_windows,
+    the pair_graph ranks or collision_pairs).  They are tested as (i, j)
+    with i < j, in (i, j) order.
     The distance is the BLAS dot of the difference with itself, the bits
     np.linalg.norm gives one pair."""
     n = centers.shape[0]

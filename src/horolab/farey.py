@@ -1009,50 +1009,16 @@ def pair_rows(keys: np.ndarray, radix) -> np.ndarray:
     return rows
 
 
-def source_rows(sources: np.ndarray, ends, radix) -> list[np.ndarray]:
-    """The row in sources of each pair-end key of farey_window_pairs, for
-    each key array in ends.  sources are identity-L rows
-    (p_1, ..., p_{d-1}, q) in the kernels' (q, p) order that hold every end.
-
-    The sources and the decoded ends are keyed again in one mixed radix that
-    covers both, q first, so the sources' keys ascend and one searchsorted
-    per key array finds the rows; an end that no row holds is an error."""
-    d = sources.shape[1]
-    columns = [sources[:, d - 1], *(sources[:, j] for j in range(d - 1))]
-    lows = [min(low, int(c.min())) for (low, _span), c in zip(radix, columns)]
-    spans = [max(low + span, int(c.max()) + 1) - new for (low, span), c, new in zip(radix, columns, lows)]
-    if math.prod(spans) > 2**63:
-        raise ResourceLimitError(f"source keys span {math.prod(spans)} values, over int64", 2**63)
-
-    def keyed(cols):
-        key = cols[0] - lows[0]
-        for c, low, span in zip(cols[1:], lows[1:], spans[1:]):
-            key *= span
-            key += c
-            key -= low
-        return key
-
-    source_keys = keyed(columns)
-    out = []
-    for keys in ends:
-        rows = pair_rows(keys, radix)
-        keys = keyed([rows[:, d - 1], *(rows[:, j] for j in range(d - 1))])
-        at = np.searchsorted(source_keys, keys)
-        if not np.array_equal(source_keys.take(at, mode="clip"), keys):
-            raise HorolabError("a pair end is not among the sources")
-        out.append(at)
-    return out
-
-
 def pair_graph(first: np.ndarray, second: np.ndarray, radix):
     """The pairs of pair-end keys (first[k], second[k]) of
     farey_window_pairs as a graph: the distinct sources
     (p_1, ..., p_{d-1}, q), ranked by (q, p_1, ..., p_{d-1}), and the two
     ranks of each pair.
 
-    The ranks follow the row order of the enumeration kernels: the window
-    union sums the clipped volumes in rank order, so it adds them in the
-    kernels' order, and that order keeps A3's bits.  One argsort ranks the
+    The ranks follow the row order of the enumeration kernels, so the
+    stable window union sums the clipped volumes in the kernels' order,
+    which keeps A3's bits, and the d = 3 spherical lens step takes its
+    pairs in the (i, j) order of the listed disks.  One argsort ranks the
     keys, as np.unique would with return_inverse but with fewer copies
     alive at once, and only the distinct keys are decoded.
     """

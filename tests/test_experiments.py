@@ -1262,13 +1262,12 @@ def test_batched_lenses_match_pairwise_loop(case):
     # float search on the diameters, as a general L's do
     centers, radii = case
     lo, hi = np.zeros(2), np.ones(2)
-    pairs = farey.collision_pairs(centers, 2.0 * radii)
+    got_lenses = ex._inside_lenses(centers, radii, lo, hi, pairs=farey.collision_pairs(centers, 2.0 * radii))
     want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
-    got = ex._disk_window_sum(centers, radii, lo, hi, pairs=pairs)
+    got = ex._disk_window_sum(centers, radii, lo, hi, got_lenses)
     assert abs(got - want) <= 1e-15 * abs(want)
     # the batched lenses come in (i, j) order
     want_lenses = [lens for _pair, lens in sorted(lenses)]
-    got_lenses = ex._inside_lenses(centers, radii, lo, hi, pairs=pairs)
     assert got_lenses.size == len(want_lenses)
     assert np.allclose(got_lenses, want_lenses, rtol=1e-15, atol=0.0)
 
@@ -1280,11 +1279,11 @@ def test_batched_lenses_match_pairwise_loop_bitwise():
     target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
     lo, hi = np.zeros(2), np.ones(2)
     for t, n_lenses in [(2.4, 456), (2.6, 2_460)]:
-        centers, radii, pairs = ex._spherical_windows(target, None, lo, hi, t)
+        centers, radii, got = ex._spherical_windows(target, None, lo, hi, t)
         want, lenses = _pairwise_disk_window_sum(centers, radii, lo, hi)
         assert len(lenses) == n_lenses
-        assert ex._inside_lenses(centers, radii, lo, hi, pairs=pairs).tolist() == [lens for _pair, lens in sorted(lenses)]
-        assert ex._disk_window_sum(centers, radii, lo, hi, pairs=pairs) == want
+        assert got.tolist() == [lens for _pair, lens in sorted(lenses)]
+        assert ex._disk_window_sum(centers, radii, lo, hi, got) == want
 
 
 @st.composite
@@ -1321,19 +1320,43 @@ def per_row_windows(target, lo, hi, t):
 @example((tg.SphericalSection(d=2, T=1.5, chart=coords.Chart(dim=2, radius=0.7)), 3.0, np.full(1, -0.3), np.full(1, 2.2)))
 def test_integer_lens_pairs_match_the_float_search_bitwise(case):
     # the windows of the q-prefix are those of the per-row mask, bit for bit;
-    # the lens step on the integer pairs of _spherical_windows matches the
-    # same step on the independent float candidates of collision_pairs
+    # the lenses of _spherical_windows, from the integer pairs on their end
+    # disks, match the lens step on the independent float candidates of
+    # collision_pairs over every disk
     target, t, lo, hi = case
-    centers, radii, pairs = ex._spherical_windows(target, None, lo, hi, t)
+    centers, radii, got = ex._spherical_windows(target, None, lo, hi, t)
     want_centers, want_radii = per_row_windows(target, lo, hi, t)
     assert centers.shape == want_centers.shape and centers.tobytes() == want_centers.tobytes()
     assert radii.shape == want_radii.shape and radii.tobytes() == want_radii.tobytes()
     if target.d == 2 or centers.shape[0] == 0:
-        assert pairs is None
+        assert got is None
         return
     want = ex._inside_lenses(centers, radii, lo, hi, pairs=farey.collision_pairs(centers, 2.0 * radii))
-    got = ex._inside_lenses(centers, radii, lo, hi, pairs=pairs)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "box, n_disks, n_lenses",
+    [((np.zeros(2), np.ones(2)), 57_329, 456), ((np.array([0.25, 0.1]), np.array([0.8, 0.9])), 24_526, 252)],
+)
+def test_general_l_d3_spherical_sum_matches_the_identity(box, n_disks, n_lenses):
+    # the identity and an integer shear, given as matrices, list the
+    # identity's points through the float path of a general L: its row walk
+    # and the float collision search.  The disks and lenses are the
+    # identity's, in another row order; the value differs only by the
+    # order the disk areas are added in
+    target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
+    lo, hi = box
+    want, count = ex.window_sum_spherical(target, None, lo, hi, 2.4)
+    assert count == n_disks
+    _centers, _radii, want_lenses = ex._spherical_windows(target, None, lo, hi, 2.4)
+    assert want_lenses.size == n_lenses
+    for L in (np.eye(3), np.array([[1, 0, 0], [0, 1, 0], [1, -1, 1]])):
+        got, got_count = ex.window_sum_spherical(target, L, lo, hi, 2.4)
+        assert got_count == count
+        assert abs(got - want) <= 1e-12 * want
+        _centers, _radii, lenses = ex._spherical_windows(target, L, lo, hi, 2.4)
+        assert np.sort(lenses).tobytes() == np.sort(want_lenses).tobytes()
 
 
 def test_disk_areas_match_scalar_loop_bitwise_in_bulk(rng):
