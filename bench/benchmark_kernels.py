@@ -21,13 +21,17 @@ estimate of perfbench's d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
-Each case prints the best of N wall-clock runs and, from one more run under
-tracemalloc, the peak of the memory it allocates (MiB; its arguments are
-built before tracing starts).
+Each case prints the best of N wall-clock runs, the minor page faults of
+one more run (the ru_minflt delta: pages the process touched for the first
+time, or again after the allocator gave them back), and, from one more run
+under tracemalloc, the peak of the memory it allocates (MiB).  A case's
+arguments are built before any of these runs.  The script leaves glibc's
+malloc thresholds as the library sees them, not as the CLI sets them.
 """
 
 import argparse
 import math
+import resource
 import time
 import tracemalloc
 from fractions import Fraction
@@ -224,6 +228,13 @@ def timed(fn, *args, repeat=3):
     return best
 
 
+def minor_faults(fn, *args):
+    """Minor page faults that one call of fn takes."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn(*args)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def peak_mib(fn, *args):
     """Peak MiB that one call of fn allocates, by tracemalloc."""
     tracemalloc.start()
@@ -302,11 +313,12 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'case':40s} {'seconds':>10s} {'peak MiB':>10s}")
+    print(f"{'case':40s} {'seconds':>10s} {'faults':>8s} {'peak MiB':>10s}")
     for label, name, fargs in CASES:
         fn = resolve(name)
         fargs = fargs() if callable(fargs) else fargs
-        print(f"{label:40s} {timed(fn, *fargs, repeat=args.repeat):9.3f}s {peak_mib(fn, *fargs):10.1f}")
+        seconds = timed(fn, *fargs, repeat=args.repeat)
+        print(f"{label:40s} {seconds:9.3f}s {minor_faults(fn, *fargs):8d} {peak_mib(fn, *fargs):10.1f}")
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ Numeric output carries 15 significant digits.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import typing
 from fractions import Fraction
@@ -471,9 +474,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+# mallopt(3) parameters of glibc's malloc
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _glibc_mallopt():
+    """glibc's mallopt, or None on any other libc or when it cannot be found."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+@functools.cache
+def _keep_freed_arrays() -> None:
+    """Keep the memory of freed arrays in this process's heap.
+
+    glibc maps each block past its mmap threshold afresh and unmaps it on
+    free, and trims the heap top past its trim threshold, so the multi-MiB
+    temporaries of one stage come back as page faults in the next.  Its
+    dynamic thresholds only ratchet up as larger blocks are freed.  This
+    sets both at once, the mmap threshold to 32 MiB (the dynamic one's
+    ceiling on 64-bit) and the trim threshold to twice that, as the dynamic
+    rule would; setting either alone stops glibc adjusting both.
+    """
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand argv names (sys.argv[1:] when None) and return its
+    exit code: 2 for bad input, HorolabError or ValueError, which it prints.
+
+    The first call in a process sets glibc's malloc thresholds (see
+    _keep_freed_arrays) and builds the parser, which later calls reuse.
+    Code that imports horolab without calling main keeps the allocator as
+    it finds it.
+    """
+    _keep_freed_arrays()
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (HorolabError, ValueError) as exc:

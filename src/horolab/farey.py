@@ -1018,14 +1018,27 @@ def pair_graph(first: np.ndarray, second: np.ndarray, radix):
     The ranks follow the row order of the enumeration kernels, so the
     stable window union sums the clipped volumes in the kernels' order,
     which keeps A3's bits, and the d = 3 spherical lens step takes its
-    pairs in the (i, j) order of the listed disks.  One argsort ranks the
-    keys, as np.unique would with return_inverse but with fewer copies
-    alive at once, and only the distinct keys are decoded.
+    pairs in the (i, j) order of the listed disks.  The keys are ranked as
+    np.unique would with return_inverse, but with fewer copies alive at
+    once, and only the distinct keys are decoded.  When every key leaves b
+    bits free, b the bit length of 2n - 1 (prod(spans) * 2^b <= 2^63), one
+    in-place sort of the words key << b | position orders keys and
+    positions together; wider keys take an argsort and a gather.  Equal
+    keys share a rank, so both give the same arrays.
     """
     n = first.size
     keys = np.concatenate([first, second])
-    order = np.argsort(keys)
-    keys = keys[order]
+    bits = (2 * n - 1).bit_length()
+    if math.prod(span for _low, span in radix) << bits <= 1 << 63:
+        order = np.arange(2 * n, dtype=np.int64)
+        keys <<= bits
+        keys |= order
+        keys.sort()
+        np.bitwise_and(keys, (1 << bits) - 1, out=order)
+        keys >>= bits
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
     new = np.ones(2 * n, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     distinct = keys[new]

@@ -460,3 +460,87 @@ def test_sthe_run_jobs_match(tmp_path, capsys):
     rows1 = (tmp_path / "j1" / "results.csv").read_text().splitlines()
     rows2 = (tmp_path / "j2" / "results.csv").read_text().splitlines()
     assert [",".join(r.split(",")[:-1]) for r in rows1] == [",".join(r.split(",")[:-1]) for r in rows2]
+
+
+def test_main_reuses_its_parser_and_matches_separate_processes(tmp_path, capsys):
+    # two sthe-run calls in this process, on different configs and outputs,
+    # write the data columns that two fresh interpreters write
+    rows = {
+        "stable": {"target": {"kind": "stable", "T": 1, "eps": 0.2}, "t_schedule": [1.8]},
+        "spherical": {"target": {"kind": "spherical", "T": 3, "radius": 0.5}, "t_schedule": [2.0]},
+    }
+    argv = {}
+    for name, doc in rows.items():
+        (tmp_path / name).mkdir()
+        cfg = sthe_config(tmp_path / name, d=3, A={"lo": [0, 0], "hi": [1, 1]}, estimator={"kind": "window-sum"},
+                          **doc)
+        argv[name] = ["sthe-run", "--config", str(cfg), "--out", str(tmp_path / name / "{}")]
+
+    def data_rows(name, run):
+        rows = (tmp_path / name / run / "results.csv").read_text().strip().splitlines()
+        return [",".join(r.split(",")[:-1]) for r in rows]  # drop the timing column
+
+    for name, args in argv.items():
+        assert cli.main([a.format("in") for a in args]) == 0
+        subprocess.run([sys.executable, "-m", "horolab.cli", *(a.format("fresh") for a in args)],
+                       capture_output=True, check=True)
+    capsys.readouterr()
+    assert cli._parser() is cli._parser()
+    for name in argv:
+        assert data_rows(name, "in") == data_rows(name, "fresh")
+
+
+VOLUMES = ["volumes", "--target", "stable", "--d", "2", "--T", "2"]
+
+
+def test_main_sets_both_malloc_thresholds_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_glibc_mallopt", lambda: lambda param, value: calls.append((param, value)) or 1)
+    cli._keep_freed_arrays.cache_clear()
+    try:
+        outputs = []
+        for _ in range(3):
+            assert cli.main(VOLUMES) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        cli._keep_freed_arrays.cache_clear()
+    # M_MMAP_THRESHOLD = -3 at 32 MiB, then M_TRIM_THRESHOLD = -1 at 64 MiB
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert outputs[0] == outputs[1] == outputs[2] and '"value"' in outputs[0]
+
+
+@pytest.mark.parametrize("confstr", [ValueError, OSError, None, "musl 1.2"], ids=["ValueError", "OSError", "unset", "musl"])
+def test_malloc_thresholds_are_skipped_off_glibc(monkeypatch, capsys, confstr):
+    def fake_confstr(name):
+        if isinstance(confstr, type):
+            raise confstr(name)
+        return confstr
+
+    opened = []
+    monkeypatch.setattr(cli.os, "confstr", fake_confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name))
+    assert cli._glibc_mallopt() is None and opened == []
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    assert cli._glibc_mallopt() is None
+    for fake in (fake_confstr, lambda name: "glibc 2.36"):
+        monkeypatch.setattr(cli.os, "confstr", fake)
+        cli._keep_freed_arrays.cache_clear()
+        try:
+            assert cli.main(VOLUMES) == 0
+        finally:
+            cli._keep_freed_arrays.cache_clear()
+    assert '"value"' in capsys.readouterr().out
+
+
+def test_import_sets_no_malloc_threshold_and_main_does():
+    # ctypes audits each symbol it looks up: importing horolab looks up no
+    # mallopt, and the first cli.main does on glibc
+    code = ("import os, sys; seen = []; "
+            "sys.addaudithook(lambda e, a: e == 'ctypes.dlsym' and a[1] == 'mallopt' and seen.append(1)); "
+            "import horolab, horolab.cli, horolab.experiments; before = len(seen); "
+            f"assert horolab.cli.main({VOLUMES!r}) == 0 and horolab.cli.main({VOLUMES!r}) == 0; "
+            "print(before, len(seen), (os.confstr('CS_GNU_LIBC_VERSION') or '').startswith('glibc'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    before, after, glibc = out.strip().splitlines()[-1].split()
+    assert (before, after) == ("0", "1" if glibc == "True" else "0")

@@ -567,11 +567,35 @@ def pair_ends(draw):
     return ends[:n], ends[n:]
 
 
+# keys up to 2^63 - 1 from three spans of 2^21, which only the argsort
+# ranks; then packed words: one pair, pairs whose ends repeat, and 2^20-wide
+# spans at d = 2
+WIDE_ENDS = (np.array([[0, 0, 0], [5, 5, 5]]), np.array([[2**21 - 1] * 3, [5, 5, 5]]))
+PACKED_ENDS = [
+    (np.array([[1, 2, 3]]), np.array([[0, 1, 3]])),
+    (np.array([[1, 1, 2], [0, 1, 3], [1, 1, 2]]), np.array([[0, 1, 3], [1, 1, 2], [0, 1, 3]])),
+    (np.array([[-2**19, 7], [3, 2**19]]), np.array([[3, 2**19], [-2**19, 7]])),
+]
+
+
+def packs(first, second):
+    """Whether pair_graph ranks these ends by one sort of packed words, not
+    by an argsort: their keys leave the bits of a position in 2n free."""
+    *_keys, radix = pair_keys(first, second)
+    return math.prod(span for _low, span in radix) << (2 * len(first) - 1).bit_length() <= 2**63
+
+
+def test_pair_graph_examples_reach_both_rankings():
+    assert not packs(*WIDE_ENDS) and all(packs(*ends) for ends in PACKED_ENDS)
+
+
 @settings(deadline=None, max_examples=150)
 @given(pair_ends())
-@example((np.array([[0, 0, 0], [5, 5, 5]]), np.array([[2**21 - 1] * 3, [5, 5, 5]])))
+@example(WIDE_ENDS)
+@example(PACKED_ENDS[0])
+@example(PACKED_ENDS[1])
+@example(PACKED_ENDS[2])
 def test_pair_graph_matches_the_lexsort_ranking_bitwise(case):
-    # three spans of 2^21 in the example make keys up to 2^63 - 1
     first, second = case
     keys = pair_keys(first, second)
     assert farey.pair_rows(keys[0], keys[2]).tolist() == first.tolist()
@@ -893,4 +917,5 @@ def test_pair_graph_ranks_sources_in_kernel_row_order():
     assert sizes.tolist() == [3, 2]
     empty = farey.pair_graph(keys[0][:0], keys[1][:0], keys[2])
     assert [a.shape for a in empty] == [(0, 3), (0,), (0,)]
+    assert [a.tobytes() for a in empty] == [a.tobytes() for a in lexsort_pair_graph(first[:0], second[:0])]
     assert [a.size for a in farey.component_clusters(*empty[1:])] == [0, 0]
