@@ -13,11 +13,10 @@ window sum of perfbench's d3-window workload with its clipped disk
 areas, the integer search for its lens pairs and its lens step on the
 disks at their ends, the clique union of the A3 windows on some
 collision pair (given their summed clipped volume, as the window sum
-passes it), the cover-count union of one set of intervals (the d = 2
-spherical window sum's call), and the Moebius count of the sources up
-to the cutoff, the index build over the alpha window, the one batched
-candidate query, the batched dual predicate and the whole sampled
-estimate of perfbench's d3-membership row.
+passes it), and the Moebius count of the sources up to the cutoff, the
+index build over the alpha window, the one batched candidate query, the
+batched dual predicate and the whole sampled estimate of perfbench's
+d3-membership row.
 
 Run:  python3 bench/benchmark_kernels.py [--repeat N]
 
@@ -164,15 +163,6 @@ def d3_spherical_lenses():
     return centers, radii, lo, hi, (u, v)
 
 
-def random_intervals(n=400_000):
-    """n seeded random intervals starting in [0, 1], as their lower and
-    upper edges; in lo order, about two in five start inside the union of
-    those before them."""
-    rng = np.random.default_rng(0)
-    lo = rng.uniform(0.0, 1.0, size=n)
-    return lo, lo + rng.exponential(0.5 / n, size=n)
-
-
 D3_MEMBERSHIP = GrenierBoxStable(d=3, alphas=(1.0, 1.0), gammas=(2.0, 2.0), T=1.0, eps=0.2), 1.5
 
 
@@ -289,7 +279,6 @@ CASES = [
         lambda centers, u, v, w, lo, hi, raw: experiments._cluster_union_volume(centers, w, lo, hi, pairs=(u, v), raw=raw),
         a3_pairs,
     ),
-    ("_coverage_union(400k)", "_coverage_union", random_intervals),
     ("count_farey_arrays(d3-membership)", "count_farey_arrays", d3_membership_count),
     ("_build_index(d3-membership)", "_build_index", d3_membership_build),
     (

@@ -91,7 +91,8 @@ def zeta(d: int) -> float:
 
 
 def h0(d: int) -> float:
-    """Height threshold below which spherical thickenings may self-intersect."""
+    """Height threshold below which spherical thickenings may self-intersect;
+    for d = 2 the Farey-gap bound of experiments.window_sum_spherical."""
     if d < 2:
         raise InvalidDimensionError(f"d must be >= 2, got {d}")
     if d == 2:

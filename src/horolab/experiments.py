@@ -168,7 +168,8 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     """Exact integral of the stable-target indicator over [lo, hi] for d = 2.
 
     Windows of width eps e^{-2t} sit at the translated-Farey points with
-    denominators below Q T^{-1/2}; interior windows are counted by a Moebius
+    denominators up to target.alpha_cutoff(t), the cap Q T^{-1/2} with the
+    slack every stable path reads; interior windows are counted by a Moebius
     block sum over floor sums at the quotients (fy.count_farey_in_interval),
     boundary-straddling ones are listed by a Farey walk over each edge strip
     and clipped.  The denominator bound is checked against
@@ -178,9 +179,8 @@ def exact_window_stable_d2(target: tg.StableSection, L, lo: float, hi: float, t:
     kind, a = lattice_kind(L)
     if kind == "general":
         raise ConfigError("closed-form window estimator needs identity/integer or diagonal L")
-    q_cap = target.denominator_cap(t)
     scale = a * a
-    m = int(math.floor(q_cap / a + 1e-9))
+    m = math.floor(target.alpha_cutoff(t) / a)
     if m < 1:
         return 0.0, 0
     w, c_off, _margin = _stable_window_shape(target, t)
@@ -218,7 +218,7 @@ def _stable_window_centers(target: tg.StableSection, L, lo: np.ndarray, hi: np.n
     the window margin."""
     d = target.d
     w, c_off, margin = _stable_window_shape(target, t)
-    sources, alpha = fy.sequence_arrays(d, target.denominator_cap(t), L, (lo - margin, hi + margin))
+    sources, alpha = fy.sequence_arrays(d, target.alpha_cutoff(t), L, (lo - margin, hi + margin))
     centers = alpha[:, : d - 1] / alpha[:, d - 1 :]
     centers -= c_off
     return sources, centers, w
@@ -240,8 +240,9 @@ def _clipped_sides(centers: np.ndarray, w: float, lo: float, hi: float, top: np.
 def _clipped_box_volumes(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
     """Volume of each box of width w at the centers, clipped to [lo, hi]:
     the product of the clipped sides, axis by axis, for one or two sides
-    the same bits as np.prod along the rows.  With top, rows like the
-    centers', the common box of boxes centered from centers to top."""
+    the same bits as np.prod along the rows.  w may also hold one width per
+    box.  With top, rows like the centers', the common box of boxes
+    centered from centers to top."""
     top = centers if top is None else top
     vol = _clipped_sides(centers[:, 0], w, lo[0], hi[0], top[:, 0])
     for a in range(1, centers.shape[1]):
@@ -260,7 +261,7 @@ def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t:
     sums (K.farey_mobius_sums over the box grown by the window margin).
     """
     w, c_off, margin = _stable_window_shape(target, t)
-    qmax = math.floor(target.denominator_cap(t))
+    qmax = math.floor(target.alpha_cutoff(t))
     fy.check_budget(qmax, "denominator bound")  # however narrow the box, every q <= qmax is walked
 
     def sides(q, p):
@@ -328,31 +329,6 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     return union
 
 
-def _coverage_union(los: np.ndarray, his: np.ndarray) -> float:
-    """Length of the union of the intervals [los, his]; one with his <= los
-    is empty.
-
-    A stable argsort ranks the 2k edges, a lower edge first at equal values
-    so that touching intervals merge.  Each nonempty interval writes +1 at
-    its lower rank and -1 at its upper one, a cumsum gives the cover count
-    between edges, and each run of positive cover adds its length, left to
-    right from 0.0 (cumsum adds strictly in order)."""
-    k = los.size
-    values = np.concatenate([los, his])
-    order = np.argsort(values, kind="stable")
-    edges = values[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(2 * k)
-    live = np.flatnonzero(rank[k:] > rank[:k])
-    cover = np.zeros(2 * k, np.min_scalar_type(-k - 1))
-    cover[rank[live]] = 1
-    cover[rank[k + live]] = -1
-    np.cumsum(cover, dtype=cover.dtype, out=cover)
-    # the count is 0 after the last edge, so its flips pair up as (start, end)
-    runs = edges[np.flatnonzero(np.diff(cover > 0, prepend=False))]
-    return float(np.cumsum(np.concatenate(([0.0], runs[1::2] - runs[::2])))[-1])
-
-
 def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, hi: np.ndarray, t: float) -> tuple[float, int]:
     """Exact integral: the measure of the union of the windows clipped to A.
 
@@ -386,7 +362,7 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         u, v = fy.collision_pairs(centers, w)
         total, raw = 0.0, None  # the union below measures every window
     else:
-        q_cap = target.denominator_cap(t)
+        q_cap = target.alpha_cutoff(t)
         predicted = box_volume(lo - margin, hi + margin) * q_cap**d / (d * zeta(d))
         fy.check_budget(predicted, "predicted window enumeration")
         total, count = _stable_raw_sum(target, lo, hi, t)
@@ -422,10 +398,19 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     """Integral of the spherical-target indicator: per-point windows whose
     radius couples the denominator to the chart through the cosine cutoff.
 
-    d = 2 windows are merged exactly when they touch.  For d = 3 each disk
-    is clipped to A exactly, but colliding disks (possible at finite t) are
-    corrected only pairwise, by the lens area, and only when both sit
-    inside A; triple overlaps are ignored.  That is not exact: at T = 3,
+    No two d = 2 windows meet, for any unimodular L, so their clipped
+    lengths are added in order of position, left to right from 0.0 (cumsum;
+    np.sum adds pairwise).  At primitive images alpha and beta,
+    det(alpha; beta) is a nonzero integer, so the centers lie at least
+    1 / (alpha_2 beta_2) apart; a radius is e^{-2t} tan(theta) with
+    cos(theta) >= alpha_2 / q_cap and q_cap^2 e^{-2t} = 1 / T, so
+    alpha_2 beta_2 (r_alpha + r_beta) <= sin(theta_alpha + theta_beta) / T.
+    The centers thus lie T (r_alpha + r_beta) or more apart, for every
+    T > h0(2) = 1 a spherical target accepts; the bound is tight.
+
+    For d = 3 each disk is clipped to A exactly, but colliding disks
+    (possible at finite t) are corrected only pairwise, by the lens area,
+    and only when both sit inside A; triple overlaps are ignored.  That is not exact: at T = 3,
     radius 0.5, t = 2.6 on the unit square the sum is about 0.38% high.
     The lenses come from _spherical_windows: their candidate pairs from the
     exact integer search for identity L, from the float grid search on the
@@ -436,8 +421,9 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
         raise ConfigError("spherical window sums implemented for d in {2, 3}")
     kind, _a = lattice_kind(L)
     q_cap = target.denominator_cap(t)
-    # with T at least 2 sin(radius), neighboring-denominator gaps dominate
-    # the window radii and the per-denominator closed sum is exact
+    # the windows never meet, so this closed sum is exact for any T > 1; rows
+    # with T < 2 sin(radius) enumerate to keep their count, which includes
+    # the windows reaching into the cell from outside
     if _is_unit_cell(lo, hi) and kind == "lattice" and d == 2 and target.T >= 2.0 * math.sin(target.chart.radius):
         qmax = int(math.floor(q_cap - 1e-12))
         if qmax < 1:
@@ -450,8 +436,8 @@ def window_sum_spherical(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.
     if centers.shape[0] == 0:
         return 0.0, 0
     if d == 2:
-        los, his = np.maximum(centers - radii[:, None], lo), np.minimum(centers + radii[:, None], hi)
-        return _coverage_union(los[:, 0], his[:, 0]), int(centers.shape[0])
+        lengths = _clipped_box_volumes(centers, 2.0 * radii, lo, hi).take(np.argsort(centers[:, 0], kind="stable"))
+        return float(np.cumsum(np.concatenate(([0.0], lengths)))[-1]), int(centers.shape[0])
     return _disk_window_sum(centers, radii, lo, hi, lenses), int(centers.shape[0])
 
 
@@ -459,7 +445,7 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
     """Centers and radii of the windows that can reach the box: the points
     with alpha_d below the cutoff whose projection lies within the largest
     radius of it, and for d = 3 the lenses of _inside_lenses (None for
-    d = 2).  Identity L takes the candidate pairs from the exact integer
+    d = 2, whose windows never meet: see window_sum_spherical).  Identity L takes the candidate pairs from the exact integer
     search (farey.farey_window_pairs) up to the largest integer below the
     cutoff, on the largest diameter; farey.pair_graph ranks their ends in
     the rows' (q, p) order, and the lenses are measured on the end disks
@@ -679,7 +665,7 @@ def exact_integral(target, L, lo: np.ndarray, hi: np.ndarray, t: float, estimato
     if estimator == "exact-window" or (estimator == "auto" and stable_d2 and kind != "general"):
         return exact_window_stable_d2(target, L, float(lo[0]), float(hi[0]), t)
     if stable_d2 and kind != "general" and _is_unit_cell(lo, hi):
-        n = fy.count_farey_in_interval(math.floor(target.denominator_cap(t) / a + 1e-9), 0.0, 1.0, scale=a * a)
+        n = fy.count_farey_in_interval(target.alpha_cutoff(t) / a, 0.0, 1.0, scale=a * a)
         return _stable_window_shape(target, t)[0] * n, n
     if isinstance(target, tg.StableSection):
         return _window_sum_stable_enumerated(target, L, lo, hi, t)

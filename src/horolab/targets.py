@@ -38,6 +38,8 @@ from .errors import (
 # target specifications
 # ---------------------------------------------------------------------------
 
+CAP_RTOL = 1e-12  # so a cap rounded below an integer, e^{log 5} = 4.999999999999999, admits it
+
 
 class _Target:
     """What the four target kinds share: the section denominator cap, which
@@ -51,7 +53,10 @@ class _Target:
         return math.exp((d - 1) * t) * self.T ** (-(d - 1) / d)
 
     def alpha_cutoff(self, t: float) -> float:
-        return self.denominator_cap(t)
+        """The largest alpha_d the section admits, the cap widened by
+        CAP_RTOL as the source test widens it: every stable path, exact or
+        sampled, reads its denominator bound here."""
+        return self.denominator_cap(t) * (1 + CAP_RTOL)
 
     def alpha_window(self, t: float) -> tuple[float, float]:
         """The alpha_d range (lo, hi), hi <= alpha_cutoff(t), of the sources
@@ -61,7 +66,7 @@ class _Target:
     def source_mask(self, L, t: float, index: fy.FareyIndex, ci: np.ndarray, chart: dict) -> tuple[np.ndarray, dict]:
         """Mask of the index points ci that pass the section cap, c = cos|z|
         on a chart and 1 otherwise, and the chart data of those kept."""
-        keep = index.alpha_d[ci] <= self.denominator_cap(t) * chart.get("c", 1.0) * (1 + 1e-12)
+        keep = index.alpha_d[ci] <= self.denominator_cap(t) * chart.get("c", 1.0) * (1 + CAP_RTOL)
         return keep, {key: v[keep] for key, v in chart.items()}
 
 

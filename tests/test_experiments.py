@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
 from horolab import coords, experiments as ex, farey, targets as tg
@@ -727,6 +727,93 @@ def test_d2_spherical_sub_box_with_a_general_l_is_unchanged():
     assert ex.window_sum_spherical(target, general, lo, hi, 4.5) == (0.0911716112303724, 738)
 
 
+def test_d2_spherical_sub_box_with_the_identity_is_unchanged():
+    # the ordered sum of the d = 2 spherical windows, pinned bit for bit on the
+    # values the cover-count union gave; T = 1.2 < 2 sin(1.0) brings them closest
+    lo, hi = np.array([0.1]), np.array([0.7])
+    target = tg.SphericalSection(d=2, T=2.0, chart=coords.Chart(dim=2, radius=0.5))
+    assert ex.window_sum_spherical(target, None, lo, hi, 4.0) == (0.09153839467548117, 272)
+    assert ex.window_sum_spherical(target, None, lo, hi, 6.0) == (0.09124951142045318, 14885)
+    close = tg.SphericalSection(d=2, T=1.2, chart=coords.Chart(dim=2, radius=1.0))
+    assert ex.window_sum_spherical(close, None, lo, hi, 4.0) == (0.30596304748485936, 456)
+
+
+D2_SPHERICAL_L = [None, np.array([[1.0, 0.0], [1 / 3, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([[2.0, 1.0], [1.0, 1.0]])]
+
+
+@st.composite
+def d2_spherical_cases(draw):
+    """A d = 2 spherical target with T in (1, 3], an identity, shear or
+    integer L, a box that is not the unit cell and a flow time."""
+    T = draw(st.floats(1.0, 3.0, exclude_min=True))
+    target = tg.SphericalSection(d=2, T=T, chart=coords.Chart(dim=2, radius=draw(st.floats(0.01, 1.55))))
+    lo = draw(st.floats(-0.5, 0.9))
+    hi = draw(st.floats(lo + 0.01, lo + 1.5))
+    assume(not ex._is_unit_cell(lo, hi))  # the unit cell may take the closed per-denominator sum
+    return target, draw(st.sampled_from(D2_SPHERICAL_L)), np.array([lo]), np.array([hi]), draw(st.floats(1.0, 5.5))
+
+
+@settings(deadline=None, max_examples=150)
+@given(d2_spherical_cases())
+@example((tg.SphericalSection(d=2, T=1.001, chart=coords.Chart(dim=2, radius=1.55)), None, np.array([-0.5]), np.array([1.0]), 1.0))
+def test_d2_spherical_windows_never_meet_and_sum_in_order(case):
+    # no two windows meet for T > 1, so their clipped lengths added in order
+    # are the merge loop's union of them, bit for bit
+    target, L, lo, hi, t = case
+    centers, radii, _lenses = ex._spherical_windows(target, L, lo, hi, t)
+    u, _v = farey.collision_pairs(centers, 2.0 * radii)
+    assert u.size == 0
+    los, his = np.maximum(centers - radii[:, None], lo), np.minimum(centers + radii[:, None], hi)
+    want = _merge_length_loop(np.concatenate([los, his], axis=1))
+    assert ex.window_sum_spherical(target, L, lo, hi, t) == (want, centers.shape[0])
+
+
+def test_d2_stable_overlap_is_an_internal_error(monkeypatch):
+    # below the d = 2 budget no two stable windows meet, so a pair from the
+    # collision search of a general L means the enumeration is wrong
+    monkeypatch.setattr(farey, "collision_pairs", lambda centers, w: (np.array([0]), np.array([1])))
+    target = tg.StableSection(d=2, T=2.0, eps=0.2)
+    shear = np.array([[1.0, 0.0], [1 / 3, 1.0]])
+    with pytest.raises(DisjointnessError, match="below the d=2 budget"):
+        ex.exact_integral(target, shear, np.array([0.1]), np.array([0.7]), 4.0, "window-sum")
+
+
+def test_stable_d2_paths_admit_a_cap_rounded_below_an_integer():
+    # at T = 1 the cap e^{log 5} is 4.999999999999999: every path admits q = 5
+    t = math.log(5.0)
+    target = tg.StableSection(d=2, T=1.0, eps=0.2)
+    assert target.denominator_cap(t) < 5.0 and math.floor(target.alpha_cutoff(t)) == 5
+    lo, hi = np.array([0.1]), np.array([0.7])
+    want, count = ex.exact_integral(target, None, lo, hi, t, "exact-window")
+    assert count == 7 and abs(want - 7 * 0.2 / 25.0) <= 1e-12
+    for L in (None, np.array([[1.0, 0.0], [1.0, 1.0]])):
+        got, got_count = ex.exact_integral(target, L, lo, hi, t, "window-sum")
+        assert abs(got - want) <= 1e-12 and got_count == count
+        row = ex.sthe_run(stable_cfg(target=target, A_lo=(0.1,), A_hi=(0.7,), t_schedule=(t,), estimator=("grid", 6000),
+                                     L=None if L is None else tuple(map(tuple, L))))[0]
+        assert abs(row.estimate - want) <= 1e-3
+    # the unit cell's per-denominator count, phi(1) + ... + phi(5), and its halves
+    cell = ex.exact_integral(target, None, np.zeros(1), np.ones(1), t, "window-sum")
+    left = ex.exact_integral(target, None, np.zeros(1), np.full(1, 0.5), t, "window-sum")[0]
+    right = ex.exact_integral(target, None, np.full(1, 0.5), np.ones(1), t, "window-sum")[0]
+    assert cell[1] == 10 and abs(left + right - cell[0]) <= 1e-12
+    assert tg.member_dual(target, None, [0.2], t).farey.source == (1, 5)
+
+
+def test_stable_d3_paths_admit_a_cap_rounded_below_an_integer():
+    # at T = 1 the d = 3 cap e^{log 7} is 6.999999999999999: identity L and the
+    # integer shear, the same point set, both admit q = 7
+    t = math.log(7.0) / 2.0
+    target = tg.StableSection(d=3, T=1.0, eps=0.2)
+    assert target.denominator_cap(t) < 7.0
+    lo, hi = np.array([0.1, 0.2]), np.array([0.7, 0.9])
+    want, count = ex.exact_integral(target, None, lo, hi, t, "window-sum")
+    shear = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    got, got_count = ex.exact_integral(target, shear, lo, hi, t, "window-sum")
+    assert count == got_count == 53 and abs(got - want) <= 1e-12
+    assert tg.member_dual(target, None, [1 / 7, 2 / 7], t).farey.alpha_d == 7.0
+
+
 def test_spherical_window_sum_checks_d_before_enumerating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated before the dimension check")
@@ -910,24 +997,6 @@ radius = st.one_of(st.sampled_from([0.0, 0.1, 0.125, 0.25, 0.3]), st.floats(1e-6
 
 
 @st.composite
-def interval_clusters(draw):
-    w = draw(st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.01, 0.6)))
-    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
-    centers = np.array(draw(st.lists(coordinate, min_size=sum(sizes), max_size=sum(sizes))))[:, None]
-    return centers, w, sizes, np.zeros(1), np.ones(1)
-
-
-@settings(deadline=None, max_examples=300)
-@given(interval_clusters())
-def test_cover_count_union_matches_the_oracles_bitwise(case):
-    centers, w, sizes, lo, hi = case
-    los, his = np.maximum(centers - w / 2.0, lo), np.minimum(centers + w / 2.0, hi)
-    for part_lo, part_hi in zip(np.split(los, np.cumsum(sizes)[:-1]), np.split(his, np.cumsum(sizes)[:-1])):
-        intervals = np.concatenate([part_lo, part_hi], axis=1)
-        assert ex._coverage_union(part_lo[:, 0], part_hi[:, 0]) == _merge_length_loop(intervals)
-
-
-@st.composite
 def pair_sets(draw):
     """Boxes of width w in one, two or three dimensions.  Each after the
     first is drawn free, within w of an earlier one on every axis, or
@@ -1041,8 +1110,8 @@ def line_clusters(draw):
 @example((np.array([[0.5, 0.1], [0.5, 0.3], [0.5, 0.2], [0.2, 0.7], [0.3, 0.7], [1.1, 0.7]]), 0.25, [3, 3], np.zeros(2), np.ones(2)))
 def test_line_clusters_match_the_cover_count_union(case):
     # a cluster on a line is the clipped width across the line times the
-    # cover-count union of its intervals along it; a free one is measured
-    # on its cells
+    # union of its intervals along it (the interval-merge loop); a free one
+    # is measured on its cells
     centers, w, sizes, lo, hi = case
     want = 0.0
     for part in np.split(centers, np.cumsum(sizes)[:-1]):
@@ -1050,7 +1119,7 @@ def test_line_clusters_match_the_cover_count_union(case):
         on_line = [a for a in (0, 1) if np.all(part[:, a] == part[0, a])]
         if on_line:
             a, b = on_line[0], 1 - on_line[0]
-            want += max(his[0, a] - los[0, a], 0.0) * ex._coverage_union(los[:, b], his[:, b])
+            want += max(his[0, a] - los[0, a], 0.0) * _merge_length_loop(np.stack([los[:, b], his[:, b]], axis=1))
         else:
             want += _cell_union(part, w, lo, hi)
     got = ex._cluster_union_volume(centers, w, lo, hi, pairs=_part_pairs(centers, w, sizes))
@@ -1083,15 +1152,10 @@ def test_collision_correction_matches_the_cluster_unions(case):
     assert abs(got - sum(_cell_union(p, w, lo, hi) - r for p, r in zip(parts, raw))) <= 1e-12
 
 
-def _union_length(intervals: np.ndarray) -> float:
-    """The one-cluster dim-1 call of the cover-count union, as the d = 2
-    spherical window sum makes it."""
-    return ex._coverage_union(intervals[:, 0], intervals[:, 1])
-
-
 def _merge_length_loop(intervals: np.ndarray) -> float:
-    """The interval-merge loop the d = 2 interval union replaced, kept as its
-    bitwise oracle."""
+    """Length of the union of the intervals by the interval-merge loop: the
+    bitwise oracle of the d = 2 spherical window sum and the one-axis oracle
+    of the line clusters."""
     iv = intervals[intervals[:, 1] > intervals[:, 0]]
     if iv.shape[0] == 0:
         return 0.0
@@ -1104,42 +1168,6 @@ def _merge_length_loop(intervals: np.ndarray) -> float:
         else:
             cur_hi = max(cur_hi, b)
     return float(total + (cur_hi - cur_lo))
-
-
-@st.composite
-def interval_sets(draw):
-    """Intervals on grid and free coordinates, each maybe joined by a nested,
-    a touching, an empty or a reversed copy, in a drawn order."""
-    out = []
-    for lo, hi in draw(st.lists(st.tuples(coordinate, coordinate), max_size=30)):
-        out.append((lo, hi))
-        kind = draw(st.sampled_from(["none", "nested", "touching", "empty", "reversed"]))
-        if kind == "nested":
-            out.append((lo + (hi - lo) / 4.0, hi - (hi - lo) / 4.0))
-        elif kind == "touching":
-            out.append((hi, hi + abs(hi - lo)))
-        elif kind == "empty":
-            out.append((lo, lo))
-        elif kind == "reversed":
-            out.append((hi, lo))
-    return np.array(draw(st.permutations(out)), dtype=float).reshape(-1, 2)
-
-
-@settings(deadline=None, max_examples=300)
-@given(interval_sets())
-def test_merge_length_matches_loop_bitwise(intervals):
-    assert _union_length(intervals) == _merge_length_loop(intervals)
-
-
-def test_merge_length_matches_loop_bitwise_in_bulk(rng):
-    # hundreds of runs per set, on two scales: an order of addition other than
-    # left to right (np.sum adds pairwise) changes the last bits of about a
-    # third of these sets, and of few of the short sets above
-    for n in [300] * 20 + [3000] * 4:
-        scale = rng.choice([1.0, 1e3], size=n)
-        lo = rng.uniform(0.0, 1.0, size=n) * scale
-        intervals = np.stack([lo, lo + rng.exponential(0.5 / n, size=n) * scale], axis=1)
-        assert _union_length(intervals) == _merge_length_loop(intervals)
 
 
 @settings(deadline=None)
