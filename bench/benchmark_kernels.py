@@ -7,7 +7,9 @@ window sum at t = 2.4, the A3 collision searches (the integer pair
 search, which every identity-L window sum calls, and the float grid
 search collision_pairs, which the general-L window sums call), the
 ranking of their pair ends, the clipped window volumes and their Moebius
-raw sum, the whole A3 window sum, the d = 4 pair search and window sum
+raw sum, the whole A3 window sum and the same row at t = 3.2 (with
+ENUM_BUDGET raised for that call, since no perfbench workload reaches that
+depth), the d = 4 pair search and window sum
 at t = 1.5 (no perfbench workload reaches d = 4), the d = 3 spherical
 window sum of perfbench's d3-window workload with its clipped disk
 areas, the integer search for its lens pairs and its lens step on the
@@ -24,8 +26,10 @@ Each case prints the best of N wall-clock runs, the minor page faults of
 one more run (the ru_minflt delta: pages the process touched for the first
 time, or again after the allocator gave them back), and, from one more run
 under tracemalloc, the peak of the memory it allocates (MiB).  A case's
-arguments are built before any of these runs.  The script leaves glibc's
-malloc thresholds as the library sees them, not as the CLI sets them.
+arguments are built anew before each of these runs, outside it, since
+pair_graph and the clique union rewrite their arrays in place.  The script
+leaves glibc's malloc thresholds as the library sees them, not as the CLI
+sets them.
 """
 
 import argparse
@@ -74,17 +78,17 @@ def a3_pairs():
     the centers of the pair ends in rank order, the two ranks of each pair,
     w, the unit square and the summed clipped volume of those windows."""
     m, box_lo, box_hi, w = a3_pair_search()
-    nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, box_lo, box_hi, w))
+    ends, radix = farey.farey_window_pairs(m, box_lo, box_hi, w)
+    nodes, u, v = farey.pair_graph(ends, radix)
     _w, c_off, _margin = experiments._stable_window_shape(StableSection(d=3, T=1.0, eps=0.2), 2.85)
-    centers = nodes[:, :2] / nodes[:, 2:]
-    del nodes
+    centers = farey.pair_centers(nodes, radix)
     centers -= c_off
     lo, hi = np.zeros(2), np.ones(2)
     return centers, u, v, w, lo, hi, float(experiments._clipped_box_volumes(centers, w, lo, hi).sum())
 
 
 def a3_pair_ends():
-    """The A3 pair search's two arrays of pair-end keys and their radix, as
+    """The A3 pair search's (2, n) array of pair-end keys and their radix, as
     pair_graph takes them."""
     return farey.farey_window_pairs(*a3_pair_search())
 
@@ -125,6 +129,22 @@ def a3_window_sum():
     return StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 2.85
 
 
+def a3_deep_window_sum():
+    """The A3 row at t = 3.2, 1,425,840 pairs."""
+    return StableSection(d=3, T=1.0, eps=0.2), None, np.zeros(2), np.ones(2), 3.2
+
+
+def raised_budget_window_sum(*args):
+    """The enumerated stable window sum with ENUM_BUDGET raised to 10^9 for
+    the call: past t of about 3.0 the A3 row's predicted window count
+    passes the default budget, though the sum holds no per-window array."""
+    budget, farey.ENUM_BUDGET = farey.ENUM_BUDGET, 10**9
+    try:
+        return experiments._window_sum_stable_enumerated(*args)
+    finally:
+        farey.ENUM_BUDGET = budget
+
+
 def a3_raw_sum():
     """The A3 row's arguments to the Moebius sum of its clipped window volumes."""
     return StableSection(d=3, T=1.0, eps=0.2), np.zeros(2), np.ones(2), 2.85
@@ -158,8 +178,9 @@ def d3_spherical_lenses():
     """The disks at the ranked ends of that search, the unit square and the
     pairs of ranks, as the lens step takes them."""
     target, _L, lo, hi, t = d3_spherical_row()
-    nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(*d3_spherical_pair_search()))
-    centers, radii = experiments._spherical_disks(nodes, target.denominator_cap(t), target.chart.radius, 3, t)
+    ends, radix = farey.farey_window_pairs(*d3_spherical_pair_search())
+    nodes, u, v = farey.pair_graph(ends, radix)
+    centers, radii = experiments._spherical_disks(farey.pair_rows(nodes, radix), target.denominator_cap(t), target.chart.radius, 3, t)
     return centers, radii, lo, hi, (u, v)
 
 
@@ -209,24 +230,29 @@ def d3_membership_pairs():
     return target, None, t, points, pairs[:, 0], pairs[:, 1], index
 
 
-def timed(fn, *args, repeat=3):
+def timed(fn, make, repeat=3):
+    """Best wall-clock seconds of repeat calls of fn, each on new arguments
+    from make()."""
     best = float("inf")
     for _ in range(repeat):
+        args = make()
         tic = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - tic)
     return best
 
 
-def minor_faults(fn, *args):
+def minor_faults(fn, make):
     """Minor page faults that one call of fn takes."""
+    args = make()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     fn(*args)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
-def peak_mib(fn, *args):
+def peak_mib(fn, make):
     """Peak MiB that one call of fn allocates, by tracemalloc."""
+    args = make()
     tracemalloc.start()
     try:
         fn(*args)
@@ -264,6 +290,7 @@ CASES = [
     ("_clipped_box_volumes(A3)", "_clipped_box_volumes", a3_clipped),
     ("_stable_raw_sum(A3)", "_stable_raw_sum", a3_raw_sum),
     ("window_sum(A3)", "_window_sum_stable_enumerated", a3_window_sum),
+    ("window_sum(A3, t = 3.2)", raised_budget_window_sum, a3_deep_window_sum),
     ("farey_window_pairs(d = 4, t = 1.5)", "farey_window_pairs", d4_pair_search),
     ("window_sum(d = 4, t = 1.5)", "_window_sum_stable_enumerated", d4_window_sum),
     ("window_sum_spherical(d3-window)", "window_sum_spherical", d3_spherical_row),
@@ -305,9 +332,9 @@ def main():
     print(f"{'case':40s} {'seconds':>10s} {'faults':>8s} {'peak MiB':>10s}")
     for label, name, fargs in CASES:
         fn = resolve(name)
-        fargs = fargs() if callable(fargs) else fargs
-        seconds = timed(fn, *fargs, repeat=args.repeat)
-        print(f"{label:40s} {seconds:9.3f}s {minor_faults(fn, *fargs):8d} {peak_mib(fn, *fargs):10.1f}")
+        make = fargs if callable(fargs) else lambda fargs=fargs: fargs
+        seconds = timed(fn, make, repeat=args.repeat)
+        print(f"{label:40s} {seconds:9.3f}s {minor_faults(fn, make):8d} {peak_mib(fn, make):10.1f}")
 
 
 if __name__ == "__main__":

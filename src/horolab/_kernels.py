@@ -344,7 +344,7 @@ def _block_points(block, ends, sizes, edges, k0):
     return [np.repeat(block, n[k0:k1]) for n in sizes], [np.arange(e[k0], e[k1]) + s for e, s in zip(edges, shifts)]
 
 
-_BOX_CHUNK = 1 << 19  # candidates per step of _primitive_rows
+_BOX_CHUNK = 1 << 16  # candidates per step of _primitive_rows
 
 
 def _primitive_rows(rows: np.ndarray, lo, hi, roll: int = 0) -> np.ndarray:
@@ -355,8 +355,9 @@ def _primitive_rows(rows: np.ndarray, lo, hi, roll: int = 0) -> np.ndarray:
     np.roll(points, roll, axis=1).
 
     Each row's gcd is taken once.  The candidates are tested in chunks of
-    about _BOX_CHUNK, and only their keep masks are held until the kept
-    points are counted; all but the last chunk are then expanded again."""
+    about _BOX_CHUNK (2^16, whose few int64 arrays take about 2 MiB), and
+    only their keep masks are held until the kept points are counted; all
+    but the last chunk are then expanded again."""
     d = rows.shape[1] + 1
     g = np.gcd.reduce(rows, axis=1)  # 0 for the empty row
     first = np.ceil(lo).astype(np.int64)

@@ -270,11 +270,17 @@ def _stable_raw_sum(target: tg.StableSection, lo: np.ndarray, hi: np.ndarray, t:
     return K.farey_mobius_sums(qmax, lo - margin, hi + margin, sides)
 
 
+_UNION_BLOCK = 1 << 14  # sets per block of a clique level's common boxes in _cluster_union_volume
+
+
 def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.ndarray, *, pairs, raw: float | None = None) -> float:
     """Exact measure of the union of the boxes of width w at the centers,
-    clipped to [lo, hi], in any dimension.  ``pairs`` holds the rows (u, v)
-    of every two boxes that overlap, each pair once, either way round.
-    ``raw``, when given, is the caller's float sum of their clipped volumes
+    clipped to [lo, hi], in any dimension.  ``pairs`` holds the integer
+    arrays (u, v) of the rows of every two boxes that overlap, each pair
+    once, either way round.  They are rewritten in place, and keep listing
+    the same pairs: afterwards u holds the smaller row of each pair and v
+    the larger, in (u, v) order.  ``raw``, when given, is the caller's
+    float sum of their clipped volumes
     (_clipped_box_volumes(centers, w, lo, hi).sum()), the union's first
     term, which is then not computed again.
 
@@ -289,42 +295,56 @@ def _cluster_union_volume(centers: np.ndarray, w: float, lo: np.ndarray, hi: np.
     box, and one whose common box misses A has no superset that meets it,
     so keeping only the sets of positive clipped volume keeps exactly the
     cliques that count, each once.
+
+    A level holds its sets by their members, one array per member (the
+    2-sets are the pairs themselves), and one volume per set, summed whole,
+    so the bits do not depend on the block.  The common boxes are built in
+    blocks of _UNION_BLOCK sets, each from the centers of its members.
     """
     n = centers.shape[0]
-    u, v = pairs
-    key = np.minimum(u, v)
+    first, later = pairs
+    key = np.minimum(first, later, dtype=np.int64)
     key *= n
-    key += np.maximum(u, v)
+    key += np.maximum(first, later)
     key.sort()
-    first, later = np.divmod(key, n)
+    np.floor_divide(key, n, out=first)
+    np.remainder(key, n, out=later)
     del key
     # row a's later neighbours are later[starts[a] : starts[a + 1]], ascending
-    starts = np.concatenate(([0], np.cumsum(np.bincount(first, minlength=n))))
+    starts = np.zeros(n + 1, later.dtype)
+    np.cumsum(np.bincount(first, minlength=n), out=starts[1:])
     union = float(_clipped_box_volumes(centers, w, lo, hi).sum()) if raw is None else raw
-    last = later  # the largest member of each listed set
-    # each set's common box, from bottom - w/2 to top + w/2: the max and min of its centers
-    # (take gathers rows several times faster than fancy indexing does)
-    top = centers.take(later, axis=0)
-    at_first = centers.take(first, axis=0)
-    bottom = np.maximum(at_first, top)
-    np.minimum(at_first, top, out=top)
-    del first, at_first
+    # the 2-sets are the pairs; each level's sets by their members, ascending
+    members = [first, later]
     sign = -1.0
-    while last.size:
-        vol = _clipped_box_volumes(bottom, w, lo, hi, top=top)
+    while members[0].size:
+        vol = np.empty(members[0].size)
+        for s in range(0, vol.size, _UNION_BLOCK):
+            # each set's common box, from bottom - w/2 to top + w/2: the max and
+            # min of its centers (take gathers rows several times faster than
+            # fancy indexing does)
+            bottom = centers.take(members[0][s : s + _UNION_BLOCK], axis=0)
+            top = bottom.copy()
+            for member in members[1:]:
+                at = centers.take(member[s : s + _UNION_BLOCK], axis=0)
+                np.maximum(bottom, at, out=bottom)
+                np.minimum(top, at, out=top)
+            vol[s : s + _UNION_BLOCK] = _clipped_box_volumes(bottom, w, lo, hi, top=top)
         union += sign * float(vol.sum())
         # only a set that meets A and whose largest member has later neighbours
         # grows: keep those first, so the next level is built from fewer
+        last = members[-1]
         grow = np.flatnonzero((vol > 0) & (starts[last + 1] > starts[last]))
-        del vol
-        bottom, top, last = bottom.take(grow, axis=0), top.take(grow, axis=0), last[grow]
-        n_next = starts[last + 1] - starts[last]
+        del vol, last
+        members = [m[grow] for m in members]
+        del grow
+        n_next = starts[members[-1] + 1] - starts[members[-1]]
         fy.check_budget(int(n_next.sum()), "clique sets")  # c coincident boxes list 2^c - c - 1 sets
-        grown = np.repeat(np.arange(last.size), n_next)
-        last = later[np.repeat(starts[last], n_next) + fy._ramp(n_next)]
-        at_last = centers.take(last, axis=0)
-        bottom = np.maximum(bottom.take(grown, axis=0), at_last)
-        top = np.minimum(top.take(grown, axis=0), at_last, out=at_last)
+        # each set's last member's later neighbours: later[at], at = starts[last] + 0, 1, ...
+        at = np.repeat(starts[members[-1]] - (np.cumsum(n_next) - n_next), n_next)
+        at += np.arange(at.size)
+        members = [m.repeat(n_next) for m in members] + [later[at]]
+        del at
         sign = -sign
     return union
 
@@ -339,7 +359,8 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
     point, center or volume array; the count is checked against the budget
     too.  The overlapping window pairs come from one integer search over
     the box (farey.farey_window_pairs), ranked in the kernel's row order
-    (farey.pair_graph), and centers are formed for their integer ends only;
+    (farey.pair_graph), and centers are decoded for their ends only, from
+    the distinct keys (farey.pair_centers);
     the sum adds the union of those windows less their own clipped volumes,
     summed once and passed to the union as its first term.
     A general L takes all centers from _stable_window_centers, one
@@ -367,10 +388,10 @@ def _window_sum_stable_enumerated(target: tg.StableSection, L, lo: np.ndarray, h
         fy.check_budget(predicted, "predicted window enumeration")
         total, count = _stable_raw_sum(target, lo, hi, t)
         fy.check_budget(count, "window enumeration")
-        nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w))
-        centers = np.empty((nodes.shape[0], d - 1))
-        for a in range(d - 1):  # column by column: a broadcast divide of (n, 2) by (n, 1) is slow
-            np.divide(nodes[:, a], nodes[:, d - 1], out=centers[:, a])
+        ends, radix = fy.farey_window_pairs(math.floor(q_cap), lo - margin, hi + margin, w)
+        nodes, u, v = fy.pair_graph(ends, radix)
+        del ends
+        centers = fy.pair_centers(nodes, radix)
         del nodes
         centers -= c_off
         raw = float(_clipped_box_volumes(centers, w, lo, hi).sum())
@@ -447,10 +468,10 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
     radius of it, and for d = 3 the lenses of _inside_lenses (None for
     d = 2, whose windows never meet: see window_sum_spherical).  Identity L takes the candidate pairs from the exact integer
     search (farey.farey_window_pairs) up to the largest integer below the
-    cutoff, on the largest diameter; farey.pair_graph ranks their ends in
-    the rows' (q, p) order, and the lenses are measured on the end disks
-    only.  Any other L searches the float centers on the diameters
-    (farey.collision_pairs).
+    cutoff, on the largest diameter, once the rows are dropped for the
+    disks; farey.pair_graph ranks their ends in the rows' (q, p) order, and
+    the lenses are measured on the end disks only.  Any other L searches
+    the float centers on the diameters (farey.collision_pairs).
 
     Identity L lists q ascending, so its rows with q < q_cap are a prefix,
     taken as a slice (any other L keeps its rows by a mask)."""
@@ -464,12 +485,15 @@ def _spherical_windows(target: tg.SphericalSection, L, lo: np.ndarray, hi: np.nd
     else:
         alpha = alpha.compress(alpha[:, d - 1] < q_cap, axis=0)
     centers, radii = _spherical_disks(alpha, q_cap, target.chart.radius, d, t)
+    del alpha
     if d == 2 or radii.size == 0:
         return centers, radii, None
     if L is not None:
         return centers, radii, _inside_lenses(centers, radii, lo, hi, pairs=fy.collision_pairs(centers, 2.0 * radii))
-    nodes, u, v = fy.pair_graph(*fy.farey_window_pairs(math.ceil(q_cap) - 1, *box, 2.0 * float(radii.max())))
-    return centers, radii, _inside_lenses(*_spherical_disks(nodes, q_cap, target.chart.radius, d, t), lo, hi, pairs=(u, v))
+    ends, radix = fy.farey_window_pairs(math.ceil(q_cap) - 1, *box, 2.0 * float(radii.max()))
+    nodes, u, v = fy.pair_graph(ends, radix)
+    disks = _spherical_disks(fy.pair_rows(nodes, radix), q_cap, target.chart.radius, d, t)
+    return centers, radii, _inside_lenses(*disks, lo, hi, pairs=(u, v))
 
 
 def _spherical_disks(alpha: np.ndarray, q_cap: float, chart_radius: float, d: int, t: float):
@@ -505,7 +529,7 @@ def _inside_lenses(centers: np.ndarray, radii: np.ndarray, lo, hi, *, pairs) -> 
     np.linalg.norm gives one pair."""
     n = centers.shape[0]
     i, j = pairs
-    first, second = np.divmod(np.sort(np.minimum(i, j) * n + np.maximum(i, j)), n)
+    first, second = np.divmod(np.sort(np.minimum(i, j, dtype=np.int64) * n + np.maximum(i, j)), n)
     inside = np.ones(n, dtype=bool)
     for c, a0, a1 in zip(centers.T, lo, hi):
         inside &= c - radii >= a0
@@ -569,7 +593,10 @@ def _half_strip(x: np.ndarray) -> np.ndarray:
     """Signed area under the unit disk's upper half over [0, x], for x
     clamped to [-1, 1]."""
     x = np.clip(x, -1.0, 1.0)
-    return 0.5 * (x * np.sqrt(np.maximum(0.0, 1.0 - x * x)) + _elementwise(math.asin, x))
+    arcsin = np.where(x < 0.0, math.asin(-1.0), math.asin(1.0))
+    inner = np.flatnonzero(np.abs(x) != 1.0)  # libm only off the clipped ends
+    arcsin[inner] = _elementwise(math.asin, x[inner])
+    return 0.5 * (x * np.sqrt(np.maximum(0.0, 1.0 - x * x)) + arcsin)
 
 
 def _unit_corners(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -842,23 +842,29 @@ def _axis_solutions(q, q2, g, inv, kmax, lo: float, hi: float):
     return pair[link], k, p, (b[link] * p - k) // a[link]
 
 
-def _candidate_rows(axes, n_pairs: int):
+def _candidate_rows(axes, n_pairs: int, spent: int):
     """Rows into each axis' solutions of every candidate of
     farey_window_pairs: per (q, q'), the combinations with some k != 0.
 
-    Part j holds k = 0 on the axes before j, k != 0 on axis j and any k on
-    the axes after it; the parts come in order of j.  A part is grown one
-    axis at a time, block by block of (q, q'), so its rows stay grouped by
-    pair; a pair that some axis leaves empty joins nothing, so no stage
-    outgrows the part.  All parts' sizes are checked against ENUM_BUDGET
-    before any is built."""
+    One axis takes its rows with k != 0 as they are.  On more axes, part j
+    holds k = 0 on the axes before j, k != 0 on axis j and any k on the
+    axes after it; the parts come in order of j.  A part is grown one axis
+    at a time, block by block of (q, q'), so its rows stay grouped by pair;
+    a pair that some axis leaves empty joins nothing, so no stage outgrows
+    the part.  The candidates of all parts, plus the spent ones that
+    earlier calls listed, are checked against ENUM_BUDGET before any part
+    is built."""
+    if len(axes) == 1:
+        rows = np.flatnonzero(axes[0][1] != 0)
+        check_budget(spent + rows.size, "window pair candidates")
+        return (rows,)
     parts = []
     for j, (_pair, k, *_) in enumerate(axes):
         rows = [np.flatnonzero(ax[1] == 0) for ax in axes[:j]] + [np.flatnonzero(k != 0)]
         rows += [np.arange(ax[1].size) for ax in axes[j + 1 :]]
         parts.append((rows, [_pair_blocks(r, ax[0], n_pairs) for r, ax in zip(rows, axes)]))
     sizes = (np.prod([c for _start, c in blocks], axis=0, dtype=float).sum() for _rows, blocks in parts)
-    check_budget(float(sum(sizes)), "window pair candidates")
+    check_budget(spent + float(sum(sizes)), "window pair candidates")
     out = [[] for _ in axes]
     for rows, blocks in parts:
         (start, n), idx = blocks[0], [rows[0]]
@@ -875,17 +881,20 @@ def _candidate_rows(axes, n_pairs: int):
     return tuple(np.concatenate(o) for o in out)
 
 
+_PAIR_BLOCK = 1024  # live (q, q') per block of farey_window_pairs: the late, wide ones hold most pairs
+
+
 def farey_window_pairs(m: int, lo, hi, w: float):
     """Pairs of primitive sources whose windows of width w overlap: (p, q)
     and (p', q') with 0 < q <= q' <= m, each p_i in the kernel's range
     ceil(lo_i q) .. floor(hi_i q), and |q' p_i - q p'_i| < w q q' on every
     axis, i.e. sup |p/q - p'/q'| < w, on any number d - 1 >= 1 of parameter axes.
 
-    Returned as (first, second, radix): each source (p_1, ..., p_{d-1}, q)
-    is one int64 key, its offsets from the lows of q, p_1, ... in mixed
-    radix, radix = ((low, span) of q, of p_1, ...), so keys ascend in
-    (q, p) order and pair_rows decodes them.  first and second hold the
-    keys of the two ends, the first of each pair the smaller.
+    Returned as (ends, radix): each source (p_1, ..., p_{d-1}, q) is one
+    int64 key, its offsets from the lows of q, p_1, ... in mixed radix,
+    radix = ((low, span) of q, of p_1, ...), so keys ascend in (q, p) order
+    and pair_rows and pair_centers decode them.  ends is a (2, n) array:
+    ends[0] holds the smaller key of each pair, ends[1] the larger.
 
     The search follows the pairs, not the points.  The cross differences
     D_i = q' p_i - q p'_i are integers and some D_i is nonzero, so only
@@ -893,23 +902,22 @@ def farey_window_pairs(m: int, lo, hi, w: float):
     range of q' per q.  On each axis D_i = g k with g = gcd(q, q') and
     |k| <= K, the largest k with g k < w q q' (exactly: a float quotient
     near an integer is settled with Fraction(w)), and each k is a linear
-    congruence for p_i (_axis_solutions).  The axes combine as a product
-    per (q, q') over the combinations with some k != 0 (_candidate_rows);
-    both ends must be primitive.  The integer work is done once per axis
-    solution, not per candidate: g_i = gcd(q, p_i) and the key's digit
-    term of p_i (q's goes with the first axis).  gcd(q, p_1, ..., p_{d-1})
-    = gcd(g_1, ..., g_{d-1}), so a candidate gathers whether each g_i is 1
-    and one key term per axis, and np.gcd runs only where every g_i
-    exceeds 1.  Each array's size is checked against
-    ENUM_BUDGET before it is allocated, and the radix, from the solutions'
-    own q and p ranges, is refused past int64 before any key is built.
+    congruence for p_i (_axis_solutions).  The live (q, q'), those with
+    K > 0, are walked in blocks of _PAIR_BLOCK, so every array but the
+    (q, q') list and the pairs found is as long as one block's work
+    (_window_pair_keys).  The radix is fixed before the first block: q over
+    the live (q, q'), p_i over the kernel's ranges at the least and the
+    largest of those q (ceil(lo_i q) and floor(hi_i q) are monotone in q),
+    and it is refused past int64 before any key is built.  Each array's size
+    is checked against ENUM_BUDGET before it is allocated, and the
+    candidates of all blocks so far before a block's are built.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     dim = lo.size
     m = int(m)
     check_budget(m, "denominator bound")
-    empty = np.empty(0, np.int64), np.empty(0, np.int64), ((0, 1),) * (dim + 1)
+    empty = np.empty((2, 0), np.int64), ((0, 1),) * (dim + 1)
     # w q q' <= w m^2 <= 1 leaves no pair (for w m^2 a hair above 1 in exact
     # arithmetic, only q = q' = m >= 2 passes, and it needs w m > 1)
     if m < 1 or not w * m * m > 1:
@@ -935,118 +943,163 @@ def farey_window_pairs(m: int, lo, hi, w: float):
     live = kmax > 0
     q, q2, g, kmax = q[live], q2[live], g[live], kmax[live].astype(np.int64)
     del quot, near, live
-    inv = _inverse_mod(q2 // g, q // g)
-    axes = [_axis_solutions(q, q2, g, inv, kmax, float(lo[i]), float(hi[i])) for i in range(dim)]
-    del g, inv, kmax
-    rows = _candidate_rows(axes, q.size)
-    if rows[0].size == 0:
+    if q.size == 0:
         return empty
-    # each end's columns q, p_1, ...: q over the (q, q'), p_i over axis i's solutions
-    ends = [[q, *(ax[2] for ax in axes)], [q2, *(ax[3] for ax in axes)]]
-    lows = [int(min(a.min(), b.min())) for a, b in zip(*ends)]
-    spans = [int(max(a.max(), b.max())) - low + 1 for (a, b), low in zip(zip(*ends), lows)]
+    inv = _inverse_mod(q2 // g, q // g)
+    q_ends = int(q[0]), int(q2.max())  # q ascends and q' >= q
+    lows = [q_ends[0], *(min(math.ceil(a * qe) for qe in q_ends) for a in lo.tolist())]
+    highs = [q_ends[1], *(max(math.floor(b * qe) for qe in q_ends) for b in hi.tolist())]
+    spans = [max(high - low + 1, 1) for low, high in zip(lows, highs)]
     if math.prod(spans) > 2**63:
         raise ResourceLimitError(f"pair end keys span {math.prod(spans)} values, over int64", 2**63)
     radix = tuple(zip(lows, spans))
+    firsts, seconds, spent = [], [], 0
+    for s in range(0, q.size, _PAIR_BLOCK):
+        b = slice(s, s + _PAIR_BLOCK)
+        first, second, tested = _window_pair_keys(q[b], q2[b], g[b], inv[b], kmax[b], lo, hi, radix, spent)
+        firsts.append(first)
+        seconds.append(second)
+        spent += tested
+    ends = np.empty((2, sum(f.size for f in firsts)), np.int64)
+    for row, parts in zip(ends, (firsts, seconds)):
+        np.concatenate(parts, out=row)
+        parts.clear()
+    return ends, radix
+
+
+def _window_pair_keys(q, q2, g, inv, kmax, lo, hi, radix, spent: int):
+    """farey_window_pairs on one block of live (q, q'): the keys of the two
+    ends of each pair it holds, and the number of candidates it tested.
+    Those and the spent candidates of earlier blocks are checked against
+    ENUM_BUDGET together before this block's are built (_candidate_rows).
+
+    The axes combine as a product per (q, q') over the combinations with
+    some k != 0; both ends must be primitive.  The integer work is done once
+    per axis solution, not per candidate: g_i = gcd(q, p_i) and the key's
+    digit term of p_i (q's goes with the first axis).
+    gcd(q, p_1, ..., p_{d-1}) = gcd(g_1, ..., g_{d-1}), so a candidate
+    gathers whether each g_i is 1 and one key term per axis, and np.gcd
+    runs only where every g_i exceeds 1; on one axis g_1 == 1 decides.
+    """
+    dim = lo.size
+    lows, spans = zip(*radix)
+    axes = [_axis_solutions(q, q2, g, inv, kmax, float(lo[i]), float(hi[i])) for i in range(dim)]
+    rows = _candidate_rows(axes, q.size, spent)
+    # each end's columns q, p_1, ...: q over the (q, q'), p_i over axis i's solutions
+    ends = [[q, *(ax[2] for ax in axes)], [q2, *(ax[3] for ax in axes)]]
     solution_pair = [ax[0] for ax in axes]
-    del axes, q, q2
-    keep, terms = np.ones(rows[0].size, dtype=bool), []
+    del axes
+    keep, keys = np.ones(rows[0].size, dtype=bool), []
     for q_end, *ps in ends:
-        # once per axis solution: g_i = gcd(q, p_i) and the key's digit term
-        # of p_i (and of q, on the first axis)
-        gs, parts = [], []
-        for i, (pair, p) in enumerate(zip(solution_pair, ps)):
+        gs, key = [], None
+        for i, (pair, p, r) in enumerate(zip(solution_pair, ps, rows)):
             qa = q_end[pair]
             gs.append(np.gcd(qa, p))
+            # the key's digit term of p_i (and of q, on the first axis)
             term = p - lows[i + 1]
             if i == 0:
                 qa -= lows[0]
                 qa *= spans[1]
                 term += qa
             term *= math.prod(spans[i + 2 :])
-            parts.append(term)
-        terms.append(parts)
+            key = term.take(r) if key is None else np.add(key, term.take(r), out=key)
+        keys.append(key)
         # gcd(q, p_1, ..., p_{d-1}) = gcd(g_1, ..., g_{d-1}): primitive where
         # some g_i is 1, else by the gcd of them all
         primitive = (gs[0] == 1).take(rows[0])
-        for i in range(1, dim):
-            primitive |= (gs[i] == 1).take(rows[i])
-        rest = np.flatnonzero(~primitive)
-        g = gs[0].take(rows[0][rest])
-        for i in range(1, dim):
-            g = np.gcd(g, gs[i].take(rows[i][rest]))
-        primitive[rest] = g == 1
-        del g, rest
+        if dim > 1:
+            for i in range(1, dim):
+                primitive |= (gs[i] == 1).take(rows[i])
+            rest = np.flatnonzero(~primitive)
+            common = gs[0].take(rows[0][rest])
+            for i in range(1, dim):
+                common = np.gcd(common, gs[i].take(rows[i][rest]))
+            primitive[rest] = common == 1
         keep &= primitive
-    del ends, q_end, ps, gs, primitive
-    # the key of each candidate's ends: one gathered term per axis
-    keys = []
-    for parts in terms:
-        key = parts[0].take(rows[0])
-        for part, r in zip(parts[1:], rows[1:]):
-            key += part.take(r)
-        keys.append(key)
-    del rows, terms
     # q <= q' by construction, so key order is the (q, p) order: for q == q'
     # each pair comes in both orders, and this keeps the one with p < p'
     keep &= keys[0] < keys[1]
-    return keys[0][keep], keys[1][keep], radix
+    return keys[0][keep], keys[1][keep], rows[0].size
+
+
+def _key_digits(keys: np.ndarray, radix, out: np.ndarray) -> np.ndarray:
+    """Write the p_1, ..., p_{d-1} of pair-end keys in the mixed radix of
+    farey_window_pairs to the first d - 1 columns of out, and return their
+    q as an int64 array."""
+    rest = keys.copy()
+    for j in range(len(radix) - 1, 0, -1):
+        low, span = radix[j]
+        np.remainder(rest, span, out=out[:, j - 1])
+        out[:, j - 1] += low
+        rest //= span
+    rest += radix[0][0]
+    return rest
 
 
 def pair_rows(keys: np.ndarray, radix) -> np.ndarray:
     """The sources (p_1, ..., p_{d-1}, q) of pair-end keys in the mixed
     radix of farey_window_pairs, as an (n, d) int64 array."""
-    d = len(radix)
-    rows = np.empty((keys.size, d), np.int64)
-    rest = keys.copy()
-    for j in range(d - 1, 0, -1):
-        low, span = radix[j]
-        np.remainder(rest, span, out=rows[:, j - 1])
-        rows[:, j - 1] += low
-        rest //= span
-    rest += radix[0][0]
-    rows[:, d - 1] = rest
+    rows = np.empty((keys.size, len(radix)), np.int64)
+    rows[:, -1] = _key_digits(keys, radix, rows)
     return rows
 
 
-def pair_graph(first: np.ndarray, second: np.ndarray, radix):
-    """The pairs of pair-end keys (first[k], second[k]) of
-    farey_window_pairs as a graph: the distinct sources
-    (p_1, ..., p_{d-1}, q), ranked by (q, p_1, ..., p_{d-1}), and the two
-    ranks of each pair.
+def pair_centers(keys: np.ndarray, radix) -> np.ndarray:
+    """The points p / q of the sources of pair-end keys in the mixed radix
+    of farey_window_pairs, as an (n, d - 1) float array with no integer row
+    array: each p_i, exact as a float, divided by q column by column, the
+    bits of dividing pair_rows' int64 columns."""
+    centers = np.empty((keys.size, len(radix) - 1))
+    q = _key_digits(keys, radix, centers)
+    for a in range(centers.shape[1]):
+        centers[:, a] /= q
+    return centers
 
-    The ranks follow the row order of the enumeration kernels, so the
-    stable window union sums the clipped volumes in the kernels' order,
-    which keeps A3's bits, and the d = 3 spherical lens step takes its
-    pairs in the (i, j) order of the listed disks.  The keys are ranked as
-    np.unique would with return_inverse, but with fewer copies alive at
-    once, and only the distinct keys are decoded.  When every key leaves b
-    bits free, b the bit length of 2n - 1 (prod(spans) * 2^b <= 2^63), one
-    in-place sort of the words key << b | position orders keys and
-    positions together; wider keys take an argsort and a gather.  Equal
-    keys share a rank, so both give the same arrays.
+
+def pair_graph(ends: np.ndarray, radix):
+    """The pairs of farey_window_pairs as a graph: the distinct pair-end
+    keys of its (2, n) array ends, ascending, one per source (pair_rows and
+    pair_centers decode them), and the two ranks of each pair among them.
+    The ranks are int32 (int64 past 2^31 pair ends); ends is sorted in
+    place, so its contents are spent.
+
+    Keys ascend in (q, p_1, ..., p_{d-1}) order, the row order of the
+    enumeration kernels, so the stable window union sums the clipped
+    volumes in the kernels' order, which keeps A3's bits, and the d = 3
+    spherical lens step takes its pairs in the (i, j) order of the listed
+    disks.  The keys are ranked as np.unique would with return_inverse.
+    When every key leaves b bits free, b the bit length of 2n - 1
+    (prod(spans) * 2^b <= 2^63), each end becomes the word key << b |
+    position, and one in-place sort orders keys and positions together;
+    wider keys take an argsort and a gather (b = 0).  Equal keys share a
+    rank, so both give the same arrays.
     """
-    n = first.size
-    keys = np.concatenate([first, second])
+    n = ends.shape[1]
+    flat = ends.reshape(-1)
+    index = np.int32 if 2 * n <= 2**31 else np.int64  # positions and ranks are below 2n
     bits = (2 * n - 1).bit_length()
     if math.prod(span for _low, span in radix) << bits <= 1 << 63:
-        order = np.arange(2 * n, dtype=np.int64)
-        keys <<= bits
-        keys |= order
-        keys.sort()
-        np.bitwise_and(keys, (1 << bits) - 1, out=order)
-        keys >>= bits
+        flat <<= bits
+        flat |= np.arange(2 * n, dtype=index)
+        flat.sort()
+        at = None
     else:
-        order = np.argsort(keys)
-        keys = keys[order]
-    new = np.ones(2 * n, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    distinct = keys[new]
-    del keys
-    rank = np.empty(2 * n, np.int64)
-    rank[order] = np.cumsum(new) - 1
-    del order, new
-    return pair_rows(distinct, radix), rank[:n], rank[n:]
+        bits, at = 0, np.argsort(flat)
+        np.take(flat, at, out=flat)
+    # a new key starts where two neighbouring words differ above bit b
+    new = np.empty(2 * n, dtype=bool)
+    new[:1] = True
+    np.greater_equal(flat[1:] ^ flat[:-1], 1 << bits, out=new[1:])
+    nodes = flat[new]
+    nodes >>= bits
+    if at is None:
+        at = np.bitwise_and(flat, (1 << bits) - 1, out=flat)
+    rank = np.empty(2 * n, index)
+    count = new.astype(index)
+    np.cumsum(count, out=count)  # in place: a cumsum with a dtype copies its input first
+    count -= 1
+    rank[at] = count
+    return nodes, rank[:n], rank[n:]
 
 
 def points_to_csv(points: Sequence[TranslatedFareyPoint], fh) -> None:

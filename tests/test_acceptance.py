@@ -279,7 +279,7 @@ def test_A8_d3_detector_below_nominal_budget():
             ends[0].extend(sources[members[a[hit]]].tolist())
             ends[1].extend(sources[members[b[hit]]].tolist())
         _w, _c_off, margin = ex._stable_window_shape(target, t)
-        first, second, radix = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w)
+        (first, second), radix = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), lo - margin, hi + margin, w)
         first, second = farey.pair_rows(first, radix), farey.pair_rows(second, radix)
         pairs = set(zip(map(tuple, first.tolist()), map(tuple, second.tolist())))
         ok &= pairs == set(zip(map(tuple, ends[0]), map(tuple, ends[1])))

@@ -466,10 +466,11 @@ def test_a3_window_pairs_and_clusters():
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     t = 2.85
     w, _c_off, margin = ex._stable_window_shape(target, t)
-    first, second, radix = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), np.full(2, -margin), np.full(2, 1.0 + margin), w)
-    nodes, u, v = farey.pair_graph(first, second, radix)
+    ends, radix = farey.farey_window_pairs(math.floor(target.denominator_cap(t)), np.full(2, -margin), np.full(2, 1.0 + margin), w)
+    assert ends.shape == (2, 171_680)
+    nodes, u, v = farey.pair_graph(ends, radix)
+    nodes = farey.pair_rows(nodes, radix)
     _members, sizes = farey.component_clusters(u, v)
-    assert first.shape[0] == 171_680
     assert (sizes.size, int(sizes.sum()), int(sizes.max())) == (52_020, 205_040, 138)
     assert nodes.shape == (205_040, 3)
     pairs, members, tree = cluster_shapes(farey._component_labels(nodes.shape[0], u, v), u)
@@ -483,10 +484,46 @@ def test_a3_window_pairs_and_clusters():
     assert ex._cluster_union_volume(centers, w, lo, hi, pairs=(u, v), raw=raw) == union
 
 
+@pytest.mark.parametrize("d, t, positive", [
+    (3, 2.85, [171_680, 19_596, 936, 0]),
+    (4, 1.4, [46_004, 3_304, 56]),
+], ids=["A3", "d4-t1.4"])
+def test_union_bits_do_not_depend_on_the_level_blocks(monkeypatch, d, t, positive):
+    # the A3 row and a d = 4 row whose union holds 4-cliques (the common
+    # boxes of 56 sets of four windows meet the cube).  Whole levels, whose
+    # volumes come from one call per level (counted here), blocks of 1000
+    # sets and blocks of 7 give the same float bits
+    target = tg.StableSection(d=d, T=1.0, eps=0.2)
+    lo, hi = np.zeros(d - 1), np.ones(d - 1)
+    w, _c_off, margin = ex._stable_window_shape(target, t)
+    ends, radix = farey.farey_window_pairs(math.floor(target.alpha_cutoff(t)), lo - margin, hi + margin, w)
+    nodes, u, v = farey.pair_graph(ends, radix)
+    centers = farey.pair_centers(nodes, radix)
+    volumes, counts = ex._clipped_box_volumes, []
+
+    def counted(*args, top=None):
+        vol = volumes(*args, top=top)
+        if top is not None:
+            counts.append(int(np.count_nonzero(vol > 0)))
+        return vol
+
+    monkeypatch.setattr(ex, "_clipped_box_volumes", counted)
+    monkeypatch.setattr(ex, "_UNION_BLOCK", u.size)
+    whole = ex._cluster_union_volume(centers, w, lo, hi, pairs=(u.copy(), v.copy()))
+    assert counts == positive
+    monkeypatch.setattr(ex, "_clipped_box_volumes", volumes)
+    for block in (1000, 7):
+        monkeypatch.setattr(ex, "_UNION_BLOCK", block)
+        assert ex._cluster_union_volume(centers, w, lo, hi, pairs=(u.copy(), v.copy())) == whole
+
+
 def test_a3_window_sum_memory_guard():
     # the A3 row with each pair end one int64 key from the pair search to
-    # the union: its measured tracemalloc peak is 19,007,013 bytes, bounded
-    # here 10% above that (pair ends held as (n, 3) rows peaked at 34,954,520)
+    # the union, the search in blocks of live (q, q'), the ranking in place
+    # and the union's common boxes in blocks of sets: its measured
+    # tracemalloc peak is 9,593,784 bytes, bounded here 10% above that
+    # (whole-row arrays peaked at 19,007,013 and pair ends held as (n, 3)
+    # rows at 34,954,520)
     target = tg.StableSection(d=3, T=1.0, eps=0.2)
     tracemalloc.start()
     try:
@@ -495,15 +532,17 @@ def test_a3_window_sum_memory_guard():
     finally:
         tracemalloc.stop()
     assert got == (0.011006886261232631, 7_424_077)
-    assert peak < 20 << 20
+    assert peak < 10_550_000
 
 
 def test_d4_window_sum_memory_guard():
     # identity L at d = 4 takes the Moebius raw sum and the integer pair
     # search (159,492 pairs at t = 1.5): its measured tracemalloc peak is
-    # 23,200,050 bytes, bounded here under 32 MiB.  The float grid search
-    # over all 16,083,513 centers held about 1.4 GB and gave the same bits;
-    # at t = 1.4 it gave 0.0018207812193679457, one ulp away
+    # 11,183,985 bytes, bounded here 10% above that (23,200,050 with
+    # whole-row arrays in the search, the ranking and the union).  The
+    # float grid search over all 16,083,513 centers held about 1.4 GB and
+    # gave the same bits; at t = 1.4 it gave 0.0018207812193679457, one ulp
+    # away
     target = tg.StableSection(d=4, T=1.0, eps=0.2)
     lo, hi = np.zeros(3), np.ones(3)
     tracemalloc.start()
@@ -513,7 +552,7 @@ def test_d4_window_sum_memory_guard():
     finally:
         tracemalloc.stop()
     assert got == (0.0018825471437057197, 16_083_513)
-    assert peak < 32 << 20
+    assert peak < 12_300_000
     val, count = ex._window_sum_stable_enumerated(target, None, lo, hi, 1.4)
     assert count == 4_751_073 and abs(val - 0.0018207812193679457) <= 1e-15 * val
 
@@ -832,6 +871,22 @@ def test_d3_spherical_window_sum_is_unchanged():
     unit = (np.zeros(2), np.ones(2))
     assert ex.window_sum_spherical(target, None, *unit, 2.0) == (0.023840732082532772, 5561)
     assert ex.window_sum_spherical(target, None, *unit, 2.6) == (0.023661368622645552, 190609)
+
+
+def test_d3_spherical_window_sum_memory_guard():
+    # the d = 3 spherical row of perfbench's d3-window workload, its int64
+    # rows dropped once the disks exist and its Farey rows tested in chunks
+    # of 2^16 candidates: its measured tracemalloc peak is 9,285,241 bytes,
+    # bounded here 10% above that (11,812,280 with chunks of 2^19)
+    target = tg.SphericalSection(d=3, T=3.0, chart=coords.Chart(dim=3, radius=0.5))
+    tracemalloc.start()
+    try:
+        got = ex.window_sum_spherical(target, None, np.zeros(2), np.ones(2), 2.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.023661368622645552, 190_609)
+    assert peak < 10_210_000
 
 
 def test_circle_box_area_against_quadrature(rng):
@@ -1594,7 +1649,9 @@ def test_d3_window_overlap_below_nominal_budget():
     assert eps < tg.disjointness_budget(3, 1.0)
     w, _c_off, margin = ex._stable_window_shape(target, t)
     m = math.floor(target.denominator_cap(t))
-    nodes, u, v = farey.pair_graph(*farey.farey_window_pairs(m, np.full(2, -margin), np.full(2, 1.0 + margin), w))
+    ends, radix = farey.farey_window_pairs(m, np.full(2, -margin), np.full(2, 1.0 + margin), w)
+    nodes, u, v = farey.pair_graph(ends, radix)
+    nodes = farey.pair_rows(nodes, radix)
     k = np.lexsort((v, u))[0]
     (a1, a2, qa), (b1, b2, qb) = nodes[u[k]].tolist(), nodes[v[k]].tolist()
     assert ((a1, a2, qa), (b1, b2, qb)) == ((0, 6, 31), (0, 7, 36))

@@ -4,6 +4,7 @@ import math
 import warnings
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,14 +539,15 @@ def lexsort_pair_graph(first, second):
     ends = ends[order]
     new = np.ones(2 * n, dtype=bool)
     new[1:] = np.any(ends[1:] != ends[:-1], axis=1)
-    rank = np.empty(2 * n, np.int64)
+    rank = np.empty(2 * n, np.int32)
     rank[order] = np.cumsum(new) - 1
     return ends[new], rank[:n], rank[n:]
 
 
 def pair_keys(first, second):
-    """Rows (p_1, ..., p_{d-1}, q) of pair ends as farey_window_pairs' keys:
-    offsets from the lows of q, p_1, ... over both arrays, in mixed radix."""
+    """Rows (p_1, ..., p_{d-1}, q) of pair ends as farey_window_pairs' keys,
+    (ends, radix): offsets from the lows of q, p_1, ... over both arrays, in
+    mixed radix, one row of ends per array."""
     n, d = first.shape
     ends = np.concatenate([first, second])
     cols = [ends[:, d - 1], *(ends[:, j] for j in range(d - 1))]
@@ -554,7 +556,7 @@ def pair_keys(first, second):
     for c, (low, span) in zip(cols, radix):
         key *= span
         key += c - low
-    return key[:n], key[n:], radix
+    return key.reshape(2, n), radix
 
 
 @st.composite
@@ -597,9 +599,10 @@ def test_pair_graph_examples_reach_both_rankings():
 @example(PACKED_ENDS[2])
 def test_pair_graph_matches_the_lexsort_ranking_bitwise(case):
     first, second = case
-    keys = pair_keys(first, second)
-    assert farey.pair_rows(keys[0], keys[2]).tolist() == first.tolist()
-    got, want = farey.pair_graph(*keys), lexsort_pair_graph(first, second)
+    ends, radix = pair_keys(first, second)
+    assert farey.pair_rows(ends[0], radix).tolist() == first.tolist()
+    nodes, u, v = farey.pair_graph(ends, radix)
+    got, want = (farey.pair_rows(nodes, radix), u, v), lexsort_pair_graph(first, second)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -610,8 +613,8 @@ def test_window_pairs_refuse_keys_past_int64():
     # q <= 40 and p_i up to 40 o span more than int64, and the search
     # refuses them before building any
     def rows(offset):
-        first, second, radix = farey.farey_window_pairs(40, [offset] * 2, [offset + 0.5] * 2, 0.01)
-        return [farey.pair_rows(end, radix) for end in (first, second)]
+        ends, radix = farey.farey_window_pairs(40, [offset] * 2, [offset + 0.5] * 2, 0.01)
+        return [farey.pair_rows(end, radix) for end in ends]
 
     base = rows(0.0)
     assert base[0].shape[0] > 0
@@ -864,12 +867,33 @@ def pair_search_cases(draw):
 @example((4, 12, np.array([-0.5, 0.0, 1 / 3]), np.array([0.0, 0.4, 0.6]), 0.25))
 def test_window_pairs_match_brute_force(case):
     d, m, lo, hi, w = case
-    first, second, radix = farey.farey_window_pairs(m, lo, hi, w)
+    (first, second), radix = farey.farey_window_pairs(m, lo, hi, w)
     assert np.all(first < second)
     first, second = farey.pair_rows(first, radix), farey.pair_rows(second, radix)
     got = [(tuple(a), tuple(b)) for a, b in zip(first.tolist(), second.tolist())]
     assert len(got) == len(set(got))
     assert set(got) == brute_window_pairs(d, m, lo, hi, w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(pair_search_cases())
+@example((2, 60, np.array([0.0]), np.array([0.4]), 0.0625))
+@example((3, 12, np.array([0.3, 0.45]), np.array([0.4, 0.7]), 0.3))
+@example((4, 12, np.array([-0.5, 0.0, 1 / 3]), np.array([0.0, 0.4, 0.6]), 0.25))
+def test_window_pairs_and_ranks_do_not_depend_on_the_block(case):
+    # blocks of one live (q, q'), of seven and the whole list give the same
+    # radix and decoded pairs, and pair_graph the same nodes and, pair by
+    # pair, the same ranks; only the order in which pairs are listed may differ
+    d, m, lo, hi, w = case
+    got = []
+    for block in (1, 7, 2**62):
+        with mock.patch.object(farey, "_PAIR_BLOCK", block):
+            ends, radix = farey.farey_window_pairs(m, lo, hi, w)
+        first, second = (farey.pair_rows(end, radix).tolist() for end in ends)
+        nodes, u, v = farey.pair_graph(ends, radix)
+        ranks = sorted(zip(u.tolist(), v.tolist()))
+        got.append((radix, sorted(zip(map(tuple, first), map(tuple, second))), farey.pair_rows(nodes, radix).tolist(), ranks))
+    assert got[0] == got[1] == got[2]
 
 
 def test_window_pairs_split_primitivity_across_axes():
@@ -879,14 +903,14 @@ def test_window_pairs_split_primitivity_across_axes():
     # gcd of the two keeps (2, 4, 6)
     lo, hi, w = np.array([0.3, 0.45]), np.array([0.35, 0.7]), 0.5
     assert farey.farey_arrays(3, 7, (lo, hi))[0].tolist() == [[1, 2, 3], [2, 3, 6]]
-    first, second, radix = farey.farey_window_pairs(7, lo, hi, w)
+    (first, second), radix = farey.farey_window_pairs(7, lo, hi, w)
     got = [(tuple(a), tuple(b)) for a, b in zip(farey.pair_rows(first, radix).tolist(), farey.pair_rows(second, radix).tolist())]
     assert got == [((1, 2, 3), (2, 3, 6))]
     assert set(got) == brute_window_pairs(3, 7, lo, hi, w)
     # on three axes, (6, 10, 15, 30) is primitive though gcd(30, 6, 10) = 2:
     # a search that reduces only the first two axes drops the one pair
     lo, hi, w = np.array([6, 10, 15]) / 30 - 0.01, np.array([6, 10, 15]) / 30 + 0.01, 0.05
-    first, second, radix = farey.farey_window_pairs(30, lo, hi, w)
+    (first, second), radix = farey.farey_window_pairs(30, lo, hi, w)
     got = [(tuple(a), tuple(b)) for a, b in zip(farey.pair_rows(first, radix).tolist(), farey.pair_rows(second, radix).tolist())]
     assert got == [((5, 8, 12, 24), (6, 10, 15, 30))]
     assert set(got) == brute_window_pairs(4, 30, lo, hi, w)
@@ -908,14 +932,16 @@ def test_pair_graph_ranks_sources_in_kernel_row_order():
     # the chain (0,1,3) - (1,1,2) - (0,0,1) and the pair (1,0,2) - (0,1,4)
     first = np.array([[0, 1, 3], [1, 0, 2], [0, 0, 1]])
     second = np.array([[1, 1, 2], [0, 1, 4], [1, 1, 2]])
-    keys = pair_keys(first, second)
-    nodes, u, v = farey.pair_graph(*keys)
+    ends, radix = pair_keys(first, second)
+    nodes, u, v = farey.pair_graph(ends, radix)
+    nodes = farey.pair_rows(nodes, radix)
     assert nodes.tolist() == [[0, 0, 1], [1, 0, 2], [1, 1, 2], [0, 1, 3], [0, 1, 4]]
     assert (u.tolist(), v.tolist()) == ([3, 1, 0], [2, 4, 2])
     members, sizes = farey.component_clusters(u, v)
     assert nodes[members].tolist() == [[0, 0, 1], [1, 1, 2], [0, 1, 3], [1, 0, 2], [0, 1, 4]]
     assert sizes.tolist() == [3, 2]
-    empty = farey.pair_graph(keys[0][:0], keys[1][:0], keys[2])
+    nodes, u, v = farey.pair_graph(np.empty((2, 0), np.int64), radix)
+    empty = farey.pair_rows(nodes, radix), u, v
     assert [a.shape for a in empty] == [(0, 3), (0,), (0,)]
     assert [a.tobytes() for a in empty] == [a.tobytes() for a in lexsort_pair_graph(first[:0], second[:0])]
     assert [a.size for a in farey.component_clusters(*empty[1:])] == [0, 0]
